@@ -9,7 +9,9 @@ contract that a sweep's output depends only on its task list.
 
 ``stable_hash`` provides the drop-in replacement: a SHA-256-based
 63-bit digest of the components' canonical reprs, identical across
-processes, platforms and Python versions.
+processes, platforms and Python versions.  Hot callers whose leading
+components never change precompute them once with ``stable_prefix``
+and hash the rest with ``stable_hash_from`` (same digest).
 """
 
 from __future__ import annotations
@@ -27,7 +29,21 @@ def stable_hash(*components: Any) -> int:
     tuples/lists/dicts of them qualify; sets (iteration order is
     salted) and objects with default address-based reprs do not.
     """
-    digest = hashlib.sha256()
+    return stable_hash_from(b"", *components)
+
+
+def stable_prefix(*components: Any) -> bytes:
+    """The bytes ``stable_hash`` digests for ``components``: plain
+    bytes, so an object that keeps them stays picklable."""
+    return b"".join(
+        repr(component).encode() + b"\x1f" for component in components
+    )
+
+
+def stable_hash_from(prefix: bytes, *components: Any) -> int:
+    """``stable_hash(*leading, *components)`` where ``prefix`` is
+    ``stable_prefix(*leading)``."""
+    digest = hashlib.sha256(prefix)
     for component in components:
         digest.update(repr(component).encode())
         digest.update(b"\x1f")

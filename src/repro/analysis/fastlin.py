@@ -449,31 +449,57 @@ def check_history(
 # Set and dict members are sorted by their canonical encoding, so equal
 # values always serialize to identical bytes.
 
-def _canon(encoded: Any) -> str:
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+#: The canonical sort key; one encoder object serves every call
+#: (``json.dumps`` with options builds a fresh one each time).
+_canon = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: What :func:`encode_strict` returns for a value the codec cannot carry.
+UNENCODABLE = object()
+
+
+def encode_strict(value: Any) -> Any:
+    """:func:`encode_value`, returning :data:`UNENCODABLE` where it
+    would raise: one pass for callers that fall back to another codec
+    (the event log's loose tags)."""
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    if isinstance(value, dict):
+        pairs = []
+        for key, item in value.items():
+            key, item = encode_strict(key), encode_strict(item)
+            if key is UNENCODABLE or item is UNENCODABLE:
+                return UNENCODABLE
+            pairs.append([key, item])
+        pairs.sort(key=_canon)
+        return {"d": pairs}
+    if isinstance(value, tuple):
+        tag = "t"
+    elif isinstance(value, list):
+        tag = "l"
+    elif isinstance(value, (set, frozenset)):
+        tag = "s"
+    else:
+        return UNENCODABLE
+    items = []
+    for item in value:
+        item = encode_strict(item)
+        if item is UNENCODABLE:
+            return UNENCODABLE
+        items.append(item)
+    if tag == "s":
+        items.sort(key=_canon)
+    return {tag: items}
 
 
 def encode_value(value: Any) -> Any:
     """JSON-safe, canonical, round-trippable encoding of a value."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, tuple):
-        return {"t": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"l": [encode_value(v) for v in value]}
-    if isinstance(value, (set, frozenset)):
-        return {"s": sorted((encode_value(v) for v in value), key=_canon)}
-    if isinstance(value, dict):
-        return {
-            "d": sorted(
-                ([encode_value(k), encode_value(v)]
-                 for k, v in value.items()),
-                key=_canon,
-            )
-        }
-    raise TypeError(
-        f"cannot encode {type(value).__name__!r} into a history payload"
-    )
+    encoded = encode_strict(value)
+    if encoded is UNENCODABLE:
+        raise TypeError(
+            f"cannot encode {type(value).__name__!r} (or a value inside "
+            f"it) into a history payload"
+        )
+    return encoded
 
 
 def decode_value(encoded: Any) -> Any:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from repro._seeding import stable_hash
+from repro._seeding import stable_hash, stable_hash_from, stable_prefix
 from repro.sim.scheduler import (
     CrashDecision,
     DelayDecision,
@@ -69,8 +69,8 @@ class FaultPlan:
     - :class:`~repro.sim.scheduler.DelayDecision` — hold this request
       while other processes' messages are served;
     - :class:`~repro.sim.scheduler.PartitionDecision` — park every
-      request from the named pids for ``steps`` further arrivals (or
-      until no other traffic remains), then serve them in order;
+      request from the named pids for ``steps`` further arrivals, then
+      serve them in order;
     - :class:`~repro.sim.scheduler.DuplicateDecision` — re-apply the
       named pid's most recently applied primitive (the process never
       sees the duplicate's result);
@@ -78,6 +78,10 @@ class FaultPlan:
       message; the worker abandons the operation and moves on;
     - :class:`~repro.sim.scheduler.RecoverDecision` — restart the named
       crashed process from a fresh replica.
+
+    Delayed and parked requests are released when they fall due, or as
+    soon as every live worker is blocked on a held request; there is no
+    timer.
 
     Plans must be picklable: they ship to the memory-server process at
     spawn.
@@ -200,6 +204,9 @@ class SeededFaultPlan(FaultPlan):
         self.partition_steps = partition_steps
         self.max_crashes = max_crashes
         self.pids = tuple(sorted(pids)) if pids is not None else None
+        # ``decide`` hashes ("fault-plan", seed, step, pid); the constant
+        # head is rendered once here, as bytes so the plan still pickles.
+        self._draw_prefix = stable_prefix("fault-plan", seed)
         if self.pids:
             ranked = sorted(
                 self.pids,
@@ -224,7 +231,7 @@ class SeededFaultPlan(FaultPlan):
     def decide(
         self, step: int, pid: str, obj_name: str, primitive: str
     ) -> Optional[Any]:
-        draw = stable_hash("fault-plan", self.seed, step, pid) % 10_000
+        draw = stable_hash_from(self._draw_prefix, step, pid) % 10_000
         band = self.crash_per_10k
         if draw < band:
             return CrashDecision(pid) if self._crash_ok(pid) else None

@@ -49,9 +49,15 @@ may return any decision the fuzzer's schedule adversaries emit:
 - ``DelayDecision`` — hold the request while later-arriving messages
   from other processes are served first (network delay/reorder).
 - ``PartitionDecision`` — park every request from the named pids until
-  ``steps`` further arrivals have been served, or until no other
-  traffic remains; parked requests are then applied in arrival order
-  (a severed-then-healed network segment).
+  ``steps`` further arrivals have been served; parked requests are
+  then applied in arrival order (a severed-then-healed network
+  segment).
+
+Held (delayed or parked) requests are released by an exact rule, with
+no timer: when they fall due, or as soon as every live worker is
+blocked on a held request — nothing else can arrive then, so all of
+them are served in arrival order.  A delay under a single worker is
+therefore an immediate no-op.
 - ``DuplicateDecision`` — re-apply the named pid's most recently
   applied primitive and record the second application in the history;
   the worker never sees the duplicate's result.  The history keeps
@@ -346,6 +352,10 @@ def _server_main(
         active: Dict[Any, str] = {
             conn: pid for pid, conn in conns_by_pid.items()
         }
+        # The select list mirrors ``active``; rebuilt only after
+        # ``activate``/``deactivate`` changed it, not on every pass.
+        active_list = list(active)
+        active_stale = False
         current_op: Dict[str, int] = {}
         doomed = set()
         # Crashed workers blocked awaiting a recover/dead verdict:
@@ -360,7 +370,8 @@ def _server_main(
         parked: List[Tuple[Any, str, Tuple[Any, ...]]] = []
         # Held (delayed) primitive requests: (release_at_msgs, conn,
         # pid, message).  Released once enough later messages have been
-        # served, or immediately when the system would otherwise idle.
+        # served, or as soon as every live worker is blocked on a held
+        # request (see the quiescence rule in the loop below).
         delayed: List[Tuple[int, Any, str, Tuple[Any, ...]]] = []
         msgs = 0
         # 1-based arrival index of primitive requests: what the fault
@@ -368,6 +379,16 @@ def _server_main(
         # an omitted or delayed request still consumes an index, so a
         # scripted decision never re-fires on the victim's next request.
         requests = 0
+
+        def activate(conn, pid):
+            nonlocal active_stale
+            active[conn] = pid
+            active_stale = True
+
+        def deactivate(conn):
+            nonlocal active_stale
+            del active[conn]
+            active_stale = True
 
         def apply_prim(conn, pid, message):
             nonlocal steps
@@ -412,7 +433,7 @@ def _server_main(
             if rconn is None:
                 return
             rconn.send(("recover",))
-            active[rconn] = rpid
+            activate(rconn, rpid)
 
         def handle_prim(conn, pid, message):
             nonlocal requests
@@ -430,7 +451,7 @@ def _server_main(
                     history.record_crash(pid, current_op.get(pid))
                     crashed.append(pid)
                     conn.send(("crash",))
-                    del active[conn]
+                    deactivate(conn)
                     awaiting[pid] = conn
                     return
                 # Crashing another process takes effect at *its* next
@@ -475,10 +496,10 @@ def _server_main(
             delayed[:] = remaining
 
         def release_parked(due_only: bool) -> None:
-            # Heal partitions (all of them when the system would
-            # otherwise idle) and serve parked requests in arrival
-            # order.  Like delayed requests, a healed request applies
-            # directly: the fault plan ruled on it at arrival.
+            # Heal partitions (all of them once every live worker is
+            # blocked on a held request) and serve parked requests in
+            # arrival order.  Like delayed requests, a healed request
+            # applies directly: the fault plan ruled on it at arrival.
             if due_only:
                 still = {
                     vpid: heal
@@ -519,7 +540,7 @@ def _server_main(
                     latencies.extend(lats)
                     if err is not None:
                         errors.append((pid, err))
-                    del active[conn]
+                    deactivate(conn)
                     return False
             # A crash mid-batch moves the conn to ``awaiting``; stop
             # draining it (the worker is blocked on a verdict).
@@ -532,7 +553,15 @@ def _server_main(
         # primitive.  Crashed workers sit in ``awaiting`` outside the
         # select set; once every live worker finished, they are told
         # they stay dead and rejoin only to deliver their final batch.
-        active_list = list(active)
+        #
+        # Held requests are released by an exact rule, never a timer:
+        # when they fall due, or as soon as every live worker is blocked
+        # on a held request.  A worker has at most one request in flight
+        # and stays in ``active`` while it is held, so the second case
+        # is an O(1) count.  Nothing else can arrive then, so releasing
+        # everything in arrival order is what any wait would end in.
+        # (``>=``, not ``==``: a held request whose channel then closed
+        # must not leave the select blocked with no sender.)
         while active or awaiting:
             if not active:
                 for rpid in list(awaiting):
@@ -541,23 +570,22 @@ def _server_main(
                         rconn.send(("dead",))
                     except OSError:  # pragma: no cover - worker gone
                         continue
-                    active[rconn] = rpid
-                active_list = list(active)
+                    activate(rconn, rpid)
                 if not active:
                     break
             if delayed:
                 release_delayed(due_only=True)
             if partitioned or parked:
                 release_parked(due_only=True)
-            ready = conn_wait(active_list, timeout=0.05)
-            if not ready:
+            if len(delayed) + len(parked) >= len(active):
                 if delayed:
                     release_delayed(due_only=False)
                 if partitioned or parked:
                     release_parked(due_only=False)
+            if active_stale:
                 active_list = list(active)
-                continue
-            for conn in ready:
+                active_stale = False
+            for conn in conn_wait(active_list):
                 pid = active.get(conn)
                 if pid is None:  # pragma: no cover - defensive
                     continue
@@ -566,13 +594,12 @@ def _server_main(
                         batch = conn.recv()
                     except EOFError:
                         errors.append((pid, "channel closed before 'done'"))
-                        del active[conn]
+                        deactivate(conn)
                         break
                     if not handle_batch(conn, pid, batch):
                         break
                     if not conn.poll():
                         break
-            active_list = list(active)
         release_delayed(due_only=False)
         release_parked(due_only=False)
         if event_sink is not None:

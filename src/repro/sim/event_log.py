@@ -33,7 +33,7 @@ from dataclasses import fields, is_dataclass
 from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
-from repro.analysis.fastlin import decode_value, encode_value
+from repro.analysis.fastlin import UNENCODABLE, decode_value, encode_strict
 from repro.memory.base import BOTTOM, Bottom
 from repro.memory.rword import RWord
 from repro.sim.events import CrashEvent, Invocation, PrimitiveEvent, Response
@@ -167,13 +167,16 @@ def decode_loose(encoded: Any) -> Any:
     raise ValueError(f"unknown event-payload tag {tag!r}")
 
 
+#: The line encoder: one object serves every event (``json.dumps`` with
+#: options builds a fresh one each time).
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def strict_or_loose(value: Any) -> Any:
     """Prefer fastlin's canonical encoding (byte-stable set ordering),
     fall back to the loose tags for values it cannot carry."""
-    try:
-        return encode_value(value)
-    except TypeError:
-        return encode_loose(value)
+    encoded = encode_strict(value)
+    return encode_loose(value) if encoded is UNENCODABLE else encoded
 
 
 # ---------------------------------------------------------------------
@@ -276,34 +279,19 @@ class JsonlEventSink:
             self._fh = open(self.path, "w", encoding="utf-8")
             header = {"k": "hello", "v": PROTOCOL_VERSION}
             header.update(self.meta)
-            self._fh.write(
-                json.dumps(header, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+            self._fh.write(_compact(header) + "\n")
         return self._fh
 
     def __call__(self, event: Any) -> None:
         fh = self._open()
-        fh.write(
-            json.dumps(
-                event_to_payload(event),
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+        fh.write(_compact(event_to_payload(event)) + "\n")
         self.events_written += 1
 
     def close(self, end: bool = True) -> None:
         fh = self._open()  # even an empty run gets a well-formed log
         if end:
             fh.write(
-                json.dumps(
-                    {"k": "end", "events": self.events_written},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
+                _compact({"k": "end", "events": self.events_written}) + "\n"
             )
         fh.close()
         self._fh = None

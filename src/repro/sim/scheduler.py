@@ -111,15 +111,15 @@ class PartitionDecision:
     subsumed by scheduling freedom, so no history event is recorded and
     every oracle stays sound by construction.  If only partitioned
     processes still have work, the partition heals immediately (the
-    simulator analogue of the memory server flushing parked requests
-    when its queues run dry), so a partition can stall progress but
-    never deadlock a run.
+    same rule the memory server applies to its held requests), so a
+    partition can stall progress but never deadlock a run.
 
     The memory server of :mod:`repro.rt.process_runtime` parks primitive
     requests arriving from partitioned pids and serves them, in arrival
-    order, once ``steps`` further arrivals have been served (or when no
-    other traffic remains).  The partitioned operation stays invoked-
-    but-unanswered while parked, exactly like a slow network path.
+    order, once ``steps`` further arrivals have been served, or as soon
+    as every live worker is blocked on a held request (no timer).  The
+    partitioned operation stays invoked-but-unanswered while parked,
+    exactly like a slow network path.
     """
 
     __slots__ = ("pids", "steps")

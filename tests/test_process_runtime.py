@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import time
 
 import pytest
 
@@ -366,6 +367,62 @@ def test_partition_parks_then_heals_on_idle():
     assert len(history.complete_operations(name="read")) == 2
     assert not history.pending_operations()
     assert rt.steps_taken == 2
+
+
+def _solo_factory(reg, pid, rounds):
+    # One worker as writer, reader and auditor of Algorithm 1: every
+    # primitive family of the register crosses the channel.
+    ref = PidRef(pid)
+    writer, reader = reg.writer(ref), reg.reader(ref, 0)
+    auditor = reg.auditor(ref)
+    ops = []
+    for k in range(rounds):
+        ops.append(writer.write_op(f"v{k + 1}"))
+        ops.append(reader.read_op())
+        ops.append(auditor.audit_op())
+    return ops
+
+
+def _timed_run(rt):
+    start = time.perf_counter()
+    history = rt.run()
+    return list(history), time.perf_counter() - start
+
+
+def test_single_worker_delays_release_without_a_timer():
+    """Every request delayed, one worker: each held request is released
+    at once (the only live worker is blocked on it), so the run pays no
+    wait — 50 ms per held request would cost over 10 s here — and the
+    history is event-for-event the fault-free one."""
+    delay_all = SeededFaultPlan(5, delay_per_10k=10_000)
+    assert isinstance(delay_all.decide(1, "p", "m", "read"), DelayDecision)
+    runs = []
+    for faults in (None, delay_all):
+        rt = ProcessRuntime(
+            build_stress_register, ("register", 1, 1, 5), faults=faults,
+        )
+        rt.add_program_factory("p", _solo_factory, args=(16,))
+        runs.append(_timed_run(rt))
+    (clean, _), (delayed, elapsed) = runs
+    assert rt.steps_taken >= 200
+    assert elapsed < 2.0
+    assert delayed == clean
+
+
+def test_partitioned_pair_heals_without_a_timer():
+    """Both workers partitioned at once, at every request, for far
+    longer than the run: each time both are parked they are released
+    together, so all 200 reads complete with no idle wait."""
+    everyone = PartitionDecision(("p", "q"), steps=10**6)
+    plan = ScriptedFaultPlan({step: everyone for step in range(1, 201)})
+    rt = ProcessRuntime(_build_main, faults=plan)
+    rt.add_program_factory("p", _read_factory, args=(100,))
+    rt.add_program_factory("q", _read_factory, args=(100,))
+    _, elapsed = _timed_run(rt)
+    assert elapsed < 2.0
+    assert len(rt.history.complete_operations(name="read")) == 200
+    assert not rt.history.pending_operations()
+    assert rt.steps_taken == 200
 
 
 def test_recover_of_a_live_process_is_ignored():
