@@ -793,6 +793,7 @@ def _stress(argv) -> int:
 
     from repro.campaign import OutputOptions
     from repro.rt import STRESS_OBJECTS, STRESS_RUNTIMES, run_stress
+    from repro.rt.stress import supported_fault_families
 
     parser = argparse.ArgumentParser(
         prog="python -m repro stress",
@@ -844,10 +845,10 @@ def _stress(argv) -> int:
     parser.add_argument(
         "--faults", default=None, metavar="FAMILIES",
         help="chaos mode: comma-separated fault families injected at "
-        "the primitive-arrival seam.  The process runtime supports "
-        "crash, delay, partition, dup, omit, recover (served at the "
-        "memory server); the thread runtime supports crash, delay "
-        "(e.g. --faults crash,partition,dup)",
+        "the primitive-arrival seam, per runtime: " + "; ".join(
+            f"{runtime}: {', '.join(supported_fault_families(runtime))}"
+            for runtime in STRESS_RUNTIMES
+        ) + " (e.g. --faults crash,partition,dup)",
     )
     parser.add_argument(
         "--fault-rate", type=int, default=100, metavar="N",

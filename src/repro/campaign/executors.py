@@ -256,18 +256,12 @@ class StressExecutor(Executor):
             )
         faults = params.get("faults")
         if faults:
-            from repro.faults import parse_fault_families
-            from repro.rt.stress import supported_fault_families
+            from repro.rt.stress import check_fault_families
 
-            families = parse_fault_families(faults)
-            supported = supported_fault_families(runtime)
-            bad = [f for f in families if f not in supported]
-            if bad:
-                raise SpecError(
-                    f"fault families {', '.join(bad)} are not supported "
-                    f"on the {runtime!r} runtime (supported: "
-                    f"{', '.join(supported)})"
-                )
+            try:
+                check_fault_families(runtime, faults)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from None
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.analysis.fastlin import LIN_UNDECIDED

@@ -2,8 +2,8 @@
 
 The paper's audit guarantees are claimed for an asynchronous system
 where the *adversary* controls scheduling and failures; the happy path
-is the least interesting execution.  This module is the home of the
-fault vocabulary shared by both runtimes:
+is the least interesting execution.  This module defines that
+adversary once, for every runtime:
 
 - the **decision classes** live in :mod:`repro.sim.scheduler`
   (:class:`~repro.sim.scheduler.CrashDecision`,
@@ -11,12 +11,13 @@ fault vocabulary shared by both runtimes:
   :class:`~repro.sim.scheduler.PartitionDecision`,
   :class:`~repro.sim.scheduler.RecoverDecision`,
   :class:`~repro.sim.scheduler.DuplicateDecision`,
-  :class:`~repro.sim.scheduler.OmitDecision`) because faults *are*
+  :class:`~repro.sim.scheduler.OmitDecision`, registered by family in
+  :data:`~repro.sim.scheduler.FAULT_DECISIONS`) because faults *are*
   schedule decisions: anything a ``Schedule.choose`` may return, a
   ``FaultPlan.decide`` may return, and vice versa;
-- the **fault plans** below decide, per primitive arrival at the
-  :mod:`repro.rt.process_runtime` memory server, whether to inject one
-  of them;
+- the **fault plans** below decide, per primitive arrival, whether to
+  inject one of them, and the :class:`ArrivalInterpreter` says what
+  an arrival's decision means on the thread and process runtimes;
 - the fuzzer (:mod:`repro.fuzz`) explores the same vocabulary as
   recorded trace decisions, so a chaos-run failure and a fuzzer
   counterexample are the same kind of artifact.
@@ -62,26 +63,9 @@ class FaultPlan:
     ``decide`` sees the 1-based arrival index of the primitive request,
     the requesting pid, and the primitive about to be applied; it
     returns ``None`` (apply normally) or any decision class from
-    :mod:`repro.sim.scheduler`:
-
-    - :class:`~repro.sim.scheduler.CrashDecision` — crash that process
-      at its next primitive (immediately when it names the requester);
-    - :class:`~repro.sim.scheduler.DelayDecision` — hold this request
-      while other processes' messages are served;
-    - :class:`~repro.sim.scheduler.PartitionDecision` — park every
-      request from the named pids for ``steps`` further arrivals, then
-      serve them in order;
-    - :class:`~repro.sim.scheduler.DuplicateDecision` — re-apply the
-      named pid's most recently applied primitive (the process never
-      sees the duplicate's result);
-    - :class:`~repro.sim.scheduler.OmitDecision` — drop the requester's
-      message; the worker abandons the operation and moves on;
-    - :class:`~repro.sim.scheduler.RecoverDecision` — restart the named
-      crashed process from a fresh replica.
-
-    Delayed and parked requests are released when they fall due, or as
-    soon as every live worker is blocked on a held request; there is no
-    timer.
+    :data:`~repro.sim.scheduler.FAULT_DECISIONS`.
+    :class:`ArrivalInterpreter` gives the decisions their meaning at an
+    arrival; each runtime carries them out with its own mechanism.
 
     Plans must be picklable: they ship to the memory-server process at
     spawn.
@@ -91,6 +75,47 @@ class FaultPlan:
         self, step: int, pid: str, obj_name: str, primitive: str
     ) -> Optional[Any]:
         return None
+
+
+class ArrivalInterpreter:
+    """A fault plan's arrival-point semantics, implemented once.
+
+    Runtimes call :meth:`arrive` once per primitive request, in one
+    total arrival order.  It numbers arrivals from 1, asks the plan,
+    and returns ``None`` (apply normally) or the decision to carry out.
+    A crash naming another pid dooms it: that pid's next arrival
+    returns its crash without consulting the plan.  An omission naming
+    another pid, and any decision outside ``families`` (no mechanism
+    for it), become ``None``.  So a returned crash or omission names
+    the requester; delay holds the requester's request; recover, dup
+    and partition name their side-effect target.  ``plan.decide`` is
+    looked up on every call, so a patched plan class sees every one.
+    """
+
+    __slots__ = ("plan", "families", "arrivals", "_doomed")
+
+    def __init__(self, plan: FaultPlan, families: Iterable[str]) -> None:
+        self.plan = plan
+        self.families = frozenset(families)
+        #: Arrivals so far; omitted and held requests count too, so a
+        #: scripted decision never re-fires on the victim's next one.
+        self.arrivals = 0
+        self._doomed: set = set()
+
+    def arrive(self, pid: str, obj_name: str, primitive: str) -> Optional[Any]:
+        self.arrivals += 1
+        if pid in self._doomed:
+            self._doomed.discard(pid)
+            return CrashDecision(pid)
+        decision = self.plan.decide(self.arrivals, pid, obj_name, primitive)
+        if decision is None or decision.family not in self.families:
+            return None
+        if decision.family == "crash" and decision.pid != pid:
+            self._doomed.add(decision.pid)
+            return None
+        if decision.family == "omit" and decision.pid != pid:
+            return None
+        return decision
 
 
 #: A match pattern: (pid, obj_name, primitive), any field None = wildcard.
@@ -300,16 +325,11 @@ def chaos_plan(
     if rate_per_10k < 0:
         raise ValueError("fault rate must be non-negative")
     share, remainder = divmod(rate_per_10k, len(chosen))
-    rates = {name: share for name in chosen}
-    rates[chosen[0]] += remainder
+    rates = {f"{name}_per_10k": share for name in chosen}
+    rates[f"{chosen[0]}_per_10k"] += remainder
     return SeededFaultPlan(
         seed,
-        crash_per_10k=rates.get("crash", 0),
-        delay_per_10k=rates.get("delay", 0),
-        partition_per_10k=rates.get("partition", 0),
-        dup_per_10k=rates.get("dup", 0),
-        omit_per_10k=rates.get("omit", 0),
-        recover_per_10k=rates.get("recover", 0),
+        **rates,
         delay_steps=delay_steps,
         partition_steps=partition_steps,
         max_crashes=max_crashes,

@@ -34,6 +34,7 @@ from repro.fuzz.targets import FuzzTarget
 from repro.fuzz.trace import (
     CRASH,
     DUPLICATE,
+    FAULT_KINDS,
     OMIT,
     PARTITION,
     RECOVER,
@@ -44,11 +45,8 @@ from repro.fuzz.trace import (
 from repro.sim.process import ProcessState
 from repro.sim.runner import Simulation
 from repro.sim.scheduler import (
-    CrashDecision,
-    DuplicateDecision,
-    OmitDecision,
+    FAULT_DECISIONS,
     PartitionDecision,
-    RecoverDecision,
     Schedule,
     ordered_by_pid,
 )
@@ -62,21 +60,14 @@ class ReplayMismatch(RuntimeError):
 
 
 def decision_to_fault(decision: Decision):
-    """The scheduler decision object for a non-step trace entry."""
+    """The scheduler decision object for a non-step trace entry: trace
+    kinds are family names in :data:`~repro.sim.scheduler.FAULT_DECISIONS`."""
     kind = decision[0]
-    if kind == CRASH:
-        return CrashDecision(decision[1])
-    if kind == RECOVER:
-        return RecoverDecision(decision[1])
-    if kind == DUPLICATE:
-        return DuplicateDecision(decision[1])
-    if kind == OMIT:
-        return OmitDecision(decision[1])
+    if kind not in FAULT_KINDS:
+        raise ValueError(f"unknown decision kind {kind!r}")
     if kind == PARTITION:
-        return PartitionDecision(
-            decision[1].split(","), steps=decision[2]
-        )
-    raise ValueError(f"unknown decision kind {kind!r}")
+        return PartitionDecision(decision[1].split(","), steps=decision[2])
+    return FAULT_DECISIONS[kind](decision[1])
 
 
 @dataclass

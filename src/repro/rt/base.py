@@ -94,10 +94,11 @@ def make_runtime(
     when no explicit schedule is given).  The thread and process
     backends take interleavings from the OS, so those options are
     accepted but ignored for them — callers can pass one configuration
-    to any backend.  ``build``/``build_args``/``faults`` configure the
-    process backend (the picklable system builder every process replays,
-    and an optional :class:`~repro.rt.process_runtime.FaultPlan`); they
-    are ignored by the others.
+    to any backend.  ``build``/``build_args`` configure the process
+    backend (the picklable system builder every process replays).
+    ``faults`` arms a :class:`~repro.faults.FaultPlan` on the thread or
+    process backend; the simulator rejects it, since its faults are
+    schedule decisions (``schedule=``).
 
     ``event_log`` streams every recorded history event to a JSONL file
     (the :mod:`repro.sim.event_log` wire format) on any backend;
@@ -111,6 +112,11 @@ def make_runtime(
         from repro.sim.runner import Simulation
         from repro.sim.scheduler import RandomSchedule
 
+        if faults is not None:
+            raise ValueError(
+                "the simulator takes faults through its schedule seam "
+                "(a Schedule returning fault decisions), not faults="
+            )
         if schedule is None and seed is not None:
             schedule = RandomSchedule(seed)
         kwargs = {} if max_steps is None else {"max_steps": max_steps}
@@ -118,7 +124,7 @@ def make_runtime(
     elif kind == "thread":
         from repro.rt.thread_runtime import ThreadRuntime
 
-        runtime = ThreadRuntime()
+        runtime = ThreadRuntime(faults=faults)
     elif kind == "process":
         from repro.rt.process_runtime import ProcessRuntime
 

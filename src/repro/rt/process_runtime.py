@@ -36,8 +36,9 @@ closed-over :class:`~repro.sim.process.Op` lists: the worker must be
 able to rebuild them on its side of the fork/spawn boundary.
 
 **Faults are schedule decisions.**  Before applying a primitive the
-server consults an optional :class:`~repro.faults.FaultPlan`, which
-may return any decision the fuzzer's schedule adversaries emit:
+server asks an :class:`~repro.faults.ArrivalInterpreter` over the
+optional :class:`~repro.faults.FaultPlan`, which may return any
+decision the fuzzer's schedule adversaries emit:
 
 - ``CrashDecision`` — crash the process at its next primitive; the
   pending operation stays pending, exactly like a simulator crash.
@@ -52,12 +53,6 @@ may return any decision the fuzzer's schedule adversaries emit:
   ``steps`` further arrivals have been served; parked requests are
   then applied in arrival order (a severed-then-healed network
   segment).
-
-Held (delayed or parked) requests are released by an exact rule, with
-no timer: when they fall due, or as soon as every live worker is
-blocked on a held request — nothing else can arrive then, so all of
-them are served in arrival order.  A delay under a single worker is
-therefore an immediate no-op.
 - ``DuplicateDecision`` — re-apply the named pid's most recently
   applied primitive and record the second application in the history;
   the worker never sees the duplicate's result.  The history keeps
@@ -66,6 +61,12 @@ therefore an immediate no-op.
 - ``OmitDecision`` — drop the requester's message: never applied,
   never recorded; the worker abandons the operation (it stays pending
   in the history) and continues with its next one.
+
+Held (delayed or parked) requests are released by an exact rule, with
+no timer: when they fall due, or as soon as every live worker is
+blocked on a held request — nothing else can arrive then, so all of
+them are served in arrival order.  A delay under a single worker is
+therefore an immediate no-op.
 
 Determinism matches the thread backend: values, pads and nonces replay
 from the seed; interleavings come from OS scheduling and message
@@ -81,7 +82,13 @@ import traceback
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.faults import FaultPlan, ScriptedFaultPlan, SeededFaultPlan
+from repro.faults import (
+    FAULT_FAMILIES,
+    ArrivalInterpreter,
+    FaultPlan,
+    ScriptedFaultPlan,
+    SeededFaultPlan,
+)
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BaseObject
 from repro.rt.base import Runtime
@@ -357,7 +364,10 @@ def _server_main(
         active_list = list(active)
         active_stale = False
         current_op: Dict[str, int] = {}
-        doomed = set()
+        interpreter = None
+        if faults is not None:
+            families = ProcessRuntime.fault_families
+            interpreter = ArrivalInterpreter(faults, families)
         # Crashed workers blocked awaiting a recover/dead verdict:
         # pid -> conn (removed from ``active`` while waiting).
         awaiting: Dict[str, Any] = {}
@@ -374,11 +384,6 @@ def _server_main(
         # request (see the quiescence rule in the loop below).
         delayed: List[Tuple[int, Any, str, Tuple[Any, ...]]] = []
         msgs = 0
-        # 1-based arrival index of primitive requests: what the fault
-        # plan keys on.  Distinct from ``steps`` (applied primitives) —
-        # an omitted or delayed request still consumes an index, so a
-        # scripted decision never re-fires on the victim's next request.
-        requests = 0
 
         def activate(conn, pid):
             nonlocal active_stale
@@ -436,46 +441,33 @@ def _server_main(
             activate(rconn, rpid)
 
         def handle_prim(conn, pid, message):
-            nonlocal requests
-            requests += 1
+            # The interpreter returns crash and omit only for the
+            # requester itself; recover, dup and partition act on their
+            # target, then this request proceeds.
             decision = None
-            if pid in doomed:
-                doomed.discard(pid)
-                decision = CrashDecision(pid)
-            elif faults is not None:
-                decision = faults.decide(
-                    requests, pid, message[1], message[2]
-                )
-            if isinstance(decision, CrashDecision):
-                if decision.pid == pid:
+            if interpreter is not None:
+                decision = interpreter.arrive(pid, message[1], message[2])
+            if decision is not None:
+                if isinstance(decision, CrashDecision):
                     history.record_crash(pid, current_op.get(pid))
                     crashed.append(pid)
                     conn.send(("crash",))
                     deactivate(conn)
                     awaiting[pid] = conn
                     return
-                # Crashing another process takes effect at *its* next
-                # primitive request; this one proceeds normally.
-                doomed.add(decision.pid)
-                decision = None
-            elif isinstance(decision, RecoverDecision):
-                recover_pid(decision.pid)
-                decision = None
-            elif isinstance(decision, DuplicateDecision):
-                apply_duplicate(decision.pid)
-                decision = None
-            elif isinstance(decision, OmitDecision):
-                if decision.pid == pid:
+                if isinstance(decision, OmitDecision):
                     conn.send(("omit",))
                     return
-                decision = None
-            elif isinstance(decision, PartitionDecision):
-                for vpid in decision.pids:
+                if isinstance(decision, RecoverDecision):
+                    recover_pid(decision.pid)
+                elif isinstance(decision, DuplicateDecision):
+                    apply_duplicate(decision.pid)
+                elif isinstance(decision, PartitionDecision):
                     heal_at = msgs + decision.steps
-                    partitioned[vpid] = max(
-                        partitioned.get(vpid, 0), heal_at
-                    )
-                decision = None
+                    for vpid in decision.pids:
+                        partitioned[vpid] = max(
+                            partitioned.get(vpid, 0), heal_at
+                        )
             if pid in partitioned:
                 if partitioned[pid] >= msgs:
                     parked.append((conn, pid, message))
@@ -636,6 +628,9 @@ class ProcessRuntime(Runtime):
     """
 
     kind = "process"
+    #: The fault families this runtime carries out: all of them, at the
+    #: memory server.
+    fault_families = FAULT_FAMILIES
 
     def __init__(
         self,

@@ -59,7 +59,7 @@ from repro.core.auditable_register import AuditableRegister
 from repro.core.auditable_snapshot import AuditableSnapshot
 from repro.crypto.nonce import NonceSource
 from repro.crypto.pad import OneTimePadSequence
-from repro.faults import FAULT_FAMILIES, chaos_plan, parse_fault_families
+from repro.faults import chaos_plan, parse_fault_families
 from repro.rt.process_runtime import FaultPlan, PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
 from repro.sim.event_log import JsonlEventSink, iter_event_log
@@ -68,27 +68,30 @@ from repro.sim.history import History
 STRESS_OBJECTS = ("register", "max", "snapshot", "naive")
 STRESS_RUNTIMES = ("thread", "process")
 
-#: The fault families the thread runtime can inject: it has no message
-#: layer, so only crash (stop the worker thread mid-primitive) and
-#: delay (a real sleep) have a thread analogue.
-THREAD_FAULT_FAMILIES = ("crash", "delay")
-
-
 def supported_fault_families(runtime: str) -> Tuple[str, ...]:
-    """The fault families ``runtime`` can inject, in band order.
-
-    The process runtime serves primitives through a memory server, so
-    every family applies; the thread runtime supports only
-    :data:`THREAD_FAULT_FAMILIES`.
-    """
-    if runtime == "process":
-        return FAULT_FAMILIES
-    if runtime == "thread":
-        return THREAD_FAULT_FAMILIES
+    """The fault families ``runtime`` can inject, in band order: the
+    runtime class's ``fault_families``."""
+    for cls in (ThreadRuntime, ProcessRuntime):
+        if cls.kind == runtime:
+            return cls.fault_families
     raise ValueError(
         f"unknown stress runtime {runtime!r} "
         f"(choose from {', '.join(STRESS_RUNTIMES)})"
     )
+
+
+def check_fault_families(runtime: str, spec: str) -> Tuple[str, ...]:
+    """Parse a ``--faults`` spec; reject families ``runtime`` lacks."""
+    families = parse_fault_families(spec)
+    allowed = supported_fault_families(runtime)
+    unsupported = [fam for fam in families if fam not in allowed]
+    if unsupported:
+        raise ValueError(
+            f"fault families {', '.join(unsupported)} require the "
+            f"process runtime; the {runtime} runtime supports "
+            f"{', '.join(allowed)}"
+        )
+    return families
 
 
 def split_threads(
@@ -632,15 +635,7 @@ def run_stress(
 
     fault_desc: Optional[str] = None
     if isinstance(faults, str):
-        families = parse_fault_families(faults)
-        allowed = supported_fault_families(runtime)
-        unsupported = [fam for fam in families if fam not in allowed]
-        if unsupported:
-            raise ValueError(
-                f"fault families {', '.join(unsupported)} require the "
-                f"process runtime; the {runtime} runtime supports "
-                f"{', '.join(allowed)}"
-            )
+        families = check_fault_families(runtime, faults)
         roster_pids = [pid for pid, _, _ in _stress_pids(object, r, w, a)]
         faults = chaos_plan(
             families, fault_rate, seed, pids=roster_pids

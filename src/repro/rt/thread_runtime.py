@@ -29,15 +29,16 @@ scheduler, so two runs of the same program may record different (both
 correct) histories.  Seeded replay remains the simulator backend's job.
 
 Fault injection: a :class:`~repro.faults.FaultPlan` may be armed on the
-runtime, consulted once per primitive *arrival* (the same seam the
-process runtime's memory server uses).  Only the fault families that
-exist without a message layer apply here -- **crash** (the worker
-thread stops, leaving its operation forever pending: exactly the
-conservative "may or may not have happened" the oracles already treat
-correctly, with the crash event recorded in the history) and **delay**
-(the worker sleeps before applying, an ordinary scheduling stall).
-Message-level families (partition/dup/omit/recover) have no thread
-analogue and are ignored if a plan emits them; ``repro stress``
+runtime; every primitive *arrival* goes through the
+:class:`~repro.faults.ArrivalInterpreter` the process runtime's memory
+server uses too.  Only the fault families that exist without a message
+layer apply here (:attr:`ThreadRuntime.fault_families`) -- **crash**
+(the worker thread stops, leaving its operation forever pending:
+exactly the conservative "may or may not have happened" the oracles
+already treat correctly, with the crash event recorded in the history)
+and **delay** (the worker sleeps before applying, an ordinary
+scheduling stall).  The interpreter ignores message-level families
+(partition/dup/omit/recover) if a plan emits them; ``repro stress``
 rejects them up front for this runtime.
 """
 
@@ -47,7 +48,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults import FaultPlan
+from repro.faults import ArrivalInterpreter, FaultPlan
 from repro.rt.base import Runtime
 from repro.sim.history import History
 from repro.sim.process import Op
@@ -131,6 +132,8 @@ class ThreadRuntime(Runtime):
     """Run each process's operation generators on a real OS thread."""
 
     kind = "thread"
+    #: The fault families this runtime carries out (no message layer).
+    fault_families = ("crash", "delay")
 
     def __init__(
         self,
@@ -160,13 +163,13 @@ class ThreadRuntime(Runtime):
         self._errors: List[Tuple[str, BaseException]] = []
         self._err_lock = threading.Lock()
         self.faults = faults
-        # The fault lock serialises (arrival index, plan.decide) so the
-        # plan sees a totally-ordered arrival sequence, mirroring the
-        # single-threaded memory server.  Scripted plans may mutate
-        # internal state in decide(), so the call stays under the lock.
+        self._interpreter = None
+        if faults is not None:
+            self._interpreter = ArrivalInterpreter(faults, self.fault_families)
+        # The fault lock serialises arrivals into one total order, as
+        # the single-threaded memory server does.  Scripted plans may
+        # mutate internal state in decide(), so it stays under the lock.
         self._fault_lock = threading.Lock()
-        self._arrivals = 0
-        self._doomed: set = set()
         #: Pids crashed by fault injection, in crash order.
         self.crashed: List[str] = []
 
@@ -329,7 +332,7 @@ class ThreadRuntime(Runtime):
             self._history.record_invocation(pid, op_id, op.name, op.args)
 
         def apply_locked(pending):
-            if self.faults is not None:
+            if self._interpreter is not None:
                 self._consult_faults(pid, op_id, pending)
             with self._lock_for(pending.obj):
                 result = pending.obj.apply(pending.primitive, pending.args)
@@ -352,26 +355,13 @@ class ThreadRuntime(Runtime):
             latencies.append((pid, op.name, time.perf_counter() - start))
 
     def _consult_faults(self, pid: str, op_id: int, pending: Any) -> None:
-        """One primitive arrival through the fault plan.
-
-        Crash of the requester raises :class:`_CrashFault` after
-        recording the crash event; crash naming another pid dooms it at
-        *its* next primitive (matching the memory server); delay is a
-        bounded real sleep.  Message-level decisions (partition, dup,
-        omit, recover) have no thread seam and are ignored.
-        """
+        """One primitive arrival through the fault interpreter: a crash
+        (of the requester) records its event and raises
+        :class:`_CrashFault`; a delay is a bounded real sleep."""
         with self._fault_lock:
-            self._arrivals += 1
-            if pid in self._doomed:
-                self._doomed.discard(pid)
-                decision: Any = CrashDecision(pid)
-            else:
-                decision = self.faults.decide(
-                    self._arrivals, pid, pending.obj.name, pending.primitive
-                )
-            if isinstance(decision, CrashDecision) and decision.pid != pid:
-                self._doomed.add(decision.pid)
-                decision = None
+            decision = self._interpreter.arrive(
+                pid, pending.obj.name, pending.primitive
+            )
         if isinstance(decision, CrashDecision):
             with self._hist_lock:
                 self._history.record_crash(pid, op_id)

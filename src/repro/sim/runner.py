@@ -213,8 +213,8 @@ class Simulation:
         """Would ``pid`` be hidden from the schedule at the next step?
 
         Accounts for healing (the partition may expire by then) and the
-        flush-on-idle rule (a partition covering every process with
-        work heals immediately rather than deadlocking the run).
+        quiescence rule (a partition covering every process with work
+        heals immediately rather than deadlocking the run).
         """
         horizon = self._steps_taken + 1
         self._heal_expired(horizon)
@@ -251,9 +251,9 @@ class Simulation:
         """The runnable view minus partitioned pids, with healing.
 
         When the partition covers everything runnable, it heals in full
-        (the simulator analogue of the memory server flushing parked
-        requests once no other traffic remains): partitions stall
-        progress, they never wedge a run.
+        (the simulator analogue of the memory server releasing held
+        requests once every live worker is blocked on one): partitions
+        stall progress, they never wedge a run.
         """
         runnable = self._runnable_view()
         if not self._partitioned:

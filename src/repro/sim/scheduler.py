@@ -69,6 +69,7 @@ class CrashDecision:
     adversaries already emit.
     """
 
+    family = "crash"
     __slots__ = ("pid",)
 
     def __init__(self, pid: str) -> None:
@@ -91,6 +92,7 @@ class DelayDecision:
     as :class:`CrashDecision`.
     """
 
+    family = "delay"
     __slots__ = ("pid", "steps")
 
     def __init__(self, pid: str, steps: int = 4) -> None:
@@ -122,6 +124,7 @@ class PartitionDecision:
     exactly like a slow network path.
     """
 
+    family = "partition"
     __slots__ = ("pids", "steps")
 
     def __init__(self, pids: Sequence[str], steps: int = 4) -> None:
@@ -154,6 +157,7 @@ class RecoverDecision:
     restart-from-checkpoint, not a resumed in-memory object.
     """
 
+    family = "recover"
     __slots__ = ("pid",)
 
     def __init__(self, pid: str) -> None:
@@ -180,6 +184,7 @@ class DuplicateDecision:
     re-deliver; samplers and the lenient replayer skip it otherwise.
     """
 
+    family = "dup"
     __slots__ = ("pid",)
 
     def __init__(self, pid: str) -> None:
@@ -200,6 +205,7 @@ class OmitDecision:
     crash gets, except the process itself lives on.
     """
 
+    family = "omit"
     __slots__ = ("pid",)
 
     def __init__(self, pid: str) -> None:
@@ -209,16 +215,13 @@ class OmitDecision:
         return f"OmitDecision({self.pid!r})"
 
 
-#: Every decision class a ``Schedule.choose`` / ``FaultPlan.decide``
-#: may return instead of a process to step.
-FAULT_DECISIONS = (
-    CrashDecision,
-    DelayDecision,
-    PartitionDecision,
-    RecoverDecision,
-    DuplicateDecision,
-    OmitDecision,
-)
+#: The fault-family registry: family name -> the decision class a
+#: ``Schedule.choose`` / ``FaultPlan.decide`` may return instead of a
+#: process to step.  Family names are also the fuzz trace kinds.
+FAULT_DECISIONS = {cls.family: cls for cls in (
+    CrashDecision, DelayDecision, PartitionDecision,
+    DuplicateDecision, OmitDecision, RecoverDecision,
+)}
 
 
 class Schedule:

@@ -112,7 +112,8 @@ def test_partition_hides_pids_until_healed():
 
 def test_partition_of_everyone_flushes_instead_of_deadlocking():
     """A partition covering every process with work heals immediately
-    (flush-on-idle): severing the whole network must not deadlock."""
+    (the quiescence rule): severing the whole network must not
+    deadlock."""
     sim, _ = _sim_with_readers(("p", 2), ("q", 2))
     sim.partition(["p", "q"], steps=1000)
     assert not sim.is_partitioned("p")

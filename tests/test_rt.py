@@ -25,6 +25,7 @@ from repro.analysis import (
 )
 from repro.crypto.nonce import NonceSource
 from repro.crypto.pad import OneTimePadSequence
+from repro.faults import ScriptedFaultPlan
 from repro.harness.experiments import run_e1, run_e6
 from repro.rt import (
     Runtime,
@@ -35,7 +36,9 @@ from repro.rt import (
     run_stress,
     split_threads,
 )
+from repro.sim.history import CrashEvent
 from repro.sim.runner import Simulation
+from repro.sim.scheduler import CrashDecision
 from repro.workloads.generators import (
     RegisterWorkload,
     build_register_system,
@@ -54,6 +57,24 @@ def test_make_runtime_kinds():
     assert isinstance(make_runtime("thread"), Runtime)
     with pytest.raises(ValueError):
         make_runtime("quantum")
+
+
+def test_make_runtime_arms_faults_on_thread_and_rejects_them_on_sim():
+    """``faults=`` reaches the thread backend (a scripted crash lands);
+    the simulator takes faults through its schedule seam instead."""
+    plan = ScriptedFaultPlan(match=[(("w0", None, None), CrashDecision("w0"))])
+    runtime = make_runtime("thread", faults=plan)
+    assert runtime.faults is plan
+    workload = RegisterWorkload(
+        num_readers=1, num_writers=1, num_auditors=0,
+        reads_per_reader=2, writes_per_writer=2, seed=0,
+    )
+    history = build_register_system(workload, runtime=runtime).run()
+    crashes = [e for e in history.events if isinstance(e, CrashEvent)]
+    assert [e.pid for e in crashes] == ["w0"]
+    assert runtime.crashed == ["w0"]
+    with pytest.raises(ValueError, match="schedule seam"):
+        make_runtime("sim", faults=ScriptedFaultPlan())
 
 
 def test_sim_runtime_is_byte_identical_to_direct_simulation():

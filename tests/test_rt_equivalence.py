@@ -13,8 +13,12 @@ Fault-injection regressions ride along: with a single process, a
 scripted crash at the memory server must truncate the history at
 exactly the same event the fault names (everything before it identical
 to the fault-free run), and a scripted delay must be a pure no-op (the
-server's flush-on-idle releases a held request the moment no other
-message can overtake it).
+server releases a held request as soon as every live worker is blocked
+on one, so no other message can overtake it).  The fault differential
+runs one scripted plan per family through the shared
+:class:`~repro.faults.ArrivalInterpreter` on every backend that
+supports the family — the simulator via a test-local schedule — and
+requires event-for-event identical histories.
 
 Builders and program factories are module-level so the process backend
 can ship them across the fork/spawn boundary by name; the sim and
@@ -36,6 +40,7 @@ from repro.analysis import (
 )
 from repro.core.auditable_register import AuditableRegister
 from repro.crypto.pad import OneTimePadSequence
+from repro.faults import FAULT_FAMILIES, ArrivalInterpreter
 from repro.memory.main_register import MainRegister
 from repro.memory.register import CasRegister, SwapRegister
 from repro.memory.rword import RWord
@@ -49,7 +54,14 @@ from repro.rt import (
 )
 from repro.sim.events import CrashEvent
 from repro.sim.process import Op
-from repro.sim.scheduler import CrashDecision, DelayDecision
+from repro.sim.scheduler import (
+    CrashDecision,
+    DelayDecision,
+    DuplicateDecision,
+    OmitDecision,
+    PartitionDecision,
+    Schedule,
+)
 
 
 def _eq_build(seed=0):
@@ -79,7 +91,10 @@ def _run_backend(kind, seed=0, faults=None):
         reg = _eq_build(seed)  # parent-side replica for the oracles
         history = runtime.run()
         return runtime, reg, {"p": 0}, history
-    runtime = make_runtime(kind, seed=seed)
+    if kind == "sim" and faults is not None:
+        runtime = make_runtime(kind, schedule=_ArrivalSchedule(faults))
+    else:
+        runtime = make_runtime(kind, seed=seed, faults=faults)
     reg = _eq_build(seed)
     runtime.spawn("p")
     runtime.add_program("p", _eq_program_factory(reg, "p", seed))
@@ -144,13 +159,94 @@ def test_scripted_crash_truncates_history_at_the_named_primitive():
 
 def test_scripted_delay_is_a_no_op_for_a_single_process():
     """With one process there is no later message to reorder past, so a
-    held request must be flushed on idle and the history is unchanged."""
+    held request is released at once and the history is unchanged."""
     _, _, _, clean = _run_backend("process", seed=1)
     _, _, _, delayed = _run_backend(
         "process", seed=1,
         faults=ScriptedFaultPlan({3: DelayDecision("p", steps=50)}),
     )
     assert list(clean) == list(delayed)
+
+
+# -- the fault differential: one interpreter, every backend -------------------
+
+
+class _ArrivalSchedule(Schedule):
+    """Feed a one-process simulation through the runtimes' interpreter.
+
+    Each primitive arrival is ruled on once by an
+    :class:`~repro.faults.ArrivalInterpreter`; ``None`` steps the
+    process, anything else is returned as the sim's fault decision.  A
+    decision that leaves the request in flight (delay, partition, dup)
+    consumes the step, and the next step applies the ruled request —
+    exactly as the memory server serves a request after ruling on it.
+    """
+
+    def __init__(self, plan):
+        self.interpreter = ArrivalInterpreter(plan, FAULT_FAMILIES)
+        self._ruled = None
+
+    def choose(self, runnable, step_index):
+        (process,) = runnable
+        pending = process.pending
+        if pending is None or pending is self._ruled:
+            return process
+        self._ruled = pending
+        decision = self.interpreter.arrive(
+            process.pid, pending.obj.name, pending.primitive
+        )
+        return process if decision is None else decision
+
+
+#: One scripted decision per family the single process can exercise
+#: (recover needs a second process to nominate it), and whether it
+#: changes the fault-free history.
+_FAMILY_SCRIPTS = {
+    "crash": ({5: CrashDecision("p")}, True),
+    "delay": ({3: DelayDecision("p", steps=50)}, False),
+    "partition": ({3: PartitionDecision(("p",), steps=50)}, False),
+    "dup": ({4: DuplicateDecision("p")}, True),
+    "omit": ({5: OmitDecision("p")}, True),
+}
+
+
+def _runtimes_supporting(family):
+    return [
+        cls.kind
+        for cls in (ThreadRuntime, ProcessRuntime)
+        if family in cls.fault_families
+    ]
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_SCRIPTS))
+def test_fault_differential_histories_identical(family):
+    """Same scripted plan, every backend supporting the family: the
+    recorded histories coincide event-for-event."""
+    script, changes = _FAMILY_SCRIPTS[family]
+    backends = ["sim"] + _runtimes_supporting(family)
+    histories = {
+        kind: list(_run_backend(
+            kind, seed=0, faults=ScriptedFaultPlan(script)
+        )[3])
+        for kind in backends
+    }
+    for kind in backends[1:]:
+        assert histories[kind] == histories["sim"], kind
+    clean = list(_run_backend("sim", seed=0)[3])
+    assert (histories["sim"] != clean) is changes
+
+
+def test_fault_differential_cells():
+    """The cell table the differential covers, derived from the runtime
+    classes' support tables."""
+    cells = {fam: _runtimes_supporting(fam) for fam in _FAMILY_SCRIPTS}
+    assert cells == {
+        "crash": ["thread", "process"],
+        "delay": ["thread", "process"],
+        "partition": ["process"],
+        "dup": ["process"],
+        "omit": ["process"],
+    }
 
 
 # -- primitive-level property tests ------------------------------------------

@@ -23,7 +23,7 @@ from repro.analysis import (
 )
 from repro.faults import FAULT_FAMILIES, ScriptedFaultPlan, chaos_plan
 from repro.rt import ThreadRuntime, run_stress
-from repro.rt.stress import THREAD_FAULT_FAMILIES, supported_fault_families
+from repro.rt.stress import supported_fault_families
 from repro.sim.history import CrashEvent
 from repro.sim.scheduler import (
     CrashDecision,
@@ -59,8 +59,8 @@ def surviving_history_is_safe(built, history, workload):
 class TestFamilyVocabulary:
     def test_per_runtime_families(self):
         assert supported_fault_families("process") == FAULT_FAMILIES
-        assert supported_fault_families("thread") == THREAD_FAULT_FAMILIES
-        assert THREAD_FAULT_FAMILIES == ("crash", "delay")
+        assert supported_fault_families("thread") == ("crash", "delay")
+        assert ThreadRuntime.fault_families == ("crash", "delay")
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ValueError, match="unknown stress runtime"):
