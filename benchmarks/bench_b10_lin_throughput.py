@@ -1,4 +1,4 @@
-"""B10 -- linearizability oracle throughput: fastlin vs the legacy shim.
+"""B10 -- linearizability oracle throughput: fastlin vs the naive reference.
 
 Every verdict the repository emits funnels through the linearizability
 oracle, so this benchmark measures the PR's rewrite on the verdict
@@ -33,8 +33,9 @@ operations) are interpreter-overhead-bound for *both* checkers; their
 honest near-1x number is reported alongside the ladder, not hidden.
 
 Smoke mode (``BENCH_LIN_SMOKE=1``, used by CI) shrinks every corpus
-and asserts the new checker is no slower than the shim on the smoke
-corpus; the full run asserts the >=5x ladder targets.
+and asserts the new checker is no slower than the naive reference
+(``legacy_check_history``) on the smoke corpus; the full run asserts
+the >=5x ladder targets.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from pathlib import Path
 from repro.analysis.fastlin import (
     check_histories_parallel,
     check_history,
+    legacy_check_history,
     op_from_payload,
     op_to_payload,
 )
-from repro.analysis.linearizability import legacy_check_history
 from repro.analysis.specs import (
     auditable_max_register_spec,
     auditable_register_spec,
@@ -428,8 +429,8 @@ def test_bench_lin_throughput(benchmark, tmp_path):
     benchmark.extra_info["out"] = str(OUT_PATH)
 
     if SMOKE:
-        # CI gate: the rewrite must never be slower than the shim on
-        # the smoke corpus (combined across legs).
+        # CI gate: the rewrite must never be slower than the naive
+        # reference on the smoke corpus (combined across legs).
         total_old = sum(
             leg["legacy_s"]
             for leg in [payload["e2_corpus"], payload["e13_corpus"]]
@@ -443,11 +444,11 @@ def test_bench_lin_throughput(benchmark, tmp_path):
             + payload["stress_path_ladder"]
         )
         # 20% margin: the smoke corpora are millisecond-scale and the
-        # tiny-history legs run within a few percent of the shim, so a
-        # strict inequality would flake on noisy shared runners.
+        # tiny-history legs run within a few percent of the reference,
+        # so a strict inequality would flake on noisy shared runners.
         assert total_new <= 1.2 * total_old, (
-            f"fastlin slower than the shim on the smoke corpus: "
-            f"{total_new:.4f}s vs {total_old:.4f}s"
+            f"fastlin slower than the naive reference on the smoke "
+            f"corpus: {total_new:.4f}s vs {total_old:.4f}s"
         )
     else:
         assert check_top["speedup"] >= 5.0, check_top

@@ -3,9 +3,8 @@
 The measurements behind the repro.mc design choices:
 
 - *Raw enumeration* (reduce off, fingerprints off): every interleaving
-  of the 1-write/1-read Algorithm 1 scenario, checked individually --
-  the legacy ``analysis.exhaustive`` semantics on the new
-  checkpoint-backtracking engine.
+  of the 1-write/1-read Algorithm 1 scenario, checked individually, on
+  the checkpoint-backtracking engine.
 - *Reduced exploration* (sleep sets + fingerprints): the same scenario,
   same verdicts, visiting one representative per Mazurkiewicz trace.
   The >=5x acceptance bar of the E13 suite is asserted here on the

@@ -2,14 +2,15 @@
 
 Claim check: the full E13 driver (six scenarios, ~1700 interleavings,
 zero violations).
-Timing: exhaustively exploring the 1-write/1-read scenario.
+Timing: exhaustively exploring the 1-write/1-read scenario (raw
+enumeration: every interleaving, no reduction).
 """
 
-from repro.analysis.exhaustive import explore
 from repro.harness.experiment import run
-from repro.harness.experiments import (
-    _exhaustive_check,
-    _exhaustive_register_scenario,
+from repro.mc import explore
+from repro.mc.scenarios import (
+    register_scenario_check,
+    register_scenario_factory,
 )
 
 
@@ -19,7 +20,10 @@ def test_e13_claims_hold():
 
 
 def test_bench_explore_write_read(benchmark):
-    factory = _exhaustive_register_scenario(1, 1, 0)
-    report = benchmark(explore, factory, _exhaustive_check)
+    factory = register_scenario_factory(1, 1, 0)
+    report = benchmark(
+        explore, factory, register_scenario_check,
+        reduce=False, fingerprints=False,
+    )
     assert report.ok
     benchmark.extra_info["interleavings"] = report.executions

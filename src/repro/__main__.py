@@ -59,7 +59,8 @@ workers, profiling nodes explored and wall time::
     python -m repro lin histories.jsonl --spec register --workers 4
 
 Streaming-service example -- a duration-bounded stress run validated
-online with bounded memory while `repro serve` follows its event log::
+online, without buffering its history, while `repro serve` follows its
+event log::
 
     python -m repro stress --object register --duration 60 --online \\
         --event-log run.jsonl &
@@ -223,9 +224,14 @@ def _sweep(argv) -> int:
         task_fn = snapshot_sweep_task
         check_fields = ("lin_fail", "audit_fail")
 
-    tasks = make_tasks(
-        grid.points(), seeds_per_point=args.seeds, root_seed=args.root_seed
-    )
+    try:
+        tasks = make_tasks(
+            grid.points(), seeds_per_point=args.seeds,
+            root_seed=args.root_seed,
+        )
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
 
     def progress(done, total, record):
         if done % 25 == 0 or done == total:
@@ -506,8 +512,9 @@ def _fuzz(argv) -> int:
         "oracle (fastlin verdicts, audit exactness).  Every run records "
         "a replayable trace; the first violation is delta-debugged to a "
         "locally-minimal counterexample schedule.  Exit codes: 0 all "
-        "schedules clean, 1 a violation was found, 2 the wall-clock "
-        "budget expired before the campaign finished (PARTIAL) or a "
+        "schedules clean, 1 a violation was found, 2 PARTIAL (the "
+        "wall-clock budget expired before the campaign finished, or a "
+        "schedule hit --max-steps before it could be judged) or a "
         "usage error.",
         epilog=_CAMPAIGN_EPILOG,
     )
@@ -734,6 +741,9 @@ def _fuzz(argv) -> int:
         row["violations"] += payload["violations"]
         if payload["violations"]:
             row["verdict"] = "FAIL"
+        elif payload["incomplete"] and row["verdict"] == "PASS":
+            # Runs that hit the step budget were never judged.
+            row["verdict"] = "PARTIAL"
     rows = list(by_target.values())
     if report.partial or report.stopped_early:
         # Only targets whose batches were actually cut short (by the
@@ -768,10 +778,7 @@ def _fuzz(argv) -> int:
                 handle.write(dumps_trace(trace_from_payload(shrunk)))
                 handle.write("\n")
             print(f"  counterexample trace: {args.save_trace}")
-    mark = (
-        "FAIL" if report.violations
-        else ("PARTIAL" if report.partial else "PASS")
-    )
+    mark = {0: "PASS", 1: "FAIL", 2: "PARTIAL"}[report.exit_code]
     print(
         f"  [{mark}] {report.schedules} schedules "
         f"({report.steps} decisions, {report.incomplete} hit the step "
@@ -867,8 +874,8 @@ def _stress(argv) -> int:
     parser.add_argument(
         "--online", action="store_true",
         help="stream instead of buffer: disable history retention and "
-        "validate incrementally as events are recorded, so memory stays "
-        "bounded on unbounded runs (validates duration-only runs too)",
+        "validate incrementally as events are recorded, so the history "
+        "is never buffered (validates duration-only runs too)",
     )
     parser.add_argument(
         "--event-log", default=None, metavar="FILE",
@@ -974,9 +981,10 @@ def _serve(argv) -> int:
         description="Stream a JSONL event log (produced by any runtime "
         "via --event-log, or by 'repro stress --online') through the "
         "incremental linearizability checker and, for stress logs, the "
-        "windowed audit-exactness oracle.  Memory stays bounded by the "
-        "stream's overlap width, so arbitrarily long runs can be "
-        "verified while they happen (--follow).  A stream cut before "
+        "windowed audit-exactness oracle.  The history is never "
+        "buffered (the checker's memory is bounded by the stream's "
+        "overlap width), so long runs can be verified while they "
+        "happen (--follow).  A stream cut before "
         "its end marker yields a PARTIAL verdict carrying the last "
         "verified frontier.  Exit codes: 0 verified clean, 1 a "
         "violation was proven, 2 partial/undecided or a usage error.",

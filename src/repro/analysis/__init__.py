@@ -3,10 +3,10 @@
 - :mod:`repro.analysis.fastlin` -- the high-performance linearizability
   oracle: bitmask Wing-Gong search with forced-operation pruning,
   P-compositional partitioning, structured ``undecided`` budgets and a
-  batched parallel verdict service.
-- :mod:`repro.analysis.linearizability` -- legacy shim over ``fastlin``
-  (historical raising-budget contract; keeps the naive reference
-  implementation for differential testing).
+  batched parallel verdict service; keeps the naive Wing-Gong search
+  as the differential reference.
+- :mod:`repro.analysis.streamlin` -- the same verdict online, over an
+  event stream with a rolling verified frontier.
 - :mod:`repro.analysis.specs` -- sequential specifications (register,
   max register, snapshot, counter, and their auditable variants).
 - :mod:`repro.analysis.effectiveness` -- detects *effective* reads
@@ -25,37 +25,33 @@ from repro.analysis.audit_checks import (
     AuditOracle,
     AuditViolation,
     WindowedAuditOracle,
-    audit_oracle,
     check_audit_exactness,
-    check_audit_exactness_streaming,
     check_audit_monotone,
     expected_audit_set,
+    strip_version,
     windowed_audit_oracle,
 )
 from repro.analysis.fastlin import (
     LIN_FAIL,
     LIN_OK,
     LIN_UNDECIDED,
+    PENDING,
     BatchVerdict,
     FastLinChecker,
+    LinearizationResult,
+    SeqSpec,
     check_histories_parallel,
+    check_history,
     lin_jobs,
     op_from_payload,
     op_to_payload,
     spec_from_name,
     spec_names,
 )
-from repro.analysis.fastlin import check_history as fast_check_history
 from repro.analysis.effectiveness import (
     EffectiveRead,
     classify_read,
     effective_reads,
-)
-from repro.analysis.exhaustive import (
-    ExplorationBudgetExceeded,
-    ExplorationReport,
-    count_interleavings,
-    explore,
 )
 from repro.analysis.leakage import (
     AttackOutcome,
@@ -66,13 +62,6 @@ from repro.analysis.leakage import (
     projections_equal,
     success_rate,
     tracking_bits_seen,
-)
-from repro.analysis.linearizability import (
-    PENDING,
-    LinearizabilityChecker,
-    LinearizationResult,
-    SeqSpec,
-    check_history,
 )
 from repro.analysis.phases import (
     PhaseViolation,
@@ -115,10 +104,7 @@ __all__ = [
     "AuditViolation",
     "BatchVerdict",
     "EffectiveRead",
-    "ExplorationBudgetExceeded",
-    "ExplorationReport",
     "FastLinChecker",
-    "LinearizabilityChecker",
     "LinearizationResult",
     "PhaseViolation",
     "SeqSpec",
@@ -126,24 +112,19 @@ __all__ = [
     "StreamVerdict",
     "StreamingLinChecker",
     "WindowedAuditOracle",
-    "audit_oracle",
     "auditable_max_register_spec",
     "auditable_register_spec",
     "check_audit_exactness",
-    "check_audit_exactness_streaming",
     "check_audit_monotone",
     "check_histories_parallel",
-    "fast_check_history",
     "check_fetch_xor_uniqueness",
     "check_history",
     "check_history_streaming",
     "check_phase_structure",
     "check_value_sequence",
     "classify_read",
-    "count_interleavings",
     "counter_object_spec",
     "effective_reads",
-    "explore",
     "empirical_advantage",
     "expected_audit_set",
     "first_divergence",
@@ -163,6 +144,7 @@ __all__ = [
     "stream_max_register_spec",
     "stream_register_spec",
     "stream_snapshot_spec",
+    "strip_version",
     "success_rate",
     "windowed_audit_oracle",
     "tag_ops_with_pid",

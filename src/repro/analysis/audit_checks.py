@@ -14,6 +14,12 @@ purely syntactic oracle:
 
 This module computes that oracle from the trace and compares it with
 every completed audit's response.
+
+Objects built on top of an auditable max register (Algorithm 3,
+Theorem 13; the versioned types) audit through it but report pairs in
+their own vocabulary.  Both oracles take the same ``lift(j, v)`` hook,
+applied to each announced pair before comparison; :func:`strip_version`
+is the lift for audits that drop the max register's version component.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.events import CrashEvent, PrimitiveEvent, Response
 from repro.sim.history import History, OperationRecord
+
+#: ``lift(j, v)``: maps an announced pair into the audited object's
+#: vocabulary before it is compared with an audit's response.
+Lift = Callable[[int, Any], Tuple[int, Any]]
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,12 @@ class AuditViolation:
             f"audit by {self.audit_pid} (op {self.audit_op_id}): "
             f"missing={set(self.missing)} extra={set(self.extra)}"
         )
+
+
+def strip_version(j: int, v: Any) -> Tuple[int, Any]:
+    """The lift for audits that strip the version component of a
+    max-register value ``(version, value)``."""
+    return (j, v[1])
 
 
 def _audit_linearization_index(
@@ -59,9 +75,12 @@ class AuditOracle:
     materialisation.  This removes the O(audits x events) rescan the
     per-call :func:`expected_audit_set` used to pay -- the same
     quadratic-precompute bug class the linearizability rewrite fixed.
+    ``lift`` maps each pair as it is read (see the module docstring).
     """
 
-    def __init__(self, history: History, register) -> None:
+    def __init__(
+        self, history: History, register, *, lift: Optional[Lift] = None
+    ) -> None:
         self._r_name: str = register.R.name
         self._indices: List[int] = []
         self._pairs: List[Tuple[int, Any]] = []
@@ -69,8 +88,11 @@ class AuditOracle:
             obj_name=self._r_name, primitive="fetch_xor"
         ):
             j = event.args[0].bit_length() - 1
+            pair = (j, register._decode_value(event.result.val))
+            if lift is not None:
+                pair = lift(*pair)
             self._indices.append(event.index)
-            self._pairs.append((j, register._decode_value(event.result.val)))
+            self._pairs.append(pair)
 
     def expected(self, before_index: int) -> Set[Tuple[int, Any]]:
         """Pairs of effective reads linearized before ``before_index``."""
@@ -83,31 +105,26 @@ class AuditOracle:
         return _audit_linearization_index(op, self._r_name)
 
 
-def audit_oracle(history: History, register) -> AuditOracle:
-    """Precompute the audit oracle for repeated queries."""
-    return AuditOracle(history, register)
-
-
 def expected_audit_set(
     history: History, register, before_index: int
 ) -> Set[Tuple[int, Any]]:
     """Pairs of effective reads linearized before ``before_index``.
 
     One-shot convenience; for several queries against the same history
-    build an :func:`audit_oracle` once and reuse it.
+    build an :class:`AuditOracle` once and reuse it.
     """
     return AuditOracle(history, register).expected(before_index)
 
 
 def check_audit_exactness(
-    history: History, register
+    history: History, register, *, lift: Optional[Lift] = None
 ) -> List[AuditViolation]:
-    """Compare each completed audit against the syntactic oracle."""
+    """Compare each completed audit against the syntactic oracle of
+    ``register``, its pairs mapped through ``lift`` when given."""
     violations: List[AuditViolation] = []
-    r_name = register.R.name
-    oracle = AuditOracle(history, register)
+    oracle = AuditOracle(history, register, lift=lift)
     for op in history.complete_operations(name="audit"):
-        lin = _audit_linearization_index(op, r_name)
+        lin = oracle.linearization_index(op)
         if lin is None:
             continue  # audit of a different object
         expected = oracle.expected(lin)
@@ -133,18 +150,17 @@ class WindowedAuditOracle:
     timeline of distinct announced pairs plus read-of-``R`` markers for
     in-flight operations.  Every ``window`` events the timeline is
     compacted — entries no outstanding audit can still cut through are
-    folded into a frozen base set — so resident state is bounded by the
-    answer size (distinct pairs) plus the window, never by the stream
-    length.  The companion of :class:`~repro.analysis.streamlin.
-    StreamingLinChecker` on the ``repro serve`` / ``stress --online``
-    paths.
+    folded into a base set — so the timeline is bounded by the window.
+    The base set is not bounded: it keeps every distinct ``(reader,
+    value)`` pair ever read, so it grows with the run whenever writers
+    write fresh values, as does each audit's answer.  The companion of
+    :class:`~repro.analysis.streamlin.StreamingLinChecker` on the
+    ``repro serve`` / ``stress --online`` paths.
 
     ``decode`` mirrors ``register._decode_value`` (identity for the
     plain register, version-stripping for the max register); ``lift``
-    post-processes each pair before comparison, e.g.
-    ``lambda j, v: (j, v[1])`` for objects built on an auditable max
-    register whose audits strip the version component (the streaming
-    form of :func:`repro.engine.tasks.lifted_audit_violations`).
+    maps each pair before comparison, exactly as it does for
+    :func:`check_audit_exactness` (e.g. :func:`strip_version`).
     """
 
     def __init__(
@@ -152,7 +168,7 @@ class WindowedAuditOracle:
         r_name: str,
         *,
         decode: Optional[Callable[[Any], Any]] = None,
-        lift: Optional[Callable[[int, Any], Tuple[int, Any]]] = None,
+        lift: Optional[Lift] = None,
         window: int = 1024,
     ) -> None:
         if window < 1:
@@ -279,22 +295,6 @@ def windowed_audit_oracle(
         lift=lift,
         window=window,
     )
-
-
-def check_audit_exactness_streaming(
-    history: History, register, *, lift=None, window: int = 1024
-) -> List[AuditViolation]:
-    """Stream a recorded history through :class:`WindowedAuditOracle`.
-
-    Differential counterpart of :func:`check_audit_exactness` (or, with
-    ``lift``, of :func:`repro.engine.tasks.lifted_audit_violations`):
-    same violations, windowed carried state instead of a full-history
-    scan.
-    """
-    oracle = windowed_audit_oracle(register, lift=lift, window=window)
-    for event in history.events:
-        oracle.feed(event)
-    return oracle.violations
 
 
 def check_audit_monotone(history: History) -> List[str]:

@@ -35,9 +35,12 @@ scans, versioned reads) must not declare it.
 
 **Structured budgets.**  Exceeding the node budget returns a
 ``status == "undecided"`` result instead of raising, so stress runs and
-model-checking verdict collection degrade gracefully (the legacy
-:class:`repro.analysis.linearizability.LinearizabilityChecker` shim
-still raises, preserving its historical contract).
+model-checking verdict collection degrade gracefully.
+
+The original naive search survives as :func:`legacy_check_history`:
+the differential reference the property tests and
+``benchmarks/bench_b10_lin_throughput.py`` measure this checker
+against.
 
 A batched verdict service (:func:`check_histories_parallel`) fans a
 list of ``(operations, spec_name, spec_params)`` jobs across the
@@ -57,6 +60,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -218,12 +222,22 @@ def _precedence_structure(
     return preds, succs, imm_succs
 
 
+def partition_subspec(spec: SeqSpec, key: Any) -> SeqSpec:
+    """The spec partition ``key`` of ``spec`` is checked against:
+    ``spec.partition_spec(key)`` when declared, else ``spec`` itself,
+    with the hooks stripped so a partition is never re-partitioned."""
+    if spec.partition_spec is not None:
+        spec = spec.partition_spec(key)
+    if spec.partition_key is not None:
+        spec = replace(spec, partition_key=None, partition_spec=None)
+    return spec
+
+
 class FastLinChecker:
     """Checks one object's history against a sequential spec.
 
-    Drop-in fast replacement for the historical
-    ``LinearizabilityChecker``; exceeding ``max_nodes`` returns a
-    structured :data:`LIN_UNDECIDED` result instead of raising.
+    Exceeding ``max_nodes`` returns a structured :data:`LIN_UNDECIDED`
+    result instead of raising.
     """
 
     def __init__(
@@ -252,16 +266,10 @@ class FastLinChecker:
         orders = []
         # Insertion order is history order: deterministic across runs.
         for key, part in groups.items():
-            if self.spec.partition_spec is not None:
-                subspec = self.spec.partition_spec(key)
-            else:
-                subspec = self.spec
-            # Strip the hooks so a partition is never re-partitioned.
-            if subspec.partition_key is not None:
-                subspec = replace(
-                    subspec, partition_key=None, partition_spec=None
-                )
-            result = self._search(part, subspec, self.max_nodes - explored)
+            result = self._search(
+                part, partition_subspec(self.spec, key),
+                self.max_nodes - explored,
+            )
             explored += result.explored
             if result.status == LIN_FAIL:
                 return LinearizationResult(
@@ -430,6 +438,71 @@ def check_history(
 ) -> LinearizationResult:
     """Convenience wrapper; budget overruns yield ``LIN_UNDECIDED``."""
     return FastLinChecker(spec, max_nodes=max_nodes).check(operations)
+
+
+def legacy_check_history(
+    operations: Sequence[OperationRecord],
+    spec: SeqSpec,
+    max_nodes: int = 2_000_000,
+) -> LinearizationResult:
+    """The original naive Wing-Gong search, kept as a reference oracle.
+
+    O(n^2) pairwise ``precedes`` precomputation, full eligibility
+    rescans, ``order + [i]`` list copies and frozenset-keyed
+    memoisation -- exactly the seed implementation.  The fastlin
+    property tests cross-check the rewrite against this function, and
+    ``bench_b10`` measures the rewrite's speedup relative to it.
+    Partitioning hooks on ``spec`` are ignored (the global ``apply``
+    is used), which is what makes differential runs meaningful.
+    """
+    ops = list(operations)
+    n = len(ops)
+    if n == 0:
+        return LinearizationResult(True, [])
+    preds: List[Set[int]] = [set() for _ in range(n)]
+    for i, a in enumerate(ops):
+        for j, b in enumerate(ops):
+            if i != j and a.precedes(b):
+                preds[j].add(i)
+    complete = [i for i, op in enumerate(ops) if op.is_complete]
+    explored = 0
+    seen: Set[Tuple[frozenset, Any]] = set()
+
+    def eligible(done: Set[int]) -> List[int]:
+        return [
+            i
+            for i in range(n)
+            if i not in done and preds[i] <= done
+        ]
+
+    stack: List[Tuple[frozenset, Any, List[int]]] = []
+    seen.add((frozenset(), spec.initial))
+    stack.append((frozenset(), spec.initial, []))
+    while stack:
+        done, state, order = stack.pop()
+        explored += 1
+        if explored > max_nodes:
+            raise RuntimeError(
+                f"linearizability search exceeded {max_nodes} "
+                "nodes; reduce history size"
+            )
+        if all(i in done for i in complete):
+            return LinearizationResult(
+                True, [ops[i] for i in order], explored
+            )
+        for i in eligible(set(done)):
+            op = ops[i]
+            result = op.result if op.is_complete else PENDING
+            new_state = spec.apply(state, op.name, op.args, result)
+            if new_state is None:
+                continue
+            new_done = done | {i}
+            key = (new_done, new_state)
+            if key in seen:
+                continue
+            seen.add(key)
+            stack.append((new_done, new_state, order + [i]))
+    return LinearizationResult(False, None, explored)
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Sequential specifications for the linearizability checker.
 
-Each factory returns a :class:`~repro.analysis.linearizability.SeqSpec`.
+Each factory returns a :class:`~repro.analysis.fastlin.SeqSpec`.
 The auditable specs implement the paper's sequential specification of an
 auditable object: a pair ``(j, v)`` appears in an audit's response *iff*
 a read by ``p_j`` returning ``v`` precedes the audit (accuracy +
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Optional
 
-from repro.analysis.linearizability import PENDING, SeqSpec
+from repro.analysis.fastlin import PENDING, SeqSpec
 
 
 def register_spec(initial: Any, name: str = "register") -> SeqSpec:
@@ -326,23 +326,29 @@ def register_array_spec(
     )
 
 
+def tag_read_op(op):
+    """A copy of a read with its args set to ``(pid,)``; other
+    operations pass through unchanged."""
+    if op.name == "read" and not op.args:
+        return replace(op, args=(op.pid,), primitives=list(op.primitives))
+    return op
+
+
+def tag_pid_op(op, names=("update", "scan")):
+    """A copy of an operation named in ``names`` with its pid appended
+    to its args; other operations pass through unchanged."""
+    if op.name in names:
+        return replace(
+            op, args=op.args + (op.pid,), primitives=list(op.primitives)
+        )
+    return op
+
+
 def tag_reads(operations):
-    """Copies of the operations with each read's args set to ``(pid,)``."""
-    tagged = []
-    for op in operations:
-        if op.name == "read" and not op.args:
-            op = replace(op, args=(op.pid,), primitives=list(op.primitives))
-        tagged.append(op)
-    return tagged
+    """:func:`tag_read_op` over a history's operations."""
+    return [tag_read_op(op) for op in operations]
 
 
 def tag_ops_with_pid(operations, names=("update", "scan")):
-    """Copies of the operations with the pid appended to selected ops."""
-    tagged = []
-    for op in operations:
-        if op.name in names:
-            op = replace(
-                op, args=op.args + (op.pid,), primitives=list(op.primitives)
-            )
-        tagged.append(op)
-    return tagged
+    """:func:`tag_pid_op` over a history's operations."""
+    return [tag_pid_op(op, names) for op in operations]

@@ -58,7 +58,7 @@ checker when ``--online`` is set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.fastlin import (
@@ -68,6 +68,7 @@ from repro.analysis.fastlin import (
     LIN_UNDECIDED,
     PENDING,
     SeqSpec,
+    partition_subspec,
 )
 from repro.sim.events import CrashEvent, Invocation, Response
 from repro.sim.history import OperationRecord
@@ -83,25 +84,6 @@ DEFAULT_MAX_CONFIGS = 4096
 #: Verdict of a stream that ended (disconnect, truncation) before its
 #: ``end`` marker: the retired prefix is verified, the rest unknown.
 LIN_PARTIAL = "partial"
-
-
-def tag_read_op(op: OperationRecord) -> OperationRecord:
-    """Per-operation form of :func:`repro.analysis.specs.tag_reads`."""
-    if op.name == "read" and not op.args:
-        return replace(op, args=(op.pid,), primitives=list(op.primitives))
-    return op
-
-
-def tag_pid_op(
-    op: OperationRecord, names: Tuple[str, ...] = ("update", "scan")
-) -> OperationRecord:
-    """Per-operation form of
-    :func:`repro.analysis.specs.tag_ops_with_pid`."""
-    if op.name in names:
-        return replace(
-            op, args=op.args + (op.pid,), primitives=list(op.primitives)
-        )
-    return op
 
 
 @dataclass
@@ -198,9 +180,6 @@ class _PartitionStream:
         max_configs: int,
         gauge: _ResidentGauge,
     ) -> None:
-        # A partition is never re-partitioned (mirrors FastLinChecker).
-        if spec.partition_key is not None:
-            spec = replace(spec, partition_key=None, partition_spec=None)
         self.spec = spec
         self.window = window
         self.max_nodes = max_nodes
@@ -439,8 +418,8 @@ class StreamingLinChecker:
     pending) in history-index order via :meth:`feed`, then call
     :meth:`finish` for the final verdict or :meth:`partial` when the
     stream was cut.  ``tag`` is an optional per-operation transform
-    applied at invocation (e.g. :func:`tag_read_op` for specs that need
-    reader identity); it runs before ``partition_key``.
+    applied at invocation (e.g. :func:`repro.analysis.specs.tag_read_op`
+    for specs that need reader identity); it runs before ``partition_key``.
     """
 
     def __init__(
@@ -477,10 +456,10 @@ class StreamingLinChecker:
             key = self.spec.partition_key(op.name, op.args)
         stream = self._partitions.get(key)
         if stream is None:
-            if key is not None and self.spec.partition_spec is not None:
-                subspec = self.spec.partition_spec(key)
-            else:
+            if self.spec.partition_key is None:
                 subspec = self.spec
+            else:
+                subspec = partition_subspec(self.spec, key)
             stream = _PartitionStream(
                 subspec, self.window, self.max_nodes_per_window,
                 self.max_configs, self._gauge,

@@ -205,7 +205,12 @@ class FuzzExecutor(Executor):
             workers=1,
             stop_on_violation=params.get("stop_on_violation", True),
         )
-        verdict = FAIL if report.violations else PASS
+        # A run that hit the step budget was never judged: without a
+        # violation elsewhere, the point is not verified clean.
+        verdict = (
+            FAIL if report.violations
+            else (PARTIAL if report.incomplete else PASS)
+        )
         return {
             "verdict": verdict,
             "target": params["target"],

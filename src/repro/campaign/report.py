@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.campaign.run import VERDICTS, CampaignOutcome, SectionOutcome
+from repro.campaign.run import VERDICTS, CampaignOutcome
 from repro.campaign.spec import CampaignSpec
 
 
@@ -82,11 +82,3 @@ def render_outcome(outcome: CampaignOutcome) -> str:
     )
     return "\n".join(parts)
 
-
-def summarize_section(section: SectionOutcome) -> str:
-    counts = section.counts
-    return (
-        f"{section.name} [{section.kind}]: {len(section.records)} points "
-        f"({section.executed} run, {section.skipped} resumed), "
-        f"{counts['FAIL']} fail, {counts['PARTIAL']} partial"
-    )

@@ -25,7 +25,6 @@ from repro.engine.engine import (
 )
 from repro.engine.seeds import derive_seed, fan_out
 from repro.engine.tasks import (
-    lifted_audit_violations,
     lin_check_task,
     register_sweep_task,
     snapshot_sweep_task,
@@ -40,7 +39,6 @@ __all__ = [
     "derive_seed",
     "encode_record",
     "fan_out",
-    "lifted_audit_violations",
     "lin_check_task",
     "make_tasks",
     "register_sweep_task",

@@ -82,8 +82,13 @@ def make_tasks(
     With ``seeds`` the given seed list is used verbatim for every point
     (one task per (point, seed) pair); otherwise ``seeds_per_point``
     seeds are derived per point from ``root_seed`` and the point itself,
-    so adding a point never perturbs any other point's seeds.
+    so adding a point never perturbs any other point's seeds; it must
+    be at least 1 (a sweep of no executions verifies nothing).
     """
+    if seeds is None and seeds_per_point < 1:
+        raise ValueError(
+            f"need at least one seed per point (got {seeds_per_point})"
+        )
     tasks: List[ExecutionTask] = []
     for point in points:
         params = tuple(point.items())

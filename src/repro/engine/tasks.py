@@ -19,10 +19,10 @@ from repro.analysis import (
     check_phase_structure,
     check_value_sequence,
     snapshot_spec,
+    strip_version,
     tag_ops_with_pid,
     tag_reads,
 )
-from repro.analysis.audit_checks import audit_oracle
 from repro.analysis.fastlin import (
     DEFAULT_MAX_NODES,
     LIN_OK,
@@ -31,29 +31,12 @@ from repro.analysis.fastlin import (
     op_from_payload,
     spec_from_name,
 )
-from repro.sim.history import History
 from repro.workloads.generators import (
     RegisterWorkload,
     SnapshotWorkload,
     build_register_system,
     build_snapshot_system,
 )
-
-
-def lifted_audit_violations(history: History, max_register) -> int:
-    """Audit exactness for objects built *on top of* an auditable max
-    register (Algorithm 3 / Theorem 13): their audits strip the version
-    component, so compare against the stripped M-level oracle."""
-    violations = 0
-    oracle = audit_oracle(history, max_register)
-    for op in history.complete_operations(name="audit"):
-        lin = oracle.linearization_index(op)
-        if lin is None:
-            continue
-        expected = {(j, pair[1]) for j, pair in oracle.expected(lin)}
-        if expected != set(op.result):
-            violations += 1
-    return violations
 
 
 def register_sweep_task(
@@ -118,8 +101,8 @@ def snapshot_sweep_task(
     """One seeded Algorithm 3 execution, fully checked (Theorem 12).
 
     Audit exactness lifts from the inner max register; snapshot audits
-    strip version numbers, so the check compares against the stripped
-    M-level oracle (:func:`lifted_audit_violations`).
+    strip version numbers, so the check compares against the M-level
+    oracle lifted by :func:`~repro.analysis.strip_version`.
     """
     workload = SnapshotWorkload(
         components=components,
@@ -137,7 +120,9 @@ def snapshot_sweep_task(
         check_history(tag_ops_with_pid(history.operations()), spec).status
         != LIN_OK
     )
-    audit_fail = bool(lifted_audit_violations(history, built.register.M))
+    audit_fail = bool(check_audit_exactness(
+        history, built.register.M, lift=strip_version
+    ))
     return {
         "lin_fail": lin_fail,
         "audit_fail": audit_fail,

@@ -159,10 +159,12 @@ class CampaignReport:
 
     @property
     def exit_code(self) -> int:
-        """The CLI contract: 0 clean, 1 violation, 2 budget PARTIAL."""
+        """The CLI contract: 0 clean, 1 violation, 2 PARTIAL -- the
+        time budget expired (``partial``) or some run hit the step
+        budget before it could be judged (``incomplete``)."""
         if self.violations:
             return 1
-        return 2 if self.partial else 0
+        return 2 if self.partial or self.incomplete else 0
 
 
 def run_campaign(

@@ -17,12 +17,13 @@ from repro.analysis import (
     auditable_register_spec,
     check_audit_exactness,
     check_fetch_xor_uniqueness,
+    check_history,
     check_phase_structure,
     check_value_sequence,
     effective_reads,
-    fast_check_history as check_history,
     first_divergence,
     projections_equal,
+    strip_version,
     tag_reads,
     versioned_spec,
 )
@@ -45,7 +46,6 @@ from repro.core.versioned import (
 from repro.crypto.pad import OneTimePadSequence
 from repro.engine import (
     aggregate_counts,
-    lifted_audit_violations,
     make_tasks,
     register_sweep_task,
     run_tasks,
@@ -61,11 +61,6 @@ from repro.workloads.generators import (
     build_max_register_system,
     build_register_system,
 )
-
-
-# Audit exactness for objects built on top of an auditable max register
-# now lives in repro.engine.tasks so sweep workers can use it too.
-_lifted_audit_violations = lifted_audit_violations
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +590,7 @@ def run_e8(seeds=range(30)) -> ExperimentResult:
             # execution *verified* linearizable.
             if result.status != LIN_OK:
                 lin_fail += 1
-            if _lifted_audit_violations(history, obj.M):
+            if check_audit_exactness(history, obj.M, lift=strip_version):
                 audit_fail += 1
         rows.append(
             {
@@ -827,17 +822,6 @@ def run_e12(trials=150) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # E13 -- exhaustive verification of small scenarios (all interleavings)
 # ----------------------------------------------------------------------
-
-# The scenario factories and per-execution oracles moved to the
-# model-checking subsystem (repro.mc.scenarios); these aliases keep the
-# historical names importable.
-from repro.mc.scenarios import (  # noqa: E402
-    max_scenario_check as _exhaustive_max_check,
-    max_scenario_factory as _exhaustive_max_scenario,
-    register_scenario_check as _exhaustive_check,
-    register_scenario_factory as _exhaustive_register_scenario,
-)
-
 
 @register("E13")
 def run_e13() -> ExperimentResult:

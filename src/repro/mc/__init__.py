@@ -1,12 +1,11 @@
 """``repro.mc`` -- the model-checking subsystem.
 
-Replaces the naive exhaustive walk of ``repro.analysis.exhaustive``
-with a partial-order-reduced, fingerprint-memoised, checkpoint-driven
-(and optionally parallel) explorer:
+A partial-order-reduced, fingerprint-memoised, checkpoint-driven (and
+optionally parallel) explorer:
 
 - :func:`explore` -- serial exploration of an arbitrary
   ``(factory, check)`` scenario; ``reduce=False, fingerprints=False``
-  reproduces the legacy raw enumeration exactly.
+  enumerates every raw interleaving.
 - :func:`explore_parallel` -- frontier fan-out of a *named* scenario
   across the ``repro.engine`` worker pool with JSONL
   checkpoint/resume.
@@ -27,18 +26,7 @@ from repro.mc.explorer import (
     explore,
 )
 from repro.mc.independence import StepInfo, independent
-
-
-def __getattr__(name):
-    # Lazy: repro.mc.parallel pulls in repro.engine, whose task module
-    # imports repro.analysis -- which itself re-exports this package's
-    # explorer through the analysis.exhaustive shim.  Deferring the
-    # import keeps that chain acyclic.
-    if name == "explore_parallel":
-        from repro.mc.parallel import explore_parallel
-
-        return explore_parallel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.mc.parallel import explore_parallel
 
 
 __all__ = [

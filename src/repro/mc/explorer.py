@@ -14,8 +14,8 @@ independent adjacent steps (all the repository's oracles; see the
 independence module) holds for *every* interleaving iff it holds for the
 visited representatives.
 
-Compared to the legacy ``repro.analysis.exhaustive`` walk, this explorer
-layers three accelerations:
+Compared to a naive exhaustive walk that replays every prefix, this
+explorer layers three accelerations:
 
 - **replay elimination** -- the DFS backtracks a single live simulation
   through :class:`repro.sim.checkpoint.SimulationCheckpointer` instead
@@ -464,10 +464,9 @@ def explore(
     context) is not rolled back: treat the context as read-only wiring
     and keep per-execution scratch state local to ``check``.
 
-    With ``reduce=False`` and ``fingerprints=False`` this enumerates raw
-    interleavings exactly like the legacy
-    ``repro.analysis.exhaustive.explore`` (same counts, same budget
-    semantics), only without the per-node replay cost.
+    With ``reduce=False`` and ``fingerprints=False`` this enumerates
+    every raw interleaving (the E13 baseline counts), without a
+    per-node replay cost.
     """
     sim, context = factory()
     explorer = _Explorer(

@@ -179,9 +179,9 @@ def register_scenario_check(sim, reg):
         auditable_register_spec as _spec,
         check_audit_exactness,
         check_fetch_xor_uniqueness,
+        check_history,
         check_phase_structure,
         check_value_sequence,
-        fast_check_history as check_history,
         tag_reads as _tag,
     )
 
@@ -248,9 +248,9 @@ def max_scenario_check(sim, reg):
         auditable_max_register_spec as _spec,
         check_audit_exactness,
         check_fetch_xor_uniqueness,
+        check_history,
         check_phase_structure,
         check_value_sequence,
-        fast_check_history as check_history,
         tag_reads as _tag,
     )
 

@@ -4,10 +4,11 @@ A :class:`VerdictServer` consumes the JSONL event-log wire format
 (:mod:`repro.sim.event_log`) line by line — from a file another process
 is appending to, from a completed log, or from stdin — and feeds every
 event through the same one-pass validator the stress harness uses
-online (:class:`~repro.rt.stress.StressValidator`: incremental
+online (:class:`~repro.rt.stress.StreamValidator`: incremental
 linearizability plus, where the syntactic oracle applies, windowed
-audit exactness).  Memory stays bounded by the stream's overlap width,
-so the service can watch arbitrarily long runs.
+audit exactness).  The linearizability checker's memory stays bounded
+by the stream's overlap width; the audit oracle keeps every distinct
+pair read, so its memory grows with the run's fresh values.
 
 The log's ``hello`` line carries enough metadata for a stress-produced
 log to rebuild its exact validator (object kind, roster, seed,
@@ -25,26 +26,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
-from repro.analysis.fastlin import (
-    DEFAULT_MAX_NODES,
-    LIN_FAIL,
-    LIN_OK,
-    spec_from_name,
-)
-from repro.analysis.streamlin import (
-    DEFAULT_WINDOW,
-    LIN_PARTIAL,
-    StreamingLinChecker,
-)
+from repro.analysis.fastlin import DEFAULT_MAX_NODES, LIN_OK, spec_from_name
+from repro.analysis.streamlin import DEFAULT_WINDOW, LIN_PARTIAL
 from repro.rt.stress import (
     STRESS_OBJECTS,
-    StressValidator,
+    StreamValidator,
     _index_roster,
     _StressSystem,
     _stress_pids,
     build_stress_register,
+    stress_validator,
 )
 from repro.sim.event_log import parse_line
 
@@ -102,40 +95,12 @@ class ServeOutcome:
         return "\n".join(lines)
 
 
-class _SpecValidator:
-    """Linearizability-only validator for ``--spec`` mode (the audit
-    oracle needs the concrete auditable object; a bare spec has none).
-    Mirrors :class:`~repro.rt.stress.StressValidator`'s interface."""
-
-    def __init__(self, spec: Any, *, max_nodes: int, window: int) -> None:
-        self.checker = StreamingLinChecker(
-            spec, window=window, max_nodes_per_window=max_nodes
-        )
-
-    def feed(self, event: Any) -> None:
-        self.checker.feed(event)
-
-    def verdict(
-        self, *, finished: bool = True
-    ) -> Tuple[Optional[bool], Optional[bool], str, Dict[str, Any]]:
-        result = self.checker.finish() if finished else self.checker.partial()
-        if result.status == LIN_OK:
-            lin: Optional[bool] = True
-        elif result.status == LIN_FAIL:
-            lin = False
-        else:
-            lin = None
-        payload = result.progress.to_payload()
-        payload["status"] = result.status
-        return lin, None, result.status, payload
-
-
 def validator_from_meta(
     meta: Dict[str, Any],
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
     window: Optional[int] = None,
-) -> StressValidator:
+) -> StreamValidator:
     """Rebuild the exact stress validator a log's hello line describes.
 
     The stress harness stamps ``kind: stress`` plus the build arguments
@@ -165,7 +130,7 @@ def validator_from_meta(
     if object_kind == "snapshot":
         system.components = reg.components
     _index_roster(system, _stress_pids(object_kind, r, w, a))
-    return StressValidator(
+    return stress_validator(
         object_kind, system, max_nodes=max_nodes,
         window=int(window if window is not None
                    else meta.get("window", DEFAULT_WINDOW)),
@@ -199,16 +164,18 @@ class VerdictServer:
         self.declared_events: Optional[int] = None
         self.progress_every = progress_every
         self.progress_cb = progress
-        self.validator: Optional[Any] = None
+        self.validator: Optional[StreamValidator] = None
         if spec is not None:
+            # Linearizability only: the audit oracle needs the concrete
+            # auditable object, and a bare spec has none.
             self.meta["spec"] = spec
-            self.validator = _SpecValidator(
+            self.validator = StreamValidator(
                 spec_from_name(spec, **(spec_params or {})),
                 max_nodes=max_nodes,
                 window=window if window is not None else DEFAULT_WINDOW,
             )
 
-    def _ensure_validator(self) -> Any:
+    def _ensure_validator(self) -> StreamValidator:
         if self.validator is None:
             self.validator = validator_from_meta(
                 self.meta, max_nodes=self.max_nodes, window=self.window
@@ -242,10 +209,7 @@ class VerdictServer:
         """Rolling progress (frontier, residency) without finishing."""
         if self.validator is None:
             return {"events": self.events}
-        checker = getattr(self.validator, "checker", None)
-        payload = (
-            checker.progress().to_payload() if checker is not None else {}
-        )
+        payload = self.validator.checker.progress().to_payload()
         payload["events_seen"] = self.events
         return payload
 

@@ -28,11 +28,12 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro._seeding import stable_hash
 from repro.analysis.audit_checks import (
     WindowedAuditOracle,
+    strip_version,
     windowed_audit_oracle,
 )
 from repro.analysis.fastlin import (
@@ -40,19 +41,17 @@ from repro.analysis.fastlin import (
     LIN_FAIL,
     LIN_OK,
     LIN_UNDECIDED,
+    SeqSpec,
 )
 from repro.analysis.specs import (
     auditable_register_spec,
     stream_max_register_spec,
     stream_register_spec,
     stream_snapshot_spec,
-)
-from repro.analysis.streamlin import (
-    DEFAULT_WINDOW,
-    StreamingLinChecker,
     tag_pid_op,
     tag_read_op,
 )
+from repro.analysis.streamlin import DEFAULT_WINDOW, StreamingLinChecker
 from repro.baselines.naive_auditable import NaiveAuditableRegister
 from repro.core.auditable_max_register import AuditableMaxRegister
 from repro.core.auditable_register import AuditableRegister
@@ -63,7 +62,7 @@ from repro.faults import chaos_plan, parse_fault_families
 from repro.rt.process_runtime import FaultPlan, PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
 from repro.sim.event_log import JsonlEventSink, iter_event_log
-from repro.sim.history import History
+from repro.sim.history import History, OperationRecord
 
 STRESS_OBJECTS = ("register", "max", "snapshot", "naive")
 STRESS_RUNTIMES = ("thread", "process")
@@ -445,60 +444,29 @@ def _build(
     return system
 
 
-def _lift_strip_version(j: int, v: Any) -> Tuple[int, Any]:
-    """Audits of objects built on an auditable max register strip the
-    version component (the streaming form of
-    :func:`repro.engine.tasks.lifted_audit_violations`)."""
-    return (j, v[1])
+class StreamValidator:
+    """One streaming pass producing *both* verdicts of a run.
 
-
-class StressValidator:
-    """One streaming pass producing *both* stress verdicts.
-
-    The old post-validation walked the buffered history twice — once
-    through the linearizability checker, once through the audit oracle.
-    This feeds each event to the incremental
-    :class:`~repro.analysis.streamlin.StreamingLinChecker` and (where
-    the syntactic oracle applies) the
+    Holds ``(spec, tag, oracle)``: each event feeds the incremental
+    :class:`~repro.analysis.streamlin.StreamingLinChecker` (``spec``,
+    with ``tag`` applied to each operation at invocation) and, when an
+    ``oracle`` is given, the
     :class:`~repro.analysis.audit_checks.WindowedAuditOracle`
-    simultaneously, and works identically over a buffered history, a
+    simultaneously.  It works identically over a buffered history, a
     live runtime stream (``online=True``) or a replayed event log
-    (``repro serve``).
+    (``repro serve``).  :func:`stress_validator` builds it for a stress
+    object; ``repro serve --spec`` builds it with no oracle.
     """
 
     def __init__(
         self,
-        object_kind: str,
-        system: _StressSystem,
+        spec: SeqSpec,
         *,
+        tag: Optional[Callable[[OperationRecord], OperationRecord]] = None,
+        oracle: Optional[WindowedAuditOracle] = None,
         max_nodes: int = DEFAULT_MAX_NODES,
         window: int = DEFAULT_WINDOW,
     ) -> None:
-        self.object_kind = object_kind
-        oracle: Optional[WindowedAuditOracle] = None
-        if object_kind == "snapshot":
-            spec = stream_snapshot_spec(
-                system.components, 0, system.updater_index
-            )
-            tag = tag_pid_op
-            oracle = windowed_audit_oracle(
-                system.register.M, lift=_lift_strip_version, window=window
-            )
-        elif object_kind == "max":
-            spec = stream_max_register_spec(0)
-            tag = None
-            oracle = windowed_audit_oracle(system.register, window=window)
-        elif object_kind == "register":
-            spec = stream_register_spec("v0")
-            tag = None
-            oracle = windowed_audit_oracle(system.register, window=window)
-        else:
-            # The naive design has no fetch&xor, so the syntactic
-            # oracle does not apply: audits are checked *inside* the
-            # sequential spec (pair-carrying state), which is fine at
-            # the naive baseline's bounded scales.
-            spec = auditable_register_spec("v0", system.reader_index)
-            tag = tag_read_op
         self.checker = StreamingLinChecker(
             spec, window=window, max_nodes_per_window=max_nodes, tag=tag
         )
@@ -518,7 +486,8 @@ class StressValidator:
 
         ``finished=False`` (a truncated stream) reports the PARTIAL
         verdict with the last verified frontier instead of pretending
-        the history ended cleanly.
+        the history ended cleanly.  ``audit_ok`` is ``None`` without an
+        oracle.
         """
         result = self.checker.finish() if finished else self.checker.partial()
         if result.status == LIN_OK:
@@ -537,6 +506,45 @@ class StressValidator:
         return lin, audit, result.status, payload
 
 
+def stress_validator(
+    object_kind: str,
+    system: _StressSystem,
+    *,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    window: int = DEFAULT_WINDOW,
+) -> StreamValidator:
+    """The :class:`StreamValidator` for a stress object: its streaming
+    spec and tag, plus the windowed audit oracle where it applies."""
+    if object_kind == "snapshot":
+        return StreamValidator(
+            stream_snapshot_spec(system.components, 0, system.updater_index),
+            tag=tag_pid_op,
+            oracle=windowed_audit_oracle(
+                system.register.M, lift=strip_version, window=window
+            ),
+            max_nodes=max_nodes, window=window,
+        )
+    if object_kind == "max":
+        spec = stream_max_register_spec(0)
+    elif object_kind == "register":
+        spec = stream_register_spec("v0")
+    else:
+        # The naive design has no fetch&xor, so the syntactic oracle
+        # does not apply: audits are checked *inside* the sequential
+        # spec (pair-carrying state), which is fine at the naive
+        # baseline's bounded scales.
+        return StreamValidator(
+            auditable_register_spec("v0", system.reader_index),
+            tag=tag_read_op,
+            max_nodes=max_nodes, window=window,
+        )
+    return StreamValidator(
+        spec,
+        oracle=windowed_audit_oracle(system.register, window=window),
+        max_nodes=max_nodes, window=window,
+    )
+
+
 def _validate(
     object_kind: str,
     history: History,
@@ -546,7 +554,7 @@ def _validate(
 ) -> Tuple[Optional[bool], Optional[bool], str]:
     """(linearizable?, audit-exact?, lin status) — one pass over the
     buffered history's events, both verdicts."""
-    validator = StressValidator(
+    validator = stress_validator(
         object_kind, system, max_nodes=max_nodes, window=window
     )
     for event in history.events:
@@ -601,8 +609,10 @@ def run_stress(
 
     ``online=True`` streams instead of buffering: history retention is
     disabled and every event feeds the incremental checker as it is
-    recorded, so memory stays bounded by the in-flight window no matter
-    how long the run is — this is how duration-only runs get validated.
+    recorded, so the history is never buffered and the checker's memory
+    stays bounded by the in-flight window (the audit oracle still keeps
+    every distinct pair read) — this is how duration-only runs get
+    validated.
     On the thread backend the validator taps the history seam directly
     (under the history lock); on the process backend events stream to an
     ``event_log`` file (a temporary one when not given) from the memory
@@ -621,6 +631,8 @@ def run_stress(
     """
     if ops is None and duration is None:
         raise ValueError("need an op budget (ops=) or a duration")
+    if ops is not None and ops < 1:
+        raise ValueError(f"need at least one op per worker (got {ops})")
     if validate is None:
         validate = ops is not None or online
     window = DEFAULT_WINDOW if stream_window is None else stream_window
@@ -680,13 +692,13 @@ def run_stress(
     )
     rt = system.runtime
 
-    validator: Optional[StressValidator] = None
+    validator: Optional[StreamValidator] = None
     if runtime != "process":
         # Attach the live tap before the run starts.  The history lock
         # serializes sink calls, so the validator sees events in index
         # order without its own locking.
         if online and validate:
-            validator = StressValidator(
+            validator = stress_validator(
                 object, system, max_nodes=lin_max_nodes, window=window
             )
             if file_sink is not None:
@@ -752,7 +764,7 @@ def run_stress(
             # Process backend: replay the server-side event log.  The
             # end marker proves the server finished cleanly; without it
             # the stream is truncated and the verdict stays PARTIAL.
-            validator = StressValidator(
+            validator = stress_validator(
                 object, system, max_nodes=lin_max_nodes, window=window
             )
             finished = False

@@ -4,7 +4,13 @@ import pytest
 
 from repro import Simulation
 from repro.core import AuditableSnapshot
-from repro.analysis import check_history, snapshot_spec, tag_ops_with_pid
+from repro.analysis import (
+    check_audit_exactness,
+    check_history,
+    snapshot_spec,
+    strip_version,
+    tag_ops_with_pid,
+)
 from repro.workloads.generators import (
     SnapshotWorkload,
     build_snapshot_system,
@@ -151,3 +157,39 @@ class TestCrashedScanEffective:
         sim.crash("s0")
         report = run_one(sim, "a", a.audit_op())
         assert report == frozenset({(0, ("x", 0))})
+
+
+class TestLiftedAuditExactness:
+    """Snapshot audits report the inner max register's pairs with the
+    version stripped (Theorem 12): the batch oracle of ``M``, lifted by
+    :func:`strip_version`."""
+
+    @pytest.mark.parametrize("substrate", ["afek", "atomic"])
+    def test_sweep_histories_are_exact(self, substrate):
+        for seed in range(8):
+            built = build_snapshot_system(
+                SnapshotWorkload(seed=seed), snapshot_substrate=substrate
+            )
+            history = built.run()
+            assert history.complete_operations(name="audit")
+            assert check_audit_exactness(
+                history, built.register.M, lift=strip_version
+            ) == []
+
+    def test_lift_is_what_makes_them_exact(self):
+        built = build_snapshot_system(SnapshotWorkload(seed=0))
+        history = built.run()
+        assert check_audit_exactness(history, built.register.M)
+
+    def test_extra_reported_pair_is_flagged(self):
+        built = build_snapshot_system(SnapshotWorkload(seed=0))
+        history = built.run()
+        audit = history.complete_operations(name="audit")[-1]
+        bogus = (0, (99, 99))
+        audit.result = frozenset(audit.result) | {bogus}
+        violations = check_audit_exactness(
+            history, built.register.M, lift=strip_version
+        )
+        assert len(violations) == 1
+        assert violations[0].extra == frozenset({bogus})
+        assert not violations[0].missing

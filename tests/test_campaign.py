@@ -307,6 +307,16 @@ class TestExecutorEquivalence:
         assert payload["violations"] == report.violations
         assert payload["verdicts"] == report.verdicts
 
+    def test_fuzz_point_with_unjudged_runs_is_partial(self):
+        """Runs that hit the step budget were never judged: with no
+        violation, the point is PARTIAL, not PASS."""
+        point = {"target": "alg1-w1-r1", "schedules": 4, "batch": 4,
+                 "max_steps": 3}
+        payload = campaign_point_task(41, kind="fuzz", point=point)
+        assert payload["violations"] == 0
+        assert payload["incomplete"] == 4
+        assert payload["verdict"] == "PARTIAL"
+
     def test_sweep_point_is_the_sweep_task(self):
         from repro.engine.tasks import register_sweep_task
 

@@ -94,14 +94,20 @@ CONTRACT = [
     # -- exit 2: inconclusive (budget / undecided) ------------------
     ("check budget partial",
      ["check", "--scenario", "alg1-w2", "--max-executions", "5"], 2),
+    ("fuzz step budget partial",
+     ["fuzz", "--target", "alg1-w1-r1", "--schedules", "4",
+      "--batch", "4", "--max-steps", "3"], 2),
     # -- exit 2: usage / input errors -------------------------------
     ("sweep bad flag", ["sweep", "--no-such-flag"], 2),
+    ("sweep zero seeds",
+     ["sweep", "--seeds", "0", "--readers", "1", "--writers", "1"], 2),
     ("check unknown scenario", ["check", "--scenario", "wat"], 2),
     ("check smoke plus scenario",
      ["check", "--smoke", "--scenario", "alg1-w1-r1"], 2),
     ("fuzz unknown target", ["fuzz", "--target", "wat"], 2),
     ("fuzz missing replay file",
      ["fuzz", "--replay", "/nonexistent/trace.json"], 2),
+    ("stress zero ops", ["stress", "--ops", "0", "--threads", "2"], 2),
     ("stress unsupported fault family",
      ["stress", "--runtime", "thread", "--faults", "partition",
       "--ops", "4"], 2),

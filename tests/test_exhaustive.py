@@ -1,12 +1,10 @@
-"""Tests for the exhaustive interleaving explorer."""
+"""Tests for the exhaustive interleaving explorer: raw enumeration
+(``repro.mc.explore`` with reduction and fingerprints off), so every
+interleaving is counted and checked individually."""
 
 import pytest
 
-from repro.analysis.exhaustive import (
-    ExplorationBudgetExceeded,
-    count_interleavings,
-    explore,
-)
+from repro.mc import ExplorationBudgetExceeded, count_interleavings, explore
 from repro.memory.register import AtomicRegister
 from repro.sim.process import Op
 from repro.sim.runner import Simulation
@@ -63,6 +61,7 @@ class TestEnumeration:
         explore(
             two_process_factory(1, 1),
             lambda sim, ctx: seen.append(len(sim.history.events)) or None,
+            reduce=False, fingerprints=False,
         )
         assert len(seen) == 6  # C(4, 2)
 
@@ -70,6 +69,7 @@ class TestEnumeration:
         report = explore(
             two_process_factory(1, 1),
             lambda sim, ctx: "bad execution",
+            reduce=False, fingerprints=False,
         )
         assert not report.ok
         assert len(report.violations) == 6
@@ -79,7 +79,10 @@ class TestEnumeration:
         def check(sim, ctx):
             raise ValueError("boom")
 
-        report = explore(two_process_factory(1, 1), check)
+        report = explore(
+            two_process_factory(1, 1), check,
+            reduce=False, fingerprints=False,
+        )
         assert all("ValueError: boom" in v for v in report.violations)
 
     def test_execution_budget(self):
@@ -88,6 +91,7 @@ class TestEnumeration:
                 two_process_factory(4, 4),
                 lambda sim, ctx: None,
                 max_executions=5,
+                reduce=False, fingerprints=False,
             )
 
     def test_depth_budget(self):
@@ -96,6 +100,7 @@ class TestEnumeration:
                 two_process_factory(10, 10),
                 lambda sim, ctx: None,
                 max_depth=3,
+                reduce=False, fingerprints=False,
             )
 
 

@@ -17,22 +17,19 @@ from repro.analysis.fastlin import (
     LIN_FAIL,
     LIN_OK,
     LIN_UNDECIDED,
+    PENDING,
     FastLinChecker,
     check_histories_parallel,
     check_history,
     decode_value,
     encode_value,
+    legacy_check_history,
     lin_jobs,
     op_from_payload,
     op_to_payload,
     precedence_masks,
     spec_from_name,
     spec_names,
-)
-from repro.analysis.linearizability import (
-    PENDING,
-    LinearizabilityChecker,
-    legacy_check_history,
 )
 from repro.analysis.specs import (
     auditable_register_spec,
@@ -399,11 +396,6 @@ class TestBudget:
         assert result.status == LIN_UNDECIDED
         assert result.undecided and not result.ok
 
-    def test_legacy_shim_still_raises(self):
-        checker = LinearizabilityChecker(SPEC, max_nodes=1)
-        with pytest.raises(RuntimeError, match="exceeded"):
-            checker.check(self.OPS)
-
     def test_budget_does_not_crash_stress_harness(self):
         """Regression: a budget-limited post-validation used to raise
         out of ``run_stress``; it now degrades to UNDECIDED."""
@@ -437,7 +429,7 @@ class TestBudget:
         sim.run()
         monkeypatch.setattr(
             analysis,
-            "fast_check_history",
+            "check_history",
             lambda ops, spec: LinearizationResult(
                 False, None, 1, LIN_UNDECIDED
             ),
@@ -668,7 +660,7 @@ class TestLinCli:
 class TestAuditOracle:
     def test_oracle_matches_per_call_scan(self):
         from repro.analysis.audit_checks import (
-            audit_oracle,
+            AuditOracle,
             expected_audit_set,
         )
         from repro.workloads.generators import (
@@ -683,7 +675,7 @@ class TestAuditOracle:
         )
         built = build_register_system(workload)
         history = built.run()
-        oracle = audit_oracle(history, built.register)
+        oracle = AuditOracle(history, built.register)
         for index in range(0, len(history.events) + 1, 7):
             assert oracle.expected(index) == expected_audit_set(
                 history, built.register, index

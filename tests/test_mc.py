@@ -319,13 +319,6 @@ class TestBudgets:
         assert exc_info.value.report is not None
         assert "deeper than 3" in str(exc_info.value)
 
-    def test_legacy_shim_still_raises(self):
-        from repro.analysis.exhaustive import explore as legacy
-
-        factory = counter_scenario((1, 2, 3, 4), (5, 6, 7, 8))
-        with pytest.raises(ExplorationBudgetExceeded):
-            legacy(factory, lambda sim, ctx: None, max_executions=5)
-
 
 class TestParallelFrontiers:
     def test_parallel_matches_serial(self):

@@ -301,8 +301,10 @@ def test_stress_duration_mode_skips_validation_by_default():
 
 
 def test_stress_zero_completed_ops_still_renders():
-    """A run where nothing completes must report, not crash."""
-    report = run_stress("register", threads=2, ops=0)
+    """A run where nothing completes must report, not crash.  (An op
+    budget below 1 is rejected up front, so a zero-second duration is
+    the run that completes nothing.)"""
+    report = run_stress("register", threads=2, ops=None, duration=0.0)
     assert report.ops_completed == 0
     assert "0" in report.render()  # renders without KeyError
     assert report.to_payload()["ops_per_sec"] == 0.0
@@ -318,6 +320,9 @@ def test_stress_snapshot_role_counts_match_spawned_threads():
 def test_stress_requires_some_budget():
     with pytest.raises(ValueError):
         run_stress("register", threads=4, ops=None, duration=None)
+    for ops in (0, -5):
+        with pytest.raises(ValueError, match="at least one op"):
+            run_stress("register", threads=2, ops=ops)
     with pytest.raises(ValueError):
         run_stress("flux-capacitor", threads=4)
 

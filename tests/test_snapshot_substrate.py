@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import check_history
-from repro.analysis.linearizability import PENDING, SeqSpec
+from repro.analysis import PENDING, SeqSpec, check_history
 from repro.analysis.specs import tag_ops_with_pid
 from repro.sim.process import Op
 from repro.sim.runner import Simulation
