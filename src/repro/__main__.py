@@ -22,8 +22,9 @@ one resumable invocation (see DESIGN.md section 12)::
     python -m repro campaign run spec.toml --workers 4 --out nightly
     python -m repro campaign example > spec.toml   # a worked template
 
-Each legacy subcommand accepts ``--print-spec`` to emit its campaign
-equivalent instead of running.
+``sweep``, ``check``, ``fuzz`` and ``stress`` each run one campaign
+section built from their flags; ``--print-spec`` prints that section's
+spec instead of running it.
 
 Sweep example -- 64 derived seeds per grid point, fanned out over 4
 worker processes, streamed to a resumable JSONL checkpoint::
@@ -120,13 +121,12 @@ def _overview() -> int:
     return 0
 
 
-#: Help-epilog pointer added to every subcommand that has a campaign
-#: equivalent (the deprecation path for hand-rolled CLI matrices).
+#: Help epilog of every subcommand that runs one campaign section.
 _CAMPAIGN_EPILOG = (
-    "This subcommand has a declarative equivalent: 'python -m repro "
-    "campaign run SPEC' runs the same work as one section of a "
-    "multi-section campaign spec (crossed axes, per-section resumable "
-    "checkpoints).  --print-spec emits this invocation's spec instead "
+    "This command runs one section of a campaign spec: 'python -m repro "
+    "campaign run SPEC' runs the same section as part of a "
+    "multi-section campaign (crossed axes, per-section resumable "
+    "checkpoints).  --print-spec prints this invocation's spec instead "
     "of running it."
 )
 
@@ -134,34 +134,46 @@ _CAMPAIGN_EPILOG = (
 def _add_print_spec(parser) -> None:
     parser.add_argument(
         "--print-spec", action="store_true",
-        help="print the equivalent campaign spec (TOML) and exit "
-        "instead of running (see python -m repro campaign)",
+        help="print the campaign spec (TOML) this invocation runs and "
+        "exit (see python -m repro campaign)",
     )
 
 
-def _maybe_print_spec(kind: str, args) -> bool:
-    """Handle ``--print-spec``: emit the synthesized campaign spec."""
-    if not getattr(args, "print_spec", False):
-        return False
-    from repro.campaign import dumps_spec, spec_from_cli
+def _section_spec(command, args, build, unexpressed=()):
+    """Build (``build(spec)``) and validate a subcommand's one-section
+    spec.  Returns ``(spec, None)`` to run it, else ``(None, exit
+    code)``: an invalid spec, or ``--print-spec`` handled -- refused
+    when ``unexpressed`` names set flags no spec can express."""
+    from repro.campaign import CampaignSpec, SpecError, compile_section
+    from repro.campaign import dumps_spec
 
-    sys.stdout.write(dumps_spec(spec_from_cli(kind, args)))
-    return True
+    spec = CampaignSpec(name=f"cli-{command}")
+    try:
+        build(spec)
+        compile_section(spec.sections[0], spec.root_seed)
+    except SpecError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None, 2
+    if not args.print_spec:
+        return spec, None
+    if unexpressed:
+        print(
+            f"{command}: --print-spec cannot express "
+            f"{', '.join(unexpressed)} (campaign points are bounded "
+            "and deterministic)",
+            file=sys.stderr,
+        )
+        return None, 2
+    sys.stdout.write(dumps_spec(spec))
+    return None, 0
 
 
 def _sweep(argv) -> int:
-    """The ``sweep`` subcommand: seeded executions through the engine."""
+    """The ``sweep`` subcommand: one ``sweep`` campaign section."""
     import argparse
 
-    from repro.campaign import EngineOptions, OutputOptions
-    from repro.engine import (
-        aggregate_counts,
-        all_clean,
-        make_tasks,
-        register_sweep_task,
-        run_tasks,
-        snapshot_sweep_task,
-    )
+    from repro.campaign import EngineOptions, OutputOptions, run_section
+    from repro.engine.aggregate import EXIT_CODES, aggregate_counts
     from repro.harness.tables import render_table
     from repro.workloads.sweeps import Sweep
 
@@ -209,48 +221,47 @@ def _sweep(argv) -> int:
 
     if args.smoke:
         args.seeds, args.readers, args.writers, args.workers = 2, [1], [1], 1
-    if _maybe_print_spec("sweep", args):
-        return 0
-    workers = EngineOptions.from_args(args).resolved
-    output = OutputOptions.from_args(args)
 
-    if args.object == "register":
-        grid = Sweep({"num_readers": args.readers,
-                      "num_writers": args.writers})
-        task_fn = register_sweep_task
-        check_fields = ("lin_fail", "audit_fail", "structural_fail")
-    else:
-        grid = Sweep({"substrate": ["afek", "atomic"]})
-        task_fn = snapshot_sweep_task
-        check_fields = ("lin_fail", "audit_fail")
-
-    try:
-        tasks = make_tasks(
-            grid.points(), seeds_per_point=args.seeds,
-            root_seed=args.root_seed,
+    def build(spec):
+        spec.root_seed = args.root_seed
+        sec = spec.section(
+            "sweep", "sweep", seeds=args.seeds, object=args.object,
         )
-    except ValueError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+        if args.object == "register":
+            sec.axis("num_readers", *args.readers)
+            sec.axis("num_writers", *args.writers)
+        else:
+            sec.axis("substrate", "afek", "atomic")
+
+    spec, code = _section_spec("sweep", args, build)
+    if code is not None:
+        return code
+    section = spec.sections[0]
+    output = OutputOptions.from_args(args)
 
     def progress(done, total, record):
         if done % 25 == 0 or done == total:
             print(f"sweep [{done}/{total}]", file=sys.stderr, flush=True)
 
-    report = run_tasks(
-        task_fn,
-        tasks,
-        workers=workers,
+    outcome = run_section(
+        section,
+        spec.root_seed,
+        workers=args.workers,
         checkpoint=output.out,
         resume=output.resume,
         progress=progress,
     )
 
-    def point_label(record):
-        return grid.point_name(record["params"])
+    grid = Sweep({axis.name: axis.values for axis in section.axes})
 
+    def point_label(record):
+        return grid.point_name(record["params"]["point"])
+
+    check_fields = ("lin_fail", "audit_fail")
+    if args.object == "register":
+        check_fields += ("structural_fail",)
     rows = []
-    for group in aggregate_counts(report.records, key=point_label):
+    for group in aggregate_counts(outcome.records, key=point_label):
         row = {"point": group["group"], "executions": group["executions"]}
         for name in check_fields:
             row[name.replace("_", " ")] = group.get(name, 0)
@@ -258,30 +269,36 @@ def _sweep(argv) -> int:
         rows.append(row)
     print(render_table(rows))
     print()
-    clean = all_clean(report.records, check_fields)
-    mark = "PASS" if clean else "FAIL"
+    verdict = outcome.verdict
     print(
-        f"  [{mark}] {report.total} executions "
-        f"({report.executed} run, {report.skipped} resumed) in "
-        f"{report.elapsed:.2f}s with {report.workers} worker(s); "
+        f"  [{verdict}] {len(outcome.records)} executions "
+        f"({outcome.executed} run, {outcome.skipped} resumed) in "
+        f"{outcome.elapsed:.2f}s with {outcome.workers} worker(s); "
         "no linearizability or audit-exactness violations"
-        if clean
-        else f"  [{mark}] violations found -- inspect the JSONL records"
+        if verdict == "PASS"
+        else f"  [{verdict}] violations found -- inspect the JSONL records"
     )
-    if report.checkpoint:
-        print(f"  records: {report.checkpoint}")
-    return 0 if clean else 1
+    if outcome.checkpoint:
+        print(f"  records: {outcome.checkpoint}")
+    return EXIT_CODES[verdict]
 
 
 def _check(argv) -> int:
-    """The ``check`` subcommand: model checking through ``repro.mc``."""
+    """The ``check`` subcommand: one ``check`` campaign section, its
+    points optionally fanned out by subtree (``repro.mc.parallel``)."""
     import argparse
+    import functools
 
-    from repro.campaign import EngineOptions, OutputOptions
+    from repro.campaign import (
+        EngineOptions,
+        OutputOptions,
+        executor_for,
+        run_section,
+    )
+    from repro.engine.aggregate import EXIT_CODES, fold_verdicts
     from repro.harness.tables import render_table
-    from repro.mc import ExplorationBudgetExceeded, explore
     from repro.mc.parallel import explore_parallel
-    from repro.mc.scenarios import E13_SUITE, get_scenario, scenario_names
+    from repro.mc.scenarios import E13_SUITE, scenario_names
 
     parser = argparse.ArgumentParser(
         prog="python -m repro check",
@@ -361,131 +378,99 @@ def _check(argv) -> int:
             file=sys.stderr,
         )
         return 2
-    names = args.scenario or [key for _, key in E13_SUITE]
-    unknown = [name for name in names if name not in scenario_names()]
-    if unknown:
-        print(
-            f"unknown scenario(s): {', '.join(unknown)} "
-            "(see python -m repro check --list)",
-            file=sys.stderr,
-        )
-        return 2
     if args.smoke:
-        names = ["alg1-w1-r1"]
-        args.workers, args.out, args.compare = 1, None, False
-        args.baseline = False
-    args.scenario = names
-    if _maybe_print_spec("check", args):
-        return 0
-    output = OutputOptions.from_args(args)
-    reduce = not args.baseline
-    fingerprints = reduce and not args.no_fingerprints
-    use_engine = args.workers != 1 or output.out is not None
+        args.scenario = ["alg1-w1-r1"]
+        args.workers, args.out, args.baseline = 1, None, False
+    names = args.scenario or [key for _, key in E13_SUITE]
 
-    rows = []
-    failed = partial = False
-    for name in names:
-        budget_note = None
-        baseline_report = None
-        baseline_partial = False
+    def build(spec):
+        sec = spec.section(
+            "check", "check",
+            max_executions=args.max_executions, max_depth=args.max_depth,
+        )
+        if args.no_fingerprints:
+            sec.param(fingerprints=False)
+        sec.axis("scenario", *names)
         if args.compare:
-            # The baseline leg gets its own budget handling so that a
-            # too-large raw enumeration still leaves the (much
-            # smaller) reduced verification to run and be reported.
-            factory, check = get_scenario(name)()
-            try:
-                baseline_report = explore(
-                    factory, check,
-                    max_executions=args.max_executions,
-                    max_depth=args.max_depth,
-                    reduce=False, fingerprints=False,
-                )
-            except ExplorationBudgetExceeded as exc:
-                baseline_report = exc.report
-                baseline_partial = True
-                partial = True
-                print(
-                    f"  budget [{name}, baseline]: {exc}; raw "
-                    f"enumeration is partial at "
-                    f"{baseline_report.executions} executions",
-                    file=sys.stderr,
-                )
-        try:
-            if use_engine:
-                out = None
-                if output.out:
-                    suffix = f".{name}" if len(names) > 1 else ""
-                    out = output.out + suffix
-                report = explore_parallel(
-                    name,
-                    workers=args.workers or None,
-                    frontier_depth=args.frontier_depth,
-                    max_executions=args.max_executions,
-                    max_depth=args.max_depth,
-                    reduce=reduce, fingerprints=fingerprints,
-                    checkpoint=out, resume=output.resume,
-                )
-            else:
-                factory, check = get_scenario(name)()
-                report = explore(
-                    factory, check,
-                    max_executions=args.max_executions,
-                    max_depth=args.max_depth,
-                    reduce=reduce, fingerprints=fingerprints,
-                )
-        except ExplorationBudgetExceeded as exc:
-            report = exc.report
-            budget_note = str(exc)
-            partial = True
+            sec.axis("reduce", False, True)
+        else:
+            sec.param(reduce=not args.baseline)
+
+    spec, code = _section_spec("check", args, build)
+    if code is not None:
+        return code
+    section = spec.sections[0]
+    output = OutputOptions.from_args(args)
+
+    def leg(point):
+        baseline = args.compare and not point["reduce"]
+        return point["scenario"] + (", baseline" if baseline else "")
+
+    if args.workers == 1 and output.out is None:
+        results = [
+            (record["params"]["point"], record["payload"])
+            for record in run_section(section, workers=1).records
+        ]
+    else:
+        # Subtree fan-out, each point with its own resumable checkpoint,
+        # judged by the same rule as a campaign check point.
+        results = []
+        for point in [p.params for p in section.points()]:
+            checkpoint = output.out
+            if checkpoint and len(names) > 1:
+                checkpoint += f".{point['scenario']}"
+            if checkpoint and args.compare and not point["reduce"]:
+                checkpoint += ".baseline"
+            fan_out = functools.partial(
+                explore_parallel, point["scenario"],
+                workers=args.workers or None,
+                frontier_depth=args.frontier_depth,
+                checkpoint=checkpoint, resume=output.resume,
+            )
+            results.append((
+                point, executor_for("check").explore_point(point, fan_out),
+            ))
+
+    legs: dict = {}
+    for point, payload in results:
+        legs.setdefault(point["scenario"], []).append(payload)
+        for violation in payload["violations"]:
+            print(f"  violation [{leg(point)}]: {violation}", file=sys.stderr)
+        if payload["budget"]:
+            print(f"  budget [{leg(point)}]: {payload['budget']}; partial "
+                  f"report covers {payload['executions']} executions",
+                  file=sys.stderr)
+    rows, verdicts = [], []
+    for name, payloads in legs.items():
+        reduced = payloads[-1]
         row = {
             "scenario": name,
-            "explored": report.executions,
-            "states": report.distinct_states,
-            "violations": len(report.violations),
+            "explored": reduced["executions"],
+            "states": reduced["distinct_states"],
+            "violations": reduced["violation_count"],
         }
+        verdict = fold_verdicts(payload["verdict"] for payload in payloads)
         if args.compare:
-            # Keys must exist on every row (the table derives its
-            # columns from the first one), including PARTIAL rows.
-            complete = baseline_report is not None and not baseline_partial
-            row["baseline"] = (
-                f"{baseline_report.executions}"
-                + ("+" if baseline_partial else "")
-                if baseline_report is not None else "-"
-            )
+            raw = payloads[0]
+            complete = raw["budget"] is None
+            row["baseline"] = f"{raw['executions']}{'' if complete else '+'}"
             row["reduction"] = (
-                f"{baseline_report.executions / report.executions:.1f}x"
-                if complete and report.executions else "-"
+                f"{raw['executions'] / reduced['executions']:.1f}x"
+                if complete and reduced["executions"] else "-"
             )
-            if complete and baseline_report.verdicts != report.verdicts:
-                failed = True
-                row["verdict"] = "MISMATCH"
-        if "verdict" not in row:
-            # A proven violation outranks an exhausted budget: partial
-            # coverage that already found a bug is a FAIL, not merely
-            # inconclusive.
-            row["verdict"] = (
-                "FAIL" if report.violations
-                else ("PARTIAL" if budget_note or baseline_partial
-                      else "PASS")
-            )
+            if complete and raw["verdicts"] != reduced["verdicts"]:
+                verdict = "MISMATCH"
+        row["verdict"] = verdict
         rows.append(row)
-        if report.violations:
-            failed = True
-            for violation in report.violations[:5]:
-                print(f"  violation [{name}]: {violation}", file=sys.stderr)
-        if budget_note:
-            print(f"  budget [{name}]: {budget_note}; partial report "
-                  f"covers {report.executions} executions",
-                  file=sys.stderr)
+        verdicts.append("FAIL" if verdict == "MISMATCH" else verdict)
     print(render_table(rows))
-    if failed:
-        return 1
-    return 2 if partial else 0
+    return EXIT_CODES[fold_verdicts(verdicts)]
 
 
 def _fuzz(argv) -> int:
-    """The ``fuzz`` subcommand: randomized schedule search
-    (``repro.fuzz``) with replay and counterexample shrinking."""
+    """The ``fuzz`` subcommand: one ``fuzz`` campaign section run as a
+    single multi-target campaign (``repro.fuzz``), with replay and
+    counterexample shrinking."""
     import argparse
 
     from repro.campaign import EngineOptions, OutputOptions
@@ -673,87 +658,57 @@ def _fuzz(argv) -> int:
         args.schedules, args.batch, args.workers = 64, 16, 1
         args.sampler, args.seed = "uniform", 0
     names = args.target or [key for _, key in E13_SUITE]
-    unknown = [name for name in names if name not in target_names()]
-    if unknown:
-        print(
-            f"unknown fuzz target(s): {', '.join(unknown)} "
-            "(see python -m repro fuzz --list)",
-            file=sys.stderr,
-        )
-        return 2
-
-    if _maybe_print_spec("fuzz", args):
-        return 0
-    output = OutputOptions.from_args(args)
     sampler_params = {}
     if args.sampler == "pct":
         sampler_params["depth"] = args.pct_depth
     if args.sampler == "fault":
         sampler_params["max_rate_per_10k"] = args.fault_max_rate
-    workers = EngineOptions.from_args(args).resolved
+
+    def build(spec):
+        sec = spec.section(
+            "fuzz", "fuzz", seeds=[args.seed],
+            sampler=args.sampler,
+            schedules=args.schedules,
+            batch=args.batch,
+            shrink=not args.no_shrink,
+        )
+        if args.max_steps != DEFAULT_MAX_STEPS:
+            sec.param(max_steps=args.max_steps)
+        if sampler_params:
+            sec.param(sampler_params=sampler_params)
+        if args.keep_going:
+            sec.param(stop_on_violation=False)
+        sec.axis("target", *names)
+
+    spec, code = _section_spec(
+        "fuzz", args, build,
+        unexpressed=["--time-budget"] if args.time_budget is not None
+        else [],
+    )
+    if code is not None:
+        return code
+    section = spec.sections[0]
+    output = OutputOptions.from_args(args)
 
     def progress(done, total, record):
         if done % 4 == 0 or done == total:
             print(f"fuzz [{done}/{total} batches]",
                   file=sys.stderr, flush=True)
 
-    try:
-        report = run_campaign(
-            names,
-            schedules=args.schedules,
-            batch=args.batch,
-            sampler=args.sampler,
-            sampler_params=sampler_params,
-            root_seed=args.seed,
-            max_steps=args.max_steps,
-            shrink=not args.no_shrink,
-            workers=workers,
-            checkpoint=output.out,
-            resume=output.resume,
-            time_budget=args.time_budget,
-            stop_on_violation=not args.keep_going,
-            progress=progress,
-        )
-    except ValueError as exc:
-        # Bad knob values (--schedules 0, --pct-depth 0, ...) are
-        # usage errors (exit 2), never a "violation found" exit 1.
-        print(f"fuzz: {exc}", file=sys.stderr)
-        return 2
-
-    expected_batches = -(-args.schedules // args.batch)  # per target
-    by_target: dict = {}
-    batches_seen: dict = {}
-    for record in report.records:
-        payload = record["payload"]
-        row = by_target.setdefault(payload["target"], {
-            "target": payload["target"],
-            "sampler": payload["sampler"],
-            "schedules": 0,
-            "steps": 0,
-            "violations": 0,
-            "verdict": "PASS",
-        })
-        batches_seen[payload["target"]] = (
-            batches_seen.get(payload["target"], 0) + 1
-        )
-        row["schedules"] += payload["schedules"]
-        row["steps"] += payload["steps"]
-        row["violations"] += payload["violations"]
-        if payload["violations"]:
-            row["verdict"] = "FAIL"
-        elif payload["incomplete"] and row["verdict"] == "PASS":
-            # Runs that hit the step budget were never judged.
-            row["verdict"] = "PARTIAL"
-    rows = list(by_target.values())
-    if report.partial or report.stopped_early:
-        # Only targets whose batches were actually cut short (by the
-        # time budget or by stopping at another target's violation)
-        # are PARTIAL; a target that finished keeps its complete
-        # verdict.
-        for row in rows:
-            incomplete = batches_seen[row["target"]] < expected_batches
-            if row["verdict"] == "PASS" and incomplete:
-                row["verdict"] = "PARTIAL"
+    # One campaign over every target: it owns batch fan-out, the time
+    # budget and the stop at the first violation across targets.  The
+    # section's params are run_campaign settings (as in FuzzExecutor).
+    report = run_campaign(
+        names,
+        root_seed=section.seeds[0],
+        workers=EngineOptions.from_args(args).resolved,
+        checkpoint=output.out,
+        resume=output.resume,
+        time_budget=args.time_budget,
+        progress=progress,
+        **section.params,
+    )
+    rows = report.target_rows()
     if rows:
         print(render_table(rows))
         print()
@@ -778,9 +733,8 @@ def _fuzz(argv) -> int:
                 handle.write(dumps_trace(trace_from_payload(shrunk)))
                 handle.write("\n")
             print(f"  counterexample trace: {args.save_trace}")
-    mark = {0: "PASS", 1: "FAIL", 2: "PARTIAL"}[report.exit_code]
     print(
-        f"  [{mark}] {report.schedules} schedules "
+        f"  [{report.verdict}] {report.schedules} schedules "
         f"({report.steps} decisions, {report.incomplete} hit the step "
         f"budget) across {len(report.records)} batches in "
         f"{report.elapsed:.2f}s with {report.workers} worker(s); "
@@ -795,10 +749,13 @@ def _fuzz(argv) -> int:
 
 
 def _stress(argv) -> int:
-    """The ``stress`` subcommand: real threads through ``repro.rt``."""
+    """The ``stress`` subcommand: one ``stress`` campaign point on real
+    threads or processes (``repro.rt``), with throughput, latency and
+    the streaming options only the standalone run has."""
     import argparse
 
-    from repro.campaign import OutputOptions
+    from repro.campaign import OutputOptions, executor_for
+    from repro.engine.aggregate import EXIT_CODES
     from repro.rt import STRESS_OBJECTS, STRESS_RUNTIMES, run_stress
     from repro.rt.stress import supported_fault_families
 
@@ -914,28 +871,54 @@ def _stress(argv) -> int:
 
     if args.smoke:
         args.object, args.threads, args.ops = "register", 4, 8
-        args.duration, args.seed, args.validate = None, 0, True
+        args.duration, args.seed = None, 0
         args.readers = args.writers = args.auditors = None
     if args.ops is None and args.duration is None:
         args.ops = 25
-    if _maybe_print_spec("stress", args):
-        return 0
+
+    def build(spec):
+        sec = spec.section(
+            "stress", "stress", seeds=[args.seed],
+            object=args.object, runtime=args.runtime,
+        )
+        if args.ops is not None:
+            sec.param(ops=args.ops)
+        if (args.readers is not None or args.writers is not None
+                or args.auditors is not None):
+            sec.param(
+                readers=args.readers or 0,
+                writers=args.writers or 0,
+                auditors=args.auditors or 0,
+            )
+        else:
+            sec.param(threads=args.threads)
+        if args.faults:
+            sec.param(faults=args.faults, fault_rate=args.fault_rate)
+        if args.validate is False:
+            sec.param(validate=False)
+
+    spec, code = _section_spec(
+        "stress", args, build,
+        unexpressed=[
+            flag for flag, given in (
+                ("--duration", args.duration is not None),
+                ("--online", args.online),
+                ("--event-log", args.event_log is not None),
+                ("--stream-window", args.stream_window is not None),
+            )
+            if given
+        ],
+    )
+    if code is not None:
+        return code
+    section = spec.sections[0]
     output = OutputOptions.from_args(args)
 
     try:
         report = run_stress(
-            args.object,
-            threads=args.threads,
-            readers=args.readers,
-            writers=args.writers,
-            auditors=args.auditors,
-            ops=args.ops,
+            **{"ops": None, "validate": args.validate, **section.params},
+            seed=section.seeds[0],
             duration=args.duration,
-            seed=args.seed,
-            validate=args.validate,
-            runtime=args.runtime,
-            faults=args.faults,
-            fault_rate=args.fault_rate,
             online=args.online,
             event_log=args.event_log,
             stream_window=args.stream_window,
@@ -956,15 +939,7 @@ def _stress(argv) -> int:
         with open(output.out, "a", encoding="utf-8") as handle:
             handle.write(encode_record(report.to_payload()) + "\n")
         print(f"  record appended: {output.out}")
-    if not report.ok:
-        return 1
-    from repro.analysis.fastlin import LIN_UNDECIDED
-
-    if report.validated and report.lin_status == LIN_UNDECIDED:
-        # The node budget expired before a verdict: inconclusive, the
-        # same PARTIAL exit every other subcommand uses — not success.
-        return 2
-    return 0
+    return EXIT_CODES[executor_for("stress").judge(report)]
 
 
 def _serve(argv) -> int:

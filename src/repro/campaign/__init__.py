@@ -17,14 +17,14 @@ rerun skips the finished check section entirely and resumes the fuzz
 section mid-file, producing byte-identical records to an uninterrupted
 run.
 
-The same spec value is constructible from the Python builder API, from
-a TOML/JSON file (:func:`load_spec`), or synthesized from legacy CLI
-flags (:func:`spec_from_cli` -- the ``--print-spec`` shim on the old
-subcommands).  Execution dispatches through the :class:`Executor`
-protocol (:mod:`repro.campaign.executors`): each executor wraps the
-same entry point its legacy subcommand calls, so per-point verdicts
-match standalone ``repro check`` / ``fuzz`` / ``stress`` invocations
-exactly.  DESIGN.md section 12 carries the full model.
+The same spec value is constructible from the Python builder API or
+from a TOML/JSON file (:func:`load_spec`).  The ``sweep``, ``check``,
+``fuzz`` and ``stress`` subcommands each build a one-section spec from
+their flags, validate it with :func:`compile_section`, and judge their
+results with the same executor rules; ``--print-spec`` prints that
+spec.  Execution dispatches through the :class:`Executor` protocol
+(:mod:`repro.campaign.executors`).  DESIGN.md section 12 carries the
+full model.
 """
 
 from repro.campaign.compile import compile_section, compile_spec
@@ -40,6 +40,7 @@ from repro.campaign.report import axis_slices, render_outcome
 from repro.campaign.run import (
     CampaignOutcome,
     SectionOutcome,
+    run_section,
     run_spec,
     section_checkpoint,
 )
@@ -52,7 +53,6 @@ from repro.campaign.spec import (
     dumps_spec,
     load_spec,
     loads_spec,
-    spec_from_cli,
 )
 
 __all__ = [
@@ -77,7 +77,7 @@ __all__ = [
     "loads_spec",
     "register_executor",
     "render_outcome",
+    "run_section",
     "run_spec",
     "section_checkpoint",
-    "spec_from_cli",
 ]

@@ -3,12 +3,12 @@
 An :class:`Executor` turns one :class:`~repro.campaign.spec.CampaignPoint`
 into a canonical JSON payload carrying a ``verdict`` -- ``"PASS"``,
 ``"FAIL"`` or ``"PARTIAL"`` -- plus deterministic evidence counters.
-This is the dispatch seam the per-subcommand CLI glue used to hand-roll
-six times over: each executor wraps the *same* underlying entry point
-its subcommand calls (``explore`` for ``check``, ``run_campaign`` for
-``fuzz``, ``run_stress`` for ``stress``, the sweep task functions for
-``sweep``, ``lin_check_task`` for ``lin``), so a campaign point's
-verdict matches the equivalent standalone invocation exactly.
+Each executor wraps one subsystem entry point (``explore`` for
+``check``, ``run_campaign`` for ``fuzz``, ``run_stress`` for
+``stress``, the sweep task functions for ``sweep``,
+``lin_check_task`` for ``lin``) and owns that kind's validation and
+verdict rule; the ``sweep``, ``check``, ``fuzz`` and ``stress``
+subcommands validate and judge with the same rules.
 
 Determinism: payloads must be pure functions of ``(seed, params)`` so
 the engine's byte-identical JSONL contract holds for campaign
@@ -101,6 +101,13 @@ def _unknown(params: Dict[str, Any], allowed, kind: str) -> None:
         )
 
 
+def _check_count(kind: str, key: str, value: Any, floor: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        raise SpecError(
+            f"{kind!r} point {key} must be an int >= {floor} (got {value!r})"
+        )
+
+
 class CheckExecutor(Executor):
     """Model checking: one point = one scenario explored to its budgets.
 
@@ -126,20 +133,28 @@ class CheckExecutor(Executor):
             )
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.mc import ExplorationBudgetExceeded, explore
+        from repro.mc import explore
         from repro.mc.scenarios import get_scenario
 
         factory, check = get_scenario(params["scenario"])()
+        return self.explore_point(
+            params, lambda **settings: explore(factory, check, **settings)
+        )
+
+    @staticmethod
+    def explore_point(params: Dict[str, Any], explore_fn) -> Dict[str, Any]:
+        """Explore one point with ``explore_fn(**settings)`` (``explore``,
+        or ``repro check``'s subtree fan-out) and judge the report."""
+        from repro.mc import ExplorationBudgetExceeded
+
+        reduce = params.get("reduce", True)
         budget_note = None
         try:
-            report = explore(
-                factory, check,
+            report = explore_fn(
                 max_executions=params.get("max_executions", 300_000),
                 max_depth=params.get("max_depth", 200),
-                reduce=params.get("reduce", True),
-                fingerprints=params.get(
-                    "fingerprints", params.get("reduce", True)
-                ),
+                reduce=reduce,
+                fingerprints=params.get("fingerprints", reduce),
             )
         except ExplorationBudgetExceeded as exc:
             report = exc.report
@@ -156,6 +171,8 @@ class CheckExecutor(Executor):
             "executions": report.executions,
             "distinct_states": report.distinct_states,
             "violations": [str(v) for v in report.violations[:5]],
+            "violation_count": len(report.violation_details),
+            "verdicts": sorted(report.verdicts),
             "budget": budget_note,
         }
 
@@ -187,32 +204,25 @@ class FuzzExecutor(Executor):
         sampler = params.get("sampler", "uniform")
         if sampler not in sampler_names():
             raise SpecError(f"unknown sampler {sampler!r}")
+        for key in ("schedules", "batch"):
+            _check_count(self.kind, key, params.get(key, 1), 1)
+        from repro.fuzz.samplers import sampler_from_name
+
+        try:
+            sampler_from_name(sampler, **(params.get("sampler_params") or {}))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad {sampler!r} sampler params: {exc}") from None
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.fuzz.campaign import run_campaign
-        from repro.fuzz.executor import DEFAULT_MAX_STEPS
 
+        # Every param but the target is a run_campaign setting.
+        settings = {k: v for k, v in params.items() if k != "target"}
         report = run_campaign(
-            [params["target"]],
-            schedules=params.get("schedules", 256),
-            batch=params.get("batch", 32),
-            sampler=params.get("sampler", "uniform"),
-            sampler_params=params.get("sampler_params"),
-            root_seed=seed,
-            max_steps=params.get("max_steps", DEFAULT_MAX_STEPS),
-            shrink=params.get("shrink", True),
-            shrink_checks=params.get("shrink_checks", 2000),
-            workers=1,
-            stop_on_violation=params.get("stop_on_violation", True),
-        )
-        # A run that hit the step budget was never judged: without a
-        # violation elsewhere, the point is not verified clean.
-        verdict = (
-            FAIL if report.violations
-            else (PARTIAL if report.incomplete else PASS)
+            [params["target"]], root_seed=seed, workers=1, **settings
         )
         return {
-            "verdict": verdict,
+            "verdict": report.verdict,
             "target": params["target"],
             "sampler": params.get("sampler", "uniform"),
             "schedules": report.schedules,
@@ -256,47 +266,48 @@ class StressExecutor(Executor):
         ops = params.get("ops", 16)
         if not isinstance(ops, int) or ops < 1:
             raise SpecError(
-                "campaign stress points need a bounded per-worker op "
-                "budget (ops >= 1); duration runs are not deterministic"
+                "stress points need a bounded per-worker op budget "
+                "(ops >= 1); duration runs are not deterministic"
             )
-        faults = params.get("faults")
-        if faults:
-            from repro.rt.stress import check_fault_families
+        from repro.rt.stress import check_fault_families, stress_roles
 
-            try:
-                check_fault_families(runtime, faults)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from None
+        try:
+            stress_roles(
+                params["object"], params.get("threads", 4),
+                params.get("readers"), params.get("writers"),
+                params.get("auditors"),
+            )
+            if params.get("faults"):
+                check_fault_families(runtime, params["faults"])
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+
+    @staticmethod
+    def judge(report) -> str:
+        """A stress report's verdict: FAIL on a validation failure,
+        PARTIAL when the linearizability search ran out of nodes
+        undecided, else PASS."""
+        from repro.analysis.fastlin import LIN_UNDECIDED
+
+        if not report.ok:
+            return FAIL
+        if report.validated and report.lin_status == LIN_UNDECIDED:
+            return PARTIAL
+        return PASS
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.analysis.fastlin import LIN_UNDECIDED
         from repro.rt import run_stress
 
-        faults = params.get("faults") or None
+        # Every param is a run_stress argument; only the roster and
+        # op budget defaults are the campaign's own.
         report = run_stress(
-            params["object"],
-            threads=params.get("threads", 4),
-            readers=params.get("readers"),
-            writers=params.get("writers"),
-            auditors=params.get("auditors"),
-            ops=params.get("ops", 16),
+            **{"threads": 4, "ops": 16, **params,
+               "faults": params.get("faults") or None},
             seed=seed,
-            validate=params.get("validate", True),
-            max_substrate=params.get("max_substrate", "atomic"),
-            snapshot_substrate=params.get("snapshot_substrate", "afek"),
-            runtime=params.get("runtime", "thread"),
-            faults=faults,
-            fault_rate=params.get("fault_rate", 100),
             record_latency=False,
         )
-        if not report.ok:
-            verdict = FAIL
-        elif report.validated and report.lin_status == LIN_UNDECIDED:
-            verdict = PARTIAL
-        else:
-            verdict = PASS
         return {
-            "verdict": verdict,
+            "verdict": self.judge(report),
             "object": report.object,
             "runtime": report.runtime,
             "readers": report.readers,
@@ -326,6 +337,8 @@ class SweepExecutor(Executor):
         "components", "num_scanners", "updates_per_component",
         "scans_per_scanner", "substrate",
     )
+    #: Counts the objects cannot be built with zero of.
+    _AT_LEAST_ONE = ("num_readers", "components", "num_scanners")
 
     def validate_point(self, params: Dict[str, Any]) -> None:
         _require(params, "object", self.kind)
@@ -340,6 +353,10 @@ class SweepExecutor(Executor):
                 "(choose register or snapshot)"
             )
         _unknown(params, allowed, self.kind)
+        for key, value in params.items():
+            if key not in ("object", "substrate"):
+                floor = 1 if key in self._AT_LEAST_ONE else 0
+                _check_count(self.kind, key, value, floor)
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.engine.tasks import (

@@ -71,13 +71,11 @@ def render_outcome(outcome: CampaignOutcome) -> str:
         parts.append("")
         parts.append(render_table(slices))
     counts = outcome.counts
-    mark = ("FAIL" if counts["FAIL"]
-            else ("PARTIAL" if counts["PARTIAL"] else "PASS"))
     parts.append("")
     parts.append(
-        f"  [{mark}] campaign {outcome.spec.name!r}: {outcome.points} "
-        f"points across {len(outcome.sections)} section(s) in "
-        f"{outcome.elapsed:.2f}s -- {counts['PASS']} pass, "
+        f"  [{outcome.verdict}] campaign {outcome.spec.name!r}: "
+        f"{outcome.points} points across {len(outcome.sections)} "
+        f"section(s) in {outcome.elapsed:.2f}s -- {counts['PASS']} pass, "
         f"{counts['FAIL']} fail, {counts['PARTIAL']} partial"
     )
     return "\n".join(parts)

@@ -25,7 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.compile import compile_section
 from repro.campaign.executors import campaign_point_task, executor_for
-from repro.campaign.spec import CampaignSpec, SpecError
+from repro.campaign.spec import CampaignSpec, Section, SpecError
+from repro.engine.aggregate import EXIT_CODES, fold_verdicts
 
 VERDICTS = ("PASS", "FAIL", "PARTIAL")
 
@@ -52,10 +53,9 @@ class SectionOutcome:
 
     @property
     def verdict(self) -> str:
-        counts = self.counts
-        if counts["FAIL"]:
-            return "FAIL"
-        return "PARTIAL" if counts["PARTIAL"] else "PASS"
+        return fold_verdicts(
+            record["payload"]["verdict"] for record in self.records
+        )
 
 
 @dataclass
@@ -79,12 +79,13 @@ class CampaignOutcome:
         return sum(len(section.records) for section in self.sections)
 
     @property
+    def verdict(self) -> str:
+        return fold_verdicts(section.verdict for section in self.sections)
+
+    @property
     def exit_code(self) -> int:
         """The CLI contract: 0 clean, 1 violation, 2 PARTIAL."""
-        counts = self.counts
-        if counts["FAIL"]:
-            return 1
-        return 2 if counts["PARTIAL"] else 0
+        return EXIT_CODES[self.verdict]
 
 
 def section_checkpoint(out: Optional[str], section: str) -> Optional[str]:
@@ -108,8 +109,6 @@ def run_spec(
     sections, in spec order.  ``progress`` (if given) is called as
     ``progress(section_name, done, total)`` per completed point.
     """
-    from repro.engine.engine import run_tasks
-
     if only:
         known = {section.name for section in spec.sections}
         missing = [name for name in only if name not in known]
@@ -122,40 +121,59 @@ def run_spec(
         section for section in spec.sections
         if not only or section.name in only
     ]
-    requested = spec.workers if workers is None else workers
     start = time.perf_counter()
     outcome = CampaignOutcome(spec=spec)
     for section in sections:
-        tasks = compile_section(section, spec.root_seed)
-        executor = executor_for(section.kind)
-        section_workers = 1 if executor.serial_only else (
-            requested or _cpu_count()
-        )
 
         def section_progress(done, total, record, _name=section.name):
             if progress is not None:
                 progress(_name, done, total)
 
-        report = run_tasks(
-            campaign_point_task,
-            tasks,
-            workers=section_workers,
+        outcome.sections.append(run_section(
+            section,
+            spec.root_seed,
+            workers=spec.workers if workers is None else workers,
             checkpoint=section_checkpoint(out, section.name),
             resume=resume,
             progress=section_progress,
-        )
-        outcome.sections.append(SectionOutcome(
-            name=section.name,
-            kind=section.kind,
-            records=report.records,
-            executed=report.executed,
-            skipped=report.skipped,
-            workers=report.workers,
-            elapsed=report.elapsed,
-            checkpoint=report.checkpoint,
         ))
     outcome.elapsed = time.perf_counter() - start
     return outcome
+
+
+def run_section(
+    section: Section,
+    root_seed: int = 0,
+    *,
+    workers: int = 0,
+    checkpoint: Optional[str] = None,
+    resume: bool = True,
+    progress: Optional[Callable[[int, int, Dict[str, Any]], None]] = None,
+) -> SectionOutcome:
+    """Run one section's points through the engine into ``checkpoint``
+    (``workers=0``: one per CPU; serial-only executors always use 1)."""
+    from repro.engine.engine import run_tasks
+
+    tasks = compile_section(section, root_seed)
+    serial = executor_for(section.kind).serial_only
+    report = run_tasks(
+        campaign_point_task,
+        tasks,
+        workers=1 if serial else (workers or _cpu_count()),
+        checkpoint=checkpoint,
+        resume=resume,
+        progress=progress,
+    )
+    return SectionOutcome(
+        name=section.name,
+        kind=section.kind,
+        records=report.records,
+        executed=report.executed,
+        skipped=report.skipped,
+        workers=report.workers,
+        elapsed=report.elapsed,
+        checkpoint=report.checkpoint,
+    )
 
 
 def _cpu_count() -> int:

@@ -9,16 +9,14 @@ axes (in declaration order, seeds innermost) yields the section's
 :class:`CampaignPoint` list -- the concrete, JSON-safe units of work
 that :mod:`repro.campaign.compile` turns into engine tasks.
 
-The same spec value is constructible three ways:
+The same spec value is constructible two ways:
 
 - **builder API** -- ``CampaignSpec("nightly").section("mc", "check")
   .axis("scenario", "alg1-w1-r1", "alg2-w1-r1")`` (each call returns
-  the object it extended, so specs chain);
-- **file** -- :func:`load_spec` reads TOML (Python 3.11+) or JSON;
-- **CLI synthesis** -- :func:`spec_from_cli` maps a parsed argparse
-  namespace of an existing subcommand (``sweep``/``check``/``fuzz``/
-  ``stress``) onto the equivalent one-section spec, which is what the
-  per-subcommand ``--print-spec`` shims emit.
+  the object it extended, so specs chain); the ``sweep``, ``check``,
+  ``fuzz`` and ``stress`` subcommands build their one-section spec
+  this way from their flags, and ``--print-spec`` dumps it;
+- **file** -- :func:`load_spec` reads TOML (Python 3.11+) or JSON.
 
 Seed semantics: ``seeds`` may be an explicit list of integers (used
 verbatim for every crossed combination -- how ``--seed N`` flags map
@@ -368,81 +366,3 @@ def dumps_spec(spec: CampaignSpec) -> str:
                 else:
                     out.write(f"{key} = {_toml_value(value)}\n")
     return out.getvalue()
-
-
-# -- CLI synthesis ---------------------------------------------------------
-
-def spec_from_cli(kind: str, args: Any) -> CampaignSpec:
-    """The campaign spec equivalent of one legacy CLI invocation.
-
-    ``args`` is the parsed argparse namespace of the ``sweep``,
-    ``check``, ``fuzz`` or ``stress`` subcommand; the result is a
-    one-section spec whose points reproduce that invocation's verdicts
-    (the ``--print-spec`` deprecation shim).
-    """
-    spec = CampaignSpec(name=f"cli-{kind}")
-    if kind == "sweep":
-        sec = spec.section(
-            "sweep", "sweep", seeds=args.seeds, object=args.object,
-        )
-        spec.root_seed = args.root_seed
-        if args.object == "register":
-            sec.axis("num_readers", *args.readers)
-            sec.axis("num_writers", *args.writers)
-        else:
-            sec.axis("substrate", "afek", "atomic")
-    elif kind == "check":
-        from repro.mc.scenarios import E13_SUITE
-
-        names = args.scenario or [key for _, key in E13_SUITE]
-        sec = spec.section(
-            "check", "check",
-            max_executions=args.max_executions,
-            max_depth=args.max_depth,
-            reduce=not args.baseline,
-            fingerprints=not (args.baseline or args.no_fingerprints),
-        )
-        sec.axis("scenario", *names)
-    elif kind == "fuzz":
-        from repro.fuzz import DEFAULT_MAX_STEPS
-        from repro.mc.scenarios import E13_SUITE
-
-        names = args.target or [key for _, key in E13_SUITE]
-        sampler_params: Dict[str, Any] = {}
-        if args.sampler == "pct":
-            sampler_params["depth"] = args.pct_depth
-        if args.sampler == "fault":
-            sampler_params["max_rate_per_10k"] = args.fault_max_rate
-        sec = spec.section(
-            "fuzz", "fuzz", seeds=[args.seed],
-            sampler=args.sampler,
-            schedules=args.schedules,
-            batch=args.batch,
-            shrink=not args.no_shrink,
-        )
-        if args.max_steps != DEFAULT_MAX_STEPS:
-            sec.param(max_steps=args.max_steps)
-        if sampler_params:
-            sec.param(sampler_params=sampler_params)
-        sec.axis("target", *names)
-    elif kind == "stress":
-        sec = spec.section(
-            "stress", "stress", seeds=[args.seed],
-            object=args.object,
-            runtime=args.runtime,
-            ops=args.ops if args.ops is not None else 25,
-        )
-        if (args.readers is not None or args.writers is not None
-                or args.auditors is not None):
-            sec.param(
-                readers=args.readers or 0,
-                writers=args.writers or 0,
-                auditors=args.auditors or 0,
-            )
-        else:
-            sec.param(threads=args.threads)
-        if args.faults:
-            sec.param(faults=args.faults, fault_rate=args.fault_rate)
-    else:
-        raise SpecError(f"no CLI synthesis for kind {kind!r}")
-    return spec

@@ -14,7 +14,7 @@ JSONL no matter the worker count, and resuming an interrupted sweep
 re-runs exactly the tasks whose records are missing.
 """
 
-from repro.engine.aggregate import aggregate_counts, all_clean, total
+from repro.engine.aggregate import aggregate_counts, total
 from repro.engine.engine import (
     EngineReport,
     ExecutionTask,
@@ -35,7 +35,6 @@ __all__ = [
     "ExecutionTask",
     "ParallelSweep",
     "aggregate_counts",
-    "all_clean",
     "derive_seed",
     "encode_record",
     "fan_out",

@@ -4,12 +4,16 @@ Engine runs produce one record per execution; experiment drivers and
 the CLI need per-group tallies (violation counts per workload shape,
 step-cost totals per grid point).  These helpers fold record payloads
 into the row dicts that :func:`repro.harness.tables.render_table` and
-:class:`repro.harness.experiment.ExperimentResult` consume.
+:class:`repro.harness.experiment.ExperimentResult` consume, and fold
+point verdicts (``PASS``/``FAIL``/``PARTIAL``) into the one verdict
+and exit code every command reports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
+)
 
 Record = Mapping[str, Any]
 
@@ -58,6 +62,14 @@ def total(records: Sequence[Record], field: str) -> float:
     return result
 
 
-def all_clean(records: Sequence[Record], fields: Sequence[str]) -> bool:
-    """True when every listed payload field is zero/False everywhere."""
-    return all(not total(records, field) for field in fields)
+#: The CLI exit-code contract: 0 clean, 1 violation, 2 inconclusive.
+EXIT_CODES = {"PASS": 0, "FAIL": 1, "PARTIAL": 2}
+
+
+def fold_verdicts(verdicts: Iterable[str]) -> str:
+    """Fold point verdicts into one: a proven violation (FAIL) outranks
+    an inconclusive point (PARTIAL), which outranks PASS."""
+    seen = set(verdicts)
+    if "FAIL" in seen:
+        return "FAIL"
+    return "PARTIAL" if "PARTIAL" in seen else "PASS"

@@ -40,6 +40,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.engine.aggregate import (
+    EXIT_CODES,
+    aggregate_counts,
+    fold_verdicts,
+)
 from repro.engine.engine import EngineReport, ExecutionTask, run_tasks
 from repro.engine.seeds import derive_seed
 from repro.fuzz.executor import DEFAULT_MAX_STEPS, run_one
@@ -146,25 +151,54 @@ class CampaignReport:
     verdicts: List[str] = field(default_factory=list)
     first_violation: Optional[Dict[str, Any]] = None
     partial: bool = False
-    stopped_early: bool = False
     elapsed: float = 0.0
     workers: int = 1
     executed: int = 0
     skipped: int = 0
     checkpoint: Optional[str] = None
+    batches: int = 0  # planned batches per target
+
+    def target_rows(self) -> List[Dict[str, Any]]:
+        """Per-target totals and verdicts, in first-record order.
+
+        A target with a violating schedule is FAIL.  Otherwise it is
+        PARTIAL when a run hit the step budget before it could be
+        judged, or when the campaign stopped (time budget, or another
+        target's violation) before all its batches ran; else PASS.
+        Targets the campaign never reached have no row.
+        """
+        rows = []
+        for group in aggregate_counts(
+            self.records, key=lambda record: record["payload"]["target"],
+            fields=("schedules", "steps", "violations", "incomplete"),
+        ):
+            unjudged = (
+                group["incomplete"] or group["executions"] < self.batches
+            )
+            rows.append({
+                "target": group["group"],
+                "sampler": self.records[0]["payload"]["sampler"],
+                "schedules": group["schedules"],
+                "steps": group["steps"],
+                "violations": group["violations"],
+                "verdict": "FAIL" if group["violations"]
+                else ("PARTIAL" if unjudged else "PASS"),
+            })
+        return rows
 
     @property
-    def ok(self) -> bool:
-        return self.violations == 0
+    def verdict(self) -> str:
+        """The campaign verdict: the per-target verdicts folded, and
+        PARTIAL when the time budget expired (``partial``)."""
+        verdicts = [row["verdict"] for row in self.target_rows()]
+        if self.partial:
+            verdicts.append("PARTIAL")
+        return fold_verdicts(verdicts)
 
     @property
     def exit_code(self) -> int:
-        """The CLI contract: 0 clean, 1 violation, 2 PARTIAL -- the
-        time budget expired (``partial``) or some run hit the step
-        budget before it could be judged (``incomplete``)."""
-        if self.violations:
-            return 1
-        return 2 if self.partial or self.incomplete else 0
+        """The CLI contract: 0 clean, 1 violation, 2 PARTIAL."""
+        return EXIT_CODES[self.verdict]
 
 
 def run_campaign(
@@ -232,7 +266,7 @@ def run_campaign(
 
     start = time.perf_counter()
     report = CampaignReport(
-        tasks_total=len(tasks), workers=max(1, workers),
+        tasks_total=len(tasks), batches=batches, workers=max(1, workers),
         checkpoint=None if own_checkpoint else checkpoint,
     )
     try:
@@ -256,7 +290,6 @@ def run_campaign(
                 record["payload"]["violations"]
                 for record in last.records
             ):
-                report.stopped_early = len(last.records) < len(tasks)
                 break
             if len(last.records) >= len(tasks):
                 break

@@ -115,6 +115,30 @@ def split_threads(
     return (r, w, a)
 
 
+def stress_roles(
+    object_kind: str,
+    threads: int,
+    readers: Optional[int] = None,
+    writers: Optional[int] = None,
+    auditors: Optional[int] = None,
+) -> Tuple[int, int, int]:
+    """The (readers, writers, auditors) a stress run spawns: the
+    :func:`split_threads` split, checked (ValueError when bad)."""
+    r, w, a = split_threads(threads, readers, writers, auditors)
+    if min(r, w, a) < 0:
+        raise ValueError(
+            f"role counts must be non-negative (got {r}/{w}/{a})"
+        )
+    if object_kind == "snapshot":
+        # Updaters are the snapshot's components; there is always at
+        # least one, and the report's role counts must match the
+        # workers actually spawned.
+        w = max(1, w)
+    if r + w + a < 1:
+        raise ValueError("no workers: all role counts are zero")
+    return r, w, a
+
+
 def percentile_summary(samples: List[float]) -> Dict[str, float]:
     """Nearest-rank latency percentiles, in microseconds.
 
@@ -636,14 +660,7 @@ def run_stress(
     if validate is None:
         validate = ops is not None or online
     window = DEFAULT_WINDOW if stream_window is None else stream_window
-    r, w, a = split_threads(threads, readers, writers, auditors)
-    if object == "snapshot":
-        # Updaters are the snapshot's components; there is always at
-        # least one, and the report's role counts must match the
-        # workers actually spawned.
-        w = max(1, w)
-    if r + w + a < 1:
-        raise ValueError("no workers: all role counts are zero")
+    r, w, a = stress_roles(object, threads, readers, writers, auditors)
 
     fault_desc: Optional[str] = None
     if isinstance(faults, str):

@@ -2,8 +2,9 @@
 
 The load-bearing properties:
 
-- the spec is one value constructible three ways (builder, file, CLI
-  synthesis) that always crosses to the same points;
+- the spec is one value constructible two ways (builder, file) that
+  always crosses to the same points, and ``sweep``/``check``/``fuzz``/
+  ``stress --print-spec`` print exactly the section they run;
 - campaign sections run under the engine's byte-identical resumable
   JSONL contract (identical bytes across worker counts and across
   interrupt-then-resume);
@@ -31,7 +32,6 @@ from repro.campaign import (
     loads_spec,
     run_spec,
     section_checkpoint,
-    spec_from_cli,
 )
 from repro.campaign.report import axis_slices, render_outcome
 
@@ -187,11 +187,18 @@ class TestSpecFiles:
             load_spec(str(tmp_path / "nope.toml"))
 
 
-# -- CLI synthesis (--print-spec) ------------------------------------------
+# -- --print-spec: the section each subcommand runs ------------------------
 
 
+def printed_spec(argv, capsys):
+    from repro.__main__ import main
+
+    assert main(argv + ["--print-spec"]) == 0
+    return loads_spec(capsys.readouterr().out, format="toml")
+
+
+@pytest.mark.skipif(not HAS_TOMLLIB, reason="tomllib is 3.11+")
 class TestSpecFromCli:
-    @pytest.mark.skipif(not HAS_TOMLLIB, reason="tomllib is 3.11+")
     @pytest.mark.parametrize("argv", [
         ["sweep", "--smoke", "--print-spec"],
         ["check", "--smoke", "--print-spec"],
@@ -211,23 +218,74 @@ class TestSpecFromCli:
         compiled = compile_spec(spec)
         assert sum(len(t) for t in compiled.values()) >= 1
 
-    def test_synthesized_sweep_matches_cli_granularity(self):
-        import argparse
-
-        args = argparse.Namespace(
-            object="register", seeds=2, root_seed=5,
-            readers=[1, 2], writers=[1],
-        )
-        spec = spec_from_cli("sweep", args)
+    def test_synthesized_sweep_matches_cli_granularity(self, capsys):
+        spec = printed_spec([
+            "sweep", "--seeds", "2", "--root-seed", "5",
+            "--readers", "1", "2", "--writers", "1",
+        ], capsys)
         assert spec.root_seed == 5
         points = spec.points()
-        # 2 grid points x 2 seeds, exactly what repro sweep would run.
+        # 2 grid points x 2 seeds, exactly what repro sweep runs.
         assert len(points) == 4
         assert {p.params["num_readers"] for p in points} == {1, 2}
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SpecError):
-            spec_from_cli("serve", object())
+    def test_sweep_runs_its_printed_spec(self, tmp_path, capsys):
+        """repro sweep and repro campaign run of its printed spec are
+        the same run: same seeds, same payloads, same bytes."""
+        from repro.__main__ import main
+
+        path = tmp_path / "cli.toml"
+        path.write_text(
+            dumps_spec(printed_spec(["sweep", "--smoke"], capsys)),
+            encoding="utf-8",
+        )
+        direct = tmp_path / "direct.jsonl"
+        assert main(["sweep", "--smoke", "--out", str(direct)]) == 0
+        base = str(tmp_path / "campaign")
+        assert main(
+            ["campaign", "run", str(path), "--workers", "1", "--out", base]
+        ) == 0
+        capsys.readouterr()
+        via_spec = section_checkpoint(base, "sweep")
+
+        def seeds_and_payloads(file):
+            records = [json.loads(line) for line in open(file)]
+            return [(r["seed"], r["payload"]) for r in records]
+
+        assert seeds_and_payloads(direct) == seeds_and_payloads(via_spec)
+        assert direct.read_bytes() == open(via_spec, "rb").read()
+
+    def test_print_spec_carries_every_run_flag(self, capsys):
+        stress = printed_spec(
+            ["stress", "--smoke", "--no-validate"], capsys
+        ).sections[0]
+        assert stress.params["validate"] is False
+        fuzz = printed_spec(
+            ["fuzz", "--target", "alg1-w1-r1", "--keep-going"], capsys
+        ).sections[0]
+        assert fuzz.params["stop_on_violation"] is False
+        check = printed_spec(
+            ["check", "--smoke", "--compare"], capsys
+        ).sections[0]
+        assert {axis.name: axis.values for axis in check.axes} == {
+            "scenario": ("alg1-w1-r1",), "reduce": (False, True),
+        }
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["stress", "--duration", "1"], "--duration"),
+        (["stress", "--ops", "4", "--online"], "--online"),
+        (["stress", "--ops", "4", "--event-log", "e.jsonl"], "--event-log"),
+        (["stress", "--ops", "4", "--stream-window", "8"],
+         "--stream-window"),
+        (["fuzz", "--time-budget", "5"], "--time-budget"),
+    ])
+    def test_inexpressible_flags_refuse_to_print(self, argv, flag, capsys):
+        from repro.__main__ import main
+
+        assert main(argv + ["--print-spec"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
 
 
 # -- compilation ------------------------------------------------------------
@@ -260,6 +318,25 @@ class TestCompile:
         spec.section("s", "no-such-kind")
         with pytest.raises(SpecError, match="no-such-kind"):
             compile_spec(spec)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("sweep", {"object": "register", "num_readers": 0}),
+        ("sweep", {"object": "register", "num_readers": -1}),
+        ("sweep", {"object": "register", "num_writers": -1}),
+        ("sweep", {"object": "snapshot", "components": 0}),
+        ("stress", {"object": "register", "threads": 0}),
+        ("stress", {"object": "register", "readers": 0, "writers": 0,
+                    "auditors": 0}),
+        ("stress", {"object": "register", "readers": -1, "writers": 2}),
+        ("fuzz", {"target": "alg1-w1-r1", "schedules": 0}),
+        ("fuzz", {"target": "alg1-w1-r1", "sampler": "pct",
+                  "sampler_params": {"depth": 0}}),
+    ])
+    def test_bad_counts_fail_at_compile_time(self, kind, params):
+        """Points the subsystem cannot build are rejected before
+        anything runs, not inside a worker."""
+        with pytest.raises(SpecError):
+            compile_section(Section("s", kind, params=params))
 
     def test_non_json_safe_params_rejected(self):
         spec = CampaignSpec("x")
@@ -570,6 +647,16 @@ class TestCampaignCli:
         ]) == 0
         text = capsys.readouterr().out
         assert " 0 " not in text.splitlines()[0]  # header row only
+
+    def test_show_rejects_a_bad_role_count(self, tmp_path, capsys):
+        spec = CampaignSpec("bad")
+        spec.section("sw", "sweep", object="register", num_readers=0)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        from repro.__main__ import main
+
+        assert main(["campaign", "show", str(path)]) == 2
+        assert "num_readers" in capsys.readouterr().err
 
     def test_usage_errors_exit_2(self, tmp_path, capsys):
         from repro.__main__ import main

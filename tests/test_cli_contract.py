@@ -84,6 +84,8 @@ CONTRACT = [
     ("stress clean",
      ["stress", "--threads", "3", "--ops", "6", "--no-latency"], 0),
     ("campaign clean", ["campaign", "run", "--smoke"], 0),
+    ("check compare clean",
+     ["check", "--scenario", "alg1-w1-r1", "--compare"], 0),
     # -- exit 1: completed, violation found -------------------------
     ("check violation",
      ["check", "--scenario", "buggy-counter"], 1),
@@ -101,6 +103,10 @@ CONTRACT = [
     ("sweep bad flag", ["sweep", "--no-such-flag"], 2),
     ("sweep zero seeds",
      ["sweep", "--seeds", "0", "--readers", "1", "--writers", "1"], 2),
+    ("sweep zero readers",
+     ["sweep", "--readers", "0", "--writers", "1", "--seeds", "1"], 2),
+    ("sweep negative readers",
+     ["sweep", "--readers", "-1", "--writers", "1", "--seeds", "1"], 2),
     ("check unknown scenario", ["check", "--scenario", "wat"], 2),
     ("check smoke plus scenario",
      ["check", "--smoke", "--scenario", "alg1-w1-r1"], 2),
@@ -108,6 +114,8 @@ CONTRACT = [
     ("fuzz missing replay file",
      ["fuzz", "--replay", "/nonexistent/trace.json"], 2),
     ("stress zero ops", ["stress", "--ops", "0", "--threads", "2"], 2),
+    ("stress print-spec of a duration run",
+     ["stress", "--duration", "1", "--print-spec"], 2),
     ("stress unsupported fault family",
      ["stress", "--runtime", "thread", "--faults", "partition",
       "--ops", "4"], 2),
@@ -199,3 +207,48 @@ class TestOutSemantics:
         assert record["status"] == "ok"
         assert run_main(argv) == 0
         assert len(open(out, "rb").read().splitlines()) == 2
+
+
+class TestCheckCompare:
+    """--compare runs each scenario raw and reduced and pairs the two."""
+
+    ARGV = ["check", "--scenario", "alg1-w1-r1", "--compare"]
+
+    def table(self, capsys):
+        lines = capsys.readouterr().out.splitlines()
+        return lines[0].split(), lines[2].split()
+
+    def test_table_keeps_baseline_and_reduction_columns(self, capsys):
+        assert run_main(self.ARGV) == 0
+        header, row = self.table(capsys)
+        assert header == [
+            "scenario", "explored", "states", "violations", "baseline",
+            "reduction", "verdict",
+        ]
+        cells = dict(zip(header, row))
+        assert int(cells["baseline"]) > int(cells["explored"])
+        assert cells["reduction"].endswith("x")
+        assert cells["verdict"] == "PASS"
+
+    def test_budget_cut_baseline_is_partial_not_mismatch(self, capsys):
+        # The raw enumeration (320 executions) overruns the budget;
+        # the reduced one (16) does not.
+        assert run_main(self.ARGV + ["--max-executions", "100"]) == 2
+        header, row = self.table(capsys)
+        cells = dict(zip(header, row))
+        assert cells["baseline"] == "101+"
+        assert cells["reduction"] == "-"
+        assert cells["verdict"] == "PARTIAL"
+
+    def test_checkpointed_compare_writes_one_file_per_leg(
+        self, tmp_path, capsys
+    ):
+        out = str(tmp_path / "mc.jsonl")
+        argv = self.ARGV + ["--out", out]
+        assert run_main(argv) == 0
+        header, row = self.table(capsys)
+        assert dict(zip(header, row))["verdict"] == "PASS"
+        paths = [out, out + ".baseline"]
+        before = [open(p, "rb").read() for p in paths]
+        assert run_main(argv) == 0
+        assert [open(p, "rb").read() for p in paths] == before

@@ -15,7 +15,6 @@ from repro.engine import (
     ExecutionTask,
     ParallelSweep,
     aggregate_counts,
-    all_clean,
     derive_seed,
     encode_record,
     fan_out,
@@ -177,8 +176,6 @@ class TestReporting:
         assert total(report.records, "value") == (
             rows[0]["value"] + rows[1]["value"]
         )
-        assert all_clean(report.records, ["missing_field"])
-        assert not all_clean(report.records, ["value"])
 
 
 # -- the sweep facade ------------------------------------------------------
