@@ -233,16 +233,27 @@ class WindowedAuditOracle:
     def _check_audit(
         self, pid: str, op_id: int, lin: int, reported: Any
     ) -> Optional[AuditViolation]:
+        """Compare one audit's response with ``expected(lin)`` without
+        building that set.  ``_first_seen`` keeps the base set and the
+        recent timeline disjoint and duplicate-free, so the expected
+        set has exactly ``len(base) + count`` members and ``reported``
+        equals it iff it has that size and contains both parts."""
         self.audits_checked += 1
-        expected = self.expected(lin)
-        reported_set = set(reported)
-        if expected == reported_set:
+        if not isinstance(reported, (set, frozenset)):
+            reported = set(reported)
+        count = self._cut(lin)
+        if (
+            len(reported) == len(self._base) + count
+            and self._base <= reported
+            and reported.issuperset(self._recent_pairs[:count])
+        ):
             return None
+        expected = self.expected(lin)
         violation = AuditViolation(
             audit_pid=pid,
             audit_op_id=op_id,
-            missing=frozenset(expected - reported_set),
-            extra=frozenset(reported_set - expected),
+            missing=frozenset(expected - reported),
+            extra=frozenset(reported - expected),
         )
         self.violations.append(violation)
         return violation
@@ -269,19 +280,29 @@ class WindowedAuditOracle:
 
     # -- queries -----------------------------------------------------------
 
+    def _cut(self, before_index: int) -> int:
+        """How many timeline entries precede ``before_index``; raises
+        for a cut the window has already compacted past."""
+        if before_index < self._compacted_to:
+            raise ValueError(
+                f"cut {before_index} compacted away (window already "
+                f"rolled to {self._compacted_to})"
+            )
+        return bisect_left(self._recent_indices, before_index)
+
     def expected(self, before_index: int) -> Set[Tuple[int, Any]]:
         """Pairs of effective reads linearized before ``before_index``.
 
         Only answerable for cuts the window has not compacted past
         (every outstanding audit's cut, by construction).
         """
-        if before_index < self._compacted_to:
-            raise ValueError(
-                f"cut {before_index} compacted away (window already "
-                f"rolled to {self._compacted_to})"
-            )
-        count = bisect_left(self._recent_indices, before_index)
+        count = self._cut(before_index)
         return self._base | set(self._recent_pairs[:count])
+
+    @property
+    def resident_pairs(self) -> int:
+        """Pairs the oracle holds: the base set plus the timeline."""
+        return len(self._base) + len(self._recent_pairs)
 
 
 def windowed_audit_oracle(

@@ -105,7 +105,14 @@ class SeqSpec:
       checks each partition independently.  Declare it **only** when
       every operation touches exactly one partition; specs whose
       operations observe global state (snapshot scans, audits over all
-      readers) must leave it ``None``.
+      readers) must leave it ``None``.  One exception is sound: an
+      operation the spec accepts in *every* state with *any* result,
+      leaving the state unchanged, may get a partition of its own.
+      Linearizability is local, and such an operation can always be
+      placed anywhere inside its real-time interval, so removing it
+      from the other partition's search changes no verdict.  The
+      streaming specs in :mod:`repro.analysis.specs` send ``audit``
+      apart this way (the windowed audit oracle checks audits).
     - ``partition_spec(key)`` builds the per-partition specification;
       when ``None`` the partition is checked against this spec itself
       (with the hooks stripped).

@@ -17,7 +17,7 @@ Spec states are hashable tuples so the checker can memoise on them.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.fastlin import PENDING, SeqSpec
 
@@ -195,6 +195,19 @@ def versioned_spec(
     )
 
 
+def _audits_apart(op_name: str, args: Tuple[Any, ...]) -> bool:
+    """``partition_key`` of the streaming specs: audits form one
+    partition, every other operation the other.
+
+    Sound because those specs accept every audit and leave the state
+    unchanged (see :class:`~repro.analysis.fastlin.SeqSpec`): the audit
+    partition always linearizes, and the object partition is checked
+    exactly as if the audits were absent.  Audit exactness is the
+    windowed audit oracle's job either way.
+    """
+    return op_name == "audit"
+
+
 def stream_register_spec(
     initial: Any, name: str = "stream_register"
 ) -> SeqSpec:
@@ -208,8 +221,10 @@ def stream_register_spec(
     weakened — it moves to the syntactic
     :class:`~repro.analysis.audit_checks.WindowedAuditOracle`, which
     Theorem 8 proves equivalent on fetch&xor-based implementations.
-    No reader tagging is needed, so the spec composes with untagged
-    event streams.
+    Since audits neither change the state nor can fail, they sit in a
+    partition of their own (:func:`_audits_apart`) and never enter the
+    search over reads and writes.  No reader tagging is needed, so the
+    spec composes with untagged event streams.
     """
 
     def apply(state, op_name, args, result):
@@ -223,14 +238,15 @@ def stream_register_spec(
             return state
         return None
 
-    return SeqSpec(name, initial, apply)
+    return SeqSpec(name, initial, apply, partition_key=_audits_apart)
 
 
 def stream_max_register_spec(
     initial: Any, name: str = "stream_max_register"
 ) -> SeqSpec:
     """Value-only auditable-max-register spec (see
-    :func:`stream_register_spec` for why audits pass unchecked)."""
+    :func:`stream_register_spec` for why audits pass unchecked, in a
+    partition of their own)."""
 
     def apply(state, op_name, args, result):
         if op_name in ("write_max", "writeMax"):
@@ -243,7 +259,7 @@ def stream_max_register_spec(
             return state
         return None
 
-    return SeqSpec(name, initial, apply)
+    return SeqSpec(name, initial, apply, partition_key=_audits_apart)
 
 
 def stream_snapshot_spec(
@@ -257,7 +273,8 @@ def stream_snapshot_spec(
     ``update`` operations must be pid-tagged
     (:func:`tag_ops_with_pid` offline, ``tag=`` hook of the streaming
     checker online); scans check the full view; audits pass unchecked
-    (the lifted windowed audit oracle covers them).
+    in a partition of their own (the lifted windowed audit oracle
+    covers them).
     """
 
     def apply(state, op_name, args, result):
@@ -273,7 +290,9 @@ def stream_snapshot_spec(
             return state
         return None
 
-    return SeqSpec(name, (initial,) * components, apply)
+    return SeqSpec(
+        name, (initial,) * components, apply, partition_key=_audits_apart
+    )
 
 
 def register_array_spec(

@@ -356,7 +356,7 @@ class _PartitionStream:
         else:
             self.undecided_windows += 1
         self.dead = True
-        self.frontier_index = self.frontier()
+        self.frontier_index = self.frontier(self.last_index)
         self.gauge.add(-len(self.ops))
         self.ops.clear()
         self.by_key.clear()
@@ -364,13 +364,15 @@ class _PartitionStream:
         self.configs = set()
         self.open_count = 0
 
-    def frontier(self) -> int:
-        """Largest event index verified no matter what arrives later."""
+    def frontier(self, last_index: int) -> int:
+        """Largest event index verified no matter what arrives later,
+        given the stream's last event index: a live partition holding
+        no operation holds nothing back."""
         if self.dead:
             return self.frontier_index
         if self.ops:
             return min(op.invoke_index for op in self.ops.values()) - 1
-        return self.last_index
+        return last_index
 
     def finish(self) -> str:
         """Final verdict for this partition, pending ops included."""
@@ -549,7 +551,7 @@ class StreamingLinChecker:
         # partition stalls at wherever its own frontier stopped.
         frontier = self._last_index
         for p in self._partitions.values():
-            frontier = min(frontier, p.frontier())
+            frontier = min(frontier, p.frontier(self._last_index))
         return StreamProgress(
             events=self._events,
             ops_started=self._started,

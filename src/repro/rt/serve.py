@@ -90,7 +90,9 @@ class ServeOutcome:
         if self.audit_ok is not None:
             lines.append(
                 f"  [{'PASS' if self.audit_ok else 'FAIL'}] audit exactness "
-                f"({self.stream.get('audits_checked', 0)} audits)"
+                f"({self.stream.get('audits_checked', 0)} audits, "
+                f"{self.stream.get('audit_resident_pairs', 0)} pairs "
+                f"resident)"
             )
         return "\n".join(lines)
 

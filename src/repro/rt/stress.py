@@ -526,6 +526,7 @@ class StreamValidator:
         if self.oracle is not None:
             audit = not self.oracle.violations
             payload["audits_checked"] = self.oracle.audits_checked
+            payload["audit_resident_pairs"] = self.oracle.resident_pairs
             payload["audit_violations"] = len(self.oracle.violations)
         return lin, audit, result.status, payload
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
+from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
@@ -139,22 +141,56 @@ def _revive_dataclass(path: str, attrs: Dict[str, Any]) -> Any:
     return NsShell(**attrs)
 
 
+#: Container tags and the type each decodes to.
+_CONTAINERS = {"t": tuple, "s": frozenset, "l": list}
+
+_tuple_items = itemgetter("t")
+
+
+def _flat_tuple_rows(items: List[Any]) -> Optional[List[List[Any]]]:
+    """The item lists of ``items`` when every item is a tuple of JSON
+    scalars (``{"t": [scalar, ...]}``, the shape of an audit's
+    ``(reader, value)`` pairs), else ``None``.  Every test is one C
+    pass over ``items``, so an audit response decodes without a Python
+    call per pair."""
+    if (
+        set(map(type, items)) != {dict}
+        or set(map(len, items)) != {1}
+        or set(chain.from_iterable(items)) != {"t"}
+    ):
+        return None
+    rows = list(map(_tuple_items, items))
+    if set(map(type, rows)) != {list} or dict in map(
+        type, chain.from_iterable(rows)
+    ):
+        return None
+    return rows
+
+
 def decode_loose(encoded: Any) -> Any:
-    """Inverse of :func:`encode_loose` (to oracle-compatible values)."""
+    """Inverse of :func:`encode_loose` (to oracle-compatible values).
+
+    A container whose items hold no nested ``dict`` (every item a JSON
+    scalar) is built with one constructor call, and so is one whose
+    items are all such tuples (:func:`_flat_tuple_rows`); anything else
+    recurses per item.
+    """
     if not isinstance(encoded, dict):
         return encoded
     (tag, items), = encoded.items()
+    container = _CONTAINERS.get(tag)
+    if container is not None:
+        if dict not in map(type, items):
+            return container(items)
+        rows = _flat_tuple_rows(items)
+        if rows is not None:
+            return container(map(tuple, rows))
+        return container(map(decode_loose, items))
     if tag == "btm":
         return BOTTOM
     if tag == "rw":
         seq, val, bits = items
         return RWord(seq, decode_loose(val), bits)
-    if tag == "t":
-        return tuple(decode_loose(v) for v in items)
-    if tag == "l":
-        return [decode_loose(v) for v in items]
-    if tag == "s":
-        return frozenset(decode_loose(v) for v in items)
     if tag == "d":
         return {decode_loose(k): decode_loose(v) for k, v in items}
     if tag == "ns":
@@ -317,28 +353,45 @@ class JsonlEventSink:
 # Reading streams back
 # ---------------------------------------------------------------------
 
+#: The JSON decoder's C scanner: one call parses a whole line, without
+#: ``json.loads``'s Python-level whitespace and trailing-data checks.
+_scan = json.JSONDecoder().scan_once
+
+
 def parse_line(line: str) -> Tuple[str, Any]:
     """Parse one protocol line into ``(kind, value)``.
 
     ``kind`` is ``"hello"`` (value: meta dict), ``"event"`` (value: a
     decoded event) or ``"end"`` (value: the declared event count, or
-    ``None``).
+    ``None``).  Any malformed line -- bad JSON, or valid JSON of the
+    wrong shape -- raises :class:`ValueError`, which every reader
+    treats as the stream's truncation point.
     """
-    payload = json.loads(line)
-    kind = payload.get("k")
-    if kind == "hello":
-        return "hello", payload
-    if kind == "end":
-        return "end", payload.get("events")
-    return "event", event_from_payload(payload)
+    try:
+        try:
+            payload, end = _scan(line, 0)
+        except StopIteration:
+            end = -1
+        if end != len(line):
+            # Whitespace around the object, or not JSON: json.loads
+            # parses the former and raises the exact error for the rest.
+            payload = json.loads(line)
+        kind = payload.get("k")
+        if kind == "hello":
+            return "hello", payload
+        if kind == "end":
+            return "end", payload.get("events")
+        return "event", event_from_payload(payload)
+    except (AttributeError, KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"malformed event-log line: {exc!r}") from exc
 
 
 def iter_event_log(path: str) -> Iterator[Tuple[str, Any]]:
     """Yield ``(kind, value)`` per :func:`parse_line` for each line.
 
-    Torn trailing lines (a writer killed mid-write) are swallowed —
-    the stream simply ends without its ``end`` marker, which consumers
-    already treat as truncation.
+    A torn trailing line (a writer killed mid-write) or any other
+    malformed line ends the stream there, without its ``end`` marker,
+    which consumers already treat as truncation.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -347,7 +400,7 @@ def iter_event_log(path: str) -> Iterator[Tuple[str, Any]]:
                 continue
             try:
                 yield parse_line(line)
-            except (ValueError, KeyError):
+            except ValueError:
                 return
 
 

@@ -680,3 +680,88 @@ class TestAuditOracle:
             assert oracle.expected(index) == expected_audit_set(
                 history, built.register, index
             )
+
+
+class TestWindowedAuditOracle:
+    """The oracle decides exactness from sizes and subset tests; it
+    must still report exactly what is missing and what is extra."""
+
+    R = "reg.R"
+    READS = [(0, "v1"), (1, "v1"), (0, "v1"), (0, "v2")]
+    EXPECTED = {(0, "v1"), (1, "v1"), (0, "v2")}
+
+    def _oracle(self, window):
+        """Reads announce READS, then auditor a0 reads R (its cut),
+        then one more read lands after the cut."""
+        from repro.analysis.audit_checks import WindowedAuditOracle
+        from repro.memory.rword import RWord
+        from repro.sim.events import PrimitiveEvent
+
+        oracle = WindowedAuditOracle(self.R, window=window)
+        index = 0
+        for j, value in self.READS:
+            oracle.feed(PrimitiveEvent(
+                index, f"r{j}", index, self.R, "fetch_xor", (1 << j,),
+                RWord(1, value, 0),
+            ))
+            index += 1
+        oracle.feed(PrimitiveEvent(
+            index, "a0", 0, self.R, "read", (), RWord(1, "v2", 0)
+        ))
+        oracle.feed(PrimitiveEvent(
+            index + 1, "r1", 99, self.R, "fetch_xor", (2,),
+            RWord(1, "v3", 0),
+        ))
+        return oracle, index + 2
+
+    def _audit(self, window, reported):
+        from repro.sim.events import Response
+
+        oracle, index = self._oracle(window)
+        violation = oracle.feed(Response(index, "a0", 0, "audit", reported))
+        assert oracle.audits_checked == 1
+        return oracle, violation
+
+    WINDOWS = [1, 1024]  # everything folded into the base / all recent
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_exact_audit_passes(self, window):
+        oracle, violation = self._audit(window, frozenset(self.EXPECTED))
+        assert violation is None and not oracle.violations
+        assert oracle.resident_pairs == 4
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_swapped_pair_is_a_violation(self, window):
+        reported = (self.EXPECTED - {(0, "v2")}) | {(1, "v9")}
+        assert len(reported) == len(self.EXPECTED)
+        _, violation = self._audit(window, frozenset(reported))
+        assert violation.missing == frozenset({(0, "v2")})
+        assert violation.extra == frozenset({(1, "v9")})
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_pair_read_after_the_cut_is_extra(self, window):
+        _, violation = self._audit(
+            window, frozenset(self.EXPECTED | {(1, "v3")})
+        )
+        assert violation.missing == frozenset()
+        assert violation.extra == frozenset({(1, "v3")})
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_a_list_compares_as_a_set(self, window):
+        duplicated = [(0, "v1"), (0, "v1"), (1, "v1"), (0, "v2")]
+        _, violation = self._audit(window, duplicated)
+        assert violation is None
+        # Right length only when duplicates count: still a violation.
+        short = [(0, "v1"), (0, "v1"), (1, "v1")]
+        _, violation = self._audit(window, short)
+        assert violation.missing == frozenset({(0, "v2")})
+        assert violation.extra == frozenset()
+
+    def test_compacted_cut_still_raises(self):
+        oracle, _ = self._audit(1, frozenset(self.EXPECTED))
+        # The audit responded, so the window folded every pair.
+        assert oracle.expected(7) == self.EXPECTED | {(1, "v3")}
+        with pytest.raises(ValueError, match="compacted away"):
+            oracle.expected(4)
+        with pytest.raises(ValueError, match="compacted away"):
+            oracle._check_audit("a0", 1, 0, frozenset())

@@ -9,6 +9,7 @@ any change to them is a format change, not a refactor.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -222,3 +223,132 @@ def test_event_encoder_matches_the_reference_per_event():
     assert len(values) > 300
     for value in values:
         assert _line(value) == _reference_line(value), value
+
+
+# -- event-log decoding --------------------------------------------------------
+
+
+def _reference_decode(encoded):
+    # The event decoder as first written: recurse into every item.
+    if not isinstance(encoded, dict):
+        return encoded
+    (tag, items), = encoded.items()
+    if tag == "btm":
+        return BOTTOM
+    if tag == "rw":
+        seq, val, bits = items
+        return RWord(seq, _reference_decode(val), bits)
+    if tag == "t":
+        return tuple(_reference_decode(v) for v in items)
+    if tag == "l":
+        return [_reference_decode(v) for v in items]
+    if tag == "s":
+        return frozenset(_reference_decode(v) for v in items)
+    if tag == "d":
+        return {_reference_decode(k): _reference_decode(v) for k, v in items}
+    if tag == "ns":
+        return event_log._revive_dataclass(
+            items["c"],
+            {name: _reference_decode(v) for name, v in items["f"].items()},
+        )
+    if tag == "rx":
+        return event_log.ReprCapsule(items)
+    raise ValueError(f"unknown event-payload tag {tag!r}")
+
+
+def _assert_same(got, want):
+    """Equal values of identical types, all the way down."""
+    assert type(got) is type(want), (got, want)
+    if want is BOTTOM:
+        assert got is BOTTOM
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, frozenset):
+        assert got == want
+        members = {member: member for member in got}
+        for w in want:
+            _assert_same(members[w], w)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        keys = {key: key for key in got}
+        for key, value in want.items():
+            _assert_same(keys[key], key)
+            _assert_same(got[key], value)
+    elif dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            _assert_same(getattr(got, field.name), getattr(want, field.name))
+    else:
+        assert got == want
+
+
+def _decodes_like_the_reference(encoded):
+    got = event_log.decode_loose(encoded)
+    _assert_same(got, _reference_decode(encoded))
+    return got
+
+
+def test_event_decoder_matches_the_reference_per_value():
+    for value in CORPUS:
+        decoded = _decodes_like_the_reference(json.loads(_line(value)))
+        assert decoded == value, value
+    assert _decodes_like_the_reference({"btm": 1}) is BOTTOM
+    assert isinstance(
+        _decodes_like_the_reference(json.loads(_line(Nonced(4, 1004)))),
+        Nonced,
+    )
+
+
+def test_event_decoder_matches_the_reference_per_event():
+    events = []
+    _alg1_run(events.append)
+    kinds = set()
+    for event in events:
+        payload = json.loads(
+            event_log._compact(event_log.event_to_payload(event))
+        )
+        for key in ("a", "r"):
+            if key in payload:
+                kinds.add(type(_decodes_like_the_reference(payload[key])))
+    assert {tuple, frozenset, RWord, Nonced} <= kinds
+
+
+@pytest.mark.parametrize("encoded", [
+    {"s": [{"t": [0, "v1"]}, {"t": [1, "v1"]}, {"t": [1, None]}]},
+    {"l": [{"t": [0, 1.5]}, {"t": []}, {"t": [True]}]},
+    {"t": [{"t": [0, "a"]}, {"l": [1]}]},
+    {"s": [{"t": [0, {"btm": 1}]}, {"t": [1, "v"]}]},
+    {"t": [{"t": "ab"}, {"t": [1]}]},
+    {"l": [{"t": [[1, 2]]}]},
+    {"t": [{"t": [1]}, 2]},
+])
+def test_event_decoder_matches_the_reference_on_tuple_rows(encoded):
+    """Containers of tagged tuples: the audit-response shape, and the
+    near misses that must take the per-item path."""
+    _decodes_like_the_reference(encoded)
+
+
+@pytest.mark.parametrize("encoded,error", [
+    ({"s": [{"t": [[1]]}]}, TypeError),
+    ({"s": [{"t": 5}]}, TypeError),
+    ({"t": [{"t": [0], "l": [1]}]}, ValueError),
+    ({"t": [{"t": [1]}, {}]}, ValueError),
+])
+def test_event_decoder_fails_like_the_reference(encoded, error):
+    with pytest.raises(error):
+        event_log.decode_loose(encoded)
+    with pytest.raises(error):
+        _reference_decode(encoded)
+
+
+@pytest.mark.parametrize("encoded", [
+    {"t": [1, {"zz": 2}]},
+    {"s": [{"t": [0, {"zz": 1}]}]},
+    {"l": [{"zz": []}]},
+])
+def test_event_decoder_rejects_unknown_nested_tags(encoded):
+    with pytest.raises(ValueError, match="unknown event-payload tag"):
+        event_log.decode_loose(encoded)
+    with pytest.raises(ValueError, match="unknown event-payload tag"):
+        _reference_decode(encoded)

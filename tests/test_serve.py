@@ -22,7 +22,7 @@ from repro.rt.serve import (
     validator_from_meta,
 )
 from repro.rt.stress import run_stress
-from repro.sim.event_log import load_event_log
+from repro.sim.event_log import load_event_log, parse_line
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +79,14 @@ class TestRoundtrip:
         text = outcome.render()
         assert "frontier" in text
         assert "clean end" in text
+
+    def test_reports_the_audit_oracles_residency(self, register_log):
+        path, report = register_log
+        outcome = serve_file(VerdictServer(), path)
+        resident = outcome.stream["audit_resident_pairs"]
+        assert resident == report.stream["audit_resident_pairs"]
+        assert resident > 0
+        assert f"{resident} pairs resident" in outcome.render()
 
     def test_validator_from_meta_rejects_foreign_logs(self):
         with pytest.raises(ValueError, match="--spec"):
@@ -195,6 +203,77 @@ class TestTruncation:
         )
         assert not outcome.clean_end
         assert outcome.status != LIN_OK
+
+
+#: Malformed lines: valid JSON of the wrong shape, and bad JSON.
+MALFORMED_LINES = {
+    "array": "[]",
+    "null": "null",
+    "untagged-event": '{"r":{"t":5}}',
+    "tuple-of-int": '{"i":9,"k":"res","n":"read","o":0,"p":"r0",'
+                    '"r":{"t":5}}',
+    "ns-fields-not-dict": '{"i":9,"k":"res","n":"read","o":0,"p":"r0",'
+                          '"r":{"ns":{"c":"x.Y","f":5}}}',
+    "unhashable-set-member": '{"i":9,"k":"res","n":"audit","o":0,'
+                             '"p":"a0","r":{"s":[[1]]}}',
+    "empty-tag": '{"a":{},"i":9,"k":"inv","n":"read","o":1,"p":"r0"}',
+    "trailing-data": '{"events":3,"k":"end"} {}',
+    "torn-json": '{"a":{"t":[]},"i":9,"k":"inv"',
+    "bom": '\ufeff{"events":3,"k":"end"}',
+}
+
+each_malformed_line = pytest.mark.parametrize(
+    "line", list(MALFORMED_LINES.values()), ids=list(MALFORMED_LINES)
+)
+
+
+class TestMalformedLines:
+    """A corrupt line is the stream's truncation point: PARTIAL and
+    exit 2, never a crash (whose exit 1 would claim a proven
+    violation)."""
+
+    @each_malformed_line
+    def test_parse_line_raises_value_error(self, line):
+        with pytest.raises(ValueError):
+            parse_line(line)
+
+    def test_whitespace_around_a_line_is_not_corruption(self, register_log):
+        path, _ = register_log
+        for line in read_lines(path)[:20]:
+            assert parse_line(f" \t{line}") == parse_line(line.strip())
+
+    def _corrupt_log(self, register_log, tmp_path, line):
+        path, _ = register_log
+        lines = read_lines(path)
+        bad = tmp_path / "malformed.jsonl"
+        bad.write_text("".join(lines[:6]) + line + "\n" + "".join(lines[6:]))
+        return str(bad)
+
+    @each_malformed_line
+    def test_serve_file_is_partial(self, register_log, tmp_path, line):
+        outcome = serve_file(
+            VerdictServer(), self._corrupt_log(register_log, tmp_path, line)
+        )
+        assert not outcome.clean_end
+        assert outcome.status == LIN_PARTIAL
+        assert outcome.exit_code == 2
+
+    @each_malformed_line
+    def test_cli_exits_2(self, register_log, tmp_path, line, capsys):
+        from repro.__main__ import main
+
+        path = self._corrupt_log(register_log, tmp_path, line)
+        assert main(["serve", path]) == 2
+        assert "PARTIAL" in capsys.readouterr().out
+
+    @each_malformed_line
+    def test_load_event_log_stops_cleanly(self, register_log, tmp_path, line):
+        events, clean_end, meta = load_event_log(
+            self._corrupt_log(register_log, tmp_path, line)
+        )
+        assert not clean_end
+        assert meta.get("kind") == "stress"
+        assert len(events) == 5  # the events before the corrupt line
 
 
 class TestFaultSeam:

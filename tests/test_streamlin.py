@@ -343,6 +343,22 @@ class TestFrontier:
         assert verdict.ok
         assert verdict.progress.frontier_index == clock - 1
 
+    def test_an_idle_partition_does_not_hold_the_frontier(self):
+        """Cell "a" goes quiet after one write; the frontier must still
+        follow cell "b" to the last event."""
+        checker = StreamingLinChecker(register_array_spec(0), window=4)
+        checker.feed(Invocation(0, "p", 0, "write", ("a", 1)))
+        checker.feed(Response(1, "p", 0, "write", None))
+        clock = 2
+        for n in range(1, 20):
+            checker.feed(Invocation(clock, "p", n, "write", ("b", n)))
+            clock += 1
+            checker.feed(Response(clock, "p", n, "write", None))
+            clock += 1
+        assert checker.progress().partitions == 2
+        assert checker.progress().frontier_index == clock - 1
+        assert checker.finish().progress.frontier_index == clock - 1
+
     def test_fail_is_proven_online(self):
         """A violation must surface in progress before finish()."""
         checker = StreamingLinChecker(register_spec(0))
@@ -492,3 +508,140 @@ class TestBudgets:
             if stream.status != batch.status:
                 disagreements.append(seed)
         assert not disagreements
+
+
+# -- the audit partition of the streaming specs -------------------------------
+
+
+def _audited_sim_events(object_kind, seed, ops=10):
+    """A stress-roster run with one auditor on the simulator: the
+    decoded events and the hello meta ``repro serve`` rebuilds from."""
+    from repro.rt.stress import (
+        _stress_pids,
+        build_stress_register,
+        stress_op_source,
+    )
+    from repro.sim.runner import Simulation
+    from repro.sim.scheduler import RandomSchedule
+
+    r, w, a = 2, (2 if object_kind == "snapshot" else 1), 1
+    reg = build_stress_register(object_kind, r, w, seed)
+    sim = Simulation(RandomSchedule(seed))
+    events = []
+    sim.history.stream_to(events.append, retain=False)
+    for pid, role, index in _stress_pids(object_kind, r, w, a):
+        sim.spawn(pid)
+        source = stress_op_source(reg, pid, object_kind, seed, role, index)
+        sim.add_program(pid, [source() for _ in range(ops)])
+    sim.run()
+    meta = {"kind": "stress", "object": object_kind,
+            "r": r, "w": w, "a": a, "seed": seed}
+    return events, meta
+
+
+def _partitioned_and_whole_verdicts(events, meta):
+    """``(lin, audit, status)`` of the stress validator, and of the
+    same validator with the audit partition switched off."""
+    from dataclasses import replace
+
+    from repro.rt.serve import validator_from_meta
+    from repro.rt.stress import StreamValidator
+
+    partitioned = validator_from_meta(meta)
+    assert partitioned.checker.spec.partition_key is not None
+    other = validator_from_meta(meta)
+    whole = StreamValidator(
+        replace(other.checker.spec, partition_key=None),
+        tag=other.checker.tag, oracle=other.oracle,
+    )
+    verdicts = []
+    for validator in (partitioned, whole):
+        for event in events:
+            validator.feed(event)
+        verdicts.append(validator.verdict())
+    assert [v[3]["partitions"] for v in verdicts] == [2, 1]
+    return verdicts
+
+
+_OBSERVERS = {"register": "read", "max": "read", "snapshot": "scan"}
+_INITIAL = {"register": "v0", "max": 0, "snapshot": (0, 0)}
+
+
+def _stale_read(events, object_kind, rng):
+    """Rewrite one read (scan) invoked after a write (update) of a
+    fresh value completed to return the initial value: stale, so
+    not linearizable."""
+    from dataclasses import replace
+
+    first_write = min(
+        e.index for e in events
+        if isinstance(e, Response)
+        and e.op_name not in ("read", "scan", "audit")
+    )
+    invoked = {
+        (e.pid, e.op_id): e.index for e in events
+        if isinstance(e, Invocation)
+    }
+    candidates = [
+        k for k, e in enumerate(events)
+        if isinstance(e, Response)
+        and e.op_name == _OBSERVERS[object_kind]
+        and invoked[(e.pid, e.op_id)] > first_write
+        and e.result != _INITIAL[object_kind]
+    ]
+    k = rng.choice(candidates)
+    mutated = list(events)
+    mutated[k] = replace(events[k], result=_INITIAL[object_kind])
+    return mutated
+
+
+def _short_audit(events, rng):
+    """Drop one pair from one non-empty audit response."""
+    from dataclasses import replace
+
+    candidates = [
+        k for k, e in enumerate(events)
+        if isinstance(e, Response) and e.op_name == "audit" and e.result
+    ]
+    k = rng.choice(candidates)
+    result = events[k].result
+    mutated = list(events)
+    mutated[k] = replace(
+        events[k], result=result - {sorted(result, key=repr)[0]}
+    )
+    return mutated
+
+
+class TestAuditPartition:
+    """The streaming specs send audits to their own partition.  On
+    real auditor-bearing logs the verdict must be the one the
+    unpartitioned spec reaches, clean or mutated."""
+
+    KINDS = ("register", "max", "snapshot")
+
+    @pytest.mark.parametrize("object_kind", KINDS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clean_log(self, object_kind, seed):
+        events, meta = _audited_sim_events(object_kind, seed)
+        partitioned, whole = _partitioned_and_whole_verdicts(events, meta)
+        assert partitioned[:3] == whole[:3] == (True, True, LIN_OK)
+        # The audit partition idles before the stream ends; it must
+        # not hold the verified frontier back.
+        frontiers = [v[3]["frontier_index"] for v in (partitioned, whole)]
+        assert frontiers == [events[-1].index] * 2
+
+    @pytest.mark.parametrize("object_kind", KINDS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stale_read_still_fails(self, object_kind, seed):
+        events, meta = _audited_sim_events(object_kind, seed)
+        events = _stale_read(events, object_kind, random.Random(seed))
+        partitioned, whole = _partitioned_and_whole_verdicts(events, meta)
+        assert partitioned[:3] == whole[:3] == (False, True, LIN_FAIL)
+
+    @pytest.mark.parametrize("object_kind", KINDS)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bad_audit_is_the_oracles_catch(self, object_kind, seed):
+        events, meta = _audited_sim_events(object_kind, seed)
+        events = _short_audit(events, random.Random(seed))
+        partitioned, whole = _partitioned_and_whole_verdicts(events, meta)
+        assert partitioned[:3] == whole[:3] == (True, False, LIN_OK)
