@@ -2,10 +2,10 @@
 
 The measurements behind the repro.mc design choices:
 
-- *Raw enumeration* (reduce off, fingerprints off): every interleaving
+- *Raw enumeration* (reduce off): every interleaving
   of the 1-write/1-read Algorithm 1 scenario, checked individually, on
   the checkpoint-backtracking engine.
-- *Reduced exploration* (sleep sets + fingerprints): the same scenario,
+- *Reduced exploration* (sleep sets): the same scenario,
   same verdicts, visiting one representative per Mazurkiewicz trace.
   The >=5x acceptance bar of the E13 suite is asserted here on the
   single scenario too.
@@ -37,7 +37,7 @@ def test_bench_raw_enumeration(benchmark):
     """Every interleaving of Alg1 1-write/1-read, individually checked."""
     factory, check = get_scenario(SCENARIO)()
     report = benchmark(
-        lambda: explore(factory, check, reduce=False, fingerprints=False)
+        lambda: explore(factory, check, reduce=False)
     )
     assert report.ok
     assert report.executions == 320  # the historical E13 oracle
@@ -45,9 +45,9 @@ def test_bench_raw_enumeration(benchmark):
 
 
 def test_bench_reduced_exploration(benchmark):
-    """POR + fingerprints: same verdicts, >=5x fewer executions."""
+    """POR: same verdicts, >=5x fewer executions."""
     factory, check = get_scenario(SCENARIO)()
-    baseline = explore(factory, check, reduce=False, fingerprints=False)
+    baseline = explore(factory, check, reduce=False)
     factory, check = get_scenario(SCENARIO)()
     report = benchmark(lambda: explore(factory, check))
     assert report.ok

@@ -22,8 +22,7 @@ def test_e13_claims_hold():
 def test_bench_explore_write_read(benchmark):
     factory = register_scenario_factory(1, 1, 0)
     report = benchmark(
-        explore, factory, register_scenario_check,
-        reduce=False, fingerprints=False,
+        explore, factory, register_scenario_check, reduce=False,
     )
     assert report.ok
     benchmark.extra_info["interleavings"] = report.executions

@@ -32,7 +32,7 @@ def main() -> None:
 
     # -- 2. the same scenario without reduction -------------------------
     factory, check = get_scenario("alg1-w1-r1")()
-    baseline = explore(factory, check, reduce=False, fingerprints=False)
+    baseline = explore(factory, check, reduce=False)
     print(f"raw enumeration:     {baseline.executions} executions")
     print(f"reduction factor:    "
           f"{baseline.executions / reduced.executions:.1f}x")
@@ -72,8 +72,7 @@ def main() -> None:
     # Budgets raise, but the exception carries the partial report --
     # usable evidence even when the scenario is too large to finish.
     try:
-        explore(factory2, check2, max_executions=3,
-                reduce=False, fingerprints=False)
+        explore(factory2, check2, max_executions=3, reduce=False)
     except ExplorationBudgetExceeded as exc:
         print()
         print(f"budget tripped as expected: {exc}")

@@ -321,16 +321,12 @@ def _check(argv) -> int:
     )
     parser.add_argument(
         "--baseline", action="store_true",
-        help="disable reduction and fingerprinting (raw enumeration)",
+        help="disable partial-order reduction (raw enumeration)",
     )
     parser.add_argument(
         "--compare", action="store_true",
         help="run both raw and reduced exploration, report the "
         "reduction factor and verify the verdict sets coincide",
-    )
-    parser.add_argument(
-        "--no-fingerprints", action="store_true",
-        help="disable state-fingerprint memoisation (keep sleep sets)",
     )
     parser.add_argument(
         "--max-executions", type=int, default=300_000, metavar="N",
@@ -388,8 +384,6 @@ def _check(argv) -> int:
             "check", "check",
             max_executions=args.max_executions, max_depth=args.max_depth,
         )
-        if args.no_fingerprints:
-            sec.param(fingerprints=False)
         sec.axis("scenario", *names)
         if args.compare:
             sec.axis("reduce", False, True)

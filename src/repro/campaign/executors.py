@@ -116,10 +116,7 @@ class CheckExecutor(Executor):
     """
 
     kind = "check"
-    _ALLOWED = (
-        "scenario", "max_executions", "max_depth", "reduce",
-        "fingerprints",
-    )
+    _ALLOWED = ("scenario", "max_executions", "max_depth", "reduce")
 
     def validate_point(self, params: Dict[str, Any]) -> None:
         _require(params, "scenario", self.kind)
@@ -147,14 +144,12 @@ class CheckExecutor(Executor):
         or ``repro check``'s subtree fan-out) and judge the report."""
         from repro.mc import ExplorationBudgetExceeded
 
-        reduce = params.get("reduce", True)
         budget_note = None
         try:
             report = explore_fn(
                 max_executions=params.get("max_executions", 300_000),
                 max_depth=params.get("max_depth", 200),
-                reduce=reduce,
-                fingerprints=params.get("fingerprints", reduce),
+                reduce=params.get("reduce", True),
             )
         except ExplorationBudgetExceeded as exc:
             report = exc.report

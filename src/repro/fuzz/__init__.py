@@ -5,11 +5,12 @@ Between the model checker (sound but capped at small scenarios,
 only the interleavings the OS happens to produce, :mod:`repro.rt`)
 sits randomized schedule search: seeded samplers walk the schedule
 space of the *simulator* -- uniform, PCT-style priority scheduling
-with probabilistic bug-finding guarantees, or coverage-guided by the
-model checker's own state fingerprints -- every run records a
-replayable trace, violations are delta-debugged down to
-locally-minimal counterexample schedules, and campaigns fan out across
-the execution engine with byte-identical, resumable JSONL records.
+with probabilistic bug-finding guarantees, or coverage-guided by
+configuration fingerprints (:func:`repro.mc.configuration_fingerprint`)
+-- every run records a replayable trace, violations are delta-debugged
+down to locally-minimal counterexample schedules, and campaigns fan
+out across the execution engine with byte-identical, resumable JSONL
+records.
 
 - :mod:`repro.fuzz.samplers` -- schedule samplers + registry.
 - :mod:`repro.fuzz.targets` -- the target catalogue (every

@@ -41,9 +41,10 @@ Provided samplers:
   ``(state fingerprint, decision)`` pair seen across the runs of a
   campaign batch and prefers decisions that are novel in the current
   state, spreading schedules across distinct configurations instead of
-  re-walking the hot path.  Fingerprints are exactly the model
-  checker's (:func:`repro.mc.configuration_fingerprint`), so "novel"
-  means "a state the checker would not have merged".
+  re-walking the hot path.  Fingerprints hash the live configuration
+  with :func:`repro.mc.configuration_fingerprint` (shared-object
+  states, per-process control state, pending primitives), so "novel"
+  means "a configuration no earlier run of the batch reached".
 - :class:`FaultSampler` -- fault-pressure sweep: each run derives a
   :class:`repro.faults.SeededFaultPlan`-style fault rate from its own
   seed, so one campaign explores quiet runs and storms alike without a

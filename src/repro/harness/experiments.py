@@ -830,7 +830,7 @@ def run_e13() -> ExperimentResult:
 
     Each scenario is explored twice through ``repro.mc``: the raw
     enumeration (the historical baseline, every interleaving checked
-    individually) and the partial-order-reduced + fingerprinted
+    individually) and the partial-order-reduced sleep-set
     exploration, whose violation set must coincide -- empirically
     confirming the soundness argument of DESIGN.md section 5 while
     measuring the reduction factor.
@@ -845,7 +845,7 @@ def run_e13() -> ExperimentResult:
         factory, check = get_scenario(key)()
         baseline = explore(
             factory, check, max_executions=300_000,
-            reduce=False, fingerprints=False,
+            reduce=False,
         )
         factory, check = get_scenario(key)()
         reduced = explore(factory, check, max_executions=300_000)
@@ -870,7 +870,7 @@ def run_e13() -> ExperimentResult:
         claims[f"{name}: >=5x reduction"] = (
             baseline.executions >= 5 * reduced.executions
         )
-    claims["POR+fingerprints visit >=5x fewer executions overall"] = (
+    claims["POR visits >=5x fewer executions overall"] = (
         total_baseline >= 5 * total_reduced
     )
     return ExperimentResult(

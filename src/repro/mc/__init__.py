@@ -1,11 +1,11 @@
 """``repro.mc`` -- the model-checking subsystem.
 
-A partial-order-reduced, fingerprint-memoised, checkpoint-driven (and
-optionally parallel) explorer:
+A partial-order-reduced, checkpoint-driven (and optionally parallel)
+explorer:
 
 - :func:`explore` -- serial exploration of an arbitrary
-  ``(factory, check)`` scenario; ``reduce=False, fingerprints=False``
-  enumerates every raw interleaving.
+  ``(factory, check)`` scenario; ``reduce=False`` enumerates every raw
+  interleaving.
 - :func:`explore_parallel` -- frontier fan-out of a *named* scenario
   across the ``repro.engine`` worker pool with JSONL
   checkpoint/resume.
@@ -13,6 +13,10 @@ optionally parallel) explorer:
   suite lives here).
 - :mod:`repro.mc.independence` -- the soundness core: which steps
   commute, and why the repository's oracles cannot tell.
+- :func:`configuration_fingerprint` -- a stable hash of a live
+  configuration; the fuzz coverage sampler's novelty signal (the
+  explorer itself keeps no state memo: sleep sets never revisit a
+  trace).
 
 See DESIGN.md section 5 for the soundness argument and the
 parallel-frontier protocol.

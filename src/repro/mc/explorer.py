@@ -15,19 +15,25 @@ independence module) holds for *every* interleaving iff it holds for the
 visited representatives.
 
 Compared to a naive exhaustive walk that replays every prefix, this
-explorer layers three accelerations:
+explorer layers two accelerations:
 
 - **replay elimination** -- the DFS backtracks a single live simulation
   through :class:`repro.sim.checkpoint.SimulationCheckpointer` instead
   of rebuilding each prefix from ``factory()``: amortised cost per node
-  is O(state size), not O(depth);
+  is O(state size), not O(depth), and a node with a single candidate
+  step is never captured at all, since nothing backtracks to it;
 - **partial-order reduction** -- sleep sets prune sibling orderings of
-  independent steps, visiting one representative per trace;
-- **state fingerprinting** -- configurations are hashed (shared-object
-  states, per-process program counters, pending-primitive set) via
-  ``repro._seeding.stable_hash``; a subtree whose configuration was
-  already explored under a weaker-or-equal sleep set is merged from the
-  memo instead of re-explored.
+  independent steps, visiting one representative per trace.
+
+There is no state memo.  A sleep-set DFS never visits two
+trace-equivalent prefixes (Godefroid's sleep-set theorem): if two
+visited prefixes were equivalent and first diverged at a node through
+``a`` (explored first) and ``b``, then ``a`` is independent of every
+step before it on the second path, so it stays asleep along that path
+and can never run there.  A memo keyed on configuration plus the
+prefix's Foata form -- the only key that transfers history-dependent
+verdicts -- therefore never hits; ``tests/test_mc.py`` pins that every
+visited node has a distinct Foata form.
 
 Complexity: O(visited nodes x state size); the number of visited
 executions is bounded by the number of Mazurkiewicz traces, which for
@@ -37,9 +43,8 @@ Typical use (experiment E13)::
 
     from repro.mc import explore
 
-    report = explore(factory, check)              # reduced (default)
-    baseline = explore(factory, check, reduce=False,
-                       fingerprints=False)        # raw enumeration
+    report = explore(factory, check)                  # reduced (default)
+    baseline = explore(factory, check, reduce=False)  # raw enumeration
     assert report.verdicts == baseline.verdicts
 
 Budgets raise :class:`ExplorationBudgetExceeded`; the exception's
@@ -51,17 +56,12 @@ evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional, Tuple
 
 import sys
 
 from repro._seeding import stable_hash
-from repro.mc.independence import (
-    Factors,
-    StepInfo,
-    foata_insert,
-    independent,
-)
+from repro.mc.independence import StepInfo, independent
 from repro.sim.checkpoint import SimulationCheckpointer
 from repro.sim.runner import Simulation
 
@@ -69,24 +69,17 @@ Factory = Callable[[], Tuple[Simulation, Any]]
 Check = Callable[[Simulation, Any], Optional[str]]
 
 
-def configuration_fingerprint(
-    sim: Simulation, vault, extra: Tuple = ()
-) -> Tuple[int, Tuple]:
+def configuration_fingerprint(sim: Simulation, vault) -> Tuple[int, Tuple]:
     """``(stable_hash, exact components)`` of a live configuration.
 
     The key covers every adopted shared object that left its birth
     state plus, per process, the scheduler-visible control state
-    (program counter, replay log, pending primitive).  ``extra``
-    components are folded in verbatim (the explorer passes the Foata
-    factorisation of the past; the fuzzer passes nothing and uses the
-    key purely as a novelty signal for coverage-guided sampling).
-
-    Exposed at module level so :mod:`repro.fuzz` reuses the exact
-    fingerprint the model checker memoises on -- states the checker
-    would merge are states the fuzzer should not count as new coverage.
+    (program counter, replay log, pending primitive).  The fuzz
+    coverage sampler uses the hash as its novelty signal: two runs that
+    reach one configuration count as one state.  The explorer itself
+    keeps no state memo (see the module docstring).
     """
     components: List[Any] = [vault.fingerprint_components()]
-    components.extend(extra)
     for pid in sorted(sim.processes):
         process = sim.processes[pid]
         pending = None
@@ -138,9 +131,10 @@ class ExplorationReport:
         default_factory=list
     )
     reduced: bool = False
-    fingerprints_enabled: bool = False
     distinct_states: int = 0
     sleep_pruned: int = 0
+    #: Always 0: sleep sets never revisit a trace, so the explorer keeps
+    #: no memo to hit (the module docstring has the argument).
     fingerprint_hits: int = 0
     restores: int = 0
     workers: int = 1
@@ -177,7 +171,6 @@ class _Explorer:
         max_executions: int,
         max_depth: int,
         reduce: bool,
-        fingerprints: bool,
         frontier_depth: Optional[int] = None,
     ) -> None:
         self.sim = sim
@@ -186,16 +179,10 @@ class _Explorer:
         self.max_executions = max_executions
         self.max_depth = max_depth
         self.reduce = reduce
-        self.fingerprints = fingerprints
         self.frontier_depth = frontier_depth
         self.frontier: List[Tuple[Tuple[str, ...], Tuple[StepInfo, ...]]] = []
         self.ckpt = SimulationCheckpointer(sim, roots=[context])
-        self.report = ExplorationReport(
-            reduced=reduce, fingerprints_enabled=fingerprints
-        )
-        # fingerprint -> list of (sleep entries, exact components,
-        # completions, relative violation suffixes, relative max depth)
-        self._memo: Dict[int, List[Tuple]] = {}
+        self.report = ExplorationReport(reduced=reduce)
 
     # -- public -----------------------------------------------------------
 
@@ -204,9 +191,8 @@ class _Explorer:
         prefix: Tuple[str, ...] = (),
         sleep: FrozenSet[StepInfo] = frozenset(),
     ) -> ExplorationReport:
-        factors: Factors = ()
-        if prefix:
-            factors = self._replay_prefix(prefix)
+        for pid in prefix:  # drive a fresh simulation to a frontier node
+            self._step(pid, None)
         # The DFS recurses once per schedule step; budgets guarantee a
         # clean ExplorationBudgetExceeded well before the interpreter's
         # default limit would turn deep scenarios into RecursionError.
@@ -215,34 +201,24 @@ class _Explorer:
         if needed > previous:
             sys.setrecursionlimit(min(needed, 200_000))
         try:
-            self._node(prefix, sleep, factors)
+            self._node(prefix, sleep)
         finally:
             sys.setrecursionlimit(previous)
         return self.report
 
     # -- exploration ------------------------------------------------------
 
-    def _replay_prefix(self, prefix: Tuple[str, ...]) -> Factors:
-        """Drive the fresh simulation to a frontier node (workers),
-        rebuilding the prefix's Foata factorisation along the way."""
-        factors: Factors = ()
-        for pid in prefix:
-            factors = foata_insert(factors, self._step(pid, None))
-        return factors
-
     def _node(
         self,
         prefix: Tuple[str, ...],
         sleep: FrozenSet[StepInfo],
-        factors: Factors,
-    ) -> int:
-        """Explore the subtree at the current live state; returns the
-        maximal execution depth seen below (absolute)."""
+    ) -> None:
+        """Explore the subtree at the current live state."""
         depth = len(prefix)
         runnable = sorted(p.pid for p in self.sim.runnable())
         if not runnable:
             self._leaf(prefix)
-            return depth
+            return
         if depth >= self.max_depth:
             raise ExplorationBudgetExceeded(
                 f"execution deeper than {self.max_depth} steps; "
@@ -255,53 +231,24 @@ class _Explorer:
             # Every enabled step sleeps: all completions of this prefix
             # are permutations of executions visited elsewhere.
             self.report.sleep_pruned += 1
-            return depth
+            return
         if (
             self.frontier_depth is not None
             and depth >= self.frontier_depth
         ):
             self.frontier.append((prefix, tuple(sorted(sleep))))
-            return depth
-
-        fp_key = exact = None
-        if self.fingerprints:
-            fp_key, exact = self._fingerprint(factors)
-            cached = self._memo_lookup(fp_key, exact, sleep)
-            if cached is not None:
-                completions, suffixes, rel_depth = cached
-                self.report.fingerprint_hits += 1
-                self._count_executions(completions)
-                for suffix, verdict in suffixes:
-                    self._record_violation(prefix + suffix, verdict)
-                self.report.max_depth = max(
-                    self.report.max_depth, depth + rel_depth
-                )
-                return depth + rel_depth
+            return
 
         self.report.distinct_states += 1
-        exec_start = self.report.executions
-        viol_start = len(self.report.violation_details)
-        frontier_start = len(self.frontier)
-        if len(candidates) == 1 and fp_key is None:
-            # Non-branching chain: nobody will ever backtrack to this
-            # node, so skip the checkpoint entirely.
-            pid = candidates[0]
-            info = self._step(pid, None)
-            if self.reduce:
-                child_sleep = frozenset(
-                    entry for entry in sleep if independent(entry, info)
-                )
-            else:
-                child_sleep = frozenset()
-            return self._node(prefix + (pid,), child_sleep, factors)
-        mark = self.ckpt.capture()
+        # A non-branching node is never backtracked to: skip its
+        # checkpoint.
+        mark = self.ckpt.capture() if len(candidates) > 1 else None
         done: List[StepInfo] = []
-        submax = depth
         for position, pid in enumerate(candidates):
             if position:
                 self.ckpt.restore(mark)
                 self.report.restores += 1
-            info = self._step(pid, mark.vault_snap)
+            info = self._step(pid, mark.vault_snap if mark else None)
             if self.reduce:
                 child_sleep = frozenset(
                     entry
@@ -310,31 +257,8 @@ class _Explorer:
                 )
             else:
                 child_sleep = frozenset()
-            child_factors = (
-                foata_insert(factors, info) if self.fingerprints else ()
-            )
-            submax = max(
-                submax,
-                self._node(prefix + (pid,), child_sleep, child_factors),
-            )
+            self._node(prefix + (pid,), child_sleep)
             done.append(info)
-
-        if fp_key is not None and len(self.frontier) == frontier_start:
-            # A subtree cut off at the frontier is incomplete: caching
-            # it would make a later hit silently drop the cut parts.
-            self._memo_store(
-                fp_key,
-                exact,
-                sleep,
-                self.report.executions - exec_start,
-                tuple(
-                    (tuple(schedule[depth:]), verdict)
-                    for schedule, verdict in
-                    self.report.violation_details[viol_start:]
-                ),
-                submax - depth,
-            )
-        return submax
 
     def _step(self, pid: str, vault_snap: Optional[list]) -> StepInfo:
         """Execute one step and observe it.  ``vault_snap`` is the
@@ -369,7 +293,13 @@ class _Explorer:
 
     def _leaf(self, prefix: Tuple[str, ...]) -> None:
         self.report.max_depth = max(self.report.max_depth, len(prefix))
-        self._count_executions(1)
+        self.report.executions += 1
+        if self.report.executions > self.max_executions:
+            raise ExplorationBudgetExceeded(
+                f"more than {self.max_executions} executions; "
+                "shrink the scenario",
+                report=self.report,
+            )
         # Track anything the final steps materialised before the check
         # mutates state, so the parent's restore can roll it back.
         self.ckpt.vault.adopt_new()
@@ -378,69 +308,7 @@ class _Explorer:
         except Exception as exc:  # record, keep exploring
             verdict = f"{type(exc).__name__}: {exc}"
         if verdict:
-            self._record_violation(prefix, verdict)
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def _count_executions(self, n: int) -> None:
-        self.report.executions += n
-        if self.report.executions > self.max_executions:
-            raise ExplorationBudgetExceeded(
-                f"more than {self.max_executions} executions; "
-                "shrink the scenario",
-                report=self.report,
-            )
-
-    def _record_violation(
-        self, schedule: Tuple[str, ...], verdict: str
-    ) -> None:
-        self.report.violation_details.append((schedule, verdict))
-
-    # -- fingerprinting ---------------------------------------------------
-
-    def _fingerprint(self, factors: Factors) -> Tuple[int, Tuple]:
-        """Key identifying the configuration *and* its past's trace.
-
-        The Foata factorisation is part of the key: equal state alone
-        would let the memo replay verdicts across prefixes whose pasts
-        are not equivalent, silently corrupting history-dependent
-        checks (e.g. two dependent writes of the same value converge
-        in state but their orders are distinct traces).  With the
-        factorisation included, a hit proves the cached prefix and the
-        current one are permutations of one another via independent
-        swaps, so every completed execution below is pairwise
-        equivalent -- cached verdicts and counts transfer exactly.
-        """
-        return configuration_fingerprint(
-            self.sim, self.ckpt.vault, extra=(factors,)
-        )
-
-    def _memo_lookup(
-        self, key: int, exact: Tuple, sleep: FrozenSet[StepInfo]
-    ) -> Optional[Tuple]:
-        for entry_sleep, entry_exact, completions, suffixes, rel_depth in (
-            self._memo.get(key, ())
-        ):
-            # Exact component comparison guards against hash collisions;
-            # the cached subtree may be reused only if it was explored
-            # under a weaker-or-equal sleep set (it then covers a
-            # superset of the traces required here).
-            if entry_exact == exact and entry_sleep <= sleep:
-                return completions, suffixes, rel_depth
-        return None
-
-    def _memo_store(
-        self,
-        key: int,
-        exact: Tuple,
-        sleep: FrozenSet[StepInfo],
-        completions: int,
-        suffixes: Tuple,
-        rel_depth: int,
-    ) -> None:
-        self._memo.setdefault(key, []).append(
-            (frozenset(sleep), exact, completions, suffixes, rel_depth)
-        )
+            self.report.violation_details.append((prefix, verdict))
 
 
 def explore(
@@ -450,7 +318,6 @@ def explore(
     max_depth: int = 200,
     *,
     reduce: bool = True,
-    fingerprints: bool = True,
 ) -> ExplorationReport:
     """Run ``check`` on (a trace-covering set of) maximal executions.
 
@@ -464,14 +331,12 @@ def explore(
     context) is not rolled back: treat the context as read-only wiring
     and keep per-execution scratch state local to ``check``.
 
-    With ``reduce=False`` and ``fingerprints=False`` this enumerates
-    every raw interleaving (the E13 baseline counts), without a
-    per-node replay cost.
+    With ``reduce=False`` this enumerates every raw interleaving (the
+    E13 baseline counts), without a per-node replay cost.
     """
     sim, context = factory()
     explorer = _Explorer(
-        sim, context, check, max_executions, max_depth, reduce,
-        fingerprints,
+        sim, context, check, max_executions, max_depth, reduce
     )
     return explorer.run()
 
@@ -488,6 +353,5 @@ def count_interleavings(
         lambda sim, ctx: None,
         max_executions=max_executions,
         reduce=reduce,
-        fingerprints=reduce,
     )
     return report.executions

@@ -101,11 +101,13 @@ def foata_insert(factors: Factors, step: StepInfo) -> Factors:
     independent steps, where every step sits in the first factor after
     the last one containing a step it depends on.  Two prefixes (from
     the same initial configuration) are related by swapping adjacent
-    independent steps **iff** their factorisations are equal -- which
-    is what lets the explorer's fingerprint memo prove that a cached
-    subtree's verdicts transfer: equal state alone is not enough, the
-    pasts must be equivalent too, or a history-dependent check could
-    judge the unexplored past differently.
+    independent steps **iff** their factorisations are equal.  Any
+    memo that transfers history-dependent verdicts between prefixes
+    must key on it: equal state alone is not enough, the pasts must be
+    equivalent too.  The sleep-set explorer never visits two prefixes
+    with one factorisation (``tests/test_mc.py`` pins this), so only a
+    key coarser than the trace -- e.g. canonical up to a permutation
+    of symmetric processes -- can ever merge its nodes.
 
     Factors are kept as sorted tuples so equality is canonical.
     """

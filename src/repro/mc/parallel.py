@@ -4,22 +4,19 @@ The reduced schedule tree decomposes cleanly: once the serial explorer
 has expanded it to a fixed *frontier depth* (checking any executions
 that complete earlier inline), the surviving frontier nodes --
 ``(prefix, sleep set)`` pairs -- root pairwise disjoint subtrees whose
-exploration needs no shared state beyond per-subtree fingerprint
-tables.  Each subtree becomes one :class:`repro.engine.ExecutionTask`;
-a worker rebuilds the scenario *by name* from
-:mod:`repro.mc.scenarios`, replays the prefix on its own live
-simulation, reconstitutes the sleep set (vault indices are
+exploration needs no shared state.  Each subtree becomes one
+:class:`repro.engine.ExecutionTask`; a worker rebuilds the scenario
+*by name* from :mod:`repro.mc.scenarios`, replays the prefix on its own
+live simulation, reconstitutes the sleep set (vault indices are
 deterministic, so step signatures transfer across processes) and runs
 the same sleep-set DFS.
 
 Determinism contract (inherited from :mod:`repro.engine.engine`): one
 canonical JSON record per subtree, written in task-index order --
 byte-identical across runs and worker counts, resumable from the JSONL
-checkpoint by skipping exactly the completed subtrees.  Fingerprint
-memo tables are per-subtree, so a parallel run may revisit a
-configuration that two subtrees reach independently; ``executions`` is
-therefore deterministic but may differ slightly from a serial
-fingerprinted run.  Violation *verdicts* never differ.
+checkpoint by skipping exactly the completed subtrees.  The explorer
+keeps no cross-subtree state, so the merged ``executions``,
+``distinct_states`` and verdicts equal a serial run's exactly.
 
 Typical use (experiment E13 at scale, ``python -m repro check``)::
 
@@ -49,7 +46,6 @@ def _subtree_task(
     max_executions: int = 200_000,
     max_depth: int = 200,
     reduce: bool = True,
-    fingerprints: bool = True,
 ) -> Dict[str, Any]:
     """Explore one frontier subtree (runs in a worker process)."""
     from repro.mc.scenarios import get_scenario
@@ -57,8 +53,7 @@ def _subtree_task(
     factory, check = get_scenario(scenario)()
     sim, context = factory()
     explorer = _Explorer(
-        sim, context, check, max_executions, max_depth, reduce,
-        fingerprints,
+        sim, context, check, max_executions, max_depth, reduce
     )
     entries = frozenset(StepInfo.from_wire(wire) for wire in sleep)
     budget = None
@@ -76,7 +71,6 @@ def _subtree_task(
         ],
         "distinct_states": report.distinct_states,
         "sleep_pruned": report.sleep_pruned,
-        "fingerprint_hits": report.fingerprint_hits,
         "restores": report.restores,
         "budget_exceeded": budget,
     }
@@ -90,7 +84,6 @@ def explore_parallel(
     max_executions: int = 200_000,
     max_depth: int = 200,
     reduce: bool = True,
-    fingerprints: bool = True,
     checkpoint: Optional[str] = None,
     resume: bool = True,
     progress=None,
@@ -112,12 +105,10 @@ def explore_parallel(
     sim, context = factory()
     explorer = _Explorer(
         sim, context, check, max_executions, max_depth, reduce,
-        fingerprints, frontier_depth=frontier_depth,
+        frontier_depth=frontier_depth,
     )
     merged = explorer.run()  # inline leaves + frontier collection
     merged.workers = workers or os.cpu_count() or 1
-    merged.fingerprints_enabled = fingerprints
-    merged.reduced = reduce
 
     tasks: List[ExecutionTask] = []
     for index, (prefix, entries) in enumerate(explorer.frontier):
@@ -128,7 +119,6 @@ def explore_parallel(
             ("max_executions", max_executions),
             ("max_depth", max_depth),
             ("reduce", reduce),
-            ("fingerprints", fingerprints),
         )
         tasks.append(ExecutionTask(index, 0, params))
 
@@ -148,7 +138,6 @@ def explore_parallel(
         merged.max_depth = max(merged.max_depth, payload["max_depth"])
         merged.distinct_states += payload["distinct_states"]
         merged.sleep_pruned += payload["sleep_pruned"]
-        merged.fingerprint_hits += payload["fingerprint_hits"]
         merged.restores += payload["restores"]
         for schedule, verdict in payload["violations"]:
             merged.violation_details.append((tuple(schedule), verdict))

@@ -299,14 +299,15 @@ class StateVault:
                 else:
                     state[key] = copy.deepcopy(value, memo)
 
-    # -- fingerprint support (repro.mc) -------------------------------------
+    # -- fingerprint support (repro.mc.configuration_fingerprint) -----------
 
     def canon(self, value: Any) -> Any:
         """A process-stable, hashable canonicalisation of a value.
 
         Adopted objects become index references, containers become
-        sorted tuples, RNGs become their state vectors.  Used by the
-        model checker to fingerprint configurations.
+        sorted tuples, RNGs become their state vectors.  Used by
+        :func:`repro.mc.configuration_fingerprint`, the fuzz coverage
+        sampler's configuration hash.
         """
         idx = self._ids.get(id(value))
         if idx is not None:

@@ -311,6 +311,15 @@ class TestCompile:
         with pytest.raises(SpecError, match="no-such-scenario"):
             compile_spec(spec)
 
+    def test_check_rejects_the_retired_fingerprints_param(self):
+        # The explorer keeps no state memo, so there is nothing to
+        # switch off: a spec naming the old knob is an unknown param.
+        section = Section("mc", "check", params={
+            "scenario": "alg1-w1-r1", "fingerprints": False,
+        })
+        with pytest.raises(SpecError, match="fingerprints"):
+            compile_section(section)
+
     def test_unknown_kind_and_empty_spec(self):
         spec = CampaignSpec("x")
         with pytest.raises(SpecError):

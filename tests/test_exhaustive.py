@@ -1,5 +1,5 @@
 """Tests for the exhaustive interleaving explorer: raw enumeration
-(``repro.mc.explore`` with reduction and fingerprints off), so every
+(``repro.mc.explore`` with reduction off), so every
 interleaving is counted and checked individually."""
 
 import pytest
@@ -61,7 +61,7 @@ class TestEnumeration:
         explore(
             two_process_factory(1, 1),
             lambda sim, ctx: seen.append(len(sim.history.events)) or None,
-            reduce=False, fingerprints=False,
+            reduce=False,
         )
         assert len(seen) == 6  # C(4, 2)
 
@@ -69,7 +69,7 @@ class TestEnumeration:
         report = explore(
             two_process_factory(1, 1),
             lambda sim, ctx: "bad execution",
-            reduce=False, fingerprints=False,
+            reduce=False,
         )
         assert not report.ok
         assert len(report.violations) == 6
@@ -81,7 +81,7 @@ class TestEnumeration:
 
         report = explore(
             two_process_factory(1, 1), check,
-            reduce=False, fingerprints=False,
+            reduce=False,
         )
         assert all("ValueError: boom" in v for v in report.violations)
 
@@ -91,7 +91,7 @@ class TestEnumeration:
                 two_process_factory(4, 4),
                 lambda sim, ctx: None,
                 max_executions=5,
-                reduce=False, fingerprints=False,
+                reduce=False,
             )
 
     def test_depth_budget(self):
@@ -100,7 +100,7 @@ class TestEnumeration:
                 two_process_factory(10, 10),
                 lambda sim, ctx: None,
                 max_depth=3,
-                reduce=False, fingerprints=False,
+                reduce=False,
             )
 
 

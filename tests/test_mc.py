@@ -7,9 +7,12 @@ The load-bearing properties:
 - POR soundness: on small scenarios -- including ones *with*
   violations -- the reduced explorer reports exactly the same violation
   set as the raw enumeration;
+- the sleep-set theorem: the reduced search never visits two
+  trace-equivalent prefixes (so a trace-keyed state memo could never
+  hit), and every registered scenario's counts are pinned exactly;
 - budget exhaustion still surfaces a usable partial report;
-- parallel frontier exploration matches serial exploration and keeps
-  the engine's byte-identical JSONL checkpoint/resume contract.
+- parallel frontier exploration matches serial exploration exactly and
+  keeps the engine's byte-identical JSONL checkpoint/resume contract.
 """
 
 import math
@@ -22,8 +25,9 @@ from repro.mc import (
     explore,
 )
 from repro.mc.explorer import _Explorer
+from repro.mc.independence import foata_insert
 from repro.mc.parallel import explore_parallel
-from repro.mc.scenarios import E13_SUITE, get_scenario
+from repro.mc.scenarios import E13_SUITE, get_scenario, scenario_names
 from repro.memory.register import AtomicRegister
 from repro.sim.checkpoint import SimulationCheckpointer
 from repro.sim.process import Op
@@ -162,8 +166,7 @@ class TestPORSoundness:
     -- including on scenarios *with* violations."""
 
     def assert_same_verdicts(self, factory, check):
-        baseline = explore(factory, check, reduce=False,
-                           fingerprints=False)
+        baseline = explore(factory, check, reduce=False)
         reduced = explore(factory, check)
         assert reduced.verdicts == baseline.verdicts
         assert reduced.ok == baseline.ok
@@ -209,8 +212,7 @@ class TestPORSoundness:
     )
     def test_paper_scenarios_clean_in_both_modes(self, name):
         factory, check = get_scenario(name)()
-        baseline = explore(factory, check, reduce=False,
-                           fingerprints=False)
+        baseline = explore(factory, check, reduce=False)
         factory, check = get_scenario(name)()
         reduced = explore(factory, check)
         assert baseline.ok and reduced.ok
@@ -218,37 +220,12 @@ class TestPORSoundness:
         # the acceptance bar: at least 5x fewer executions visited
         assert baseline.executions >= 5 * reduced.executions
 
-    def test_fingerprints_only_merge_never_change_verdicts(self):
-        factory = counter_scenario((1, 3), (2, 4))
-
-        def check(sim, reg):
-            return f"final={reg.peek()}"
-
-        no_fp = explore(factory, check, fingerprints=False)
-        with_fp = explore(factory, check)
-        assert with_fp.verdicts == no_fp.verdicts
-
-    def test_fingerprints_merge_trace_equivalent_prefixes_exactly(self):
-        # Raw enumeration with fingerprints: processes on disjoint
-        # registers re-converge constantly, and every convergence is
-        # trace-equivalent, so the memo merges aggressively -- while
-        # the execution count must stay exactly the raw count.
-        factory = disjoint_scenario(2)
-        raw = count_interleavings(factory)
-        merged = explore(
-            factory, lambda sim, ctx: None,
-            reduce=False, fingerprints=True,
-        )
-        assert merged.executions == raw
-        assert merged.fingerprint_hits > 0
-
-    def test_fingerprints_do_not_mask_history_dependent_verdicts(self):
-        # Regression for the soundness hole state-only fingerprints
-        # had: two processes write the SAME value, so both orders
-        # converge to an identical configuration -- but the orders are
-        # distinct traces (dependent steps), and a history-dependent
-        # check judges them differently.  The Foata component of the
-        # fingerprint must keep them apart.
+    def test_converging_states_keep_history_dependent_verdicts(self):
+        # Two processes write the SAME value, so both orders converge
+        # to an identical configuration -- but the orders are distinct
+        # traces (dependent steps), and a history-dependent check
+        # judges them differently.  Any state-keyed merge would lose
+        # one verdict; both modes must report the raw baseline's.
         def factory():
             sim = Simulation()
             reg = AtomicRegister("x", 0)
@@ -275,13 +252,11 @@ class TestPORSoundness:
             b = sim.history.operations(pid="b")[0]
             return "b-before-a" if b.precedes(a) else None
 
-        baseline = explore(factory, check, reduce=False,
-                           fingerprints=False)
+        baseline = explore(factory, check, reduce=False)
         assert "b-before-a" in baseline.verdicts
         for reduce in (False, True):
-            merged = explore(factory, check, reduce=reduce,
-                             fingerprints=True)
-            assert merged.verdicts == baseline.verdicts
+            report = explore(factory, check, reduce=reduce)
+            assert report.verdicts == baseline.verdicts
 
     def test_deep_scenarios_hit_budget_not_recursion_limit(self):
         def factory():
@@ -300,12 +275,89 @@ class TestPORSoundness:
         assert report.max_depth == 1501
 
 
+class _FoataExplorer(_Explorer):
+    """Records the Foata normal form of every prefix the DFS visits."""
+
+    def __init__(self, sim, context, check):
+        super().__init__(sim, context, check, 200_000, 200, True)
+        self.forms = []  # every visited node's form, in visit order
+        self._path = []  # forms of the nodes on the current DFS path
+        self._last = None  # the step that led to the node being entered
+
+    def _step(self, pid, vault_snap):
+        self._last = super()._step(pid, vault_snap)
+        return self._last
+
+    def _node(self, prefix, sleep):
+        form = foata_insert(self._path[-1], self._last) if prefix else ()
+        self.forms.append(form)
+        self._path.append(form)
+        super()._node(prefix, sleep)
+        self._path.pop()
+
+
+# (executions, distinct_states, restores, sleep_pruned, len(verdicts))
+# of the reduced search on every registered scenario.
+GOLDEN_COUNTS = {
+    "alg1-r1-a1-prewrite": (7, 40, 11, 5, 0),
+    "alg1-r2-prewrite": (12, 46, 13, 2, 0),
+    "alg1-silent-read": (5, 39, 4, 0, 0),
+    "alg1-w1-a1": (9, 51, 11, 3, 0),
+    "alg1-w1-r1": (16, 102, 17, 2, 0),
+    "alg1-w2": (44, 198, 65, 22, 0),
+    "alg2-w1-r1": (16, 126, 17, 2, 0),
+    "alg2-w2": (354, 1716, 587, 234, 0),
+    "buggy-counter": (48, 160, 76, 29, 1),
+    "buggy-counter-deep": (1168, 5036, 2079, 912, 1),
+    "buggy-maxreg": (48, 157, 63, 16, 1),
+    "buggy-maxreg-deep": (3156, 12576, 5971, 2816, 1),
+}
+
+
+class TestSleepSetTheorem:
+    """A sleep-set DFS never visits two trace-equivalent prefixes.
+
+    Proof sketch: if two visited prefixes were equivalent and first
+    diverged at a node through ``a`` (explored first) and ``b``, then
+    ``a`` is independent of every step before it on the second path,
+    so it stays asleep there and can never run.  This is why the
+    explorer keeps no Foata-keyed state memo: it could never hit.
+    """
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_no_two_visited_nodes_share_a_foata_form(self, name):
+        factory, check = get_scenario(name)()
+        sim, context = factory()
+        explorer = _FoataExplorer(sim, context, check)
+        report = explorer.run()
+        # Every visited node: branching or chain states, leaves and
+        # sleep-pruned nodes.
+        assert len(explorer.forms) == (
+            report.distinct_states + report.executions
+            + report.sleep_pruned
+        )
+        assert len(set(explorer.forms)) == len(explorer.forms)
+
+    def test_golden_table_covers_every_scenario(self):
+        assert sorted(GOLDEN_COUNTS) == sorted(scenario_names())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
+    def test_counts_are_pinned(self, name):
+        factory, check = get_scenario(name)()
+        report = explore(factory, check)
+        assert (
+            report.executions, report.distinct_states, report.restores,
+            report.sleep_pruned, len(report.verdicts),
+        ) == GOLDEN_COUNTS[name]
+        assert report.fingerprint_hits == 0
+
+
 class TestBudgets:
     def test_execution_budget_partial_report(self):
         factory = counter_scenario((1, 2, 3, 4), (5, 6, 7, 8))
         with pytest.raises(ExplorationBudgetExceeded) as exc_info:
             explore(factory, lambda sim, ctx: "bad",
-                    max_executions=5, reduce=False, fingerprints=False)
+                    max_executions=5, reduce=False)
         report = exc_info.value.report
         assert report is not None
         assert report.executions == 6  # budget checked after counting
@@ -323,12 +375,21 @@ class TestBudgets:
 class TestParallelFrontiers:
     def test_parallel_matches_serial(self):
         factory, check = get_scenario("alg1-w1-r1")()
-        serial = explore(factory, check, fingerprints=False)
+        serial = explore(factory, check)
         parallel = explore_parallel(
             "alg1-w1-r1", workers=2, frontier_depth=4,
-            fingerprints=False,
         )
         assert parallel.executions == serial.executions
+        assert parallel.verdicts == serial.verdicts
+
+    @pytest.mark.parametrize("name", ["alg1-w2", "alg2-w2"])
+    def test_parallel_counts_equal_serial_exactly(self, name):
+        # Subtrees share no state, so fanning out changes no count.
+        factory, check = get_scenario(name)()
+        serial = explore(factory, check)
+        parallel = explore_parallel(name, workers=2, frontier_depth=4)
+        assert parallel.executions == serial.executions
+        assert parallel.distinct_states == serial.distinct_states
         assert parallel.verdicts == serial.verdicts
 
     def test_checkpoint_bytes_identical_across_worker_counts(
