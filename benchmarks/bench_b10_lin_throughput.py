@@ -205,17 +205,14 @@ def _check_path_corpus(reads_per_reader):
 def _stress_corpus(ops_per_thread):
     """Real thread-runtime histories, exactly what ``repro stress``
     post-validates."""
-    from repro.rt.stress import _build
+    from repro.rt.stress import _build, stress_meta
 
-    threads = (1, 2, 1) if SMOKE else (3, 4, 1)
-    system = _build(
-        "register", threads[0], threads[1], threads[2], 0,
-        ops_per_thread, "atomic", "afek",
-    )
-    history = system.runtime.run(duration=None)
+    r, w, a = (1, 2, 1) if SMOKE else (3, 4, 1)
+    runtime = _build(stress_meta("register", r, w, a, seed=0), ops_per_thread)
+    history = runtime.run(duration=None)
     return [(
         tag_reads(history.operations()),
-        auditable_register_spec("v0", system.reader_index),
+        auditable_register_spec("v0", {f"r{j}": j for j in range(r)}),
     )]
 
 

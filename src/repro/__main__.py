@@ -1093,31 +1093,25 @@ def _serve_smoke() -> int:
     from repro.analysis.audit_checks import check_audit_exactness
     from repro.analysis.fastlin import check_history as batch_check
     from repro.analysis.specs import stream_register_spec
-    from repro.analysis.streamlin import DEFAULT_WINDOW
     from repro.rt.serve import VerdictServer, serve_file
-    from repro.rt.stress import _build
+    from repro.rt.stress import _build, build_stress_register, stress_meta
     from repro.sim.event_log import JsonlEventSink
 
     fd, path = tempfile.mkstemp(prefix="repro-serve-smoke-", suffix=".jsonl")
     os.close(fd)
     try:
-        sink = JsonlEventSink(path, meta={
-            "kind": "stress", "object": "register",
-            "r": 2, "w": 1, "a": 1, "seed": 0,
-            "max_substrate": "atomic", "snapshot_substrate": "afek",
-            "window": DEFAULT_WINDOW,
-        })
-        system = _build(
-            "register", 2, 1, 1, 0, 8, "atomic", "afek",
-            event_log=sink, retain_history=True,
-        )
-        history = system.runtime.run()
+        meta = stress_meta("register", 2, 1, 1, seed=0)
+        sink = JsonlEventSink(path, meta=meta)
+        history = _build(meta, 8, event_log=sink, retain_history=True).run()
         sink.close()
 
         batch = batch_check(
             history.operations(), stream_register_spec("v0")
         )
-        audit_violations = check_audit_exactness(history, system.register)
+        # A replica of the run's register: same R name and decode hook.
+        audit_violations = check_audit_exactness(
+            history, build_stress_register("register", 2, 1, 0)
+        )
         outcome = serve_file(VerdictServer(), path)
     finally:
         try:

@@ -12,7 +12,8 @@
 - :mod:`repro.analysis.effectiveness` -- detects *effective* reads
   (Definition 2) from traces via the characterisation of Claim 4/35.
 - :mod:`repro.analysis.audit_checks` -- audit exactness oracle: an audit
-  must report exactly the effective reads linearized before it.
+  must report exactly the effective reads linearized before it; one
+  windowed oracle, fed a live stream or a recorded history in full.
 - :mod:`repro.analysis.phases` -- validates the E/D phase structure of
   executions (Lemma 1 / Lemma 25), per-reader fetch&xor uniqueness
   (Lemma 17) and the (seq, value) walk (Lemma 18 / Lemma 27).
@@ -22,7 +23,6 @@
 """
 
 from repro.analysis.audit_checks import (
-    AuditOracle,
     AuditViolation,
     WindowedAuditOracle,
     check_audit_exactness,
@@ -100,7 +100,6 @@ __all__ = [
     "LIN_UNDECIDED",
     "PENDING",
     "AttackOutcome",
-    "AuditOracle",
     "AuditViolation",
     "BatchVerdict",
     "EffectiveRead",

@@ -12,12 +12,14 @@ purely syntactic oracle:
                         returning triple w,
                         before the audit's read of R }
 
-This module computes that oracle from the trace and compares it with
-every completed audit's response.
+:class:`WindowedAuditOracle` computes that oracle from a stream of
+events and compares it with every completed audit's response; the
+batch check :func:`check_audit_exactness` feeds it a recorded history's
+events in full, so one implementation judges both.
 
 Objects built on top of an auditable max register (Algorithm 3,
 Theorem 13; the versioned types) audit through it but report pairs in
-their own vocabulary.  Both oracles take the same ``lift(j, v)`` hook,
+their own vocabulary.  The oracle takes a ``lift(j, v)`` hook,
 applied to each announced pair before comparison; :func:`strip_version`
 is the lift for audits that drop the max register's version component.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.sim.events import CrashEvent, PrimitiveEvent, Response
-from repro.sim.history import History, OperationRecord
+from repro.sim.history import History
 
 #: ``lift(j, v)``: maps an announced pair into the audited object's
 #: vocabulary before it is compared with an audit's response.
@@ -56,111 +58,51 @@ def strip_version(j: int, v: Any) -> Tuple[int, Any]:
     return (j, v[1])
 
 
-def _audit_linearization_index(
-    op: OperationRecord, r_name: str
-) -> Optional[int]:
-    """The audit's linearization point: its read of ``R`` (Alg.1 l.17)."""
-    for event in op.primitives:
-        if event.obj_name == r_name and event.primitive == "read":
-            return event.index
-    return None
-
-
-class AuditOracle:
-    """The syntactic audit oracle of one history, precomputed once.
-
-    The history is scanned a single time for ``fetch&xor`` events on
-    ``R`` (decoding each announced value once); every subsequent
-    ``expected(before_index)`` query is a binary search plus a prefix
-    materialisation.  This removes the O(audits x events) rescan the
-    per-call :func:`expected_audit_set` used to pay -- the same
-    quadratic-precompute bug class the linearizability rewrite fixed.
-    ``lift`` maps each pair as it is read (see the module docstring).
-    """
-
-    def __init__(
-        self, history: History, register, *, lift: Optional[Lift] = None
-    ) -> None:
-        self._r_name: str = register.R.name
-        self._indices: List[int] = []
-        self._pairs: List[Tuple[int, Any]] = []
-        for event in history.primitive_events(
-            obj_name=self._r_name, primitive="fetch_xor"
-        ):
-            j = event.args[0].bit_length() - 1
-            pair = (j, register._decode_value(event.result.val))
-            if lift is not None:
-                pair = lift(*pair)
-            self._indices.append(event.index)
-            self._pairs.append(pair)
-
-    def expected(self, before_index: int) -> Set[Tuple[int, Any]]:
-        """Pairs of effective reads linearized before ``before_index``."""
-        count = bisect_left(self._indices, before_index)
-        return set(self._pairs[:count])
-
-    def linearization_index(self, op: OperationRecord) -> Optional[int]:
-        """The audit's linearization point (its read of ``R``), or
-        ``None`` for an audit of a different object."""
-        return _audit_linearization_index(op, self._r_name)
-
-
 def expected_audit_set(
     history: History, register, before_index: int
 ) -> Set[Tuple[int, Any]]:
-    """Pairs of effective reads linearized before ``before_index``.
-
-    One-shot convenience; for several queries against the same history
-    build an :class:`AuditOracle` once and reuse it.
-    """
-    return AuditOracle(history, register).expected(before_index)
+    """Pairs of effective reads linearized before ``before_index``: the
+    windowed oracle fed the events before that cut."""
+    oracle = windowed_audit_oracle(register)
+    for event in history.events:
+        if event.index >= before_index:
+            break
+        oracle.feed(event)
+    return oracle.expected(before_index)
 
 
 def check_audit_exactness(
     history: History, register, *, lift: Optional[Lift] = None
 ) -> List[AuditViolation]:
     """Compare each completed audit against the syntactic oracle of
-    ``register``, its pairs mapped through ``lift`` when given."""
-    violations: List[AuditViolation] = []
-    oracle = AuditOracle(history, register, lift=lift)
-    for op in history.complete_operations(name="audit"):
-        lin = oracle.linearization_index(op)
-        if lin is None:
-            continue  # audit of a different object
-        expected = oracle.expected(lin)
-        reported = set(op.result)
-        if expected != reported:
-            violations.append(
-                AuditViolation(
-                    audit_pid=op.pid,
-                    audit_op_id=op.op_id,
-                    missing=frozenset(expected - reported),
-                    extra=frozenset(reported - expected),
-                )
-            )
-    return violations
+    ``register``, its pairs mapped through ``lift`` when given: the
+    windowed oracle fed every recorded event."""
+    oracle = windowed_audit_oracle(register, lift=lift)
+    for event in history.events:
+        oracle.feed(event)
+    return oracle.violations
 
 
 class WindowedAuditOracle:
     """The syntactic audit oracle over a *stream* of events.
 
-    :class:`AuditOracle` scans a fully buffered history; this variant
-    consumes events as they arrive and checks each audit at its
-    response, holding only **carried state**: the first-occurrence
-    timeline of distinct announced pairs plus read-of-``R`` markers for
-    in-flight operations.  Every ``window`` events the timeline is
-    compacted — entries no outstanding audit can still cut through are
-    folded into a base set — so the timeline is bounded by the window.
+    It consumes events as they arrive and checks each audit at its
+    response (a buffered history is simply fed in full, see
+    :func:`check_audit_exactness`), holding only **carried state**:
+    the first-occurrence timeline of distinct announced pairs plus
+    read-of-``R`` markers for in-flight operations.  Every ``window``
+    events the timeline is compacted — entries no outstanding audit can
+    still cut through are folded into a base set — so the timeline is
+    bounded by the window.
     The base set is not bounded: it keeps every distinct ``(reader,
     value)`` pair ever read, so it grows with the run whenever writers
     write fresh values, as does each audit's answer.  The companion of
-    :class:`~repro.analysis.streamlin.StreamingLinChecker` on the
-    ``repro serve`` / ``stress --online`` paths.
+    :class:`~repro.analysis.streamlin.StreamingLinChecker` in every
+    stress validator (buffered, ``stress --online`` and ``repro serve``).
 
     ``decode`` mirrors ``register._decode_value`` (identity for the
     plain register, version-stripping for the max register); ``lift``
-    maps each pair before comparison, exactly as it does for
-    :func:`check_audit_exactness` (e.g. :func:`strip_version`).
+    maps each pair before comparison (e.g. :func:`strip_version`).
     """
 
     def __init__(

@@ -279,16 +279,11 @@ class StressExecutor(Executor):
 
     @staticmethod
     def judge(report) -> str:
-        """A stress report's verdict: FAIL on a validation failure,
-        PARTIAL when the linearizability search ran out of nodes
-        undecided, else PASS."""
-        from repro.analysis.fastlin import LIN_UNDECIDED
+        """A stress report's verdict: the
+        :func:`~repro.rt.stress.recorded_verdict` of its validation."""
+        from repro.rt.stress import recorded_verdict
 
-        if not report.ok:
-            return FAIL
-        if report.validated and report.lin_status == LIN_UNDECIDED:
-            return PARTIAL
-        return PASS
+        return recorded_verdict(report.lin_status, report.audit_ok)
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.rt import run_stress

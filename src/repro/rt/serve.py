@@ -12,14 +12,17 @@ pair read, so its memory grows with the run's fresh values.
 
 The log's ``hello`` line carries enough metadata for a stress-produced
 log to rebuild its exact validator (object kind, roster, seed,
-substrates); ``--spec NAME`` instead checks any named fastlin spec
-(linearizability only).  A stream that ends without its ``end`` marker
-— producer crash, disconnect, truncation — yields a PARTIAL verdict
-carrying the last verified frontier, never a bogus OK.
+substrates) through :func:`~repro.rt.stress.validator_from_meta`, the
+constructor the stress harness itself uses; ``--spec NAME`` instead
+checks any named fastlin spec (linearizability only).  A stream that
+ends without its ``end`` marker — producer crash, disconnect,
+truncation — yields a PARTIAL verdict carrying the last verified
+frontier, never a bogus OK.
 
-Exit codes follow the repo convention: 0 verified clean, 1 a violation
-was proven (linearizability or audit exactness), 2 partial/undecided
-or a usage error.
+Exit codes follow the repo convention, through the stress harness's
+:func:`~repro.rt.stress.recorded_verdict`: 0 verified clean, 1 a
+violation was proven (linearizability or audit exactness), 2
+partial/undecided or a usage error.
 """
 
 from __future__ import annotations
@@ -28,16 +31,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
-from repro.analysis.fastlin import DEFAULT_MAX_NODES, LIN_OK, spec_from_name
+from repro.analysis.fastlin import DEFAULT_MAX_NODES, spec_from_name
 from repro.analysis.streamlin import DEFAULT_WINDOW, LIN_PARTIAL
 from repro.rt.stress import (
-    STRESS_OBJECTS,
+    PASS,
     StreamValidator,
-    _index_roster,
-    _StressSystem,
-    _stress_pids,
-    build_stress_register,
-    stress_validator,
+    recorded_verdict,
+    validator_from_meta,
+    verdict_lines,
 )
 from repro.sim.event_log import parse_line
 
@@ -55,18 +56,14 @@ class ServeOutcome:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.status == LIN_OK
-            and self.lin_ok is not False
-            and self.audit_ok is not False
-        )
+        return recorded_verdict(self.status, self.audit_ok) == PASS
 
     @property
     def exit_code(self) -> int:
         """0 verified clean, 1 violation proven, 2 partial/undecided."""
-        if self.lin_ok is False or self.audit_ok is False:
-            return 1
-        return 0 if self.ok else 2
+        from repro.engine.aggregate import EXIT_CODES
+
+        return EXIT_CODES[recorded_verdict(self.status, self.audit_ok)]
 
     def render(self) -> str:
         lines = [
@@ -79,64 +76,12 @@ class ServeOutcome:
             f"  retired       : {self.stream.get('ops_retired')} ops "
             f"(peak resident {self.stream.get('peak_resident_ops')})",
         ]
-        if self.status == LIN_PARTIAL:
-            lines.append("  [PARTIAL] stream cut before its end marker")
-        elif self.lin_ok is None:
-            lines.append("  [UNDECIDED] a window exhausted its budget")
-        else:
-            lines.append(
-                f"  [{'PASS' if self.lin_ok else 'FAIL'}] linearizability"
-            )
-        if self.audit_ok is not None:
-            lines.append(
-                f"  [{'PASS' if self.audit_ok else 'FAIL'}] audit exactness "
-                f"({self.stream.get('audits_checked', 0)} audits, "
-                f"{self.stream.get('audit_resident_pairs', 0)} pairs "
-                f"resident)"
-            )
-        return "\n".join(lines)
-
-
-def validator_from_meta(
-    meta: Dict[str, Any],
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    window: Optional[int] = None,
-) -> StreamValidator:
-    """Rebuild the exact stress validator a log's hello line describes.
-
-    The stress harness stamps ``kind: stress`` plus the build arguments
-    (object, roster, seed, substrates) into the log header; the shared
-    object is reconstructed deterministically from them — replicas are
-    build-arg stable, so the audit oracle's register name and decode
-    hook match the producer's.
-    """
-    if meta.get("kind") != "stress":
-        raise ValueError(
-            "event log was not produced by the stress harness "
-            "(no kind=stress in its hello line); use --spec to name "
-            "a sequential specification instead"
+        lines += verdict_lines(
+            self.status, self.audit_ok,
+            f" ({self.stream.get('audits_checked', 0)} audits, "
+            f"{self.stream.get('audit_resident_pairs', 0)} pairs resident)",
         )
-    object_kind = meta.get("object")
-    if object_kind not in STRESS_OBJECTS:
-        raise ValueError(f"unknown stress object in log: {object_kind!r}")
-    r, w, a = int(meta.get("r", 0)), int(meta.get("w", 0)), int(
-        meta.get("a", 0)
-    )
-    reg = build_stress_register(
-        object_kind, r, w, int(meta.get("seed", 0)),
-        meta.get("max_substrate", "atomic"),
-        meta.get("snapshot_substrate", "afek"),
-    )
-    system = _StressSystem(runtime=None, register=reg)
-    if object_kind == "snapshot":
-        system.components = reg.components
-    _index_roster(system, _stress_pids(object_kind, r, w, a))
-    return stress_validator(
-        object_kind, system, max_nodes=max_nodes,
-        window=int(window if window is not None
-                   else meta.get("window", DEFAULT_WINDOW)),
-    )
+        return "\n".join(lines)
 
 
 class VerdictServer:

@@ -51,7 +51,11 @@ from repro.analysis.specs import (
     tag_pid_op,
     tag_read_op,
 )
-from repro.analysis.streamlin import DEFAULT_WINDOW, StreamingLinChecker
+from repro.analysis.streamlin import (
+    DEFAULT_WINDOW,
+    LIN_PARTIAL,
+    StreamingLinChecker,
+)
 from repro.baselines.naive_auditable import NaiveAuditableRegister
 from repro.core.auditable_max_register import AuditableMaxRegister
 from repro.core.auditable_register import AuditableRegister
@@ -62,10 +66,56 @@ from repro.faults import chaos_plan, parse_fault_families
 from repro.rt.process_runtime import FaultPlan, PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
 from repro.sim.event_log import JsonlEventSink, iter_event_log
-from repro.sim.history import History, OperationRecord
+from repro.sim.history import OperationRecord
 
 STRESS_OBJECTS = ("register", "max", "snapshot", "naive")
 STRESS_RUNTIMES = ("thread", "process")
+
+#: The verdicts of :func:`recorded_verdict`.
+PASS, FAIL, PARTIAL = "PASS", "FAIL", "PARTIAL"
+
+#: How each linearizability status reads in a verdict report.
+_LIN_LINES = {
+    LIN_OK: "[PASS] history linearizable",
+    LIN_FAIL: "[FAIL] history linearizable",
+    LIN_UNDECIDED: "[UNDECIDED] linearizability node budget exhausted",
+    LIN_PARTIAL: "[PARTIAL] stream cut before its end marker",
+}
+
+
+def recorded_verdict(
+    lin_status: Optional[str], audit_ok: Optional[bool]
+) -> str:
+    """PASS, FAIL or PARTIAL for one recorded run, from its validator's
+    linearizability status and audit verdict.
+
+    A proven violation (a non-linearizable history or an inexact audit)
+    is FAIL, even on a cut stream.  A decided linearizable history is
+    PASS.  An exhausted search budget or a stream cut before its end
+    marker is PARTIAL, never a false OK.  ``lin_status`` is ``None``
+    for a run that was not validated: nothing was refuted, so PASS.
+    """
+    if lin_status == LIN_FAIL or audit_ok is False:
+        return FAIL
+    if lin_status in (LIN_OK, None):
+        return PASS
+    return PARTIAL
+
+
+def verdict_lines(
+    lin_status: str, audit_ok: Optional[bool], audit_note: str = ""
+) -> List[str]:
+    """The report lines of one validated run: each check, then the
+    :func:`recorded_verdict`."""
+    lines = [f"  {_LIN_LINES[lin_status]}"]
+    if audit_ok is not None:
+        audit = "PASS" if audit_ok else "FAIL"
+        lines.append(f"  [{audit}] audit exactness{audit_note}")
+    lines.append(
+        f"  verdict       : {recorded_verdict(lin_status, audit_ok)}"
+    )
+    return lines
+
 
 def supported_fault_families(runtime: str) -> Tuple[str, ...]:
     """The fault families ``runtime`` can inject, in band order: the
@@ -183,8 +233,9 @@ class StressReport:
     validated: bool = False
     lin_ok: Optional[bool] = None
     audit_ok: Optional[bool] = None
-    # "ok"/"fail"/"undecided" when validated; an undecided verdict
-    # (linearizability node budget exhausted) leaves lin_ok None -- the
+    # "ok"/"fail"/"undecided"/"partial" when validated; an undecided
+    # verdict (linearizability node budget exhausted) or a partial one
+    # (process log cut before its end marker) leaves lin_ok None -- the
     # run is reported, just not vouched for.
     lin_status: Optional[str] = None
     # Online mode: events streamed (not buffered) into the incremental
@@ -203,7 +254,7 @@ class StressReport:
     @property
     def ok(self) -> bool:
         """True when validation (if performed) found no violation."""
-        return self.lin_ok is not False and self.audit_ok is not False
+        return recorded_verdict(self.lin_status, self.audit_ok) != FAIL
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serializable record (one line of a stress JSONL log)."""
@@ -255,16 +306,7 @@ class StressReport:
                 f"max={stats['max_us']:>8.1f}us"
             )
         if self.validated:
-            if self.lin_status == LIN_UNDECIDED:
-                lines.append(
-                    "  [UNDECIDED] linearizability node budget exhausted"
-                )
-            else:
-                lin = "PASS" if self.lin_ok else "FAIL"
-                lines.append(f"  [{lin}] history linearizable")
-            if self.audit_ok is not None:
-                audit = "PASS" if self.audit_ok else "FAIL"
-                lines.append(f"  [{audit}] audit exactness")
+            lines += verdict_lines(self.lin_status, self.audit_ok)
         else:
             lines.append("  (history not post-validated)")
         if self.online and self.stream:
@@ -276,16 +318,6 @@ class StressReport:
                 f"windows={self.stream.get('windows')}"
             )
         return "\n".join(lines)
-
-
-@dataclass
-class _StressSystem:
-    runtime: Any
-    register: Any
-    reader_index: Dict[str, int] = field(default_factory=dict)
-    updater_index: Dict[str, int] = field(default_factory=dict)
-    scanner_index: Dict[str, int] = field(default_factory=dict)
-    components: int = 0
 
 
 def _max_value(seed: int, writer: int, k: int) -> int:
@@ -391,41 +423,55 @@ def stress_op_source(
     raise ValueError(f"unknown stress role {role!r}")
 
 
-def _index_roster(system: _StressSystem, roster) -> None:
-    for pid, role, index in roster:
-        if role == "reader":
-            system.reader_index[pid] = index
-        elif role == "updater":
-            system.updater_index[pid] = index
-        elif role == "scanner":
-            system.scanner_index[pid] = index
-
-
-def _build(
+def stress_meta(
     object_kind: str,
     r: int,
     w: int,
     a: int,
     seed: int,
+    max_substrate: str = "atomic",
+    snapshot_substrate: str = "afek",
+    window: int = DEFAULT_WINDOW,
+) -> Dict[str, Any]:
+    """The description of one stress run: its event log's ``hello``
+    line, and all that :func:`_build` and :func:`validator_from_meta`
+    need to rebuild the run's object, roster and validator."""
+    return {
+        "kind": "stress",
+        "object": object_kind,
+        "r": r,
+        "w": w,
+        "a": a,
+        "seed": seed,
+        "max_substrate": max_substrate,
+        "snapshot_substrate": snapshot_substrate,
+        "window": window,
+    }
+
+
+def _build(
+    meta: Dict[str, Any],
     ops: Optional[int],
-    max_substrate: str,
-    snapshot_substrate: str,
     runtime: str = "thread",
     faults: Optional[FaultPlan] = None,
     record_latency: bool = True,
     event_log: Optional[Any] = None,
     retain_history: bool = True,
     join_watchdog: Optional[float] = DEFAULT_WATCHDOG,
-) -> _StressSystem:
-    """Construct the runtime, shared object and per-worker op sources."""
+) -> Union[ThreadRuntime, ProcessRuntime]:
+    """Construct the runtime, shared object and per-worker op sources
+    of the run ``meta`` (a :func:`stress_meta`) describes."""
     if runtime not in STRESS_RUNTIMES:
         raise ValueError(
             f"unknown stress runtime {runtime!r} "
             f"(choose from {', '.join(STRESS_RUNTIMES)})"
         )
-    build_args = (object_kind, r, w, seed, max_substrate, snapshot_substrate)
-    reg = build_stress_register(*build_args)
-    roster = _stress_pids(object_kind, r, w, a)
+    object_kind, seed = meta["object"], meta["seed"]
+    build_args = (
+        object_kind, meta["r"], meta["w"], seed,
+        meta["max_substrate"], meta["snapshot_substrate"],
+    )
+    roster = _stress_pids(object_kind, meta["r"], meta["w"], meta["a"])
     if runtime == "process":
         prt = ProcessRuntime(
             build_stress_register,
@@ -443,29 +489,22 @@ def _build(
                 args=(object_kind, seed, role, index),
                 max_ops=ops,
             )
-        # ``reg`` is the parent's replica: never run against, used only
-        # to post-validate the history (the audit oracle needs the main
-        # register's name and decode hook, both replica-stable).
-        system = _StressSystem(runtime=prt, register=reg)
-    else:
-        trt = ThreadRuntime(
-            record_latency=record_latency,
-            join_watchdog=join_watchdog,
-            faults=faults,
+        return prt
+    reg = build_stress_register(*build_args)
+    trt = ThreadRuntime(
+        record_latency=record_latency,
+        join_watchdog=join_watchdog,
+        faults=faults,
+    )
+    if event_log is not None or not retain_history:
+        trt.history.stream_to(event_log, retain=retain_history)
+    for pid, role, index in roster:
+        trt.add_op_source(
+            pid,
+            stress_op_source(reg, pid, object_kind, seed, role, index),
+            max_ops=ops,
         )
-        if event_log is not None or not retain_history:
-            trt.history.stream_to(event_log, retain=retain_history)
-        for pid, role, index in roster:
-            trt.add_op_source(
-                pid,
-                stress_op_source(reg, pid, object_kind, seed, role, index),
-                max_ops=ops,
-            )
-        system = _StressSystem(runtime=trt, register=reg)
-    if object_kind == "snapshot":
-        system.components = reg.components
-    _index_roster(system, roster)
-    return system
+    return trt
 
 
 class StreamValidator:
@@ -478,8 +517,8 @@ class StreamValidator:
     :class:`~repro.analysis.audit_checks.WindowedAuditOracle`
     simultaneously.  It works identically over a buffered history, a
     live runtime stream (``online=True``) or a replayed event log
-    (``repro serve``).  :func:`stress_validator` builds it for a stress
-    object; ``repro serve --spec`` builds it with no oracle.
+    (``repro serve``).  :func:`validator_from_meta` builds it for a
+    stress run; ``repro serve --spec`` builds it with no oracle.
     """
 
     def __init__(
@@ -531,61 +570,71 @@ class StreamValidator:
         return lin, audit, result.status, payload
 
 
-def stress_validator(
-    object_kind: str,
-    system: _StressSystem,
+def validator_from_meta(
+    meta: Dict[str, Any],
     *,
     max_nodes: int = DEFAULT_MAX_NODES,
-    window: int = DEFAULT_WINDOW,
+    window: Optional[int] = None,
 ) -> StreamValidator:
-    """The :class:`StreamValidator` for a stress object: its streaming
-    spec and tag, plus the windowed audit oracle where it applies."""
+    """The :class:`StreamValidator` of the stress run ``meta`` (a
+    :func:`stress_meta`, e.g. a log's hello line) describes: its
+    streaming spec and tag, plus the windowed audit oracle where it
+    applies.  ``window`` defaults to the meta's.
+
+    The object is rebuilt deterministically from the build arguments;
+    replicas are build-arg stable, so the audit oracle's register name
+    and decode hook match the producer's.
+    """
+    if meta.get("kind") != "stress":
+        raise ValueError(
+            "event log was not produced by the stress harness "
+            "(no kind=stress in its hello line); use --spec to name "
+            "a sequential specification instead"
+        )
+    object_kind = meta.get("object")
+    if object_kind not in STRESS_OBJECTS:
+        raise ValueError(f"unknown stress object in log: {object_kind!r}")
+    r, w, a = (int(meta.get(role, 0)) for role in ("r", "w", "a"))
+    reg = build_stress_register(
+        object_kind, r, w, int(meta.get("seed", 0)),
+        meta.get("max_substrate", "atomic"),
+        meta.get("snapshot_substrate", "afek"),
+    )
+    if window is None:
+        window = int(meta.get("window", DEFAULT_WINDOW))
+    roster = _stress_pids(object_kind, r, w, a)
+
+    def index_of(role: str) -> Dict[str, int]:
+        return {pid: i for pid, kind, i in roster if kind == role}
+
     if object_kind == "snapshot":
         return StreamValidator(
-            stream_snapshot_spec(system.components, 0, system.updater_index),
+            stream_snapshot_spec(reg.components, 0, index_of("updater")),
             tag=tag_pid_op,
             oracle=windowed_audit_oracle(
-                system.register.M, lift=strip_version, window=window
+                reg.M, lift=strip_version, window=window
             ),
             max_nodes=max_nodes, window=window,
         )
-    if object_kind == "max":
-        spec = stream_max_register_spec(0)
-    elif object_kind == "register":
-        spec = stream_register_spec("v0")
-    else:
+    if object_kind == "naive":
         # The naive design has no fetch&xor, so the syntactic oracle
         # does not apply: audits are checked *inside* the sequential
         # spec (pair-carrying state), which is fine at the naive
         # baseline's bounded scales.
         return StreamValidator(
-            auditable_register_spec("v0", system.reader_index),
+            auditable_register_spec("v0", index_of("reader")),
             tag=tag_read_op,
             max_nodes=max_nodes, window=window,
         )
+    spec = (
+        stream_max_register_spec(0) if object_kind == "max"
+        else stream_register_spec("v0")
+    )
     return StreamValidator(
         spec,
-        oracle=windowed_audit_oracle(system.register, window=window),
+        oracle=windowed_audit_oracle(reg, window=window),
         max_nodes=max_nodes, window=window,
     )
-
-
-def _validate(
-    object_kind: str,
-    history: History,
-    system: _StressSystem,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    window: int = DEFAULT_WINDOW,
-) -> Tuple[Optional[bool], Optional[bool], str]:
-    """(linearizable?, audit-exact?, lin status) — one pass over the
-    buffered history's events, both verdicts."""
-    validator = stress_validator(
-        object_kind, system, max_nodes=max_nodes, window=window
-    )
-    for event in history.events:
-        validator.feed(event)
-    lin, audit, status, _ = validator.verdict()
-    return lin, audit, status
 
 
 def run_stress(
@@ -674,6 +723,9 @@ def run_stress(
     elif faults is not None:
         fault_desc = type(faults).__name__
 
+    meta = stress_meta(
+        object, r, w, a, seed, max_substrate, snapshot_substrate, window
+    )
     log_path = event_log
     tmp_path: Optional[str] = None
     if online and runtime == "process" and validate and log_path is None:
@@ -687,49 +739,35 @@ def run_stress(
         log_path = tmp_path
     file_sink: Optional[JsonlEventSink] = None
     if log_path is not None:
-        # The hello line carries enough metadata for ``repro serve`` to
-        # rebuild this exact validator from the log alone.
-        file_sink = JsonlEventSink(log_path, meta={
-            "kind": "stress",
-            "object": object,
-            "r": r,
-            "w": w,
-            "a": a,
-            "seed": seed,
-            "max_substrate": max_substrate,
-            "snapshot_substrate": snapshot_substrate,
-            "window": window,
-        })
+        # The hello line lets ``repro serve`` rebuild this exact
+        # validator from the log alone.
+        file_sink = JsonlEventSink(log_path, meta=meta)
 
-    system = _build(
-        object, r, w, a, seed, ops, max_substrate, snapshot_substrate,
+    rt = _build(
+        meta, ops,
         runtime=runtime, faults=faults, record_latency=record_latency,
         event_log=file_sink if runtime == "process" else None,
         retain_history=not online,
         join_watchdog=join_watchdog,
     )
-    rt = system.runtime
+    validator = (
+        validator_from_meta(meta, max_nodes=lin_max_nodes)
+        if validate else None
+    )
 
-    validator: Optional[StreamValidator] = None
-    if runtime != "process":
+    if runtime != "process" and (online or file_sink is not None):
         # Attach the live tap before the run starts.  The history lock
         # serializes sink calls, so the validator sees events in index
         # order without its own locking.
-        if online and validate:
-            validator = stress_validator(
-                object, system, max_nodes=lin_max_nodes, window=window
-            )
+        sink = file_sink
+        if online and validator is not None:
             if file_sink is not None:
                 def sink(event, _feed=validator.feed, _tee=file_sink):
                     _feed(event)
                     _tee(event)
             else:
                 sink = validator.feed
-            rt.history.stream_to(sink, retain=False)
-        elif online:
-            rt.history.stream_to(file_sink, retain=False)
-        elif file_sink is not None:
-            rt.history.stream_to(file_sink, retain=True)
+        rt.history.stream_to(sink, retain=not online)
 
     history = rt.run(duration=duration)
     if file_sink is not None and runtime != "process":
@@ -771,35 +809,26 @@ def run_stress(
         report.latency["all"] = percentile_summary(
             [s for _, _, s in rt.latencies]
         )
-    if validate:
-        report.validated = True
-        if online and validator is not None:
-            lin, audit, status, stream = validator.verdict(finished=True)
-            report.lin_ok, report.audit_ok = lin, audit
-            report.lin_status = status
-            report.stream = stream
-        elif online:
-            # Process backend: replay the server-side event log.  The
-            # end marker proves the server finished cleanly; without it
-            # the stream is truncated and the verdict stays PARTIAL.
-            validator = stress_validator(
-                object, system, max_nodes=lin_max_nodes, window=window
-            )
+    if validator is not None:
+        finished = True
+        if not online:
+            for event in history.events:
+                validator.feed(event)
+        elif runtime == "process":
+            # Replay the server-side event log.  The end marker proves
+            # the server finished cleanly; without it the stream is
+            # truncated and the verdict stays PARTIAL.
             finished = False
             for kind, value in iter_event_log(log_path):
                 if kind == "end":
                     finished = True
                 elif kind == "event":
                     validator.feed(value)
-            lin, audit, status, stream = validator.verdict(finished=finished)
-            report.lin_ok, report.audit_ok = lin, audit
-            report.lin_status = status
+        lin, audit, status, stream = validator.verdict(finished=finished)
+        report.validated = True
+        report.lin_ok, report.audit_ok, report.lin_status = lin, audit, status
+        if online:
             report.stream = stream
-        else:
-            report.lin_ok, report.audit_ok, report.lin_status = _validate(
-                object, history, system,
-                max_nodes=lin_max_nodes, window=window,
-            )
     if tmp_path is not None:
         try:
             os.unlink(tmp_path)

@@ -1,6 +1,8 @@
 """Tests for the structural analysis tools: they must *detect*
 violations, not just pass on correct algorithms."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import AuditableRegister, Simulation
@@ -13,6 +15,7 @@ from repro.analysis import (
     phase_intervals,
 )
 from repro.memory.rword import RWord
+from repro.sim.events import Response
 from repro.sim.history import History
 
 
@@ -155,9 +158,21 @@ class TestAuditMonotone:
         assert check_audit_monotone(history) == []
 
 
+def tamper_last_audit(history, result):
+    """Replace the result of the last recorded audit ``Response`` event
+    (the oracle judges events, not the folded operation records)."""
+    for position in range(len(history.events) - 1, -1, -1):
+        event = history.events[position]
+        if isinstance(event, Response) and event.op_name == "audit":
+            history.events[position] = replace(event, result=result)
+            return
+    raise AssertionError("no audit response recorded")
+
+
 class TestAuditExactnessDetectsBugs:
     def test_dishonest_audit_flagged(self):
-        """Tamper with a recorded audit result: the oracle must flag it."""
+        """Tamper with a recorded audit response: the oracle must flag
+        it."""
         sim = Simulation()
         reg = AuditableRegister(num_readers=1, initial="v0")
         writer = reg.writer(sim.spawn("w"))
@@ -170,12 +185,11 @@ class TestAuditExactnessDetectsBugs:
         sim.add_program("a", [auditor.audit_op()])
         sim.run_process("a")
         assert check_audit_exactness(sim.history, reg) == []
-        audit_op = sim.history.operations(name="audit")[-1]
-        audit_op.result = frozenset()  # tamper: hide the reader
+        tamper_last_audit(sim.history, frozenset())  # hide the reader
         violations = check_audit_exactness(sim.history, reg)
         assert len(violations) == 1
         assert violations[0].missing == frozenset({(0, "x")})
-        audit_op.result = frozenset({(0, "x"), (0, "fake")})
+        tamper_last_audit(sim.history, frozenset({(0, "x"), (0, "fake")}))
         violations = check_audit_exactness(sim.history, reg)
         assert violations[0].extra == frozenset({(0, "fake")})
 

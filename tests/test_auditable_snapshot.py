@@ -1,5 +1,7 @@
 """Tests for Algorithm 3 (auditable snapshot)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Simulation
@@ -11,6 +13,7 @@ from repro.analysis import (
     strip_version,
     tag_ops_with_pid,
 )
+from repro.sim.events import Response
 from repro.workloads.generators import (
     SnapshotWorkload,
     build_snapshot_system,
@@ -184,9 +187,16 @@ class TestLiftedAuditExactness:
     def test_extra_reported_pair_is_flagged(self):
         built = build_snapshot_system(SnapshotWorkload(seed=0))
         history = built.run()
-        audit = history.complete_operations(name="audit")[-1]
+        # Tamper with the recorded response event, which is what the
+        # oracle reads.
+        position, response = [
+            (position, event) for position, event in enumerate(history.events)
+            if isinstance(event, Response) and event.op_name == "audit"
+        ][-1]
         bogus = (0, (99, 99))
-        audit.result = frozenset(audit.result) | {bogus}
+        history.events[position] = replace(
+            response, result=frozenset(response.result) | {bogus}
+        )
         violations = check_audit_exactness(
             history, built.register.M, lift=strip_version
         )

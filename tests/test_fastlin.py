@@ -40,6 +40,7 @@ from repro.analysis.specs import (
     tag_reads,
     versioned_spec,
 )
+from repro.sim.events import CrashEvent, PrimitiveEvent, Response
 from repro.sim.history import OperationRecord
 
 
@@ -654,32 +655,135 @@ class TestLinCli:
 
 
 # ---------------------------------------------------------------------
-# Audit oracle precomputation (satellite)
+# Audit exactness against a brute-force reference
 # ---------------------------------------------------------------------
 
-class TestAuditOracle:
-    def test_oracle_matches_per_call_scan(self):
+def _reference_expected(history, register, cut, lift):
+    """The lifted pair of every fetch&xor on ``R`` before ``cut``."""
+    return {
+        lift(event.args[0].bit_length() - 1,
+             register._decode_value(event.result.val))
+        for event in history.events
+        if isinstance(event, PrimitiveEvent)
+        and event.obj_name == register.R.name
+        and event.primitive == "fetch_xor"
+        and event.index < cut
+    }
+
+
+def _reference_violations(history, register, lift):
+    """(pid, op_id, missing, extra) of every audit response that differs
+    from the pairs announced before the audit's first read of ``R``."""
+    found = set()
+    for response in history.events:
+        if not (isinstance(response, Response)
+                and response.op_name == "audit"):
+            continue
+        cut = next((
+            event.index for event in history.events
+            if isinstance(event, PrimitiveEvent)
+            and (event.pid, event.op_id) == (response.pid, response.op_id)
+            and event.obj_name == register.R.name
+            and event.primitive == "read"
+        ), None)
+        if cut is None:
+            continue
+        expected = _reference_expected(history, register, cut, lift)
+        reported = set(response.result)
+        if expected != reported:
+            found.add((
+                response.pid, response.op_id,
+                frozenset(expected - reported),
+                frozenset(reported - expected),
+            ))
+    return found
+
+
+def _audit_system(kind, seed):
+    """A seeded simulator system: (built, audited register, lift, the
+    reader pid to crash)."""
+    from repro.analysis.audit_checks import strip_version
+    from repro.workloads.generators import (
+        RegisterWorkload,
+        SnapshotWorkload,
+        build_max_register_system,
+        build_register_system,
+        build_snapshot_system,
+    )
+
+    if kind == "snapshot":
+        built = build_snapshot_system(
+            SnapshotWorkload(seed=seed, audits_per_auditor=3)
+        )
+        return built, built.register.M, strip_version, "s0"
+    workload = RegisterWorkload(
+        num_readers=2, num_writers=2, num_auditors=2,
+        reads_per_reader=3, writes_per_writer=2,
+        audits_per_auditor=2, seed=seed,
+    )
+    build = (
+        build_register_system if kind == "register"
+        else build_max_register_system
+    )
+    built = build(workload)
+    return built, built.register, None, "r0"
+
+
+class TestAuditExactnessReference:
+    """``check_audit_exactness`` and ``expected_audit_set`` against the
+    brute-force oracle, on seeded histories with a crashed reader and
+    audit responses tampered at random (so both sides have violations
+    to agree on)."""
+
+    @pytest.mark.parametrize("kind", ["register", "max", "snapshot"])
+    def test_matches_brute_force(self, kind):
+        from dataclasses import replace
+
         from repro.analysis.audit_checks import (
-            AuditOracle,
+            check_audit_exactness,
             expected_audit_set,
         )
-        from repro.workloads.generators import (
-            RegisterWorkload,
-            build_register_system,
-        )
 
-        workload = RegisterWorkload(
-            num_readers=2, num_writers=2, num_auditors=2,
-            reads_per_reader=3, writes_per_writer=2,
-            audits_per_auditor=2, seed=11,
-        )
-        built = build_register_system(workload)
-        history = built.run()
-        oracle = AuditOracle(history, built.register)
-        for index in range(0, len(history.events) + 1, 7):
-            assert oracle.expected(index) == expected_audit_set(
-                history, built.register, index
+        crashed_mid_op = tampered = 0
+        for seed in range(12):
+            built, register, lift, victim = _audit_system(kind, seed)
+            rng = random.Random(seed)
+            for _ in range(rng.randrange(60)):
+                built.sim.step()
+            built.sim.crash(victim)
+            history = built.run()
+            crashed_mid_op += any(
+                isinstance(event, CrashEvent) and event.op_id is not None
+                for event in history.events
             )
+            for position, event in enumerate(history.events):
+                if isinstance(event, Response) and event.op_name == "audit":
+                    pairs = sorted(event.result, key=repr)
+                    choice = rng.randrange(3)
+                    if choice == 1 and pairs:
+                        pairs.pop(rng.randrange(len(pairs)))
+                    elif choice == 2:
+                        pairs.append((rng.randrange(2), "bogus"))
+                    if choice and set(pairs) != set(event.result):
+                        tampered += 1
+                    history.events[position] = replace(
+                        event, result=frozenset(pairs)
+                    )
+
+            found = {
+                (v.audit_pid, v.audit_op_id, v.missing, v.extra)
+                for v in check_audit_exactness(history, register, lift=lift)
+            }
+            assert found == _reference_violations(
+                history, register, lift or (lambda j, v: (j, v))
+            ), seed
+            for cut in range(0, len(history.events) + 1, 5):
+                assert expected_audit_set(history, register, cut) == (
+                    _reference_expected(
+                        history, register, cut, lambda j, v: (j, v)
+                    )
+                ), (seed, cut)
+        assert crashed_mid_op and tampered
 
 
 class TestWindowedAuditOracle:

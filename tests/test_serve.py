@@ -19,9 +19,8 @@ from repro.rt.serve import (
     VerdictServer,
     serve_file,
     serve_lines,
-    validator_from_meta,
 )
-from repro.rt.stress import run_stress
+from repro.rt.stress import STRESS_OBJECTS, run_stress, validator_from_meta
 from repro.sim.event_log import load_event_log, parse_line
 
 
@@ -32,6 +31,19 @@ def register_log(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("serve") / "register.jsonl")
     report = run_stress(
         "register", threads=4, ops=10, seed=3,
+        online=True, event_log=path,
+    )
+    return path, report
+
+
+@pytest.fixture(scope="module", params=STRESS_OBJECTS)
+def stress_log(request, tmp_path_factory):
+    """One complete online stress log per stress object: the snapshot
+    and naive validators need the roster's indices, rebuilt from the
+    hello line alone."""
+    path = str(tmp_path_factory.mktemp("serve") / f"{request.param}.jsonl")
+    report = run_stress(
+        request.param, threads=4, ops=10, seed=3,
         online=True, event_log=path,
     )
     return path, report
@@ -52,6 +64,22 @@ class TestRoundtrip:
         assert outcome.audit_ok == report.audit_ok
         assert outcome.exit_code == (0 if report.ok else 1)
         assert outcome.stream["ops_completed"] == report.ops_completed
+        assert outcome.stream == report.stream
+
+    def test_served_stream_equals_the_producers(self, stress_log):
+        from repro.campaign.executors import StressExecutor
+        from repro.engine.aggregate import EXIT_CODES
+
+        path, report = stress_log
+        outcome = serve_file(VerdictServer(), path)
+        assert outcome.clean_end
+        assert outcome.meta["object"] == report.object
+        assert report.lin_status == "ok" and report.audit_ok is not False
+        assert outcome.stream == report.stream
+        assert (outcome.lin_ok, outcome.audit_ok) == (
+            report.lin_ok, report.audit_ok
+        )
+        assert outcome.exit_code == EXIT_CODES[StressExecutor.judge(report)]
 
     def test_served_verdict_matches_the_batch_oracle(self, register_log):
         path, _ = register_log
@@ -371,6 +399,73 @@ class TestServerProtocol:
             status=LIN_PARTIAL, lin_ok=None, audit_ok=None, clean_end=False
         )
         assert partial.exit_code == 2 and not partial.ok
+
+
+#: lin status x audit_ok -> the verdict every recorded run gets.
+VERDICT_TABLE = {
+    ("ok", True): "PASS", ("ok", None): "PASS", ("ok", False): "FAIL",
+    ("fail", True): "FAIL", ("fail", None): "FAIL", ("fail", False): "FAIL",
+    ("undecided", True): "PARTIAL", ("undecided", None): "PARTIAL",
+    ("undecided", False): "FAIL",
+    ("partial", True): "PARTIAL", ("partial", None): "PARTIAL",
+    ("partial", False): "FAIL",
+}
+
+
+class TestVerdictRule:
+    """Stress and serve judge a validator's output with one rule."""
+
+    @pytest.mark.parametrize(
+        "status,audit_ok", list(VERDICT_TABLE),
+        ids=[f"{s}-{a}" for s, a in VERDICT_TABLE],
+    )
+    def test_stress_and_serve_agree(self, status, audit_ok):
+        from repro.campaign.executors import StressExecutor
+        from repro.engine.aggregate import EXIT_CODES
+        from repro.rt.stress import StressReport
+
+        lin_ok = {"ok": True, "fail": False}.get(status)
+        report = StressReport(
+            object="register", readers=1, writers=1, auditors=1, seed=0,
+            ops_budget=1, duration=None, validated=True, lin_ok=lin_ok,
+            audit_ok=audit_ok, lin_status=status,
+        )
+        outcome = ServeOutcome(
+            status=status, lin_ok=lin_ok, audit_ok=audit_ok,
+            clean_end=status != LIN_PARTIAL,
+        )
+        verdict = VERDICT_TABLE[status, audit_ok]
+        assert StressExecutor.judge(report) == verdict
+        assert outcome.exit_code == EXIT_CODES[verdict]
+        for text in (report.render(), outcome.render()):
+            assert f"verdict       : {verdict}" in text
+            if status == LIN_PARTIAL:
+                assert "[PARTIAL]" in text
+
+    def test_stress_log_without_end_marker_exits_2(
+        self, monkeypatch, capsys
+    ):
+        """A process-runtime online run whose log replay never sees the
+        end marker is PARTIAL, not PASS."""
+        from repro.__main__ import main
+        from repro.rt import stress
+
+        replay = stress.iter_event_log
+
+        def without_end(path):
+            return (
+                (kind, value) for kind, value in replay(path)
+                if kind != "end"
+            )
+
+        monkeypatch.setattr(stress, "iter_event_log", without_end)
+        code = main([
+            "stress", "--object", "register", "--runtime", "process",
+            "--threads", "2", "--ops", "3", "--online",
+        ])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "[PARTIAL] stream cut before its end marker" in out
 
 
 class TestCli:

@@ -544,7 +544,7 @@ def _partitioned_and_whole_verdicts(events, meta):
     same validator with the audit partition switched off."""
     from dataclasses import replace
 
-    from repro.rt.serve import validator_from_meta
+    from repro.rt.stress import validator_from_meta
     from repro.rt.stress import StreamValidator
 
     partitioned = validator_from_meta(meta)
