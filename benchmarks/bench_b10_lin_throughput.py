@@ -16,9 +16,9 @@ paths that actually run it:
 - the **P-compositionality ladder**: a violating multi-cell history
   whose global search must exhaust the cross-cell interleaving space
   while the partitioned checker only searches the guilty cell;
-- the **batched verdict service**: the same jobs through
-  ``check_histories_parallel`` serially and across workers, with the
-  JSONL checkpoints compared byte-for-byte;
+- the **batched verdict path**: the same jobs as one ``lin`` campaign
+  section through ``run_section``, serially and across workers, with
+  the JSONL checkpoints compared byte-for-byte;
 - the **online ladder**: the streaming checker
   (:mod:`repro.analysis.streamlin`) against batch fastlin on the same
   stress histories (statuses must be identical), then live
@@ -46,7 +46,6 @@ import time
 from pathlib import Path
 
 from repro.analysis.fastlin import (
-    check_histories_parallel,
     check_history,
     legacy_check_history,
     op_from_payload,
@@ -58,6 +57,7 @@ from repro.analysis.specs import (
     register_array_spec,
     tag_reads,
 )
+from repro.campaign import Section, run_section
 from repro.sim.history import OperationRecord
 from repro.workloads.generators import RegisterWorkload, build_register_system
 
@@ -294,37 +294,33 @@ def test_bench_lin_throughput(benchmark, tmp_path):
         })
         assert fast.ok == legacy.ok is False
 
-    # The batched verdict service: serial vs parallel, byte-identical
-    # checkpoints (the engine's determinism contract).
+    # The batched verdict path (a ``lin`` campaign section): serial vs
+    # parallel, byte-identical checkpoints (the engine's determinism
+    # contract).  Each job is a self-contained record: its reader
+    # indices are re-derived from the history itself.
     jobs = []
     for corpus in (e2[: 12 if SMOKE else 60], top_stress):
         for ops, spec in corpus:
-            jobs.append((
-                ops,
-                "auditable_register",
-                {"initial": "v0" if spec.initial[0] == "v0" else 0},
-            ))
-    # Re-derive reader indices per job from the history itself: a
-    # named-spec job must be self-contained.
-    jobs = [
-        (
-            ops,
-            name,
-            dict(params, reader_index={
-                op.pid: int(op.pid[1:])
-                for op in ops if op.pid.startswith("r")
-            }),
-        )
-        for ops, name, params in jobs
-    ]
+            jobs.append({
+                "history": [op_to_payload(op) for op in ops],
+                "spec": "auditable_register",
+                "spec_params": {
+                    "initial": "v0" if spec.initial[0] == "v0" else 0,
+                    "reader_index": {
+                        op.pid: int(op.pid[1:])
+                        for op in ops if op.pid.startswith("r")
+                    },
+                },
+            })
+    section = Section("batched", "lin").axis("history", *jobs)
     workers = 1 if SMOKE else min(4, os.cpu_count() or 1)
     serial_path = tmp_path / "serial.jsonl"
     parallel_path = tmp_path / "parallel.jsonl"
-    t_serial = _time(lambda: check_histories_parallel(
-        jobs, workers=1, checkpoint=str(serial_path), resume=False
+    t_serial = _time(lambda: run_section(
+        section, workers=1, checkpoint=str(serial_path), resume=False
     ), reps=1)
-    t_parallel = _time(lambda: check_histories_parallel(
-        jobs, workers=workers, checkpoint=str(parallel_path),
+    t_parallel = _time(lambda: run_section(
+        section, workers=workers, checkpoint=str(parallel_path),
         resume=False,
     ), reps=1)
     assert serial_path.read_bytes() == parallel_path.read_bytes()

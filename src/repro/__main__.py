@@ -22,9 +22,10 @@ one resumable invocation (see DESIGN.md section 12)::
     python -m repro campaign run spec.toml --workers 4 --out nightly
     python -m repro campaign example > spec.toml   # a worked template
 
-``sweep``, ``check``, ``fuzz`` and ``stress`` each run one campaign
-section built from their flags; ``--print-spec`` prints that section's
-spec instead of running it.
+``sweep``, ``check``, ``fuzz``, ``stress`` and ``lin`` each run one
+campaign section built from their flags; ``--print-spec`` prints that
+section's spec instead of running it (all but ``lin``, whose history
+payloads carry JSON nulls that TOML cannot write).
 
 Sweep example -- 64 derived seeds per grid point, fanned out over 4
 worker processes, streamed to a resumable JSONL checkpoint::
@@ -54,8 +55,9 @@ linearizability checker::
     python -m repro stress --object register --threads 8
 
 Verdict-service example -- check recorded histories (one JSON array of
-operation payloads per line) against a named spec, fanned over 4
-workers, profiling nodes explored and wall time::
+operation payloads per line, each one point of a ``lin`` campaign
+section) against a named spec, fanned over 4 workers, profiling nodes
+explored::
 
     python -m repro lin histories.jsonl --spec register --workers 4
 
@@ -1138,34 +1140,35 @@ def _serve_smoke() -> int:
 
 
 def _lin(argv) -> int:
-    """The ``lin`` subcommand: the batched linearizability verdict
-    service on recorded histories (field profiling)."""
+    """The ``lin`` subcommand: one ``lin`` campaign section, one point
+    per recorded history (field profiling)."""
     import argparse
     import json
-    import time
 
-    from repro.analysis.fastlin import (
-        DEFAULT_MAX_NODES,
-        LIN_FAIL,
-        LIN_UNDECIDED,
-        check_histories_parallel,
-        spec_names,
+    from repro.analysis.fastlin import DEFAULT_MAX_NODES, spec_names
+    from repro.campaign import (
+        EngineOptions,
+        OutputOptions,
+        Section,
+        SpecError,
+        executor_for,
+        run_section,
     )
-    from repro.campaign import EngineOptions, OutputOptions
+    from repro.engine.aggregate import EXIT_CODES
     from repro.harness.tables import render_table
 
     parser = argparse.ArgumentParser(
         prog="python -m repro lin",
         description="Check recorded histories from a JSONL file against "
-        "a named sequential specification through the fastlin verdict "
-        "service, printing per-history verdict, nodes explored and "
-        "wall time.  Each input line is either a JSON array of "
-        "operation payloads (repro.analysis.fastlin.op_to_payload) or "
-        "an object {\"history\": [...], \"spec\": ..., "
-        "\"spec_params\": {...}}.  Exit codes: 0 all linearizable, "
-        "1 a history is not linearizable, 2 undecided (node budget) "
-        "or a usage/input error (the argparse and repro-check "
-        "convention).",
+        "a named sequential specification with the fastlin checker, "
+        "printing per-history verdict and nodes explored.  Each input "
+        "line is either a JSON array of operation payloads "
+        "(repro.analysis.fastlin.op_to_payload) or an object "
+        "{\"history\": [...], \"spec\": ..., \"spec_params\": {...}}, "
+        "and becomes one point of a 'lin' campaign section.  Exit "
+        "codes: 0 all linearizable, 1 a history is not linearizable, "
+        "2 undecided (node budget) or a usage/input error (the "
+        "argparse and repro-check convention).",
     )
     parser.add_argument(
         "history", nargs="?", metavar="FILE",
@@ -1193,8 +1196,7 @@ def _lin(argv) -> int:
     EngineOptions.add_to_parser(
         parser,
         default=1,
-        help="worker processes for the batched verdict service "
-        "(default: 1 = serial; 0 = one per CPU)",
+        help="worker processes (default: 1 = serial; 0 = one per CPU)",
     )
     OutputOptions.add_to_parser(
         parser,
@@ -1214,113 +1216,71 @@ def _lin(argv) -> int:
         parser.error("--spec-params requires --spec")
 
     try:
-        override_params = (
+        spec_params = (
             json.loads(args.spec_params) if args.spec_params else None
         )
     except json.JSONDecodeError as exc:
         print(f"lin: bad --spec-params: {exc}", file=sys.stderr)
         return 2
-    jobs = []
+    histories = []
     try:
         with open(args.history, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    print(
-                        f"lin: {args.history}:{lineno}: bad JSON: {exc}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if isinstance(record, list):
-                    payloads, spec, params = record, None, None
-                elif (isinstance(record, dict)
-                        and isinstance(record.get("history"), list)):
-                    payloads = record["history"]
-                    spec = record.get("spec")
-                    params = record.get("spec_params")
-                else:
-                    print(
-                        f"lin: {args.history}:{lineno}: expected a "
-                        "JSON array of operation payloads or an "
-                        "object with a \"history\" key",
-                        file=sys.stderr,
-                    )
-                    return 2
-                required = ("pid", "op_id", "name", "args", "invoke",
-                            "response", "result")
-                for payload in payloads:
-                    if not (isinstance(payload, dict)
-                            and all(key in payload for key in required)):
-                        print(
-                            f"lin: {args.history}:{lineno}: not an "
-                            "operation payload (need "
-                            f"{'/'.join(required)} keys; see "
-                            "repro.analysis.fastlin.op_to_payload)",
-                            file=sys.stderr,
-                        )
-                        return 2
-                # Payloads pass straight through to the verdict
-                # service -- workers decode them exactly once.
-                jobs.append((
-                    payloads,
-                    args.spec or spec or "register",
-                    (override_params or {}) if args.spec
-                    else (params or {}),
-                ))
+                if line.strip():
+                    histories.append(json.loads(line))
     except OSError as exc:
         print(f"lin: cannot read {args.history}: {exc}", file=sys.stderr)
         return 2
-    if not jobs:
-        print(f"lin: {args.history} holds no histories", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(
+            f"lin: {args.history}:{lineno}: bad JSON: {exc}",
+            file=sys.stderr,
+        )
         return 2
 
-    workers = EngineOptions.from_args(args).resolved
+    params = {"max_nodes": args.max_nodes}
+    if args.spec:
+        params["spec"] = args.spec
+    if spec_params is not None:
+        params["spec_params"] = spec_params
     output = OutputOptions.from_args(args)
-    start = time.perf_counter()
     try:
-        verdicts = check_histories_parallel(
-            jobs,
-            workers=workers,
-            max_nodes=args.max_nodes,
+        outcome = run_section(
+            Section("lin", "lin", params=params).axis("history", *histories),
+            workers=args.workers,
             checkpoint=output.out,
             resume=output.resume,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        # Undecodable payload values or an unknown spec name are input
-        # errors (exit 2), not linearizability violations (exit 1).
-        print(f"lin: invalid history or spec: {exc}", file=sys.stderr)
+    except SpecError as exc:
+        print(f"lin: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - start
 
+    lin = executor_for("lin")
     rows = []
-    for verdict, (ops, spec, _params) in zip(verdicts, jobs):
+    for record in outcome.records:
+        payload = record["payload"]
         rows.append({
-            "history": verdict.index,
-            "spec": spec,
-            "ops": verdict.ops,
-            "partitions": verdict.partitions,
-            "nodes": verdict.explored,
-            "verdict": verdict.status.upper(),
+            "history": record["index"],
+            "spec": lin.resolve(record["params"]["point"])[1],
+            "ops": payload["ops"],
+            "partitions": payload["partitions"],
+            "nodes": payload["explored"],
+            "verdict": payload["status"].upper(),
         })
     print(render_table(rows))
-    total_nodes = sum(v.explored for v in verdicts)
-    failed = sum(1 for v in verdicts if v.status == LIN_FAIL)
-    undecided = sum(1 for v in verdicts if v.status == LIN_UNDECIDED)
+    counts = outcome.counts
     print()
     print(
-        f"  {len(verdicts)} histories, {total_nodes} nodes explored in "
-        f"{elapsed:.3f}s with {workers} worker(s); "
-        f"{failed} not linearizable, {undecided} undecided"
+        f"  [{outcome.verdict}] {len(rows)} histories "
+        f"({outcome.executed} run, {outcome.skipped} resumed), "
+        f"{sum(r['nodes'] for r in rows)} nodes explored in "
+        f"{outcome.elapsed:.3f}s with {outcome.workers} worker(s); "
+        f"{counts['FAIL']} not linearizable, "
+        f"{counts['PARTIAL']} undecided"
     )
-    if output.out:
-        print(f"  records: {output.out}")
-    if failed:
-        return 1
-    return 2 if undecided else 0
+    if outcome.checkpoint:
+        print(f"  records: {outcome.checkpoint}")
+    return EXIT_CODES[outcome.verdict]
 
 
 def _campaign_smoke_spec():

@@ -2,9 +2,10 @@
 
 - :mod:`repro.analysis.fastlin` -- the high-performance linearizability
   oracle: bitmask Wing-Gong search with forced-operation pruning,
-  P-compositional partitioning, structured ``undecided`` budgets and a
-  batched parallel verdict service; keeps the naive Wing-Gong search
-  as the differential reference.
+  P-compositional partitioning, structured ``undecided`` budgets and
+  the JSON payload codec batched checks travel in (the ``lin``
+  campaign kind); keeps the naive Wing-Gong search as the
+  differential reference.
 - :mod:`repro.analysis.streamlin` -- the same verdict online, over an
   event stream with a rolling verified frontier.
 - :mod:`repro.analysis.specs` -- sequential specifications (register,
@@ -36,13 +37,10 @@ from repro.analysis.fastlin import (
     LIN_OK,
     LIN_UNDECIDED,
     PENDING,
-    BatchVerdict,
     FastLinChecker,
     LinearizationResult,
     SeqSpec,
-    check_histories_parallel,
     check_history,
-    lin_jobs,
     op_from_payload,
     op_to_payload,
     spec_from_name,
@@ -101,7 +99,6 @@ __all__ = [
     "PENDING",
     "AttackOutcome",
     "AuditViolation",
-    "BatchVerdict",
     "EffectiveRead",
     "FastLinChecker",
     "LinearizationResult",
@@ -115,7 +112,6 @@ __all__ = [
     "auditable_register_spec",
     "check_audit_exactness",
     "check_audit_monotone",
-    "check_histories_parallel",
     "check_fetch_xor_uniqueness",
     "check_history",
     "check_history_streaming",
@@ -127,7 +123,6 @@ __all__ = [
     "empirical_advantage",
     "expected_audit_set",
     "first_divergence",
-    "lin_jobs",
     "max_register_spec",
     "membership_guess",
     "observed_values",

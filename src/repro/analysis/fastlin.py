@@ -42,11 +42,12 @@ the differential reference the property tests and
 ``benchmarks/bench_b10_lin_throughput.py`` measure this checker
 against.
 
-A batched verdict service (:func:`check_histories_parallel`) fans a
-list of ``(operations, spec_name, spec_params)`` jobs across the
-PR-1 engine's worker pool with deterministic, byte-identical JSONL
-output; specs travel *by name* through :func:`spec_from_name` because
-closures do not pickle.  ``python -m repro lin`` is the CLI front-end.
+Recorded histories travel as JSON payloads (:func:`op_to_payload`)
+and specs *by name* (:func:`spec_from_name`), because closures do not
+pickle: that is how the ``lin`` campaign kind
+(:class:`repro.campaign.executors.LinExecutor`, which ``python -m
+repro lin`` runs) fans batches of histories across the engine's worker
+pool with byte-identical, resumable JSONL.
 """
 
 from __future__ import annotations
@@ -516,10 +517,10 @@ def legacy_check_history(
 # Operation payloads: histories as canonical JSON
 # ---------------------------------------------------------------------
 #
-# The batched verdict service ships histories through the engine, whose
-# checkpoint records are canonical JSON -- but operation arguments and
-# results contain tuples and frozensets (snapshot views, audit pair
-# sets) that plain JSON flattens ambiguously.  The codec below tags
+# Batched checks (the ``lin`` campaign kind) ship histories through the
+# engine, whose checkpoint records are canonical JSON -- but operation
+# arguments and results contain tuples and frozensets (snapshot views,
+# audit pair sets) that plain JSON flattens ambiguously.  The codec below tags
 # containers so a payload round-trip reconstructs values that compare
 # equal under every sequential spec:
 #
@@ -679,88 +680,3 @@ def spec_from_name(name: str, **params: Any) -> SeqSpec:
             f"unknown spec {name!r}; registered: {known}"
         ) from None
     return builder(**params)
-
-
-# ---------------------------------------------------------------------
-# The batched verdict service
-# ---------------------------------------------------------------------
-
-@dataclass
-class BatchVerdict:
-    """One job's verdict from :func:`check_histories_parallel`."""
-
-    index: int
-    status: str
-    explored: int
-    partitions: int
-    ops: int
-
-    @property
-    def ok(self) -> bool:
-        return self.status == LIN_OK
-
-
-def lin_jobs(
-    histories: Sequence[Sequence[OperationRecord]],
-    spec_name: str,
-    spec_params: Optional[Dict[str, Any]] = None,
-) -> List[Tuple[Sequence[OperationRecord], str, Dict[str, Any]]]:
-    """Convenience: pair every history with one named spec."""
-    return [(ops, spec_name, dict(spec_params or {})) for ops in histories]
-
-
-def check_histories_parallel(
-    jobs: Sequence[Tuple[Sequence[OperationRecord], str, Dict[str, Any]]],
-    *,
-    workers: int = 1,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    checkpoint: Optional[str] = None,
-    resume: bool = True,
-    progress=None,
-) -> List[BatchVerdict]:
-    """Check many histories in parallel through the engine.
-
-    ``jobs`` is a list of ``(operations, spec_name, spec_params)``
-    triples; each becomes one :class:`repro.engine.ExecutionTask` whose
-    canonical record carries the encoded history and the verdict
-    payload.  ``operations`` may be :class:`OperationRecord` objects or
-    already-encoded payload dicts (:func:`op_to_payload`) -- callers
-    that read payloads from disk (the ``repro lin`` CLI) pass them
-    through without a decode/re-encode round trip.  The engine's
-    determinism contract applies verbatim: the JSONL written to
-    ``checkpoint`` is **byte-identical** across worker counts and
-    resumable by re-running with the same file.
-    """
-    from repro.engine.engine import ExecutionTask, run_tasks
-    from repro.engine.tasks import lin_check_task
-
-    tasks = []
-    for index, (operations, spec_name, spec_params) in enumerate(jobs):
-        params = (
-            ("history", [
-                op if isinstance(op, dict) else op_to_payload(op)
-                for op in operations
-            ]),
-            ("spec", spec_name),
-            ("spec_params", dict(spec_params or {})),
-            ("max_nodes", max_nodes),
-        )
-        tasks.append(ExecutionTask(index, 0, params))
-    report = run_tasks(
-        lin_check_task,
-        tasks,
-        workers=workers,
-        checkpoint=checkpoint,
-        resume=resume,
-        progress=progress,
-    )
-    return [
-        BatchVerdict(
-            index=record["index"],
-            status=record["payload"]["status"],
-            explored=record["payload"]["explored"],
-            partitions=record["payload"]["partitions"],
-            ops=record["payload"]["ops"],
-        )
-        for record in report.records
-    ]

@@ -19,8 +19,8 @@ run.
 
 The same spec value is constructible from the Python builder API or
 from a TOML/JSON file (:func:`load_spec`).  The ``sweep``, ``check``,
-``fuzz`` and ``stress`` subcommands each build a one-section spec from
-their flags, validate it with :func:`compile_section`, and judge their
+``fuzz``, ``stress`` and ``lin`` subcommands each build a one-section
+spec from their flags, validate it with :func:`compile_section`, and judge their
 results with the same executor rules; ``--print-spec`` prints that
 spec.  Execution dispatches through the :class:`Executor` protocol
 (:mod:`repro.campaign.executors`).  DESIGN.md section 12 carries the

@@ -42,10 +42,18 @@ def compile_section(
 ) -> List[ExecutionTask]:
     """Validate and compile one section into ordered engine tasks."""
     executor = executor_for(section.kind)
+    points = section.points(root_seed)
     tasks: List[ExecutionTask] = []
-    for point in section.points(root_seed):
+    for point in points:
         params = _json_safe(section.name, point.params)
-        executor.validate_point(params)
+        try:
+            executor.validate_point(params)
+        except SpecError as exc:
+            if len(points) == 1:
+                raise
+            raise SpecError(
+                f"point {point.index} of section {section.name!r}: {exc}"
+            ) from None
         tasks.append(ExecutionTask(
             point.index,
             point.seed,

@@ -6,9 +6,9 @@ into a canonical JSON payload carrying a ``verdict`` -- ``"PASS"``,
 Each executor wraps one subsystem entry point (``explore`` for
 ``check``, ``run_campaign`` for ``fuzz``, ``run_stress`` for
 ``stress``, the sweep task functions for ``sweep``,
-``lin_check_task`` for ``lin``) and owns that kind's validation and
-verdict rule; the ``sweep``, ``check``, ``fuzz`` and ``stress``
-subcommands validate and judge with the same rules.
+``FastLinChecker`` for ``lin``) and owns that kind's validation and
+verdict rule; the ``sweep``, ``check``, ``fuzz``, ``stress`` and
+``lin`` subcommands validate and judge with the same rules.
 
 Determinism: payloads must be pure functions of ``(seed, params)`` so
 the engine's byte-identical JSONL contract holds for campaign
@@ -374,32 +374,129 @@ register_executor(SweepExecutor())
 
 class LinExecutor(Executor):
     """Batched linearizability verdicts: one point = one recorded
-    history checked against a named spec (``repro lin``'s task)."""
+    history checked by fastlin against a named spec (``repro lin`` runs
+    one point per input line).
+
+    A point's ``history`` is either a list of operation payloads
+    (:func:`repro.analysis.fastlin.op_to_payload`) or a record
+    ``{"history": [...], "spec": ..., "spec_params": {...}}``.  The
+    spec precedence rule lives here, once (:meth:`resolve`): a section
+    ``spec`` (with its ``spec_params``) overrides the record's spec,
+    otherwise the record's applies, otherwise :attr:`DEFAULT_SPEC`.
+    The ``seed`` is unused: the history is already recorded.
+    """
 
     kind = "lin"
     _ALLOWED = ("history", "spec", "spec_params", "max_nodes")
+    DEFAULT_SPEC = "register"
+
+    @classmethod
+    def resolve(cls, params: Dict[str, Any]):
+        """A point's ``(payloads, spec name, spec params)``."""
+        history = params["history"]
+        record = history if isinstance(history, dict) else {
+            "history": history
+        }
+        source = params if "spec" in params else record
+        return (
+            record.get("history"),
+            source.get("spec", cls.DEFAULT_SPEC),
+            source.get("spec_params"),
+        )
 
     def validate_point(self, params: Dict[str, Any]) -> None:
         _require(params, "history", self.kind)
         _unknown(params, self._ALLOWED, self.kind)
-        from repro.analysis.fastlin import spec_names
+        if "spec_params" in params and "spec" not in params:
+            raise SpecError("a 'lin' point's spec_params need a spec")
+        if "max_nodes" in params:
+            _check_count(self.kind, "max_nodes", params["max_nodes"], 1)
+        payloads, spec, spec_params = self.resolve(params)
+        if not isinstance(payloads, list):
+            raise SpecError(
+                "a lin history is a JSON array of operation payloads "
+                "or an object with a \"history\" array"
+            )
+        _decode_ops(payloads)
+        from repro.analysis.fastlin import spec_from_name, spec_names
 
-        spec = params.get("spec", "register")
-        if spec not in spec_names():
-            raise SpecError(f"unknown lin spec {spec!r}")
+        if not isinstance(spec, str) or spec not in spec_names():
+            raise SpecError(
+                f"unknown lin spec {spec!r} "
+                "(see python -m repro lin --list-specs)"
+            )
+        if spec_params is not None and not isinstance(spec_params, dict):
+            raise SpecError(
+                f"lin spec_params must be a JSON object (got {spec_params!r})"
+            )
+        try:
+            spec_from_name(spec, **(spec_params or {}))
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad {spec!r} spec params: {exc}") from None
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.analysis.fastlin import LIN_FAIL, LIN_OK
-        from repro.engine.tasks import lin_check_task
-
-        kwargs = dict(params)
-        kwargs.setdefault("spec", "register")
-        payload = dict(lin_check_task(seed, **kwargs))
-        status = payload["status"]
-        payload["verdict"] = (
-            PASS if status == LIN_OK
-            else (FAIL if status == LIN_FAIL else PARTIAL)
+        from repro.analysis.fastlin import (
+            DEFAULT_MAX_NODES,
+            LIN_FAIL,
+            LIN_OK,
+            FastLinChecker,
+            spec_from_name,
         )
-        return payload
+
+        payloads, spec, spec_params = self.resolve(params)
+        ops = _decode_ops(payloads)
+        result = FastLinChecker(
+            spec_from_name(spec, **(spec_params or {})),
+            max_nodes=params.get("max_nodes", DEFAULT_MAX_NODES),
+        ).check(ops)
+        status = result.status
+        return {
+            "verdict": (
+                PASS if status == LIN_OK
+                else (FAIL if status == LIN_FAIL else PARTIAL)
+            ),
+            "status": status,
+            "explored": result.explored,
+            "partitions": result.partitions,
+            "ops": len(ops),
+        }
+
+
+_PAYLOAD_KEYS = (
+    "pid", "op_id", "name", "args", "invoke", "response", "result",
+)
+
+
+def _decode_ops(payloads) -> list:
+    """Decode a lin point's payloads, raising :class:`SpecError` for
+    anything the checker could not search."""
+    from repro.analysis.fastlin import op_from_payload
+
+    ops = []
+    for payload in payloads:
+        try:
+            if not (isinstance(payload, dict)
+                    and all(key in payload for key in _PAYLOAD_KEYS)):
+                raise ValueError(f"need {'/'.join(_PAYLOAD_KEYS)} keys")
+            op = op_from_payload(payload)
+            if not (_is_index(op.invoke_index)
+                    and (op.response_index is None
+                         or _is_index(op.response_index))):
+                raise ValueError("invoke/response must be event indices")
+            if not isinstance(op.args, tuple):
+                raise ValueError("args must encode a tuple")
+            hash((op.name, op.args, op.result))  # the search memo's key
+        except (TypeError, ValueError) as exc:
+            raise SpecError(
+                f"not an operation payload ({exc}; see "
+                "repro.analysis.fastlin.op_to_payload)"
+            ) from None
+        ops.append(op)
+    return ops
+
+
+def _is_index(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 register_executor(LinExecutor())

@@ -56,12 +56,26 @@ class EngineOptions:
         ),
     ) -> None:
         parser.add_argument(
-            "--workers", type=int, default=default, metavar="W", help=help
+            "--workers", type=_worker_count, default=default,
+            metavar="W", help=help,
         )
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "EngineOptions":
         return cls(workers=args.workers)
+
+
+def _worker_count(text: str) -> int:
+    """``--workers`` values: an int >= 0 (argparse exits 2 otherwise)."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise argparse.ArgumentTypeError(
+            f"need an int >= 0 (0 = one per CPU), got {text!r}"
+        )
+    return workers
 
 
 @dataclass

@@ -10,35 +10,52 @@ every axis of every section -- one row per ``(section, axis, value)``
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, List
 
 from repro.campaign.run import VERDICTS, CampaignOutcome
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import Axis, CampaignSpec
 
 
-def _section_axes(spec: CampaignSpec, name: str) -> List[str]:
+def _section_axes(spec: CampaignSpec, name: str) -> List[Axis]:
     for section in spec.sections:
         if section.name == name:
-            return [axis.name for axis in section.axes]
+            return section.axes
     return []
 
 
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _slice_label(value: Any, position: int) -> Any:
+    """A scalar labels itself; a list or table shows its canonical JSON,
+    or its axis position when that is too long to read (a history)."""
+    if not isinstance(value, (list, tuple, dict)):
+        return value
+    text = _canonical(value)
+    return text if len(text) <= 40 else f"#{position}"
+
+
 def axis_slices(outcome: CampaignOutcome) -> List[Dict[str, Any]]:
-    """Verdict counts folded along each declared axis value."""
+    """Verdict counts folded along each declared axis value, keyed on
+    the value's canonical JSON (so list- and table-valued axes fold)."""
     rows: List[Dict[str, Any]] = []
     for section in outcome.sections:
         for axis in _section_axes(outcome.spec, section.name):
-            by_value: Dict[Any, Dict[str, int]] = {}
+            slices: Dict[str, Any] = {}
+            for position, value in enumerate(axis.values):
+                slices.setdefault(_canonical(value), (
+                    _slice_label(value, position),
+                    {v: 0 for v in VERDICTS},
+                ))
             for record in section.records:
                 point = record["params"]["point"]
-                value = point.get(axis)
-                counts = by_value.setdefault(
-                    value, {v: 0 for v in VERDICTS}
-                )
+                _, counts = slices[_canonical(point[axis.name])]
                 counts[record["payload"]["verdict"]] += 1
-            for value, counts in by_value.items():
+            for label, counts in slices.values():
                 rows.append({
-                    "slice": f"{section.name}/{axis}={value}",
+                    "slice": f"{section.name}/{axis.name}={label}",
                     "points": sum(counts.values()),
                     **{v.lower(): counts[v] for v in VERDICTS},
                 })

@@ -14,9 +14,14 @@ The same spec value is constructible two ways:
 - **builder API** -- ``CampaignSpec("nightly").section("mc", "check")
   .axis("scenario", "alg1-w1-r1", "alg2-w1-r1")`` (each call returns
   the object it extended, so specs chain); the ``sweep``, ``check``,
-  ``fuzz`` and ``stress`` subcommands build their one-section spec
-  this way from their flags, and ``--print-spec`` dumps it;
+  ``fuzz``, ``stress`` and ``lin`` subcommands build their one-section
+  spec this way from their flags, and ``--print-spec`` dumps it (not
+  for ``lin``: its history payloads carry JSON nulls, which TOML
+  cannot write);
 - **file** -- :func:`load_spec` reads TOML (Python 3.11+) or JSON.
+
+Axis values may be any JSON value, lists and tables included (a lin
+``history`` axis holds one recorded history per value).
 
 Seed semantics: ``seeds`` may be an explicit list of integers (used
 verbatim for every crossed combination -- how ``--seed N`` flags map

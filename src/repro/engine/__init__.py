@@ -24,11 +24,7 @@ from repro.engine.engine import (
     run_tasks,
 )
 from repro.engine.seeds import derive_seed, fan_out
-from repro.engine.tasks import (
-    lin_check_task,
-    register_sweep_task,
-    snapshot_sweep_task,
-)
+from repro.engine.tasks import register_sweep_task, snapshot_sweep_task
 
 __all__ = [
     "EngineReport",
@@ -38,7 +34,6 @@ __all__ = [
     "derive_seed",
     "encode_record",
     "fan_out",
-    "lin_check_task",
     "make_tasks",
     "register_sweep_task",
     "run_tasks",

@@ -23,14 +23,7 @@ from repro.analysis import (
     tag_ops_with_pid,
     tag_reads,
 )
-from repro.analysis.fastlin import (
-    DEFAULT_MAX_NODES,
-    LIN_OK,
-    FastLinChecker,
-    check_history,
-    op_from_payload,
-    spec_from_name,
-)
+from repro.analysis.fastlin import LIN_OK, check_history
 from repro.workloads.generators import (
     RegisterWorkload,
     SnapshotWorkload,
@@ -147,32 +140,3 @@ def fuzz_task(seed: int, **params: Any) -> Dict[str, Any]:
     from repro.fuzz.campaign import run_batch
 
     return run_batch(seed, **params)
-
-
-def lin_check_task(
-    seed: int,
-    history=(),
-    spec: str = "register",
-    spec_params: Dict[str, Any] = None,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> Dict[str, Any]:
-    """One batched-verdict-service job: check one encoded history.
-
-    ``history`` is a list of operation payloads
-    (:func:`repro.analysis.fastlin.op_to_payload`); ``spec`` /
-    ``spec_params`` name a spec in the
-    :func:`repro.analysis.fastlin.spec_from_name` registry -- both
-    JSON-safe, so the engine's canonical-JSONL checkpoint contract
-    holds.  The ``seed`` is unused (histories are already recorded) but
-    part of the engine task signature.
-    """
-    ops = [op_from_payload(payload) for payload in history]
-    result = FastLinChecker(
-        spec_from_name(spec, **(spec_params or {})), max_nodes=max_nodes
-    ).check(ops)
-    return {
-        "status": result.status,
-        "explored": result.explored,
-        "partitions": result.partitions,
-        "ops": len(ops),
-    }

@@ -707,6 +707,8 @@ def run_stress(
         raise ValueError("need an op budget (ops=) or a duration")
     if ops is not None and ops < 1:
         raise ValueError(f"need at least one op per worker (got {ops})")
+    if duration is not None and duration <= 0:
+        raise ValueError(f"need a positive duration (got {duration})")
     if validate is None:
         validate = ops is not None or online
     window = DEFAULT_WINDOW if stream_window is None else stream_window

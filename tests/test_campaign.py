@@ -416,12 +416,24 @@ class TestExecutorEquivalence:
             assert payload[key] == value
         assert payload["verdict"] == "PASS"
 
-    def test_lin_point_is_the_lin_task(self):
-        from repro.engine.tasks import lin_check_task
+    def test_lin_point_is_a_direct_check(self):
+        from repro.analysis.fastlin import check_history, op_to_payload
+        from repro.analysis.specs import register_spec
+        from repro.sim.history import OperationRecord
 
-        payload = campaign_point_task(3, kind="lin", point={"history": []})
-        direct = lin_check_task(3, history=[])
-        assert payload["status"] == direct["status"]
+        ops = [
+            OperationRecord(pid="w", op_id=0, name="write", args=(1,),
+                            invoke_index=0, response_index=2),
+            OperationRecord(pid="r", op_id=0, name="read", args=(),
+                            invoke_index=1, response_index=3, result=1),
+        ]
+        payload = campaign_point_task(
+            3, kind="lin",
+            point={"history": [op_to_payload(o) for o in ops]},
+        )
+        direct = check_history(ops, register_spec(0))
+        assert payload["status"] == direct.status
+        assert payload["explored"] == direct.explored
         assert payload["verdict"] == "PASS"
 
     def test_stress_point_payload_is_deterministic(self):
@@ -550,6 +562,31 @@ class TestRunSpec:
         assert slices["sw/num_readers=2"]["points"] == 2
         text = render_outcome(outcome)
         assert "[PASS] campaign 't'" in text
+
+    def test_report_folds_list_and_table_valued_axes(self):
+        """Slices key on canonical JSON: a fuzz ``sampler_params`` axis
+        and a lin ``history`` axis fold instead of crashing."""
+        spec = CampaignSpec("lists")
+        spec.section(
+            "fz", "fuzz", sampler="pct", schedules=4, batch=4,
+            target="alg1-w1-r1",
+        ).axis("sampler_params", {"depth": 2}, {"depth": 3})
+        from repro.analysis.fastlin import op_to_payload
+        from repro.sim.history import OperationRecord
+
+        write = op_to_payload(OperationRecord(
+            pid="w", op_id=0, name="write", args=(1,),
+            invoke_index=0, response_index=1,
+        ))
+        spec.section("lin", "lin").axis("history", [], [], [], [write])
+        outcome = run_spec(spec, workers=1)
+        slices = {row["slice"]: row for row in axis_slices(outcome)}
+        assert slices['fz/sampler_params={"depth":2}']["points"] == 1
+        assert slices['fz/sampler_params={"depth":3}']["points"] == 1
+        assert slices["lin/history=[]"]["pass"] == 3
+        # Too long to read as a label: named by its axis position.
+        assert slices["lin/history=#3"]["pass"] == 1
+        assert "[PASS] campaign 'lists'" in render_outcome(outcome)
 
 
 # -- the acceptance crossing: scenarios x runtimes x faults x seeds --------

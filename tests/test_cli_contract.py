@@ -114,6 +114,10 @@ CONTRACT = [
     ("fuzz missing replay file",
      ["fuzz", "--replay", "/nonexistent/trace.json"], 2),
     ("stress zero ops", ["stress", "--ops", "0", "--threads", "2"], 2),
+    ("stress zero duration",
+     ["stress", "--ops", "5", "--duration", "0"], 2),
+    ("stress negative online duration",
+     ["stress", "--duration", "-1", "--online"], 2),
     ("stress print-spec of a duration run",
      ["stress", "--duration", "1", "--print-spec"], 2),
     ("stress unsupported fault family",
@@ -121,6 +125,7 @@ CONTRACT = [
       "--ops", "4"], 2),
     ("serve missing file", ["serve", "/nonexistent/events.jsonl"], 2),
     ("lin missing file", ["lin", "/nonexistent/histories.jsonl"], 2),
+    ("sweep negative workers", ["sweep", "--smoke", "--workers", "-1"], 2),
     ("campaign missing spec",
      ["campaign", "run", "/nonexistent/spec.toml"], 2),
     ("campaign no spec no smoke", ["campaign", "run"], 2),
@@ -134,6 +139,12 @@ CONTRACT = [
 )
 def test_exit_code_contract(argv, expected, capsys):
     assert run_main(argv) == expected
+
+
+def test_lin_negative_workers_is_a_usage_error(history_files, capsys):
+    """On a valid input, too: argparse refuses it before any run."""
+    assert run_main(["lin", history_files["ok"], "--workers", "-2"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 class TestLinExitCodes:

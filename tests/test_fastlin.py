@@ -4,8 +4,8 @@ The legacy naive search (``legacy_check_history``) is the executable
 reference: property tests generate random small histories and assert
 the bitmask rewrite reaches the identical verdict, partition tests
 check P-compositionality against the unpartitioned global spec, and the
-batched verdict service is held to the engine's byte-identical JSONL
-contract.
+batched verdict path (a ``lin`` campaign section) is held to the
+engine's byte-identical JSONL contract.
 """
 
 import json
@@ -19,12 +19,10 @@ from repro.analysis.fastlin import (
     LIN_UNDECIDED,
     PENDING,
     FastLinChecker,
-    check_histories_parallel,
     check_history,
     decode_value,
     encode_value,
     legacy_check_history,
-    lin_jobs,
     op_from_payload,
     op_to_payload,
     precedence_masks,
@@ -492,16 +490,41 @@ class TestCodec:
 
 
 # ---------------------------------------------------------------------
-# Named specs and the batched verdict service
+# Named specs and the batched verdict path (the ``lin`` campaign kind)
 # ---------------------------------------------------------------------
 
+_WRITE = op_to_payload(op("w", 0, "write", (5,), 0, 1))
+
+#: Lines ``repro lin`` and ``repro campaign run`` must both refuse
+#: with exit 2 before anything runs.
+MALFORMED = {
+    "not an op": [{"not": "an op"}],
+    "partial op": [{"pid": "p", "op_id": 0, "name": "read", "invoke": 0}],
+    "no history key": {"histroy": [], "spec": "register"},
+    "unknown tag": [dict(_WRITE, args={"q": [5]})],
+    "non-string spec": {"history": [_WRITE], "spec": 5},
+    "non-object spec_params": {
+        "history": [_WRITE], "spec": "register", "spec_params": [0],
+    },
+    "string invoke index": [dict(_WRITE, invoke="0")],
+    "untagged args": [dict(_WRITE, args=[5])],
+}
+
+
 class TestVerdictService:
-    def _jobs(self):
-        histories = []
-        for seed in range(6):
-            rng = random.Random(seed)
-            histories.append(random_register_history(rng))
-        return lin_jobs(histories, "register", {"initial": 0})
+    def _histories(self):
+        return [
+            random_register_history(random.Random(seed))
+            for seed in range(6)
+        ]
+
+    def _lin_file(self, tmp_path):
+        path = tmp_path / "histories.jsonl"
+        path.write_text("".join(
+            json.dumps([op_to_payload(o) for o in ops]) + "\n"
+            for ops in self._histories()
+        ), encoding="utf-8")
+        return str(path)
 
     def test_spec_registry(self):
         assert "register" in spec_names()
@@ -514,35 +537,105 @@ class TestVerdictService:
             spec_from_name("nope")
 
     def test_batched_matches_serial_checks(self):
-        jobs = self._jobs()
-        verdicts = check_histories_parallel(jobs)
-        assert len(verdicts) == len(jobs)
-        for verdict, (ops, name, params) in zip(verdicts, jobs):
-            direct = check_history(ops, spec_from_name(name, **params))
-            assert verdict.status == direct.status
-            assert verdict.explored == direct.explored
-            assert verdict.ops == len(ops)
+        from repro.campaign import Section, run_section
 
-    def test_parallel_jsonl_byte_identical(self, tmp_path):
-        jobs = self._jobs()
+        histories = self._histories()
+        section = Section(
+            "lin", "lin", params={"spec": "register",
+                                  "spec_params": {"initial": 0}},
+        ).axis("history", *[
+            [op_to_payload(o) for o in ops] for ops in histories
+        ])
+        records = run_section(section, workers=1).records
+        assert len(records) == len(histories)
+        for record, ops in zip(records, histories):
+            direct = check_history(ops, register_spec(0))
+            assert record["payload"]["status"] == direct.status
+            assert record["payload"]["explored"] == direct.explored
+            assert record["payload"]["ops"] == len(ops)
+
+    def test_parallel_jsonl_byte_identical(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = self._lin_file(tmp_path)
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        first = check_histories_parallel(
-            jobs, workers=1, checkpoint=str(serial)
-        )
-        second = check_histories_parallel(
-            jobs, workers=2, checkpoint=str(parallel)
-        )
+        first = main(["lin", path, "--workers", "1", "--out", str(serial)])
+        second = main([
+            "lin", path, "--workers", "2", "--out", str(parallel),
+        ])
+        assert first == second
         assert serial.read_bytes() == parallel.read_bytes()
-        assert [v.status for v in first] == [v.status for v in second]
 
-    def test_resume_skips_completed(self, tmp_path):
-        jobs = self._jobs()
-        path = tmp_path / "resume.jsonl"
-        check_histories_parallel(jobs, checkpoint=str(path))
-        before = path.read_bytes()
-        check_histories_parallel(jobs, checkpoint=str(path))
-        assert path.read_bytes() == before
+    def test_resume_skips_completed(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = self._lin_file(tmp_path)
+        out = tmp_path / "resume.jsonl"
+        first = main(["lin", path, "--out", str(out)])
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(["lin", path, "--out", str(out)]) == first
+        assert out.read_bytes() == before
+        assert "(0 run, 6 resumed)" in capsys.readouterr().out
+
+    def test_spec_precedence(self, tmp_path, capsys):
+        """A section spec overrides the record's, the record's spec
+        applies otherwise, and ``register`` is the default."""
+        from repro.__main__ import main
+        from repro.campaign import Section, executor_for, run_section
+
+        lin = executor_for("lin")
+        bare = [op_to_payload(op("r", 0, "read", (), 0, 1, result="v0"))]
+        record = {"history": bare, "spec": "register",
+                  "spec_params": {"initial": "v0"}}
+        assert lin.resolve({"history": bare}) == (bare, "register", None)
+        assert lin.resolve({"history": record}) == (
+            bare, "register", {"initial": "v0"}
+        )
+        assert lin.resolve({"history": record, "spec": "max_register"}) \
+            == (bare, "max_register", None)
+
+        def statuses(section):
+            return [
+                r["payload"]["status"]
+                for r in run_section(section, workers=1).records
+            ]
+
+        # The default's initial value 0 rejects the read of "v0".
+        assert statuses(
+            Section("lin", "lin").axis("history", bare, record)
+        ) == [LIN_FAIL, LIN_OK]
+        assert statuses(
+            Section("lin", "lin", params={"spec": "register"})
+            .axis("history", record)
+        ) == [LIN_FAIL]
+
+        path = tmp_path / "h.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert main(["lin", str(path)]) == 0
+        assert main(["lin", str(path), "--spec", "register"]) == 1
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_exits_two_from_lin_and_campaign(
+        self, case, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        good, bad = [_WRITE], MALFORMED[case]
+        lines = tmp_path / "h.jsonl"
+        lines.write_text(
+            json.dumps(good) + "\n" + json.dumps(bad) + "\n",
+            encoding="utf-8",
+        )
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sections": [{
+            "kind": "lin", "axes": {"history": [good, bad]},
+        }]}), encoding="utf-8")
+        assert main(["lin", str(lines)]) == 2
+        assert main(["campaign", "run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("point 1 of section 'lin'") == 2
 
 
 # ---------------------------------------------------------------------

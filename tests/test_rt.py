@@ -302,9 +302,10 @@ def test_stress_duration_mode_skips_validation_by_default():
 
 def test_stress_zero_completed_ops_still_renders():
     """A run where nothing completes must report, not crash.  (An op
-    budget below 1 is rejected up front, so a zero-second duration is
-    the run that completes nothing.)"""
-    report = run_stress("register", threads=2, ops=None, duration=0.0)
+    budget below 1 and a duration <= 0 are rejected up front, so a
+    nanosecond duration, past before any worker's first op, is the run
+    that completes nothing.)"""
+    report = run_stress("register", threads=2, ops=None, duration=1e-9)
     assert report.ops_completed == 0
     assert "0" in report.render()  # renders without KeyError
     assert report.to_payload()["ops_per_sec"] == 0.0
@@ -323,6 +324,11 @@ def test_stress_requires_some_budget():
     for ops in (0, -5):
         with pytest.raises(ValueError, match="at least one op"):
             run_stress("register", threads=2, ops=ops)
+    # A run given no time completes no ops: a PASS on it would be
+    # better than its evidence.
+    for duration in (0, -1):
+        with pytest.raises(ValueError, match="positive duration"):
+            run_stress("register", threads=2, ops=5, duration=duration)
     with pytest.raises(ValueError):
         run_stress("flux-capacitor", threads=4)
 
