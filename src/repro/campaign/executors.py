@@ -38,8 +38,11 @@ class Executor:
     Subclasses set ``kind`` (the spec's section ``kind`` value) and
     implement :meth:`execute`; ``validate_point`` may reject bad params
     at compile time with :class:`~repro.campaign.spec.SpecError`, before
-    any work runs.  ``serial_only`` forces the section onto one worker
-    (see the module docstring).
+    any work runs.  Input only a run can judge (a lin history its spec
+    cannot apply) makes :meth:`execute` raise ``SpecError`` instead;
+    :func:`repro.campaign.run.run_section` names the point.
+    ``serial_only`` forces the section onto one worker (see the module
+    docstring).
     """
 
     kind: str = ""
@@ -445,10 +448,22 @@ class LinExecutor(Executor):
 
         payloads, spec, spec_params = self.resolve(params)
         ops = _decode_ops(payloads)
-        result = FastLinChecker(
+        checker = FastLinChecker(
             spec_from_name(spec, **(spec_params or {})),
             max_nodes=params.get("max_nodes", DEFAULT_MAX_NODES),
-        ).check(ops)
+        )
+        try:
+            result = checker.check(ops)
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            # The spec's apply choked on an operation's shape: the
+            # history does not fit the spec (e.g. auditable-register
+            # reads must be tagged with tag_reads).  That is an input
+            # error, not a linearizability verdict.
+            raise SpecError(
+                f"spec {spec!r} cannot apply this history "
+                f"({type(exc).__name__}: {exc}); auditable specs need "
+                "reads tagged with repro.analysis.tag_reads"
+            ) from None
         status = result.status
         return {
             "verdict": (

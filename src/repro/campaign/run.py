@@ -156,14 +156,24 @@ def run_section(
 
     tasks = compile_section(section, root_seed)
     serial = executor_for(section.kind).serial_only
-    report = run_tasks(
-        campaign_point_task,
-        tasks,
-        workers=1 if serial else (workers or _cpu_count()),
-        checkpoint=checkpoint,
-        resume=resume,
-        progress=progress,
-    )
+    try:
+        report = run_tasks(
+            campaign_point_task,
+            tasks,
+            workers=1 if serial else (workers or _cpu_count()),
+            checkpoint=checkpoint,
+            resume=resume,
+            progress=progress,
+        )
+    except SpecError as exc:
+        # An input error only a point's execution can see (a history
+        # its spec cannot apply): name the point, as compile errors do.
+        index = getattr(exc, "task_index", None)
+        if index is None:
+            raise
+        raise SpecError(
+            f"point {index} of section {section.name!r}: {exc}"
+        ) from None
     return SectionOutcome(
         name=section.name,
         kind=section.kind,

@@ -227,6 +227,9 @@ def run_tasks(
     slices (the fuzz campaign's stop-on-violation loop) while the
     checkpoint keeps every completed record.  With a limit the report's
     ``records`` cover only the tasks completed so far.
+
+    An exception a task raises propagates, tagged with that task's
+    index as its ``task_index`` attribute.
     """
     tasks = sorted(tasks, key=lambda t: t.index)
     if len({t.index for t in tasks}) != len(tasks):
@@ -259,6 +262,7 @@ def run_tasks(
         if progress is not None:
             progress(len(records), len(tasks), record)
 
+    task = None
     try:
         if workers > 1 and pending:
             import multiprocessing
@@ -274,11 +278,17 @@ def run_tasks(
                 initargs=(fn,),
             ) as pool:
                 payloads = pool.imap(_call_task, pending, chunksize)
-                for task, payload in zip(pending, payloads):
-                    emit(task.record(payload))
+                # imap yields in task order and re-raises a task's
+                # exception at its position, so ``task`` names it.
+                for task in pending:
+                    emit(task.record(next(payloads)))
         else:
             for task in pending:
                 emit(task.record(fn(task.seed, **task.kwargs)))
+    except Exception as exc:
+        if task is not None:
+            exc.task_index = task.index
+        raise
     finally:
         if stream is not None:
             stream.close()

@@ -207,7 +207,7 @@ def run_one(
     fingerprint = None
     if sampler.needs_fingerprints:
         from repro.mc import configuration_fingerprint
-        from repro.sim.checkpoint import StateVault
+        from repro.sim.vault import StateVault
 
         vault = StateVault(sim, roots=[context])
 

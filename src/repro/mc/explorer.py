@@ -193,6 +193,7 @@ class _Explorer:
     ) -> ExplorationReport:
         for pid in prefix:  # drive a fresh simulation to a frontier node
             self._step(pid, None)
+        sleep = frozenset(self._rebase(entry) for entry in sleep)
         # The DFS recurses once per schedule step; budgets guarantee a
         # clean ExplorationBudgetExceeded well before the interpreter's
         # default limit would turn deep scenarios into RecursionError.
@@ -205,6 +206,21 @@ class _Explorer:
         finally:
             sys.setrecursionlimit(previous)
         return self.report
+
+    def _rebase(self, entry: StepInfo) -> StepInfo:
+        """A handed-off sleep entry, indexed against this vault.
+
+        Lazily adopted objects get vault indices in first-step order,
+        which differs between the explorer that collected a frontier
+        and the one that resumes it.  A sleeping process has not moved
+        since its entry was recorded, so its pending primitive still
+        names the entry's target: adopt that (it is pristine -- no step
+        of the prefix touched it, or it would be adopted already).
+        """
+        if entry.kind != "prim":
+            return entry
+        target = self.sim.processes[entry.pid].pending.obj
+        return entry._replace(obj=self.ckpt.vault.adopt(target))
 
     # -- exploration ------------------------------------------------------
 
@@ -300,9 +316,9 @@ class _Explorer:
                 "shrink the scenario",
                 report=self.report,
             )
-        # Track anything the final steps materialised before the check
-        # mutates state, so the parent's restore can roll it back.
-        self.ckpt.vault.adopt_new()
+        # The parent's restore rolls back what the check mutates (a
+        # post-hoc audit) only in adopted objects; _step adopted every
+        # object the execution applied a primitive to.
         try:
             verdict = self.check(self.sim, self.context)
         except Exception as exc:  # record, keep exploring

@@ -7,9 +7,10 @@ that complete earlier inline), the surviving frontier nodes --
 exploration needs no shared state.  Each subtree becomes one
 :class:`repro.engine.ExecutionTask`; a worker rebuilds the scenario
 *by name* from :mod:`repro.mc.scenarios`, replays the prefix on its own
-live simulation, reconstitutes the sleep set (vault indices are
-deterministic, so step signatures transfer across processes) and runs
-the same sleep-set DFS.
+live simulation, reconstitutes the sleep set (each sleeping entry is
+re-indexed against the worker's own vault through its process's
+pending primitive, so step signatures transfer across processes) and
+runs the same sleep-set DFS.
 
 Determinism contract (inherited from :mod:`repro.engine.engine`): one
 canonical JSON record per subtree, written in task-index order --

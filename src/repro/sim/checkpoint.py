@@ -23,14 +23,39 @@ Two obstacles shape the design:
 
 2. **Object identity is load-bearing.**  Generators hold references to
    the shared objects they operate on, so restore must mutate object
-   state *in place* rather than swap in copies.  The :class:`StateVault`
-   adopts every reachable ``repro.*`` instance (shared registers, pads,
-   nonce sources, per-process handles) and restores each adopted
-   object's ``__dict__`` while preserving references between adopted
-   objects.  Objects first seen *after* a checkpoint was taken are
-   rolled back to their birth state, which makes lazily materialised
-   registers (``RegisterArray``/``BitMatrix`` cells) behave exactly like
-   the paper's infinitely pre-allocated registers.
+   state *in place* rather than swap in copies.  The
+   :class:`~repro.sim.vault.StateVault` *adopts* mutable ``repro.*`` instances (shared registers, pads, nonce
+   sources, per-process handles) and restores each adopted object's
+   ``__dict__`` while preserving references between adopted objects.
+   Objects adopted *after* a checkpoint was taken are rolled back to
+   their birth state, which makes lazily materialised registers
+   (``RegisterArray``/``BitMatrix`` cells) behave exactly like the
+   paper's infinitely pre-allocated registers.
+
+**Adoption contract.**  The vault walks the reachable object graph
+once, at construction.  After that, snapshots never walk: an object
+joins the vault when it first becomes the target of a pending primitive
+that is about to be applied (:meth:`SimulationCheckpointer.step` and the
+explorer adopt the target before stepping).  That route is complete for
+shared state because an operation can only *mutate* a shared object by
+yielding a primitive on it; an object merely materialised by local
+computation (a lazy register cell) is still in its birth state when
+that first primitive arrives.  The snapshot copier is the safety net:
+if a copied attribute reaches a mutable ``repro.*`` instance the vault
+has not adopted (local code stored a fresh object in adopted state),
+the vault adopts it and retakes the snapshot, so the object is tracked
+by identity rather than silently duplicated.  A client that needs the
+full reachable set at a point in time (the fuzz coverage sampler's
+fingerprints) calls :meth:`StateVault.adopt_new` itself.
+
+**Sharing rule.**  Snapshot, restore and generator re-drive copy only
+what can change.  A value is shared, not deep-copied, when it is an
+atom or ``BOTTOM``, a tuple or frozenset built only from such values,
+or a frozen dataclass (``RWord``, ``Nonced``) whose fields are all
+immutable; an adopted object stands for itself.  Mutable containers
+(sets, lists, dicts) are still copied -- a flat one holding only
+immutable values by a shallow copy, which is a deep copy of it -- so a
+mutation after the snapshot never leaks into it.
 
 Restoring a mid-operation process is a two-phase dance: local code may
 read handle state *at operation start* (e.g. a reader consulting
@@ -50,343 +75,23 @@ Typical use (the model checker, ``repro.mc``)::
 
     ckpt = SimulationCheckpointer(sim, roots=[context])
     mark = ckpt.capture()
-    sim.step_process("a")
+    ckpt.step("a")
     ...
     ckpt.restore(mark)        # back to the captured state, in place
 """
 
 from __future__ import annotations
 
-import copy
-import enum
-import random
-import types
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.crypto.nonce import NonceSource
-from repro.sim.history import History
-from repro.sim.process import Op, Process, ProcessState
+from repro.sim.process import ProcessState
 from repro.sim.runner import Simulation
-
-_ATOMS = (str, bytes, int, float, bool, type(None))
-
-# Exact types whose instances are immutable: snapshot/restore may share
-# them instead of deep-copying (subclasses could be mutable, hence the
-# exact-type check at use sites).
-_ATOMIC_TYPES = frozenset(
-    (str, bytes, int, float, bool, complex, type(None))
-)
-
-
-class _RngState:
-    """Snapshot of a ``random.Random``: its (immutable) state vector.
-
-    ``getstate``/``setstate`` round-trips are an order of magnitude
-    cheaper than deep-copying the generator object, and restoring via
-    ``setstate`` mutates the *existing* RNG in place, preserving
-    identity for any code holding a reference to it.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: Any) -> None:
-        self.state = state
+from repro.sim.vault import StateVault, copy_value
 
 
 class CheckpointError(RuntimeError):
     """A simulation state cannot be captured or restored."""
-
-
-def _excluded(cls: type) -> Tuple[str, ...]:
-    return tuple(getattr(cls, "_vault_exclude", ()))
-
-
-def _is_frozen_dataclass(value: Any) -> bool:
-    params = getattr(type(value), "__dataclass_params__", None)
-    return params is not None and params.frozen
-
-
-class StateVault:
-    """Identity-preserving snapshot/restore of all reachable repro state.
-
-    The vault *adopts* every mutable ``repro.*`` instance reachable from
-    the given roots (plus process programs and pending primitives):
-    shared base objects, auditable-object containers, per-process
-    handles, pads and nonce sources.  ``snapshot()`` returns an opaque
-    state vector; ``restore(snap)`` writes it back into the same
-    instances, so references held by live generators stay valid.
-
-    Frozen dataclasses (``RWord``, events) are immutable values, not
-    state holders, and are never adopted; :class:`Process`,
-    :class:`Simulation`, :class:`History` and :class:`Op` are managed by
-    the :class:`SimulationCheckpointer` instead.
-    """
-
-    def __init__(self, sim: Simulation, roots: List[Any]) -> None:
-        self.sim = sim
-        self._roots = list(roots)
-        self._objects: List[Any] = []
-        self._ids: Dict[int, int] = {}
-        self._birth: List[Dict[str, Any]] = []
-        self._birth_canon: List[Optional[Tuple]] = []
-        self._volatile: List[int] = []
-        self.adopt_new()
-
-    # -- discovery ---------------------------------------------------------
-
-    def index_of(self, obj: Any) -> Optional[int]:
-        return self._ids.get(id(obj))
-
-    def adopt(self, obj: Any) -> int:
-        """Track one instance (birth state = its state right now)."""
-        idx = self._ids.get(id(obj))
-        if idx is None:
-            idx = self._register(obj)
-            self._birth[idx] = self._snap_one(obj, self._memo())
-        return idx
-
-    def _register(self, obj: Any) -> int:
-        idx = len(self._objects)
-        self._objects.append(obj)
-        self._ids[id(obj)] = idx
-        self._birth.append({})
-        self._birth_canon.append(None)
-        if isinstance(obj, NonceSource):
-            # Nonce draws happen in *local* computation, so shared nonce
-            # sources are the one piece of state the independence
-            # relation must watch outside primitives (repro.mc).
-            self._volatile.append(idx)
-        return idx
-
-    def _adoptable(self, value: Any) -> bool:
-        cls = type(value)
-        if isinstance(value, type) or not hasattr(value, "__dict__"):
-            return False
-        if not getattr(cls, "__module__", "").startswith("repro."):
-            return False
-        if isinstance(value, (Simulation, Process, History, Op)):
-            return False
-        if _is_frozen_dataclass(value):
-            return False
-        return True
-
-    def adopt_new(self) -> None:
-        """Walk the object graph and adopt instances not yet tracked.
-
-        Called before every snapshot, so anything the execution
-        materialises (lazy register cells, fresh handles) is adopted
-        while still in its birth state -- new objects are only ever
-        created by local computation, whose mutations land one step
-        later, after the next checkpoint.
-        """
-        fresh: List[Any] = []
-        seen: set = set()
-        stack: List[Any] = list(self._roots)
-        for process in self.sim.processes.values():
-            stack.append(process._program)
-            if process.pending is not None:
-                stack.append(process.pending)
-        while stack:
-            value = stack.pop()
-            if isinstance(value, _ATOMS):
-                continue
-            vid = id(value)
-            if vid in seen:
-                continue
-            seen.add(vid)
-            if isinstance(value, (Simulation, History, Process)):
-                # Runner-managed state: the checkpointer handles these
-                # directly (histories are truncated, process control
-                # state is marked), and walking into them would drag
-                # the ever-growing event log into the vault.  Process
-                # programs and pendings are seeded explicitly above.
-                continue
-            if isinstance(value, enum.Enum):
-                continue
-            if isinstance(value, dict):
-                stack.extend(value.values())
-            elif isinstance(value, (list, tuple)):
-                stack.extend(value)
-            elif isinstance(value, (set, frozenset)):
-                # Deterministic walk order => deterministic adoption
-                # indices across interpreter processes (parallel
-                # frontier workers rebuild the same vault).
-                stack.extend(sorted(value, key=repr))
-            elif isinstance(value, Op):
-                stack.append(value.factory)
-                stack.append(value.args)
-            elif isinstance(value, types.MethodType):
-                stack.append(value.__self__)
-                stack.append(value.__func__)
-            elif isinstance(value, types.FunctionType):
-                for cell in value.__closure__ or ():
-                    stack.append(cell.cell_contents)
-            elif self._adoptable(value):
-                if vid not in self._ids:
-                    self._register(value)
-                    fresh.append(value)
-                # Walk every attribute, including _vault_exclude ones:
-                # exclusion applies to snapshots, not to discovery.
-                stack.extend(value.__dict__.values())
-            elif hasattr(value, "__dict__"):
-                # Frozen dataclasses and foreign containers may still
-                # reference adoptable state.
-                stack.extend(value.__dict__.values())
-        if fresh:
-            memo = self._memo()
-            for value in fresh:
-                idx = self._ids[id(value)]
-                self._birth[idx] = self._snap_one(value, memo)
-
-    # -- snapshot / restore ------------------------------------------------
-
-    def _memo(self) -> Dict[int, Any]:
-        """Deepcopy memo that preserves adopted and runner identities."""
-        memo: Dict[int, Any] = {id(obj): obj for obj in self._objects}
-        memo[id(self.sim)] = self.sim
-        memo[id(self.sim.history)] = self.sim.history
-        for process in self.sim.processes.values():
-            memo[id(process)] = process
-        return memo
-
-    def _snap_one(self, obj: Any, memo: Dict[int, Any]) -> Dict[str, Any]:
-        drop = _excluded(type(obj))
-        snap: Dict[str, Any] = {}
-        for key, value in obj.__dict__.items():
-            if key in drop:
-                continue
-            if value.__class__ in _ATOMIC_TYPES:
-                snap[key] = value
-            elif value.__class__ is random.Random:
-                snap[key] = _RngState(value.getstate())
-            else:
-                snap[key] = copy.deepcopy(value, memo)
-        return snap
-
-    def snapshot(self) -> List[Dict[str, Any]]:
-        """The current state of every adopted object (opaque)."""
-        self.adopt_new()
-        memo = self._memo()
-        return [self._snap_one(obj, memo) for obj in self._objects]
-
-    def restore(self, snap: List[Dict[str, Any]]) -> None:
-        """Write a snapshot back into the adopted instances, in place.
-
-        Objects adopted after the snapshot was taken are rolled back to
-        their birth state, so post-checkpoint materialisations vanish
-        semantically (their state reverts to the initial value).
-        """
-        memo = self._memo()
-        for idx, obj in enumerate(self._objects):
-            target = snap[idx] if idx < len(snap) else self._birth[idx]
-            drop = _excluded(type(obj))
-            state = obj.__dict__
-            for key in [k for k in state if k not in drop]:
-                if key not in target:
-                    del state[key]
-            for key, value in target.items():
-                if value.__class__ in _ATOMIC_TYPES:
-                    state[key] = value
-                elif isinstance(value, _RngState):
-                    current = state.get(key)
-                    if current.__class__ is random.Random:
-                        current.setstate(value.state)
-                    else:
-                        rng = random.Random()
-                        rng.setstate(value.state)
-                        state[key] = rng
-                else:
-                    state[key] = copy.deepcopy(value, memo)
-
-    # -- fingerprint support (repro.mc.configuration_fingerprint) -----------
-
-    def canon(self, value: Any) -> Any:
-        """A process-stable, hashable canonicalisation of a value.
-
-        Adopted objects become index references, containers become
-        sorted tuples, RNGs become their state vectors.  Used by
-        :func:`repro.mc.configuration_fingerprint`, the fuzz coverage
-        sampler's configuration hash.
-        """
-        idx = self._ids.get(id(value))
-        if idx is not None:
-            return ("@", idx)
-        if isinstance(value, _ATOMS):
-            return value
-        if isinstance(value, dict):
-            return (
-                "d",
-                tuple(
-                    sorted(
-                        ((self.canon(k), self.canon(v))
-                         for k, v in value.items()),
-                        key=repr,
-                    )
-                ),
-            )
-        if isinstance(value, (list, tuple)):
-            return ("t", tuple(self.canon(v) for v in value))
-        if isinstance(value, (set, frozenset)):
-            return ("s", tuple(sorted((self.canon(v) for v in value),
-                                      key=repr)))
-        if isinstance(value, random.Random):
-            return ("rng", value.getstate())
-        if isinstance(value, _RngState):
-            return ("rng", value.state)
-        if isinstance(value, Process):
-            return ("proc", value.pid)
-        return ("r", repr(value))
-
-    def _canon_obj(self, obj: Any) -> Tuple:
-        drop = _excluded(type(obj))
-        return (
-            "o",
-            tuple(
-                sorted(
-                    ((key, self.canon(value))
-                     for key, value in obj.__dict__.items()
-                     if key not in drop),
-                    key=repr,
-                )
-            ),
-        )
-
-    def fingerprint_components(self) -> Tuple:
-        """Canonical states of all adopted objects that left birth state.
-
-        Birth-equal objects are skipped so that a branch that lazily
-        materialised (but never wrote) a register fingerprints the same
-        as a branch that never touched it.
-        """
-        components = []
-        for idx, obj in enumerate(self._objects):
-            canon = self._canon_obj(obj)
-            birth = self._birth_canon[idx]
-            if birth is None:
-                birth = self._canon_from_snap(idx)
-                self._birth_canon[idx] = birth
-            if canon != birth:
-                components.append((idx, canon))
-        return tuple(components)
-
-    def _canon_from_snap(self, idx: int) -> Tuple:
-        return (
-            "o",
-            tuple(
-                sorted(
-                    ((key, self.canon(value))
-                     for key, value in self._birth[idx].items()),
-                    key=repr,
-                )
-            ),
-        )
-
-    def volatile_signature(self) -> Tuple:
-        """Draw counters of shared randomness touched by local code."""
-        return tuple(
-            (idx, self._objects[idx]._issued) for idx in self._volatile
-        )
 
 
 class _NeedsRedrive:
@@ -431,13 +136,15 @@ class Checkpoint:
 class SimulationCheckpointer:
     """Capture/restore a live :class:`Simulation` for backtracking search.
 
-    ``roots`` seeds the vault's reachability walk (typically the scenario
-    context object); process programs and pending primitives are walked
-    automatically.  The caller must report operation-start baselines:
-    before stepping a process whose ``gen is None`` (an invocation
-    step), call :meth:`set_baseline` with the current vault snapshot so
-    mid-operation restores can re-drive the generator from the state its
-    local prologue originally observed.
+    ``roots`` seeds the vault's one reachability walk (typically the
+    scenario context object); process programs and pending primitives
+    are walked automatically.  :meth:`step` does the per-step
+    bookkeeping; a caller stepping the simulation itself must do the
+    same: before an invocation step (``gen is None``), report the
+    operation-start baseline with :meth:`set_baseline`, so mid-operation
+    restores can re-drive the generator from the state its local
+    prologue originally observed; before a primitive step, adopt the
+    pending primitive's target (``vault.adopt``).
     """
 
     def __init__(self, sim: Simulation, roots: List[Any]) -> None:
@@ -454,9 +161,11 @@ class SimulationCheckpointer:
     def step(self, pid: str) -> bool:
         """Step one process with the checkpoint bookkeeping handled.
 
-        Records the operation-start baseline before an invocation step
-        and rebuilds a deferred generator before a primitive step.  The
-        explorer inlines this for speed; direct users of the
+        Records the operation-start baseline before an invocation step;
+        before a primitive step, rebuilds a deferred generator and
+        adopts the primitive's target (the adoption contract: a shared
+        object joins the vault before its first primitive applies).
+        The explorer inlines this for speed; direct users of the
         checkpointer should step through here.
         """
         process = self.sim.processes[pid]
@@ -464,6 +173,7 @@ class SimulationCheckpointer:
             self.set_baseline(pid, self.vault.snapshot())
         else:
             self.materialize_generator(pid)
+            self.vault.adopt(process.pending.obj)
         return self.sim.step_process(pid)
 
     def capture(self) -> Checkpoint:
@@ -488,7 +198,7 @@ class SimulationCheckpointer:
                 program_len=len(process._program),
                 mid_op=mid_op,
                 replay_log=tuple(
-                    copy.deepcopy(list(process._replay_log), memo)
+                    copy_value(value, memo) for value in process._replay_log
                 ),
                 pending=process.pending,
             )
@@ -524,11 +234,11 @@ class SimulationCheckpointer:
     def restore(self, mark: Checkpoint) -> None:
         sim = self.sim
         vault = self.vault
-        # No discovery pass here: everything mutable is adopted while
-        # still pristine by the captures bracketing each step (and by
-        # the explorer's pre-check adoption at leaves).  Walking here
-        # would permanently adopt the ephemeral handles that leaf
-        # checks spawn and this restore is about to discard.
+        # No discovery pass here: every shared object a step mutated
+        # was adopted, still pristine, just before that step applied
+        # its first primitive.  Walking here would permanently adopt
+        # the ephemeral handles that leaf checks spawn and this restore
+        # is about to discard.
 
         # Phase 1: shared state back to the checkpoint.
         vault.restore(mark.vault_snap)
@@ -610,10 +320,11 @@ class SimulationCheckpointer:
         vault.restore(self._baselines[pid])
         op = process._program[process._next_op - 1]
         gen = op.start()
+        memo = vault._memo()
         try:
             yielded = next(gen)
             for value in process._replay_log:
-                yielded = gen.send(copy.deepcopy(value, vault._memo()))
+                yielded = gen.send(copy_value(value, memo))
         except StopIteration:
             raise CheckpointError(
                 f"operation {op.name!r} of {pid!r} finished during "

@@ -70,7 +70,16 @@ def history_files(tmp_path_factory):
         json.dumps([op_to_payload(o) for o in wide]) + "\n",
         encoding="utf-8",
     )
-    return {"ok": str(ok), "bad": str(bad), "undecided": str(undecided)}
+    # An ok history, then an auditable-register history whose read was
+    # never tagged with its reader (tag_reads): the spec cannot apply it.
+    untagged = root / "untagged.jsonl"
+    untagged.write_text(ok.read_text(encoding="utf-8") + json.dumps({
+        "history": [op_to_payload(op("r0", 0, "read", (), 0, 1, "v0"))],
+        "spec": "auditable_register",
+        "spec_params": {"initial": "v0", "reader_index": {"r0": 0}},
+    }) + "\n", encoding="utf-8")
+    return {"ok": str(ok), "bad": str(bad), "undecided": str(undecided),
+            "untagged": str(untagged)}
 
 
 # One row per (subcommand, situation).  Each argv is chosen to be the
@@ -158,6 +167,30 @@ class TestLinExitCodes:
         assert run_main([
             "lin", history_files["undecided"], "--max-nodes", "1",
         ]) == 2
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_history_the_spec_cannot_apply_is_an_input_error(
+        self, history_files, workers, capsys
+    ):
+        assert run_main([
+            "lin", history_files["untagged"], "--workers", workers,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "point 1 of section 'lin'" in err
+        assert "IndexError" in err and "tag_reads" in err
+        assert "Traceback" not in err
+
+    def test_campaign_lin_section_the_spec_cannot_apply_is_2(
+        self, history_files, tmp_path, capsys
+    ):
+        with open(history_files["untagged"], encoding="utf-8") as handle:
+            histories = [json.loads(line) for line in handle]
+        spec = tmp_path / "lin.json"
+        spec.write_text(json.dumps({"sections": [
+            {"kind": "lin", "axes": {"history": histories}},
+        ]}), encoding="utf-8")
+        assert run_main(["campaign", "run", str(spec)]) == 2
+        assert "point 1 of section" in capsys.readouterr().err
 
 
 class TestOutSemantics:

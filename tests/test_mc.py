@@ -23,11 +23,18 @@ from repro.mc import (
     ExplorationBudgetExceeded,
     count_interleavings,
     explore,
+    scenarios,
 )
 from repro.mc.explorer import _Explorer
 from repro.mc.independence import foata_insert
 from repro.mc.parallel import explore_parallel
-from repro.mc.scenarios import E13_SUITE, get_scenario, scenario_names
+from repro.mc.scenarios import (
+    E13_SUITE,
+    get_scenario,
+    register_scenario_check,
+    register_scenario_factory,
+    scenario_names,
+)
 from repro.memory.register import AtomicRegister
 from repro.sim.checkpoint import SimulationCheckpointer
 from repro.sim.process import Op
@@ -314,6 +321,16 @@ GOLDEN_COUNTS = {
 }
 
 
+# Algorithm 1 with two readers and one writer, in the same tuple form.
+# Not a registered scenario (the perfbench explore workload builds it
+# directly), yet about three quarters of that workload's states.
+TWO_READER_COUNTS = (1092, 6587, 1241, 150, 0)
+
+
+def two_reader_scenario():
+    return register_scenario_factory(2, 1, 0), register_scenario_check
+
+
 class TestSleepSetTheorem:
     """A sleep-set DFS never visits two trace-equivalent prefixes.
 
@@ -350,6 +367,13 @@ class TestSleepSetTheorem:
             report.sleep_pruned, len(report.verdicts),
         ) == GOLDEN_COUNTS[name]
         assert report.fingerprint_hits == 0
+
+    def test_two_reader_counts_are_pinned(self):
+        report = explore(*two_reader_scenario())
+        assert (
+            report.executions, report.distinct_states, report.restores,
+            report.sleep_pruned, len(report.verdicts),
+        ) == TWO_READER_COUNTS
 
 
 class TestBudgets:
@@ -391,6 +415,60 @@ class TestParallelFrontiers:
         assert parallel.executions == serial.executions
         assert parallel.distinct_states == serial.distinct_states
         assert parallel.verdicts == serial.verdicts
+
+    def test_two_reader_parallel_counts_equal_serial(self, monkeypatch):
+        # Frontier workers rebuild a scenario by name, so register it
+        # for this test.  workers=1 keeps the subtree tasks in this
+        # process (where the registration is visible) while still
+        # resuming every frontier node on a fresh simulation and vault.
+        monkeypatch.setitem(
+            scenarios._REGISTRY, "alg1-r2-w1", two_reader_scenario
+        )
+        serial = explore(*two_reader_scenario())
+        parallel = explore_parallel(
+            "alg1-r2-w1", workers=1, frontier_depth=4,
+        )
+        assert parallel.executions == serial.executions
+        assert parallel.distinct_states == serial.distinct_states
+        assert parallel.sleep_pruned == serial.sleep_pruned
+        assert parallel.verdicts == serial.verdicts
+
+    def test_frontier_sleep_entries_follow_lazy_cells(self, monkeypatch):
+        # Three writers, each on its own lazily materialised cell.  The
+        # collecting explorer adopts cells in the order its earlier
+        # branches first stepped them; a worker resuming a frontier
+        # node steps them in another order.  A sleep entry must keep
+        # naming its own cell there, or independent writes look
+        # dependent (extra executions) or dependent ones independent.
+        from repro.memory.array import RegisterArray
+
+        def lazy_cells():
+            def factory():
+                sim = Simulation()
+                arr = RegisterArray("arr", default=0)
+
+                def writes(index):
+                    def gen():
+                        yield from arr[index].write(1)
+                        yield from arr[index].write(2)
+
+                    return gen
+
+                for index, pid in enumerate("abc"):
+                    sim.spawn(pid)
+                    sim.add_program(pid, [Op("w", writes(index))])
+                return sim, arr
+
+            return factory, lambda sim, arr: None
+
+        monkeypatch.setitem(scenarios._REGISTRY, "lazy-cells", lazy_cells)
+        serial = explore(*lazy_cells())
+        for depth in range(2, 7):
+            parallel = explore_parallel("lazy-cells", workers=1,
+                                        frontier_depth=depth)
+            assert (parallel.executions, parallel.distinct_states) == (
+                serial.executions, serial.distinct_states,
+            ), depth
 
     def test_checkpoint_bytes_identical_across_worker_counts(
         self, tmp_path
