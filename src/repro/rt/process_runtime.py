@@ -77,9 +77,10 @@ from __future__ import annotations
 
 import multiprocessing
 import re
+import select
 import time
 import traceback
-from multiprocessing.connection import wait as conn_wait
+from multiprocessing.connection import wait as wait_any
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults import (
@@ -328,6 +329,14 @@ def _worker_main(
 # -- memory-server process ----------------------------------------------------
 
 
+def conn_wait(poller) -> List[Tuple[int, int]]:
+    """Block until a channel registered with ``poller`` (a
+    ``select.poll`` object) is readable or hung up; return the ready
+    ``(fd, events)`` pairs.  This is the memory server's only blocking
+    wait, kept module-level so a tracer can time it."""
+    return poller.poll()
+
+
 def _server_main(
     out_conn,
     conns_by_pid: Dict[str, Any],
@@ -359,10 +368,12 @@ def _server_main(
         active: Dict[Any, str] = {
             conn: pid for pid, conn in conns_by_pid.items()
         }
-        # The select list mirrors ``active``; rebuilt only after
-        # ``activate``/``deactivate`` changed it, not on every pass.
-        active_list = list(active)
-        active_stale = False
+        # One poller registers the ``active`` channels; it is rebuilt
+        # only after ``activate``/``deactivate`` changed that set, not on
+        # every pass.  ``by_fd`` maps its ready descriptors back.
+        poller = None
+        by_fd: Dict[int, Any] = {}
+        active_stale = True
         current_op: Dict[str, int] = {}
         interpreter = None
         if faults is not None:
@@ -403,14 +414,17 @@ def _server_main(
             except Exception:  # noqa: BLE001 - reported to the worker
                 conn.send(("err", traceback.format_exc()))
                 return
-            steps += 1
-            history.record_primitive(
-                pid, current_op.get(pid, 0), obj_name, primitive, args, result
-            )
-            last_applied[pid] = (
-                current_op.get(pid, 0), obj_name, primitive, args
-            )
+            # Reply, then record: the worker need not wait for history
+            # bookkeeping or log encoding.  The loop records before it
+            # reads the next message, so the worker's response and next
+            # request still get higher indices.
             conn.send(("ok", result))
+            steps += 1
+            op_id = current_op.get(pid, 0)
+            history.record_primitive(
+                pid, op_id, obj_name, primitive, args, result
+            )
+            last_applied[pid] = (op_id, obj_name, primitive, args)
 
         def apply_duplicate(dpid):
             # Re-deliver dpid's most recent applied message.  The second
@@ -512,8 +526,7 @@ def _server_main(
                     apply_prim(conn, vpid, message)
             parked[:] = remaining
 
-        def handle_batch(conn, pid, batch) -> bool:
-            """Serve one batch; False once the conn went inactive."""
+        def handle_batch(conn, pid, batch) -> None:
             nonlocal msgs
             for message in batch:
                 msgs += 1
@@ -533,18 +546,16 @@ def _server_main(
                     if err is not None:
                         errors.append((pid, err))
                     deactivate(conn)
-                    return False
-            # A crash mid-batch moves the conn to ``awaiting``; stop
-            # draining it (the worker is blocked on a verdict).
-            return conn in active
+                    return
 
-        # The hot loop.  ``conn_wait`` is one select() per pass; each
-        # ready channel is then drained greedily (poll(0) costs far less
-        # than another select against every channel) so a busy system
-        # pays the multiplexing overhead once per burst, not per
-        # primitive.  Crashed workers sit in ``awaiting`` outside the
-        # select set; once every live worker finished, they are told
-        # they stay dead and rejoin only to deliver their final batch.
+        # The hot loop.  ``conn_wait`` blocks once per pass on the
+        # persistent poller, and each ready channel then yields exactly
+        # one batch: a worker has at most one request in flight, so a
+        # second read of the same channel would find nothing that the
+        # next pass does not.  Crashed workers sit in ``awaiting``
+        # outside the poller; once every live worker finished, they are
+        # told they stay dead and rejoin only to deliver their final
+        # batch.
         #
         # Held requests are released by an exact rule, never a timer:
         # when they fall due, or as soon as every live worker is blocked
@@ -553,7 +564,7 @@ def _server_main(
         # is an O(1) count.  Nothing else can arrive then, so releasing
         # everything in arrival order is what any wait would end in.
         # (``>=``, not ``==``: a held request whose channel then closed
-        # must not leave the select blocked with no sender.)
+        # must not leave the poller blocked with no sender.)
         while active or awaiting:
             if not active:
                 for rpid in list(awaiting):
@@ -575,23 +586,23 @@ def _server_main(
                 if partitioned or parked:
                     release_parked(due_only=False)
             if active_stale:
-                active_list = list(active)
+                poller = select.poll()
+                by_fd = {conn.fileno(): conn for conn in active}
+                for fd in by_fd:
+                    poller.register(fd, select.POLLIN)
                 active_stale = False
-            for conn in conn_wait(active_list):
+            for fd, _ in conn_wait(poller):
+                conn = by_fd[fd]
                 pid = active.get(conn)
-                if pid is None:  # pragma: no cover - defensive
+                if pid is None:  # left ``active`` earlier in this pass
                     continue
-                while True:
-                    try:
-                        batch = conn.recv()
-                    except EOFError:
-                        errors.append((pid, "channel closed before 'done'"))
-                        deactivate(conn)
-                        break
-                    if not handle_batch(conn, pid, batch):
-                        break
-                    if not conn.poll():
-                        break
+                try:
+                    batch = conn.recv()
+                except EOFError:
+                    errors.append((pid, "channel closed before 'done'"))
+                    deactivate(conn)
+                    continue
+                handle_batch(conn, pid, batch)
         release_delayed(due_only=False)
         release_parked(due_only=False)
         if event_sink is not None:
@@ -807,7 +818,7 @@ class ProcessRuntime(Runtime):
                     None if deadline is None
                     else max(0.0, deadline - time.monotonic())
                 )
-                ready = conn_wait(waitees, timeout=timeout)
+                ready = wait_any(waitees, timeout=timeout)
                 if not ready:
                     self.elapsed = time.perf_counter() - started
                     raise RuntimeError(

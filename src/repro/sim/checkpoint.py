@@ -248,8 +248,14 @@ class SimulationCheckpointer:
         # deferred to materialize_generator(), which the explorer calls
         # just before stepping a process -- a backtrack that never
         # steps a process never pays for re-driving it.
+        # A dropped process is cut loose from its program: its handle
+        # (say, a leaf check's auditor) holds the process, and the
+        # program's ops hold the handle's bound methods, so the pair
+        # would otherwise wait for the cyclic collector.
         for pid in [p for p in sim.processes if p not in mark.procs]:
-            del sim.processes[pid]
+            process = sim.processes.pop(pid)
+            process._program.clear()
+            process.gen = process.current_op = process.pending = None
         for pid, pmark in mark.procs.items():
             process = sim.processes.get(pid)
             if process is None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
@@ -203,9 +204,32 @@ def decode_loose(encoded: Any) -> Any:
     raise ValueError(f"unknown event-payload tag {tag!r}")
 
 
-#: The line encoder: one object serves every event (``json.dumps`` with
-#: options builds a fresh one each time).
-_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The line format: ``json.dumps(value, sort_keys=True,
+#: separators=(",", ":"))``.
+_LINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The C encoder ``_LINE.encode`` would build for every line, built
+#: once.  Its circular-reference markers are shared across calls: a
+#: successful encode leaves them empty, a failed one (a cycle, an
+#: unencodable value) may not, so ``_compact`` clears them before the
+#: error propagates.  Python code runs mid-line only through
+#: ``default``, which raises, so successful encodes cannot interleave.
+_line_markers: Dict[int, Any] = {}
+_c_line = c_make_encoder and c_make_encoder(
+    _line_markers, _LINE.default, encode_basestring_ascii, _LINE.indent,
+    _LINE.key_separator, _LINE.item_separator, _LINE.sort_keys,
+    _LINE.skipkeys, _LINE.allow_nan,
+)
+
+
+def _compact(value: Any) -> str:
+    """One event-log line, byte-identical to ``_LINE.encode(value)``."""
+    if _c_line is None:  # pragma: no cover - CPython has the accelerator
+        return _LINE.encode(value)
+    try:
+        return "".join(_c_line(value, 0))
+    except BaseException:
+        _line_markers.clear()
+        raise
 
 
 def strict_or_loose(value: Any) -> Any:

@@ -11,8 +11,12 @@
 - Sharing: immutable values (``RWord``, ``Nonced``, ``BOTTOM``) are held
   by identity; mutable containers are copied, so later mutations never
   leak into a snapshot.
+- Dropped processes: a process that a restore drops is freed by
+  reference counting, not left in a cycle for the collector.
 """
 
+import gc
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -258,3 +262,37 @@ class TestSharingRule:
         vault.restore(snap)
         assert regs["a"].peek() is regs["b"].peek()
         assert regs["a"].peek() is not shared
+
+
+class TestDroppedProcesses:
+    @pytest.mark.parametrize("name", ["alg1-w1-r1", "alg1-w1-a1"])
+    def test_restore_leaves_no_dropped_process_to_the_collector(
+        self, name, monkeypatch
+    ):
+        # A leaf check spawns an auditor process whose program holds
+        # the auditor's bound methods; once a restore drops the process,
+        # reference counting alone must free it.
+        dropped = []
+        original = SimulationCheckpointer.restore
+
+        def recording_restore(self, mark):
+            dropped.extend(
+                weakref.ref(process)
+                for pid, process in self.sim.processes.items()
+                if pid not in mark.procs
+            )
+            original(self, mark)
+
+        monkeypatch.setattr(
+            SimulationCheckpointer, "restore", recording_restore
+        )
+        factory, check = get_scenario(name)()
+        gc.collect()
+        gc.disable()
+        try:
+            report = explore(factory, check)
+            survivors = sum(ref() is not None for ref in dropped)
+        finally:
+            gc.enable()
+        assert report.violations == [] and len(dropped) > 0
+        assert survivors == 0

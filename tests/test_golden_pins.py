@@ -225,6 +225,33 @@ def test_event_encoder_matches_the_reference_per_event():
         assert _line(value) == _reference_line(value), value
 
 
+def test_line_encoder_writes_what_json_dumps_writes():
+    """``_compact`` builds its C encoder once; every line stays byte for
+    byte what ``json.dumps`` with the same options writes."""
+    events = []
+    _alg1_run(events.append)
+    payloads = [event_log.strict_or_loose(value) for value in CORPUS]
+    payloads += [event_log.event_to_payload(event) for event in events]
+    payloads += [{"k": "hello", "v": 1, "seed": 11}, {"k": "end", "events": 0}]
+    assert len(payloads) > 250
+    for payload in payloads:
+        assert event_log._compact(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ), payload
+
+
+def test_line_encoder_still_refuses_a_cycle():
+    cyclic = {"k": "p", "a": [1]}
+    cyclic["a"].append(cyclic)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Circular"):
+            event_log._compact(cyclic)
+    # The failed encodes left no markers behind: the same objects encode
+    # once the cycle is gone.
+    cyclic["a"].pop()
+    assert event_log._compact(cyclic) == '{"a":[1],"k":"p"}'
+
+
 # -- event-log decoding --------------------------------------------------------
 
 

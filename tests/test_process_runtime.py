@@ -35,7 +35,10 @@ from repro.rt import (
     make_runtime,
     run_stress,
 )
-from repro.rt.stress import build_stress_register
+from repro.rt import process_runtime
+from repro.rt.stress import PASS, build_stress_register, recorded_verdict
+from repro.sim.event_log import load_event_log
+from repro.sim.events import Invocation, Response
 from repro.sim.process import Op
 from repro.sim.scheduler import (
     CrashDecision,
@@ -159,6 +162,62 @@ def test_unknown_object_is_rejected_by_the_server():
     rt.add_program_factory("p", _ghost_factory)
     with pytest.raises(RuntimeError, match="ghost"):
         rt.run()
+
+
+@pytest.mark.skipif("fork" not in _START_METHODS, reason="needs fork")
+def test_the_server_waits_through_the_conn_wait_seam(monkeypatch):
+    """The memory server's only blocking wait is the module-level
+    ``conn_wait``, the seam a tracer times: patched to fail before the
+    fork, it fails the server, and the parent says so."""
+    def broken(poller):
+        raise RuntimeError("conn_wait seam")
+
+    monkeypatch.setattr(process_runtime, "conn_wait", broken)
+    rt = ProcessRuntime(_build_main, start_method="fork")
+    rt.add_program_factory("p", _read_factory)
+    with pytest.raises(RuntimeError, match="memory server failed"):
+        rt.run()
+
+
+def test_reply_before_record_keeps_each_process_in_protocol_order(tmp_path):
+    """The server replies before it records a primitive, but records it
+    before it reads the next message.  So each process's events stay in
+    protocol order: invocation, that operation's primitives, response.
+    The only primitives outside an open operation are duplicates, which
+    re-apply the process's latest own primitive under its operation."""
+    path = str(tmp_path / "chaos.jsonl")
+    ops = 40
+    report = run_stress(
+        "register", threads=2, ops=ops, seed=3, runtime="process",
+        faults="delay,partition,dup", fault_rate=3000, online=True,
+        event_log=path, record_latency=False,
+    )
+    assert recorded_verdict(report.lin_status, report.audit_ok) == PASS
+    events, clean, _ = load_event_log(path)
+    assert clean
+    duplicates = 0
+    for pid in ("r0", "w0"):
+        mine = [event for event in events if event.pid == pid]
+        assert all(a.index < b.index for a, b in zip(mine, mine[1:]))
+        open_op, completed, last_own = None, -1, None
+        for event in mine:
+            if isinstance(event, Invocation):
+                assert open_op is None and event.op_id == completed + 1
+                open_op, own = event.op_id, 0
+            elif isinstance(event, Response):
+                assert event.op_id == open_op and own > 0
+                open_op, completed = None, event.op_id
+            else:
+                key = (event.op_id, event.obj_name, event.primitive,
+                       event.args)
+                if event.op_id == open_op:
+                    own += 1
+                    last_own = key
+                else:
+                    assert key == last_own
+                    duplicates += 1
+        assert open_op is None and completed == ops - 1
+    assert duplicates > 0
 
 
 # -- the object registry -----------------------------------------------------
