@@ -847,9 +847,10 @@ def _stress(argv) -> int:
     )
     parser.add_argument(
         "--join-watchdog", type=float, default=None, metavar="SECONDS",
-        help="report workers still running this long past the expected "
-        "end as hung (default 60; raise for bounded op budgets that "
-        "legitimately take minutes, 0 = wait forever)",
+        help="report workers as hung once this long passes with no "
+        "operation completed (thread runtime) or past the expected end "
+        "(process runtime) (default 60; raise for process-runtime op "
+        "budgets that legitimately take minutes, 0 = wait forever)",
     )
     OutputOptions.add_to_parser(
         parser,

@@ -354,7 +354,10 @@ def explore(
     explorer = _Explorer(
         sim, context, check, max_executions, max_depth, reduce
     )
-    return explorer.run()
+    try:
+        return explorer.run()
+    finally:
+        sim.release()
 
 
 def count_interleavings(

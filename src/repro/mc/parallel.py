@@ -63,6 +63,8 @@ def _subtree_task(
     except ExplorationBudgetExceeded as exc:
         report = exc.report
         budget = str(exc)
+    finally:
+        sim.release()
     return {
         "executions": report.executions,
         "max_depth": report.max_depth,
@@ -108,7 +110,10 @@ def explore_parallel(
         sim, context, check, max_executions, max_depth, reduce,
         frontier_depth=frontier_depth,
     )
-    merged = explorer.run()  # inline leaves + frontier collection
+    try:
+        merged = explorer.run()  # inline leaves + frontier collection
+    finally:
+        sim.release()
     merged.workers = workers or os.cpu_count() or 1
 
     tasks: List[ExecutionTask] = []

@@ -55,8 +55,9 @@ from repro.sim.process import Op
 from repro.sim.runner import drive_op
 from repro.sim.scheduler import CrashDecision, DelayDecision
 
-#: Default seconds granted past any --duration before a stuck thread is
-#: declared hung and surfaced instead of joined forever.
+#: Default seconds without a completed operation before the threads
+#: still running are declared hung and surfaced instead of joined
+#: forever.
 DEFAULT_WATCHDOG = 60.0
 
 #: Injected delays are real sleeps; one "step" of server-style delay
@@ -159,6 +160,9 @@ class ThreadRuntime(Runtime):
         self.latencies: List[Tuple[str, str, float]] = []
         self.elapsed = 0.0
         self._steps = 0
+        #: time.monotonic() of the last completed operation (or of the
+        #: start): the watchdog's measure of progress.
+        self._progress_at = 0.0
         self._stop = threading.Event()
         self._errors: List[Tuple[str, BaseException]] = []
         self._err_lock = threading.Lock()
@@ -211,11 +215,12 @@ class ThreadRuntime(Runtime):
         operations in flight always complete, so the recorded history
         contains no artificial pending operations.
 
-        Joins are bounded: a thread still running ``join_watchdog``
-        seconds past the deadline (or past the join, for unbounded
-        runs) is reported by pid in a :class:`RuntimeError` instead of
-        hanging the harness forever.  Pass ``join_watchdog=None`` to
-        restore unbounded joins.
+        Joins are bounded by progress, not by the clock: once no
+        operation has completed for ``join_watchdog`` seconds, the
+        threads still running are reported by pid in a
+        :class:`RuntimeError` instead of hanging the harness forever.
+        A slow run that keeps completing operations is never cut.
+        Pass ``join_watchdog=None`` to restore unbounded joins.
         """
         procs = list(self.processes.values())
         if not procs:
@@ -238,17 +243,20 @@ class ThreadRuntime(Runtime):
             thread.start()
         barrier.wait()
         started = time.perf_counter()
+        self._progress_at = time.monotonic()
         watchdog = self.join_watchdog
-        deadline = (
-            None
-            if watchdog is None
-            else time.monotonic() + (duration or 0.0) + watchdog
-        )
         for thread in threads:
-            if deadline is None:
+            if watchdog is None:
                 thread.join()
-            else:
-                thread.join(max(0.1, deadline - time.monotonic()))
+                continue
+            # Workers stamp _progress_at after each completed operation:
+            # wait until the stamp is watchdog seconds old, then look
+            # again.
+            while thread.is_alive():
+                idle = time.monotonic() - self._progress_at
+                if idle >= watchdog:
+                    break
+                thread.join(watchdog - idle)
         stuck = sorted(
             thread.name.removeprefix("rt-")
             for thread in threads
@@ -261,8 +269,8 @@ class ThreadRuntime(Runtime):
             # blocking the harness forever.
             self._stop.set()
             raise RuntimeError(
-                f"thread runtime: thread(s) {stuck} still running "
-                f"{watchdog:.0f}s past the deadline; likely deadlocked"
+                f"thread runtime: thread(s) {stuck} completed no "
+                f"operation for {watchdog:g}s; likely deadlocked"
             )
         if self._errors:
             pid, first = self._errors[0]
@@ -351,6 +359,7 @@ class ThreadRuntime(Runtime):
         result = drive_op(pid, op, apply_locked)
         with self._hist_lock:
             self._history.record_response(pid, op_id, op.name, result)
+        self._progress_at = time.monotonic()
         if self.record_latency:
             latencies.append((pid, op.name, time.perf_counter() - start))
 

@@ -381,6 +381,97 @@ class JsonlEventSink:
 #: ``json.loads``'s Python-level whitespace and trailing-data checks.
 _scan = json.JSONDecoder().scan_once
 
+#: How ``_compact`` lays out a line whose last member is a set-valued
+#: ``r`` (every audit response): the text between the line's head and
+#: its first item, and the text that closes the line.
+_SET_ANSWER = ',"r":{"s":['
+_SET_CLOSE = "]}}"
+
+#: Item text (without its outer braces) -> its decoded value, for items
+#: of set-valued answers.  An auditor's answer only grows, so each audit
+#: line repeats almost every item of the previous one; the memo decodes
+#: each distinct item text once.  A pure function of text, holding only
+#: values that cannot change (:func:`_shareable`), cleared when full.
+_items: Dict[str, Any] = {}
+_ITEMS_CAP = 1 << 16
+
+#: What decoding valid JSON of the wrong shape raises.
+_MALFORMED = (AttributeError, KeyError, TypeError, RecursionError)
+
+_ATOM_TYPES = frozenset((str, int, float, bool, type(None), Bottom))
+
+
+def _shareable(value: Any) -> bool:
+    """Whether one decoded value may stand for every copy of its text:
+    an atom, or a tuple or frozenset of such values."""
+    cls = value.__class__
+    if cls in _ATOM_TYPES:
+        return True
+    if cls is tuple or cls is frozenset:
+        return all(map(_shareable, value))
+    return False
+
+
+def _decode_item(piece: str) -> Any:
+    """Decode and memoise one answer item, or ``None`` when ``piece``
+    is not exactly one complete item or its value is not shareable."""
+    text = "{" + piece + "}"
+    try:
+        encoded, end = _scan(text, 0)
+        if end != len(text):
+            return None
+        value = decode_loose(encoded)
+    except (StopIteration, ValueError, *_MALFORMED):
+        return None  # the full path reports it
+    if not _shareable(value):
+        return None
+    if len(_items) >= _ITEMS_CAP:
+        _items.clear()
+    _items[piece] = value
+    return value
+
+
+def _set_answer_payload(line: str) -> Optional[Dict[str, Any]]:
+    """The payload of a ``res``/``prim`` line whose last member is a
+    set-valued ``r``, with ``r`` already decoded to a frozenset through
+    the item memo; ``None`` sends the line down the full path.
+
+    Sound because nothing else is accepted: the head scans as one whole
+    object, every item text scans as exactly one complete item, and
+    head, items and the fixed text between them rebuild the line, so
+    the full parse would read the same members and the same items.
+    """
+    cut = line.find(_SET_ANSWER)
+    if cut < 0:
+        return None
+    head = line[:cut] + "}"
+    try:
+        payload, end = _scan(head, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if end != len(head) or payload.get("k") not in ("res", "prim"):
+        return None
+    body = line[cut + len(_SET_ANSWER):-len(_SET_CLOSE)]
+    if not body:
+        payload["r"] = frozenset()
+        return payload
+    if body[0] != "{" or body[-1] != "}":
+        return None
+    pieces = body[1:-1].split("},{")
+    try:
+        payload["r"] = frozenset(map(_items.__getitem__, pieces))
+    except KeyError:
+        values = []
+        for piece in pieces:
+            value = _items.get(piece)
+            if value is None:
+                value = _decode_item(piece)
+                if value is None:
+                    return None
+            values.append(value)
+        payload["r"] = frozenset(values)
+    return payload
+
 
 def parse_line(line: str) -> Tuple[str, Any]:
     """Parse one protocol line into ``(kind, value)``.
@@ -389,24 +480,30 @@ def parse_line(line: str) -> Tuple[str, Any]:
     decoded event) or ``"end"`` (value: the declared event count, or
     ``None``).  Any malformed line -- bad JSON, or valid JSON of the
     wrong shape -- raises :class:`ValueError`, which every reader
-    treats as the stream's truncation point.
+    treats as the stream's truncation point.  A set-valued answer is
+    decoded through the item memo (:func:`_set_answer_payload`).
     """
     try:
-        try:
-            payload, end = _scan(line, 0)
-        except StopIteration:
-            end = -1
-        if end != len(line):
-            # Whitespace around the object, or not JSON: json.loads
-            # parses the former and raises the exact error for the rest.
-            payload = json.loads(line)
+        payload = None
+        if line.endswith(_SET_CLOSE):
+            payload = _set_answer_payload(line)
+        if payload is None:
+            try:
+                payload, end = _scan(line, 0)
+            except StopIteration:
+                end = -1
+            if end != len(line):
+                # Whitespace around the object, or not JSON: json.loads
+                # parses the former and raises the exact error for the
+                # rest.
+                payload = json.loads(line)
         kind = payload.get("k")
         if kind == "hello":
             return "hello", payload
         if kind == "end":
             return "end", payload.get("events")
         return "event", event_from_payload(payload)
-    except (AttributeError, KeyError, TypeError, RecursionError) as exc:
+    except _MALFORMED as exc:
         raise ValueError(f"malformed event-log line: {exc!r}") from exc
 
 

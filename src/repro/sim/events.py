@@ -20,10 +20,50 @@ real-time precedence between operations can be recovered from the log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, Optional, Tuple
 
 
+def _direct_init(cls: type) -> type:
+    """Give frozen dataclass ``cls`` an ``__init__`` that stores each
+    field straight into the instance ``__dict__``.
+
+    The ``__init__`` ``dataclass(frozen=True)`` generates goes through
+    ``object.__setattr__`` once per field, which more than doubles the
+    cost of building an event; every runtime builds one
+    :class:`PendingPrimitive` and one :class:`PrimitiveEvent` per
+    primitive.  The replacement takes the same parameters and defaults
+    (read from :func:`dataclasses.fields`, which must all be positional
+    ``__init__`` fields with plain defaults, and no ``__post_init__``);
+    eq, hash, repr, pickling and the frozen ``__setattr__`` stay the
+    dataclass's own.
+    """
+    names = []
+    defaults = []
+    annotations = {}
+    for f in fields(cls):
+        if not f.init or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: unsupported field")
+        names.append(f.name)
+        annotations[f.name] = f.type
+        if f.default is not MISSING:
+            defaults.append(f.default)
+    stores = "".join(f"\n    d[{name!r}] = {name}" for name in names)
+    namespace: dict = {}
+    exec(
+        f"def __init__(self, {', '.join(names)}):\n"
+        f"    d = self.__dict__{stores}",
+        namespace,
+    )
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults) or None
+    init.__annotations__ = {**annotations, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@_direct_init
 @dataclass(frozen=True)
 class PendingPrimitive:
     """A primitive a process is about to apply, yielded to the scheduler.
@@ -44,6 +84,7 @@ class PendingPrimitive:
         return f"{name}.{self.primitive}{self.args!r}"
 
 
+@_direct_init
 @dataclass(frozen=True)
 class Invocation:
     """Invocation event of a high-level operation."""
@@ -55,6 +96,7 @@ class Invocation:
     args: Tuple[Any, ...] = ()
 
 
+@_direct_init
 @dataclass(frozen=True)
 class Response:
     """Response event of a high-level operation."""
@@ -66,6 +108,7 @@ class Response:
     result: Any = None
 
 
+@_direct_init
 @dataclass(frozen=True)
 class PrimitiveEvent:
     """One atomic primitive applied to a base object.
@@ -92,6 +135,7 @@ class PrimitiveEvent:
         return (self.obj_name, self.primitive, self.args, self.result)
 
 
+@_direct_init
 @dataclass(frozen=True)
 class CrashEvent:
     """Process ``pid`` stops taking steps after this point."""

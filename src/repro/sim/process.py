@@ -188,6 +188,19 @@ class Process:
         if self._watcher is not None:
             self._watcher(self)
 
+    def _detach(self) -> None:
+        """Cut this process loose from its program and its simulation.
+
+        The program's ops hold bound methods of handles that hold the
+        process, and the watcher holds the simulation that holds the
+        process: both are reference cycles, which only the cyclic
+        collector frees unless they are cut.  The process must not
+        run afterwards.
+        """
+        self._program.clear()
+        self.gen = self.current_op = self.pending = None
+        self._watcher = None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         op = self.current_op.name if self.current_op else None
         return f"Process({self.pid!r}, state={self.state.value}, op={op})"

@@ -141,6 +141,13 @@ class Simulation:
         self.processes[pid] = process
         return process
 
+    def release(self) -> None:
+        """Detach every process (:meth:`Process._detach`), so reference
+        counting alone frees the simulation once its owner drops it.
+        The simulation must not run afterwards."""
+        for process in self.processes.values():
+            process._detach()
+
     def add_program(self, pid: str, ops: List[Op]) -> Process:
         """Spawn (or extend) a process with a list of operations."""
         process = self.processes.get(pid) or self.spawn(pid)

@@ -12,7 +12,8 @@
   by identity; mutable containers are copied, so later mutations never
   leak into a snapshot.
 - Dropped processes: a process that a restore drops is freed by
-  reference counting, not left in a cycle for the collector.
+  reference counting, not left in a cycle for the collector; so is the
+  whole explored simulation once ``explore`` returns.
 """
 
 import gc
@@ -296,3 +297,33 @@ class TestDroppedProcesses:
             gc.enable()
         assert report.violations == [] and len(dropped) > 0
         assert survivors == 0
+
+    @pytest.mark.parametrize("name", ["alg1-w1-r1", "alg1-w1-a1"])
+    def test_explore_leaves_no_simulation_to_the_collector(
+        self, name, monkeypatch
+    ):
+        # Each process's watcher is a bound method of its simulation,
+        # which holds the process: explore must cut that cycle (and the
+        # program -> handle -> process ones) when it finishes.
+        alive = []
+        spawn = Simulation.spawn
+
+        def recording_spawn(self, pid):
+            process = spawn(self, pid)
+            alive.append(weakref.ref(process))
+            if len(alive) == 1:
+                alive.append(weakref.ref(self))
+            return process
+
+        monkeypatch.setattr(Simulation, "spawn", recording_spawn)
+        factory, check = get_scenario(name)()
+        gc.collect()
+        gc.disable()
+        try:
+            report = explore(factory, check)
+            assert report.violations == [] and len(alive) > 2
+            del report
+            survivors = [ref() for ref in alive if ref() is not None]
+        finally:
+            gc.enable()
+        assert survivors == []

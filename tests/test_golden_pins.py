@@ -23,9 +23,20 @@ from repro.core.types import Nonced
 from repro.crypto import OneTimePadSequence
 from repro.faults import SeededFaultPlan
 from repro.memory.base import BOTTOM
+from repro.__main__ import main
 from repro.memory.rword import RWord
+from repro.rt.serve import VerdictServer, serve_file
+from repro.rt.stress import (
+    STRESS_OBJECTS,
+    _stress_pids,
+    build_stress_register,
+    run_stress,
+    stress_meta,
+    stress_op_source,
+)
 from repro.sim import event_log
 from repro.sim.event_log import JsonlEventSink
+from repro.sim.events import CrashEvent, Invocation, PrimitiveEvent, Response
 from repro.sim.runner import Simulation
 from repro.sim.scheduler import RandomSchedule
 
@@ -379,3 +390,291 @@ def test_event_decoder_rejects_unknown_nested_tags(encoded):
         event_log.decode_loose(encoded)
     with pytest.raises(ValueError, match="unknown event-payload tag"):
         _reference_decode(encoded)
+
+
+# -- the item memo of set-valued answers ---------------------------------------
+
+
+def _sim_stress_log(path, object_kind, ops, seed=1, r=2, w=1, a=1):
+    """A stress roster on the simulator under ``RandomSchedule(seed)``,
+    streamed with the stress ``hello`` meta: the shape of perfbench's
+    serve-audit log."""
+    reg = build_stress_register(object_kind, r, w, seed)
+    sim = Simulation(RandomSchedule(seed), max_steps=10**8)
+    sink = JsonlEventSink(
+        str(path), meta=stress_meta(object_kind, r, w, a, seed)
+    )
+    sim.history.stream_to(sink, retain=False)
+    for pid, role, index in _stress_pids(object_kind, r, w, a):
+        sim.spawn(pid)
+        source = stress_op_source(reg, pid, object_kind, seed, role, index)
+        sim.add_program(pid, [source() for _ in range(ops)])
+    sim.run()
+    sink.close()
+
+
+def _reference_event(line):
+    # An event line as first decoded: json.loads, then the recursive
+    # reference decoder on every value.
+    p = json.loads(line)
+    decode = _reference_decode
+    if p["k"] == "inv":
+        return Invocation(p["i"], p["p"], p["o"], p["n"], decode(p["a"]))
+    if p["k"] == "res":
+        return Response(p["i"], p["p"], p["o"], p["n"], decode(p["r"]))
+    if p["k"] == "prim":
+        return PrimitiveEvent(
+            p["i"], p["p"], p["o"], p["obj"], p["prim"],
+            decode(p["a"]), decode(p["r"]),
+        )
+    return CrashEvent(p["i"], p["p"], p["o"])
+
+
+def _set_answer(line):
+    return line.endswith("]}}") and ',"r":{"s":[{' in line
+
+
+@pytest.mark.parametrize("runtime", ["simulator", "thread"])
+@pytest.mark.parametrize("object_kind", STRESS_OBJECTS)
+def test_parse_line_matches_the_reference_on_stress_logs(
+    tmp_path, object_kind, runtime
+):
+    path = tmp_path / "stress.jsonl"
+    if runtime == "simulator":
+        _sim_stress_log(path, object_kind, ops=40)
+    else:
+        run_stress(object_kind, threads=4, ops=20, seed=3, event_log=str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # Thread schedules vary; a simulator log always has nonempty answers.
+    if runtime == "simulator" and object_kind != "naive":
+        assert any(map(_set_answer, lines))
+    event_log._items.clear()
+    for _ in range(2):  # a cold memo, then a warm one
+        for line in lines[1:-1]:
+            kind, event = event_log.parse_line(line)
+            assert kind == "event"
+            _assert_same(event, _reference_event(line))
+
+
+def _parse_outcome(line):
+    try:
+        return event_log.parse_line(line)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "event":
+        _assert_same(got[1], want[1])
+    else:
+        assert got == want
+
+
+@pytest.fixture(scope="module")
+def audited_log(tmp_path_factory):
+    """The lines of a simulator register log with at least two audits
+    that answer two or more pairs."""
+    path = tmp_path_factory.mktemp("memo") / "register.jsonl"
+    _sim_stress_log(path, "register", ops=15)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    audits = [
+        k for k, line in enumerate(lines)
+        if _set_answer(line) and line.count('{"t":') >= 2
+    ]
+    assert len(audits) >= 2
+    return lines, audits
+
+
+def _items_of(line):
+    head, _, body = line.partition(',"r":{"s":[')
+    return head, body[1:-len("}]}}")].split("},{")
+
+
+def _with_items(head, items):
+    return head + ',"r":{"s":[' + ",".join(
+        "{" + item + "}" for item in items
+    ) + "]}}"
+
+
+def _add_pair(lines, audits):
+    head, items = _items_of(lines[audits[-1]])
+    lines[audits[-1]] = _with_items(head, items + ['"t":[0,"forged"]'])
+
+
+def _drop_pair(lines, audits):
+    head, items = _items_of(lines[audits[-1]])
+    lines[audits[-1]] = _with_items(head, items[1:])
+
+
+def _move_pair(lines, audits):
+    head, items = _items_of(lines[audits[-1]])
+    lines[audits[-1]] = _with_items(head, items[:-1])
+    head, earlier = _items_of(lines[audits[-2]])
+    lines[audits[-2]] = _with_items(head, earlier + items[-1:])
+
+
+def _duplicate_item(lines, audits):
+    head, items = _items_of(lines[audits[-1]])
+    lines[audits[-1]] = _with_items(head, items + items[:1])
+
+
+def _split_marker_in_a_value(lines, audits):
+    head, items = _items_of(lines[audits[-1]])
+    lines[audits[-1]] = _with_items(head, items + ['"t":[0,"x},{y"]'])
+
+
+def _whitespace(lines, audits):
+    line = lines[audits[-1]]
+    lines[audits[-1]] = line.replace("},{", "}, {")
+
+
+def _nested_tuple(lines, audits):
+    head, items = _items_of(lines[audits[-1]])
+    lines[audits[-1]] = _with_items(
+        head, items + ['"t":[{"t":[0]},{"t":["v0"]}]']
+    )
+
+
+def _cut_off(lines, audits):
+    lines[audits[-1]] = lines[audits[-1]][:-7]
+
+
+def _head_closed_early(lines, audits):
+    line = lines[audits[-1]]
+    lines[audits[-1]] = line.replace(',"r":{"s":[', '},"r":{"s":[', 1)
+
+
+def _answer_braces_blanked(lines, audits):
+    head, items = _items_of(lines[audits[-1]])
+    line = _with_items(head, items)
+    cut = line.index(',"r":{"s":[') + len(',"r":{"s":[')
+    lines[audits[-1]] = line[:cut] + " " + line[cut + 1:-4] + " ]}}"
+
+
+TAMPERS = {
+    "added pair": (_add_pair, 1),
+    "dropped pair": (_drop_pair, 1),
+    "moved pair": (_move_pair, 1),
+    "duplicated item": (_duplicate_item, 0),
+    "split marker in a value": (_split_marker_in_a_value, 1),
+    "whitespace": (_whitespace, 0),
+    "nested tuple": (_nested_tuple, 1),
+    "cut off": (_cut_off, None),
+    "head closed early": (_head_closed_early, None),
+    "answer braces blanked": (_answer_braces_blanked, None),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_tampered_answers_decode_and_serve_like_the_full_path(
+    tamper, audited_log, tmp_path, monkeypatch, capsys
+):
+    """Each tampered audit line parses to the same event, or fails
+    with the same error, with and without the item memo, and
+    ``repro serve`` reaches the same verdict and exit code."""
+    lines, audits = audited_log
+    lines = list(lines)
+    change, expected_exit = TAMPERS[tamper]
+    change(lines, audits)
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    event_log._items.clear()
+    memo = [[_parse_outcome(line) for line in lines] for _ in range(2)]
+    memo_serve = serve_file(VerdictServer(), str(path))
+    memo_exit = main(["serve", str(path)])
+    with monkeypatch.context() as patch:
+        patch.setattr(event_log, "_set_answer_payload", lambda line: None)
+        full = [_parse_outcome(line) for line in lines]
+        full_serve = serve_file(VerdictServer(), str(path))
+        full_exit = main(["serve", str(path)])
+    capsys.readouterr()
+    for parsed in memo:
+        for got, want in zip(parsed, full):
+            _same_outcome(got, want)
+    assert memo_exit == full_exit
+    assert (memo_serve.status, memo_serve.lin_ok, memo_serve.audit_ok) == (
+        full_serve.status, full_serve.lin_ok, full_serve.audit_ok
+    )
+    if expected_exit is not None:
+        assert memo_exit == expected_exit
+    else:
+        assert memo_serve.status == "partial"
+
+
+_AUDIT_HEAD = '{"i":9,"k":"res","n":"audit","o":0,"p":"a0"'
+
+
+def test_the_item_memo_never_shares_a_mutable_item():
+    line = _with_items(
+        _AUDIT_HEAD, ['"t":[0,{"ns":{"c":"foreign.Value","f":{"x":1}}}]']
+    )
+    (first,), (second,) = (
+        event_log.parse_line(line)[1].result for _ in range(2)
+    )
+    (want,) = _reference_event(line).result
+    assert first == second == want
+    assert first[1] is not second[1]
+
+
+def test_the_item_memo_reads_nan_like_the_full_path():
+    # The scanner returns one NaN object for every NaN text, so the
+    # full path, too, reads two equal NaN items as one.
+    line = _with_items(_AUDIT_HEAD, ['"t":[0,NaN]'] * 2 + ['"t":[1,NaN]'])
+    want = _reference_event(line)
+    assert len(want.result) == 2
+    for _ in range(2):
+        assert repr(event_log.parse_line(line)[1]) == repr(want)
+
+
+def test_the_item_memo_leaves_other_kinds_alone():
+    for line in (
+        '{"k":"hello","r":{"s":[{"t":[0,"v"]}]}}',
+        '{"events":3,"k":"end","r":{"s":[{"t":[0,"v"]}]}}',
+        '{"a":{"t":[]},"i":1,"k":"inv","n":"read","o":0,"p":"r0",'
+        '"r":{"s":[{"zz":1}]}}',
+    ):
+        payload = json.loads(line)
+        kind, value = event_log.parse_line(line)
+        if kind == "hello":
+            assert value == payload
+        elif kind == "end":
+            assert value == 3
+        else:
+            _assert_same(value, _reference_event(line))
+
+
+def test_the_item_memo_is_capped(monkeypatch):
+    monkeypatch.setattr(event_log, "_ITEMS_CAP", 4)
+    event_log._items.clear()
+    line = _with_items(
+        _AUDIT_HEAD, [f'"t":[{k % 2},"v{k}"]' for k in range(10)]
+    )
+    for _ in range(2):
+        _assert_same(event_log.parse_line(line)[1], _reference_event(line))
+        assert 0 < len(event_log._items) <= 4
+
+
+def test_the_item_memo_serves_a_perfbench_shaped_log(tmp_path, monkeypatch):
+    """The memo path really runs: each distinct item is scanned once,
+    not once per audit that repeats it."""
+    path = tmp_path / "serve.jsonl"
+    _sim_stress_log(path, "register", ops=100)
+    text = path.read_text(encoding="utf-8")
+    pairs = sum(
+        line.count('{"t":') for line in text.splitlines()
+        if _set_answer(line)
+    )
+    scanned = []
+    decode_item = event_log._decode_item
+
+    def counting(piece):
+        scanned.append(piece)
+        return decode_item(piece)
+
+    monkeypatch.setattr(event_log, "_decode_item", counting)
+    event_log._items.clear()
+    outcome = serve_file(VerdictServer(), str(path))
+    assert outcome.status == "ok" and outcome.audit_ok is True
+    assert pairs > 2000
+    assert 0 < len(scanned) * 20 < pairs

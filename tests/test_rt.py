@@ -12,6 +12,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,25 @@ def test_thread_runtime_watchdog_surfaces_stuck_pid():
             rt.run()
     finally:
         release.set()  # let the daemon thread exit cleanly
+
+
+def test_thread_runtime_watchdog_lets_a_slow_run_finish():
+    """The watchdog judges progress, not the clock: a run that completes
+    an operation every 50 ms for well over a second finishes under a
+    0.3 s watchdog."""
+    from repro.sim.process import Op
+
+    def slow():
+        time.sleep(0.05)
+        return "done"
+        yield  # pragma: no cover - makes this a generator function
+
+    rt = ThreadRuntime(join_watchdog=0.3)
+    rt.spawn("slow")
+    rt.add_program("slow", [Op("slow", slow) for _ in range(25)])
+    history = rt.run()
+    assert rt.elapsed > 1.0
+    assert len(history.complete_operations()) == 25
 
 
 def test_thread_runtime_propagates_worker_errors():
