@@ -131,6 +131,9 @@ class WindowedAuditOracle:
         self.violations: List[AuditViolation] = []
         self.events = 0
         self.audits_checked = 0
+        #: Checked audits whose answer named at least one pair; an
+        #: exactness verdict over only empty answers rests on no pairs.
+        self.audits_nonempty = 0
         self.windows = 0
         self.peak_recent = 0
 
@@ -141,7 +144,8 @@ class WindowedAuditOracle:
         violation if the event completed a non-exact audit."""
         self.events += 1
         violation: Optional[AuditViolation] = None
-        if isinstance(event, PrimitiveEvent):
+        kind = type(event)
+        if kind is PrimitiveEvent:
             if event.obj_name == self._r_name:
                 if event.primitive == "fetch_xor":
                     j = event.args[0].bit_length() - 1
@@ -158,13 +162,13 @@ class WindowedAuditOracle:
                     self._read_marks.setdefault(
                         (event.pid, event.op_id), event.index
                     )
-        elif isinstance(event, Response):
+        elif kind is Response:
             mark = self._read_marks.pop((event.pid, event.op_id), None)
             if event.op_name == "audit" and mark is not None:
                 violation = self._check_audit(
                     event.pid, event.op_id, mark, event.result
                 )
-        elif isinstance(event, CrashEvent):
+        elif kind is CrashEvent:
             # A crashed op never responds; free its marker so the
             # compaction safe-point keeps advancing.
             self._read_marks.pop((event.pid, event.op_id), None)
@@ -183,6 +187,8 @@ class WindowedAuditOracle:
         self.audits_checked += 1
         if not isinstance(reported, (set, frozenset)):
             reported = set(reported)
+        if reported:
+            self.audits_nonempty += 1
         count = self._cut(lin)
         if (
             len(reported) == len(self._base) + count

@@ -13,6 +13,12 @@ real-time predecessors already in its mask — spawns the extended
 configuration, transitively.  This is the same bitmask Wing-Gong walk
 as :func:`~repro.analysis.fastlin.check_history`, run breadth-complete
 and incrementally instead of depth-first over a buffered history.
+Precedence is an interval order, so the ops a configuration can take
+next are a prefix of the resident ops in invocation order: those
+invoked before the first response outside its mask.  The closure
+visits only those, and a response that every other completed op
+precedes extends only the *full* configurations (all completed ops
+linearized), so its cost does not grow with the resident ops.
 
 **Forced cuts and the rolling verified frontier.**  Real-time
 precedence is an interval order, so once every *open* (invoked,
@@ -48,8 +54,12 @@ partition undecided — it stops checking but keeps draining (residents
 dropped, memory stays bounded) and the final verdict degrades to
 :data:`~repro.analysis.fastlin.LIN_UNDECIDED` instead of OK.  Wide
 adversarial overlap (hundreds of operations mutually concurrent) is
-where the configuration set can genuinely grow; bounded overlap — every
-real runtime workload — keeps it near one configuration per open op.
+where the configuration set can genuinely grow.  It also grows, cheaply,
+when one operation stays open across a burst of sequential completions
+(a thread switched out mid-operation while another keeps running):
+nothing in the burst can retire, and the configurations form a chain of
+prefixes, one per completed op of the burst, whose full end alone takes
+each new response.
 
 The long-running service front-end is ``python -m repro serve``
 (:mod:`repro.rt.serve`); :mod:`repro.rt.stress` streams into this
@@ -58,8 +68,12 @@ checker when ``--online`` is set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.analysis.fastlin import (
     DEFAULT_MAX_NODES,
@@ -70,15 +84,16 @@ from repro.analysis.fastlin import (
     SeqSpec,
     partition_subspec,
 )
-from repro.sim.events import CrashEvent, Invocation, Response
+from repro.sim.events import Invocation, Response
 from repro.sim.history import OperationRecord
 
 #: Events per budget-accounting window.
 DEFAULT_WINDOW = 256
 
-#: Live configurations before a partition is declared undecided.  Real
-#: workloads sit near one configuration per open operation; only wide
-#: adversarial overlap approaches this.
+#: Live configurations before a partition is declared undecided.  A
+#: burst of completions across one open operation holds about one
+#: configuration per op of the burst (a few hundred on thread-runtime
+#: streams); only wide adversarial overlap approaches this.
 DEFAULT_MAX_CONFIGS = 4096
 
 #: Verdict of a stream that ended (disconnect, truncation) before its
@@ -165,8 +180,8 @@ class _PartitionStream:
 
     __slots__ = (
         "spec", "window", "max_nodes", "max_configs", "gauge",
-        "ops", "by_key", "pred", "free_bits", "next_bit",
-        "completed_mask", "open_count", "configs",
+        "ops", "by_key", "pred", "done", "free_bits", "next_bit",
+        "completed_mask", "configs", "full",
         "retired", "windows", "undecided_windows", "explored",
         "window_events", "window_explored",
         "failed", "dead", "frontier_index", "last_index",
@@ -185,17 +200,22 @@ class _PartitionStream:
         self.max_nodes = max_nodes
         self.max_configs = max_configs
         self.gauge = gauge
-        #: bit position -> resident operation (open or completed).
+        #: bit position -> resident operation (open or completed), in
+        #: invocation order.
         self.ops: Dict[int, OperationRecord] = {}
         self.by_key: Dict[Tuple[str, int], int] = {}
-        #: bit position -> mask of resident real-time predecessors
-        #: (retired predecessors are implicit: they are in every mask).
+        #: bit position of an *open* op -> mask of its resident
+        #: real-time predecessors (retired predecessors are implicit:
+        #: they are in every mask).
         self.pred: Dict[int, int] = {}
+        #: Completed resident bits in response order.
+        self.done: Deque[int] = deque()
         self.free_bits: List[int] = []
         self.next_bit = 0
         self.completed_mask = 0
-        self.open_count = 0
         self.configs: Set[Tuple[int, Any]] = {(0, spec.initial)}
+        #: States of the *full* configurations: mask == completed_mask.
+        self.full: List[Any] = [spec.initial]
         self.retired = 0
         self.windows = 0
         self.undecided_windows = 0
@@ -229,7 +249,6 @@ class _PartitionStream:
         # Everything already completed precedes this op; open residents
         # are concurrent with it.
         self.pred[bit] = self.completed_mask
-        self.open_count += 1
         self.gauge.add(1)
 
     def respond(self, pid: str, op_id: int, result: Any, index: int) -> None:
@@ -244,42 +263,116 @@ class _PartitionStream:
         op = self.ops[bit]
         op.response_index = index
         op.result = result
-        self.open_count -= 1
         self.completed_mask |= 1 << bit
-        self._extend(1 << bit)
+        self.done.append(bit)
+        self._extend(1 << bit, self.pred.pop(bit))
         if not self.dead:
             self._retire()
 
     # -- the configuration closure -----------------------------------------
 
-    def _extend(self, fresh_mask: int) -> None:
+    def _enabler(self) -> Callable[[int], int]:
+        """``enabled(mask)``: the completed ops outside ``mask`` whose
+        real-time predecessors are all in ``mask``.
+
+        Precedence is an interval order, so ``pred[i] <= mask`` holds
+        iff ``i`` was invoked before the first response outside
+        ``mask``: the answer is a prefix of the ops in invocation
+        order.  Two prefix-OR tables (response order, invocation order)
+        find it with a binary search and a bisect.
+        """
+        ops = self.ops
+        resp_or = [0]
+        resp_at: List[int] = []
+        acc = 0
+        for i in self.done:
+            acc |= 1 << i
+            resp_or.append(acc)
+            resp_at.append(ops[i].response_index)
+        inv_or = [0]
+        inv_at: List[int] = []
+        acc = 0
+        for i, op in ops.items():
+            acc |= 1 << i
+            inv_or.append(acc)
+            inv_at.append(op.invoke_index)
+        completed = self.completed_mask
+        n = len(resp_at)
+
+        def enabled(mask: int) -> int:
+            outside = ~mask
+            lo, hi = 0, n  # the longest response-order prefix in mask
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                if resp_or[mid] & outside:
+                    hi = mid - 1
+                else:
+                    lo = mid
+            cut = len(inv_at) if lo == n else bisect_left(inv_at, resp_at[lo])
+            return inv_or[cut] & completed & outside
+
+        return enabled
+
+    def _extend(self, fresh_mask: int, fresh_pred: Optional[int]) -> None:
         """Restore eager closure after ``fresh_mask`` ops completed.
 
-        Existing configurations only need to try the fresh bits (their
-        other extensions are already materialised); configurations
-        discovered during the sweep try every completed op.
+        Existing configurations only need to try the fresh ops (their
+        other extensions are already materialised).  One fresh op can
+        only extend configurations holding its predecessors
+        ``fresh_pred``: when those are every other completed op, that
+        is the one full configuration, if any; otherwise a scan finds
+        them.  (Two full configurations take the scan too, so the
+        closure visits configurations in the set's order, and the
+        ``explored`` count at a ``max_configs`` cut does not move.)
+        Several fresh ops (:meth:`finish`) come without ``fresh_pred``:
+        each configuration tries the fresh ops its cut enables.
+        Configurations discovered during the sweep try every op their
+        cut enables (:meth:`_enabler`).
         """
         apply = self.spec.apply
         ops = self.ops
-        pred = self.pred
         configs = self.configs
+        completed = self.completed_mask
+        enabled: Optional[Callable[[int], int]] = None
+        stack: List[Tuple[int, Any, Optional[int]]]
+        if fresh_pred is None:
+            enabled = self._enabler()
+            stack = []
+            for mask, state in configs:
+                cand = enabled(mask) & fresh_mask
+                if cand:
+                    stack.append((mask, state, cand))
+        elif completed ^ fresh_mask == fresh_pred and len(self.full) < 2:
+            stack = [(fresh_pred, state, fresh_mask) for state in self.full]
+        else:
+            keep = fresh_pred | fresh_mask
+            stack = [
+                (mask, state, fresh_mask)
+                for mask, state in configs
+                if mask & keep == fresh_pred
+            ]
+        full: List[Any] = []
+        self.full = full
         trans: Dict[Tuple[int, Any], Any] = {}
-        stack = [(cfg, fresh_mask) for cfg in configs]
         max_nodes = self.max_nodes
+        max_configs = self.max_configs
         while stack:
-            (mask, state), cand = stack.pop()
-            rem = cand & self.completed_mask & ~mask
-            while rem:
-                bmask = rem & -rem
-                rem ^= bmask
-                i = bmask.bit_length() - 1
-                if pred[i] & ~mask:
-                    continue  # a predecessor is not linearized yet
+            mask, state, cand = stack.pop()
+            if cand is None:
+                if mask == completed:
+                    continue
+                if enabled is None:
+                    enabled = self._enabler()
+                cand = enabled(mask)
+            while cand:
+                bmask = cand & -cand
+                cand ^= bmask
                 self.explored += 1
                 self.window_explored += 1
                 if self.window_explored > max_nodes:
                     self._die(failed=False)
                     return
+                i = bmask.bit_length() - 1
                 key = (i, state)
                 if key in trans:
                     new_state = trans[key]
@@ -290,14 +383,17 @@ class _PartitionStream:
                     )
                 if new_state is None:
                     continue
-                cfg = (mask | bmask, new_state)
+                new_mask = mask | bmask
+                cfg = (new_mask, new_state)
                 if cfg in configs:
                     continue
                 configs.add(cfg)
-                if len(configs) > self.max_configs:
+                if len(configs) > max_configs:
                     self._die(failed=False)
                     return
-                stack.append((cfg, self.completed_mask))
+                if new_mask == completed:
+                    full.append(new_state)
+                stack.append((new_mask, new_state, None))
 
     # -- the rolling frontier ----------------------------------------------
 
@@ -310,25 +406,23 @@ class _PartitionStream:
         its completed concurrents — so configurations lacking it are
         redundant and its bit can be dropped.  No configuration
         containing it means no linearization can ever include it: FAIL.
+        The retirable ops are a prefix of :attr:`done`.
         """
-        if self.open_count:
-            cut = min(
-                op.invoke_index
-                for op in self.ops.values()
-                if op.response_index is None
-            )
-        else:
-            cut = None
-        retire_mask = 0
-        retire_bits: List[int] = []
-        for i, op in self.ops.items():
-            if op.response_index is not None and (
-                cut is None or op.response_index < cut
-            ):
-                retire_mask |= 1 << i
-                retire_bits.append(i)
-        if not retire_mask:
+        done = self.done
+        if not done:
             return
+        ops = self.ops
+        cut = None
+        if self.pred:
+            cut = min(ops[i].invoke_index for i in self.pred)
+            if ops[done[0]].response_index > cut:
+                return
+        retire_bits: List[int] = []
+        retire_mask = 0
+        while done and (cut is None or ops[done[0]].response_index < cut):
+            i = done.popleft()
+            retire_bits.append(i)
+            retire_mask |= 1 << i
         survivors = {
             (mask & ~retire_mask, state)
             for mask, state in self.configs
@@ -338,12 +432,15 @@ class _PartitionStream:
             self._die(failed=True)
             return
         self.configs = survivors
+        # Free the bits in invocation order, so bit reuse is independent
+        # of how the retired ops were found.
+        retire_bits.sort(key=lambda i: ops[i].invoke_index)
         for i in retire_bits:
-            del self.ops[i]
-            del self.pred[i]
+            del ops[i]
             self.free_bits.append(i)
-        for i in self.pred:
-            self.pred[i] &= ~retire_mask
+        pred = self.pred
+        for i in pred:
+            pred[i] &= ~retire_mask
         self.completed_mask &= ~retire_mask
         self.retired += len(retire_bits)
         self.gauge.add(-len(retire_bits))
@@ -361,8 +458,9 @@ class _PartitionStream:
         self.ops.clear()
         self.by_key.clear()
         self.pred.clear()
+        self.done.clear()
         self.configs = set()
-        self.open_count = 0
+        self.full = []
 
     def frontier(self, last_index: int) -> int:
         """Largest event index verified no matter what arrives later,
@@ -386,14 +484,13 @@ class _PartitionStream:
         # dropped — exactly the batch semantics.  Make them addable and
         # re-close with a fresh window budget.
         pending_mask = 0
-        for i, op in self.ops.items():
-            if op.response_index is None:
-                op.result = PENDING
-                pending_mask |= 1 << i
+        for i in self.pred:
+            self.ops[i].result = PENDING
+            pending_mask |= 1 << i
         if pending_mask:
             self.completed_mask |= pending_mask
             self.window_explored = 0
-            self._extend(pending_mask)
+            self._extend(pending_mask, None)
             if self.dead:
                 return LIN_FAIL if self.failed else LIN_UNDECIDED
         for mask, _state in self.configs:
@@ -404,8 +501,8 @@ class _PartitionStream:
                 self.ops.clear()
                 self.by_key.clear()
                 self.pred.clear()
+                self.done.clear()
                 self.completed_mask = 0
-                self.open_count = 0
                 self.frontier_index = self.last_index
                 return LIN_OK
         return LIN_FAIL
@@ -473,23 +570,23 @@ class StreamingLinChecker:
 
     def feed(self, event: Any) -> None:
         """Consume one history event (in index order)."""
-        if isinstance(event, Invocation):
+        kind = type(event)
+        if kind is Response:
+            self.on_response(
+                event.pid, event.op_id, event.result, event.index
+            )
+        elif kind is Invocation:
             self.on_invoke(
                 event.pid, event.op_id, event.op_name, event.args,
                 event.index,
             )
-        elif isinstance(event, Response):
-            self.on_response(
-                event.pid, event.op_id, event.result, event.index
-            )
-        elif isinstance(event, CrashEvent):
-            self._events += 1  # the op, if any, simply stays pending
-            self._last_index = max(self._last_index, event.index)
         else:
-            self._events += 1  # primitive events carry no lin content
+            # Primitive events carry no lin content; a crashed op
+            # simply stays pending.
+            self._events += 1
             index = getattr(event, "index", None)
-            if index is not None:
-                self._last_index = max(self._last_index, index)
+            if index is not None and index > self._last_index:
+                self._last_index = index
 
     def on_invoke(
         self,
@@ -501,7 +598,8 @@ class StreamingLinChecker:
     ) -> None:
         self._events += 1
         self._started += 1
-        self._last_index = max(self._last_index, index)
+        if index > self._last_index:
+            self._last_index = index
         op = OperationRecord(
             pid=pid, op_id=op_id, name=name, args=tuple(args),
             invoke_index=index,
@@ -517,7 +615,8 @@ class StreamingLinChecker:
     ) -> None:
         self._events += 1
         self._completed += 1
-        self._last_index = max(self._last_index, index)
+        if index > self._last_index:
+            self._last_index = index
         stream = self._route.pop((pid, op_id), None)
         if stream is None:
             raise ValueError(

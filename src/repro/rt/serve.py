@@ -36,6 +36,7 @@ from repro.analysis.streamlin import DEFAULT_WINDOW, LIN_PARTIAL
 from repro.rt.stress import (
     PASS,
     StreamValidator,
+    audit_note,
     recorded_verdict,
     validator_from_meta,
     verdict_lines,
@@ -77,9 +78,7 @@ class ServeOutcome:
             f"(peak resident {self.stream.get('peak_resident_ops')})",
         ]
         lines += verdict_lines(
-            self.status, self.audit_ok,
-            f" ({self.stream.get('audits_checked', 0)} audits, "
-            f"{self.stream.get('audit_resident_pairs', 0)} pairs resident)",
+            self.status, self.audit_ok, audit_note(self.stream)
         )
         return "\n".join(lines)
 

@@ -117,6 +117,18 @@ def verdict_lines(
     return lines
 
 
+def audit_note(counts: Dict[str, Any]) -> str:
+    """The audit-exactness line's suffix: audits checked, how many of
+    them answered a non-empty set (a run whose audits all answered the
+    empty set checks exactness on no pairs), and the oracle's resident
+    pairs.  ``counts`` is a validator verdict payload."""
+    return (
+        f" ({counts.get('audits_checked', 0)} audits, "
+        f"{counts.get('audits_nonempty', 0)} non-empty, "
+        f"{counts.get('audit_resident_pairs', 0)} pairs resident)"
+    )
+
+
 def supported_fault_families(runtime: str) -> Tuple[str, ...]:
     """The fault families ``runtime`` can inject, in band order: the
     runtime class's ``fault_families``."""
@@ -246,6 +258,10 @@ class StressReport:
     # Chaos mode: "crash,partition,dup@100/10k" when a family spec was
     # given, the plan class name for explicit FaultPlan instances.
     faults: Optional[str] = None
+    # The audit oracle's counters (audits checked, non-empty, pairs
+    # resident) for the report's audit line; on online runs ``stream``
+    # carries them in the JSONL record too.
+    audit_counts: Optional[Dict[str, Any]] = None
 
     @property
     def threads(self) -> int:
@@ -306,7 +322,10 @@ class StressReport:
                 f"max={stats['max_us']:>8.1f}us"
             )
         if self.validated:
-            lines += verdict_lines(self.lin_status, self.audit_ok)
+            lines += verdict_lines(
+                self.lin_status, self.audit_ok,
+                audit_note(self.audit_counts) if self.audit_counts else "",
+            )
         else:
             lines.append("  (history not post-validated)")
         if self.online and self.stream:
@@ -534,13 +553,20 @@ class StreamValidator:
             spec, window=window, max_nodes_per_window=max_nodes, tag=tag
         )
         self.oracle = oracle
+        # Bound once: a runtime tap calls ``feed`` for every event.
+        lin_feed = self.checker.feed
+        self.feed: Callable[[Any], None] = lin_feed
+        if oracle is not None:
+            audit_feed = oracle.feed
+
+            def feed(event: Any) -> None:
+                lin_feed(event)
+                audit_feed(event)
+
+            self.feed = feed
 
     def __call__(self, event: Any) -> None:
-        self.checker.feed(event)
-        if self.oracle is not None:
-            self.oracle.feed(event)
-
-    feed = __call__
+        self.feed(event)
 
     def verdict(
         self, *, finished: bool = True
@@ -565,6 +591,7 @@ class StreamValidator:
         if self.oracle is not None:
             audit = not self.oracle.violations
             payload["audits_checked"] = self.oracle.audits_checked
+            payload["audits_nonempty"] = self.oracle.audits_nonempty
             payload["audit_resident_pairs"] = self.oracle.resident_pairs
             payload["audit_violations"] = len(self.oracle.violations)
         return lin, audit, result.status, payload
@@ -831,6 +858,13 @@ def run_stress(
         lin, audit, status, stream = validator.verdict(finished=finished)
         report.validated = True
         report.lin_ok, report.audit_ok, report.lin_status = lin, audit, status
+        if audit is not None:
+            report.audit_counts = {
+                key: stream[key] for key in (
+                    "audits_checked", "audits_nonempty",
+                    "audit_resident_pairs",
+                )
+            }
         if online:
             report.stream = stream
     if tmp_path is not None:

@@ -926,6 +926,7 @@ class TestWindowedAuditOracle:
         oracle, violation = self._audit(window, frozenset(self.EXPECTED))
         assert violation is None and not oracle.violations
         assert oracle.resident_pairs == 4
+        assert oracle.audits_nonempty == 1
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_swapped_pair_is_a_violation(self, window):

@@ -116,6 +116,25 @@ class TestRoundtrip:
         assert resident > 0
         assert f"{resident} pairs resident" in outcome.render()
 
+    def test_audits_that_all_answer_empty_are_counted(self, tmp_path):
+        """With no reader, every audit exactly answers the empty set:
+        the check passes on no pairs, and both reports say so."""
+        path = str(tmp_path / "no-readers.jsonl")
+        report = run_stress(
+            "register", readers=0, writers=1, auditors=1, ops=5,
+            event_log=path,
+        )
+        outcome = serve_file(VerdictServer(), path)
+        assert report.audit_ok is outcome.audit_ok is True
+        assert outcome.stream["audits_checked"] == 5
+        assert outcome.stream["audits_nonempty"] == 0
+        note = (
+            "[PASS] audit exactness "
+            "(5 audits, 0 non-empty, 0 pairs resident)"
+        )
+        assert note in report.render()
+        assert note in outcome.render()
+
     def test_validator_from_meta_rejects_foreign_logs(self):
         with pytest.raises(ValueError, match="--spec"):
             validator_from_meta({"kind": "unknown"})

@@ -9,7 +9,10 @@ histories much longer than the window, and budget degradation to
 UNDECIDED (never a wrong verdict, never a crash).
 """
 
+import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -513,9 +516,10 @@ class TestBudgets:
 # -- the audit partition of the streaming specs -------------------------------
 
 
-def _audited_sim_events(object_kind, seed, ops=10):
+def _audited_sim_events(object_kind, seed, ops=10, writers=None):
     """A stress-roster run with one auditor on the simulator: the
-    decoded events and the hello meta ``repro serve`` rebuilds from."""
+    decoded events and the hello meta ``repro serve`` rebuilds from.
+    ``writers`` defaults to 2 for the snapshot and 1 otherwise."""
     from repro.rt.stress import (
         _stress_pids,
         build_stress_register,
@@ -524,7 +528,9 @@ def _audited_sim_events(object_kind, seed, ops=10):
     from repro.sim.runner import Simulation
     from repro.sim.scheduler import RandomSchedule
 
-    r, w, a = 2, (2 if object_kind == "snapshot" else 1), 1
+    if writers is None:
+        writers = 2 if object_kind == "snapshot" else 1
+    r, w, a = 2, writers, 1
     reg = build_stress_register(object_kind, r, w, seed)
     sim = Simulation(RandomSchedule(seed))
     events = []
@@ -645,3 +651,117 @@ class TestAuditPartition:
         events = _short_audit(events, random.Random(seed))
         partitioned, whole = _partitioned_and_whole_verdicts(events, meta)
         assert partitioned[:3] == whole[:3] == (True, False, LIN_OK)
+
+
+# -- pinned progress: the closure's work, not just its verdict ----------------
+
+#: Verdicts and full progress payloads recorded with the closure that
+#: rescanned every configuration and every resident op on each
+#: response.  The per-response closure must reproduce them exactly: the
+#: same configurations, ``explored`` counts and budget cuts.
+PINS = json.loads(
+    (Path(__file__).parent / "streamlin_pins.json").read_text("utf-8")
+)
+
+#: ``validator_from_meta`` budgets of the pinned simulator logs; the
+#: tight one cuts every log's read/write partition to UNDECIDED.
+PIN_BUDGETS = {"default": {}, "tight": {"window": 16, "max_nodes": 40}}
+
+BURST_READS = 200
+
+
+def open_write_burst(k, read_result):
+    """One write of 1 stays open while another process completes ``k``
+    sequential reads, read ``j`` returning ``read_result(j)``: none of
+    the reads can retire before the write responds, so the
+    configurations grow into a chain of prefixes."""
+    events = [Invocation(0, "w", 0, "write", (1,))]
+    for j in range(k):
+        events.append(Invocation(2 * j + 1, "r", j, "read", ()))
+        events.append(Response(2 * j + 2, "r", j, "read", read_result(j)))
+    events.append(Response(2 * k + 1, "w", 0, "write", None))
+    return events
+
+
+BURSTS = {
+    # Every read sees the initial value: OK.
+    "open-write": lambda j: 0,
+    # One read sees the write, a later one the old value again: FAIL,
+    # proven at the write's response.
+    "stale-read": lambda j: 1 if j == BURST_READS // 3 else 0,
+    # The write takes effect mid-burst: OK.
+    "mid-burst-effect": lambda j: 1 if j >= BURST_READS // 2 else 0,
+}
+
+
+def _pin_row(verdict):
+    return {"status": verdict.status, **verdict.progress.to_payload()}
+
+
+def pinned_sim_row(object_kind, seed, budget):
+    """The pinned verdict of one seeded simulator log (2 readers, 2
+    writers, 1 auditor, 60 ops each) under one of ``PIN_BUDGETS``."""
+    from repro.rt.stress import validator_from_meta
+
+    events, meta = _audited_sim_events(object_kind, seed, ops=60, writers=2)
+    checker = validator_from_meta(meta, **PIN_BUDGETS[budget]).checker
+    for event in events:
+        checker.feed(event)
+    return _pin_row(checker.finish())
+
+
+def pinned_burst_row(name, k=BURST_READS):
+    checker = StreamingLinChecker(register_spec(0))
+    for event in open_write_burst(k, BURSTS[name]):
+        checker.feed(event)
+    return _pin_row(checker.finish())
+
+
+class TestPinnedProgress:
+    @pytest.mark.parametrize("budget", sorted(PIN_BUDGETS))
+    @pytest.mark.parametrize("object_kind", TestAuditPartition.KINDS)
+    def test_simulator_logs(self, object_kind, budget):
+        rows = {
+            f"{object_kind}/{seed}/{budget}": pinned_sim_row(
+                object_kind, seed, budget
+            )
+            for seed in range(30)
+        }
+        assert rows == {key: PINS["sim"][key] for key in rows}
+
+    @pytest.mark.parametrize("name", sorted(BURSTS))
+    def test_bursts(self, name):
+        assert pinned_burst_row(name) == PINS["burst"][name]
+
+    def test_stale_read_fails_at_the_writes_response(self):
+        events = open_write_burst(BURST_READS, BURSTS["stale-read"])
+        checker = StreamingLinChecker(register_spec(0))
+        for event in events[:-1]:
+            checker.feed(event)
+        assert checker.partial().status == LIN_PARTIAL
+        assert checker.progress().resident_ops == BURST_READS + 1
+        checker.feed(events[-1])
+        assert checker.partial().status == LIN_FAIL
+
+    def test_open_write_burst_cost_is_linear(self):
+        """The work per response must not grow with the burst: feeding
+        4x the reads must cost well under 16x (the quadratic closure
+        took about 17x)."""
+
+        def fastest_feed(k):
+            events = open_write_burst(k, BURSTS["open-write"])
+            best = float("inf")
+            for _ in range(5):
+                checker = StreamingLinChecker(register_spec(0))
+                start = time.perf_counter()
+                for event in events:
+                    checker.feed(event)
+                best = min(best, time.perf_counter() - start)
+            verdict = checker.finish()
+            return best, [verdict.status, verdict.progress.explored]
+
+        small, small_row = fastest_feed(500)
+        large, large_row = fastest_feed(2000)
+        assert small_row == PINS["scaling"]["500"]
+        assert large_row == PINS["scaling"]["2000"]
+        assert large < 8 * small, (small, large)
