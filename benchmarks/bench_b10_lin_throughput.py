@@ -23,9 +23,10 @@ paths that actually run it:
   (:mod:`repro.analysis.streamlin`) against batch fastlin on the same
   stress histories (statuses must be identical), then live
   ``repro stress --online`` runs at two sizes -- the larger at least a
-  million operations over multiple minutes in the full run -- whose
-  peak resident operation count must stay flat as the history grows
-  10x: the bounded-memory acceptance criterion.
+  million operations over multiple minutes in the full run, the
+  smaller run ten times -- whose peak resident operation count must
+  stay flat as the history grows 10x: the bounded-memory acceptance
+  criterion.
 
 Results land in ``BENCH_lin.json`` at the repository root and in the
 pytest-benchmark ``extra_info``.  Tiny E13 scenario executions (3-5
@@ -55,7 +56,6 @@ from repro.analysis.specs import (
     auditable_max_register_spec,
     auditable_register_spec,
     register_array_spec,
-    tag_reads,
 )
 from repro.campaign import Section, run_section
 from repro.sim.history import OperationRecord
@@ -126,7 +126,7 @@ def _leg(corpus, reps: int = 3):
 # -- corpora ---------------------------------------------------------------
 
 def _e2_corpus():
-    """The E2 driver's histories: shapes x seeds, tagged and specced."""
+    """The E2 driver's histories: shapes x seeds, with their specs."""
     corpus = []
     for shape in E2_SHAPES:
         for seed in E2_SEEDS:
@@ -134,7 +134,7 @@ def _e2_corpus():
             built = build_register_system(workload)
             history = built.run()
             corpus.append((
-                tag_reads(history.operations()),
+                history.operations(),
                 auditable_register_spec(workload.initial,
                                         built.reader_index),
             ))
@@ -164,7 +164,7 @@ def _e13_corpus():
             # backtracked simulation.
             ops = [
                 op_from_payload(op_to_payload(op))
-                for op in tag_reads(sim.history.operations())
+                for op in sim.history.operations()
             ]
             reader_index = {
                 f"r{j}": j for j in range(reg.num_readers)
@@ -196,7 +196,7 @@ def _check_path_corpus(reads_per_reader):
         )
         built = build_register_system(workload)
         corpus.append((
-            tag_reads(built.run().operations()),
+            built.run().operations(),
             auditable_register_spec(workload.initial, built.reader_index),
         ))
     return corpus
@@ -211,7 +211,7 @@ def _stress_corpus(ops_per_thread):
     runtime = _build(stress_meta("register", r, w, a, seed=0), ops_per_thread)
     history = runtime.run(duration=None)
     return [(
-        tag_reads(history.operations()),
+        history.operations(),
         auditable_register_spec("v0", {f"r{j}": j for j in range(r)}),
     )]
 
@@ -364,44 +364,49 @@ def test_bench_lin_throughput(benchmark, tmp_path):
     # configuration ``stress --online`` ships.  Two sizes, the larger
     # 10x the smaller (>=1M operations in the full run), and the peak
     # resident op count must not grow with the history: residency
-    # tracks overlap width, not length.
-    online_sizes = (
-        (500, 5_000) if SMOKE else (100_000, 1_000_000)
-    )
+    # tracks overlap width, not length.  A peak is the largest burst
+    # the OS scheduler caused in the run (an op pinned open across a
+    # GIL deschedule holds a few hundred completions resident), and a
+    # longer run meets larger bursts.  So the smaller size runs 10
+    # times and its peak is the largest of the 10: both sides are then
+    # maxima over as many operations, and only a residency that grows
+    # with run length separates them.
+    small, large = (5_000, 50_000) if SMOKE else (100_000, 1_000_000)
     payload["online_stress"] = []
     peaks = []
-    for total_ops in online_sizes:
-        # Four threads: the overlap width real deployments run at.
-        # Wider rosters can pin one op open across hundreds of
-        # completions on six other chains, which makes exact online
-        # checking blow its configuration budget (NP-hardness showing
-        # up online); that degradation to UNDECIDED is tested in
-        # test_streamlin.py, not benchmarked here.
-        per_thread = total_ops // 4
-        report = run_stress(
-            "register", readers=2, writers=1, auditors=1,
-            ops=per_thread, seed=0, online=True, record_latency=False,
-            join_watchdog=900.0,
-        )
-        assert report.lin_ok and report.audit_ok, report.stream
-        assert report.stream["status"] == "ok"
-        events = report.stream["events"]
-        assert report.stream["frontier_index"] == events - 1
-        peaks.append(report.stream["peak_resident_ops"])
+    for total_ops, runs in ((small, large // small), (large, 1)):
+        peak = 0
+        for _ in range(runs):
+            # Four threads: the overlap width real deployments run at.
+            # Wider rosters can pin one op open across hundreds of
+            # completions on six other chains, which makes exact online
+            # checking blow its configuration budget (NP-hardness
+            # showing up online); that degradation to UNDECIDED is
+            # tested in test_streamlin.py, not benchmarked here.
+            report = run_stress(
+                "register", readers=2, writers=1, auditors=1,
+                ops=total_ops // 4, seed=0, online=True,
+                record_latency=False, join_watchdog=900.0,
+            )
+            assert report.lin_ok and report.audit_ok, report.stream
+            assert report.stream["status"] == "ok"
+            events = report.stream["events"]
+            assert report.stream["frontier_index"] == events - 1
+            peak = max(peak, report.stream["peak_resident_ops"])
+        peaks.append(peak)
         payload["online_stress"].append({
             "total_ops": report.ops_completed,
+            "runs": runs,
             "events": events,
             "elapsed_s": round(report.elapsed, 2),
             "ops_per_sec": round(report.ops_per_sec, 1),
-            "peak_resident_ops": report.stream["peak_resident_ops"],
+            "peak_resident_ops": peak,
             "ops_retired": report.stream["ops_retired"],
             "frontier_complete": True,
             "status": report.stream["status"],
         })
     # Bounded memory: 10x the operations, the same residency ballpark.
-    # The floor covers scheduler-induced overlap spikes (an op pinned
-    # open across a GIL deschedule window holds a few hundred
-    # completions resident regardless of run length); the ratio is what
+    # The floor covers the scheduler bursts above; the ratio is what
     # rules out length-proportional growth.
     assert peaks[1] <= max(4 * peaks[0], 512), peaks
     benchmark.extra_info["online_peak_resident_ops"] = peaks[1]

@@ -9,7 +9,6 @@ from repro.analysis import (
     auditable_register_spec,
     check_audit_exactness,
     check_history,
-    tag_reads,
 )
 from repro.harness.experiment import run
 from repro.workloads.generators import RegisterWorkload, build_register_system
@@ -36,7 +35,7 @@ def test_bench_linearizability_search(benchmark):
         RegisterWorkload(seed=5, reads_per_reader=3, writes_per_writer=2)
     )
     history = built.run()
-    ops = tag_reads(history.operations())
+    ops = history.operations()
     spec = auditable_register_spec("v0", built.reader_index)
 
     result = benchmark(lambda: check_history(ops, spec))

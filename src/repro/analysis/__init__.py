@@ -79,8 +79,6 @@ from repro.analysis.specs import (
     stream_max_register_spec,
     stream_register_spec,
     stream_snapshot_spec,
-    tag_ops_with_pid,
-    tag_reads,
     versioned_spec,
 )
 from repro.analysis.streamlin import (
@@ -141,8 +139,6 @@ __all__ = [
     "strip_version",
     "success_rate",
     "windowed_audit_oracle",
-    "tag_ops_with_pid",
-    "tag_reads",
     "tracking_bits_seen",
     "versioned_spec",
 ]

@@ -89,12 +89,14 @@ LIN_UNDECIDED = "undecided"
 class SeqSpec:
     """A sequential specification.
 
-    ``apply(state, name, args, result)`` returns the successor state if
-    the operation with the given result is legal in ``state``, else
-    ``None``.  When ``result is PENDING`` the operation never returned:
-    the spec should accept it with any legal return value (for total
-    operations this means: accept, return the successor state for the
-    canonical result).
+    ``apply(state, name, args, result, pid)`` returns the successor
+    state if the operation with the given result, invoked by process
+    ``pid``, is legal in ``state``, else ``None``.  Specs that care who
+    invoked an operation (an auditable read adds its reader's pair) read
+    ``pid``; the others ignore it.  When ``result is PENDING`` the
+    operation never returned: the spec should accept it with any legal
+    return value (for total operations this means: accept, return the
+    successor state for the canonical result).
 
     States must be hashable (used as memoisation keys).
 
@@ -121,7 +123,7 @@ class SeqSpec:
 
     name: str
     initial: Any
-    apply: Callable[[Any, str, Tuple[Any, ...], Any], Optional[Any]]
+    apply: Callable[[Any, str, Tuple[Any, ...], Any, str], Optional[Any]]
     partition_key: Optional[Callable[[str, Tuple[Any, ...]], Any]] = None
     partition_spec: Optional[Callable[[Any], "SeqSpec"]] = None
 
@@ -314,7 +316,7 @@ class FastLinChecker:
         # Hoist per-op attribute lookups out of the search loop.
         calls = [
             (op.name, op.args,
-             op.result if op.is_complete else PENDING)
+             op.result if op.is_complete else PENDING, op.pid)
             for op in ops
         ]
         # state -> {op index -> successor state or None}: a state
@@ -370,8 +372,10 @@ class FastLinChecker:
                 if i in trans:
                     new_state = trans[i]
                 else:
-                    name, args, result = calls[i]
-                    new_state = trans[i] = apply(state, name, args, result)
+                    name, args, result, pid = calls[i]
+                    new_state = trans[i] = apply(
+                        state, name, args, result, pid
+                    )
                 if new_state is None:
                     dead = True
                     break
@@ -415,8 +419,10 @@ class FastLinChecker:
                 if i in trans:
                     new_state = trans[i]
                 else:
-                    name, args, result = calls[i]
-                    new_state = trans[i] = apply(state, name, args, result)
+                    name, args, result, pid = calls[i]
+                    new_state = trans[i] = apply(
+                        state, name, args, result, pid
+                    )
                 if new_state is None:
                     continue
                 cmask = mask | bit
@@ -501,7 +507,7 @@ def legacy_check_history(
         for i in eligible(set(done)):
             op = ops[i]
             result = op.result if op.is_complete else PENDING
-            new_state = spec.apply(state, op.name, op.args, result)
+            new_state = spec.apply(state, op.name, op.args, result, op.pid)
             if new_state is None:
                 continue
             new_done = done | {i}

@@ -6,65 +6,134 @@ auditable object: a pair ``(j, v)`` appears in an audit's response *iff*
 a read by ``p_j`` returning ``v`` precedes the audit (accuracy +
 completeness).
 
-Reader identity: histories record ``read()`` with empty args, but the
-auditable specs must know which reader performed each read.  Callers tag
-operations with their pid first (:func:`tag_reads` /
-:func:`tag_ops_with_pid`).
+Reader identity: every operation is invoked by a process, and the
+checkers hand each ``apply`` that process's ``pid``.  The auditable
+specs map it to the reader's index ``j`` through the ``reader_index``
+they were built with (a snapshot's updaters pick their component the
+same way), so histories are checked exactly as recorded.  A read by a
+pid missing from the index raises ``KeyError``: the history does not
+fit the spec.
 
 Spec states are hashable tuples so the checker can memoise on them.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.analysis.fastlin import PENDING, SeqSpec
+
+#: What an audit gets from :func:`_spec`: plain specs reject it; the
+#: streaming specs accept it in a partition of its own
+#: (:func:`_audits_apart`); the auditable specs check it against the
+#: pairs of the reads linearized before it.
+_REJECTED, _APART, _CHECKED = "rejected", "apart", "checked"
+
+_Update = Callable[[Any, Tuple[Any, ...], str], Any]
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _spec(
+    name: str,
+    initial: Any,
+    updates: Tuple[str, ...],
+    update: _Update,
+    read_out: Callable[[Any], Any],
+    audit: str,
+    reader_index: Optional[Dict[str, int]] = None,
+    reads: str = "read",
+) -> SeqSpec:
+    """The one constructor of the object specs.
+
+    An op named in ``updates`` moves the value by
+    ``update(value, args, pid)``; a ``reads`` op must return
+    ``read_out(value)``; ``audit`` is one of :data:`_REJECTED`,
+    :data:`_APART` or :data:`_CHECKED`.  A :data:`_CHECKED` spec's state
+    is ``(value, frozenset((j, out)))``: each read adds the pair of its
+    reader ``j = reader_index[pid]`` (none without ``reader_index``),
+    and an audit must return exactly the pairs.  Other states are the
+    bare value.  A pending read (``result is PENDING``) returns the
+    canonical ``read_out(value)``.
+    """
+    if audit == _CHECKED:
+
+        def apply(state, op_name, args, result, pid):
+            value, pairs = state
+            if op_name in updates:
+                return (update(value, args, pid), pairs)
+            if op_name == reads:
+                out = read_out(value)
+                if result is not PENDING and result != out:
+                    return None
+                if reader_index is None:
+                    return state
+                return (value, pairs | {(reader_index[pid], out)})
+            if op_name == "audit" and (result is PENDING or result == pairs):
+                return state
+            return None
+
+        return SeqSpec(name, (initial, frozenset()), apply)
+
+    accept_audits = audit == _APART
+
+    def apply(state, op_name, args, result, pid):
+        if op_name in updates:
+            return update(state, args, pid)
+        if op_name == reads:
+            if result is PENDING or result == read_out(state):
+                return state
+            return None
+        if accept_audits and op_name == "audit":
+            return state
+        return None
+
+    return SeqSpec(
+        name, initial, apply,
+        partition_key=_audits_apart if accept_audits else None,
+    )
+
+
+def _write(value, args, pid):
+    return args[0]
+
+
+def _write_max(value, args, pid):
+    return max(value, args[0])
+
+
+def _add(value, args, pid):
+    return value + args[0]
+
+
+_WRITE_MAX = ("write_max", "writeMax")
+
+
+def _component_update(updater_index: Dict[str, int]) -> _Update:
+    """Snapshot ``update(v)``: the updater's own component takes ``v``."""
+
+    def update(view, args, pid):
+        i = updater_index[pid]
+        return view[:i] + (args[0],) + view[i + 1:]
+
+    return update
 
 
 def register_spec(initial: Any, name: str = "register") -> SeqSpec:
     """Plain read/write register: a read returns the latest write."""
-
-    def apply(state, op_name, args, result):
-        if op_name == "write":
-            return args[0]
-        if op_name == "read":
-            if result is PENDING or result == state:
-                return state
-            return None
-        return None
-
-    return SeqSpec(name, initial, apply)
+    return _spec(name, initial, ("write",), _write, _same, _REJECTED)
 
 
 def max_register_spec(initial: Any, name: str = "max_register") -> SeqSpec:
     """Max register: a read returns the largest value written so far."""
-
-    def apply(state, op_name, args, result):
-        if op_name in ("write_max", "writeMax"):
-            return max(state, args[0])
-        if op_name == "read":
-            if result is PENDING or result == state:
-                return state
-            return None
-        return None
-
-    return SeqSpec(name, initial, apply)
+    return _spec(name, initial, _WRITE_MAX, _write_max, _same, _REJECTED)
 
 
 def counter_object_spec(name: str = "counter") -> SeqSpec:
     """Counter: update(d) adds d, read returns the running total."""
-
-    def apply(state, op_name, args, result):
-        if op_name == "update":
-            return state + args[0]
-        if op_name == "read":
-            if result is PENDING or result == state:
-                return state
-            return None
-        return None
-
-    return SeqSpec(name, 0, apply)
+    return _spec(name, 0, ("update",), _add, _same, _REJECTED)
 
 
 def auditable_register_spec(
@@ -72,28 +141,12 @@ def auditable_register_spec(
     reader_index: Dict[str, int],
     name: str = "auditable_register",
 ) -> SeqSpec:
-    """Auditable register: state is ``(value, frozenset((j, v)))``.
-
-    Reads must be tagged with their pid (:func:`tag_reads`); audits'
-    results must equal the set of pairs of linearized preceding reads.
-    """
-
-    def apply(state, op_name, args, result):
-        value, pairs = state
-        if op_name == "write":
-            return (args[0], pairs)
-        if op_name == "read":
-            if result is not PENDING and result != value:
-                return None
-            j = reader_index[args[0]]
-            return (value, pairs | {(j, value)})
-        if op_name == "audit":
-            if result is PENDING or result == pairs:
-                return state
-            return None
-        return None
-
-    return SeqSpec(name, (initial, frozenset()), apply)
+    """Auditable register: state is ``(value, frozenset((j, v)))``;
+    audits' results must equal the set of pairs of linearized
+    preceding reads."""
+    return _spec(
+        name, initial, ("write",), _write, _same, _CHECKED, reader_index
+    )
 
 
 def auditable_max_register_spec(
@@ -102,23 +155,9 @@ def auditable_max_register_spec(
     name: str = "auditable_max_register",
 ) -> SeqSpec:
     """Auditable max register: like the register spec but monotone."""
-
-    def apply(state, op_name, args, result):
-        value, pairs = state
-        if op_name in ("write_max", "writeMax"):
-            return (max(value, args[0]), pairs)
-        if op_name == "read":
-            if result is not PENDING and result != value:
-                return None
-            j = reader_index[args[0]]
-            return (value, pairs | {(j, value)})
-        if op_name == "audit":
-            if result is PENDING or result == pairs:
-                return state
-            return None
-        return None
-
-    return SeqSpec(name, (initial, frozenset()), apply)
+    return _spec(
+        name, initial, _WRITE_MAX, _write_max, _same, _CHECKED, reader_index
+    )
 
 
 def snapshot_spec(
@@ -130,33 +169,16 @@ def snapshot_spec(
 ) -> SeqSpec:
     """(Auditable) snapshot: state is ``(view, frozenset((j, view)))``.
 
-    ``update``/``scan`` operations must be tagged with their pid
-    (:func:`tag_ops_with_pid`); scan results must equal the current
-    view; audit results must equal the pair set of preceding scans.
+    ``update(v)`` sets the updater's component (``updater_index``);
+    scan results must equal the current view; audit results must equal
+    the pair set of preceding scans, which stays empty without a
+    ``scanner_index``.
     """
-    scanner_index = scanner_index or {}
-
-    def apply(state, op_name, args, result):
-        view, pairs = state
-        if op_name == "update":
-            value, pid = args[0], args[-1]
-            i = updater_index[pid]
-            new_view = view[:i] + (value,) + view[i + 1:]
-            return (new_view, pairs)
-        if op_name == "scan":
-            if result is not PENDING and result != view:
-                return None
-            pid = args[-1] if args else None
-            if pid in scanner_index:
-                return (view, pairs | {(scanner_index[pid], view)})
-            return state
-        if op_name == "audit":
-            if result is PENDING or result == pairs:
-                return state
-            return None
-        return None
-
-    return SeqSpec(name, ((initial,) * components, frozenset()), apply)
+    return _spec(
+        name, (initial,) * components, ("update",),
+        _component_update(updater_index), _same, _CHECKED,
+        scanner_index or None, reads="scan",
+    )
 
 
 def versioned_spec(
@@ -168,30 +190,13 @@ def versioned_spec(
     ``(q, frozenset((j, out)))`` for a
     :class:`~repro.core.versioned.TypeSpec`.
 
-    ``update(v)`` applies ``g``; tagged reads return ``f(q)`` and add
-    their pair; audits must equal the pair set.
+    ``update(v)`` applies ``g``; reads return ``f(q)`` and add their
+    pair; audits must equal the pair set.
     """
-
-    def apply(state, op_name, args, result):
-        q, pairs = state
-        if op_name == "update":
-            return (type_spec.apply_update(args[0], q), pairs)
-        if op_name == "read":
-            out = type_spec.read_out(q)
-            if result is not PENDING and result != out:
-                return None
-            j = reader_index[args[0]]
-            return (q, pairs | {(j, out)})
-        if op_name == "audit":
-            if result is PENDING or result == pairs:
-                return state
-            return None
-        return None
-
-    return SeqSpec(
-        name or f"auditable_{type_spec.name}",
-        (type_spec.initial_state, frozenset()),
-        apply,
+    return _spec(
+        name or f"auditable_{type_spec.name}", type_spec.initial_state,
+        ("update",), lambda q, args, pid: type_spec.apply_update(args[0], q),
+        type_spec.read_out, _CHECKED, reader_index,
     )
 
 
@@ -223,22 +228,9 @@ def stream_register_spec(
     Theorem 8 proves equivalent on fetch&xor-based implementations.
     Since audits neither change the state nor can fail, they sit in a
     partition of their own (:func:`_audits_apart`) and never enter the
-    search over reads and writes.  No reader tagging is needed, so the
-    spec composes with untagged event streams.
+    search over reads and writes.
     """
-
-    def apply(state, op_name, args, result):
-        if op_name == "write":
-            return args[0]
-        if op_name == "read":
-            if result is PENDING or result == state:
-                return state
-            return None
-        if op_name == "audit":
-            return state
-        return None
-
-    return SeqSpec(name, initial, apply, partition_key=_audits_apart)
+    return _spec(name, initial, ("write",), _write, _same, _APART)
 
 
 def stream_max_register_spec(
@@ -247,19 +239,7 @@ def stream_max_register_spec(
     """Value-only auditable-max-register spec (see
     :func:`stream_register_spec` for why audits pass unchecked, in a
     partition of their own)."""
-
-    def apply(state, op_name, args, result):
-        if op_name in ("write_max", "writeMax"):
-            return max(state, args[0])
-        if op_name == "read":
-            if result is PENDING or result == state:
-                return state
-            return None
-        if op_name == "audit":
-            return state
-        return None
-
-    return SeqSpec(name, initial, apply, partition_key=_audits_apart)
+    return _spec(name, initial, _WRITE_MAX, _write_max, _same, _APART)
 
 
 def stream_snapshot_spec(
@@ -268,30 +248,12 @@ def stream_snapshot_spec(
     updater_index: Dict[str, int],
     name: str = "stream_snapshot",
 ) -> SeqSpec:
-    """View-only snapshot spec for streaming validation.
-
-    ``update`` operations must be pid-tagged
-    (:func:`tag_ops_with_pid` offline, ``tag=`` hook of the streaming
-    checker online); scans check the full view; audits pass unchecked
-    in a partition of their own (the lifted windowed audit oracle
-    covers them).
-    """
-
-    def apply(state, op_name, args, result):
-        if op_name == "update":
-            value, pid = args[0], args[-1]
-            i = updater_index[pid]
-            return state[:i] + (value,) + state[i + 1:]
-        if op_name == "scan":
-            if result is PENDING or result == state:
-                return state
-            return None
-        if op_name == "audit":
-            return state
-        return None
-
-    return SeqSpec(
-        name, (initial,) * components, apply, partition_key=_audits_apart
+    """View-only snapshot spec for streaming validation: scans check
+    the full view; audits pass unchecked in a partition of their own
+    (the lifted windowed audit oracle covers them)."""
+    return _spec(
+        name, (initial,) * components, ("update",),
+        _component_update(updater_index), _same, _APART, reads="scan",
     )
 
 
@@ -311,7 +273,7 @@ def register_array_spec(
     paths directly.
     """
 
-    def global_apply(state, op_name, args, result):
+    def global_apply(state, op_name, args, result, pid):
         cells = dict(state)
         cell = args[0]
         current = cells.get(cell, initial)
@@ -325,7 +287,7 @@ def register_array_spec(
         return None
 
     def cell_spec(cell: Any) -> SeqSpec:
-        def apply(state, op_name, args, result):
+        def apply(state, op_name, args, result, pid):
             if op_name == "write":
                 return args[1]
             if op_name == "read":
@@ -343,31 +305,3 @@ def register_array_spec(
         partition_key=lambda op_name, args: args[0],
         partition_spec=cell_spec,
     )
-
-
-def tag_read_op(op):
-    """A copy of a read with its args set to ``(pid,)``; other
-    operations pass through unchanged."""
-    if op.name == "read" and not op.args:
-        return replace(op, args=(op.pid,), primitives=list(op.primitives))
-    return op
-
-
-def tag_pid_op(op, names=("update", "scan")):
-    """A copy of an operation named in ``names`` with its pid appended
-    to its args; other operations pass through unchanged."""
-    if op.name in names:
-        return replace(
-            op, args=op.args + (op.pid,), primitives=list(op.primitives)
-        )
-    return op
-
-
-def tag_reads(operations):
-    """:func:`tag_read_op` over a history's operations."""
-    return [tag_read_op(op) for op in operations]
-
-
-def tag_ops_with_pid(operations, names=("update", "scan")):
-    """:func:`tag_pid_op` over a history's operations."""
-    return [tag_pid_op(op, names) for op in operations]

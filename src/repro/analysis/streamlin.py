@@ -379,7 +379,7 @@ class _PartitionStream:
                 else:
                     op = ops[i]
                     new_state = trans[key] = apply(
-                        state, op.name, op.args, op.result
+                        state, op.name, op.args, op.result, op.pid
                     )
                 if new_state is None:
                     continue
@@ -516,9 +516,7 @@ class StreamingLinChecker:
     events are accepted and ignored — a crashed operation simply stays
     pending) in history-index order via :meth:`feed`, then call
     :meth:`finish` for the final verdict or :meth:`partial` when the
-    stream was cut.  ``tag`` is an optional per-operation transform
-    applied at invocation (e.g. :func:`repro.analysis.specs.tag_read_op`
-    for specs that need reader identity); it runs before ``partition_key``.
+    stream was cut.
     """
 
     def __init__(
@@ -528,7 +526,6 @@ class StreamingLinChecker:
         window: int = DEFAULT_WINDOW,
         max_nodes_per_window: int = DEFAULT_MAX_NODES,
         max_configs: int = DEFAULT_MAX_CONFIGS,
-        tag: Optional[Callable[[OperationRecord], OperationRecord]] = None,
     ) -> None:
         if window < 1:
             raise ValueError("window must be at least 1")
@@ -536,7 +533,6 @@ class StreamingLinChecker:
         self.window = window
         self.max_nodes_per_window = max_nodes_per_window
         self.max_configs = max_configs
-        self.tag = tag
         self._partitions: Dict[Any, _PartitionStream] = {}
         self._route: Dict[Tuple[str, int], _PartitionStream] = {}
         self._gauge = _ResidentGauge()
@@ -604,8 +600,6 @@ class StreamingLinChecker:
             pid=pid, op_id=op_id, name=name, args=tuple(args),
             invoke_index=index,
         )
-        if self.tag is not None:
-            op = self.tag(op)
         stream = self._partition_for(op)
         self._route[(pid, op_id)] = stream
         stream.invoke(op)
@@ -706,7 +700,6 @@ def check_history_streaming(
     window: int = DEFAULT_WINDOW,
     max_nodes_per_window: int = DEFAULT_MAX_NODES,
     max_configs: int = DEFAULT_MAX_CONFIGS,
-    tag: Optional[Callable[[OperationRecord], OperationRecord]] = None,
 ) -> StreamVerdict:
     """Stream a recorded history through :class:`StreamingLinChecker`.
 
@@ -720,7 +713,6 @@ def check_history_streaming(
         window=window,
         max_nodes_per_window=max_nodes_per_window,
         max_configs=max_configs,
-        tag=tag,
     )
     checker.feed_operations(operations)
     return checker.finish()

@@ -455,14 +455,14 @@ class LinExecutor(Executor):
         try:
             result = checker.check(ops)
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
-            # The spec's apply choked on an operation's shape: the
-            # history does not fit the spec (e.g. auditable-register
-            # reads must be tagged with tag_reads).  That is an input
+            # The spec's apply choked on an operation: the history
+            # does not fit the spec (e.g. a read by a pid missing from
+            # an auditable spec's reader_index).  That is an input
             # error, not a linearizability verdict.
             raise SpecError(
                 f"spec {spec!r} cannot apply this history "
                 f"({type(exc).__name__}: {exc}); auditable specs need "
-                "reads tagged with repro.analysis.tag_reads"
+                "every reading pid in their reader_index"
             ) from None
         status = result.status
         return {

@@ -20,8 +20,6 @@ from repro.analysis import (
     check_value_sequence,
     snapshot_spec,
     strip_version,
-    tag_ops_with_pid,
-    tag_reads,
 )
 from repro.analysis.fastlin import LIN_OK, check_history
 from repro.workloads.generators import (
@@ -70,10 +68,7 @@ def register_sweep_task(
     # A budget-starved (undecided) search counts as a failure here: a
     # sweep verdict must never report a history it could not verify as
     # linearizable (the pre-fastlin checker raised instead).
-    lin_fail = (
-        check_history(tag_reads(history.operations()), spec).status
-        != LIN_OK
-    )
+    lin_fail = check_history(history.operations(), spec).status != LIN_OK
     return {
         "lin_fail": lin_fail,
         "audit_fail": audit_fail,
@@ -109,10 +104,7 @@ def snapshot_sweep_task(
     spec = snapshot_spec(
         workload.components, 0, built.updater_index, built.scanner_index
     )
-    lin_fail = (
-        check_history(tag_ops_with_pid(history.operations()), spec).status
-        != LIN_OK
-    )
+    lin_fail = check_history(history.operations(), spec).status != LIN_OK
     audit_fail = bool(check_audit_exactness(
         history, built.register.M, lift=strip_version
     ))

@@ -278,7 +278,7 @@ class CoverageSampler(ScheduleSampler):
         return decision
 
 
-class FaultSampler(ScheduleSampler):
+class FaultSampler(UniformSampler):
     """Uniform scheduling under a per-run random fault rate.
 
     ``begin_run`` draws the run's fault pressure from its seed --
@@ -309,16 +309,6 @@ class FaultSampler(ScheduleSampler):
         self.fault_rate = (
             self._rng.randint(1, self.max_rate_per_10k) / 10_000.0
         )
-
-    def choose(self, steppable, crashable, step_index,
-               fingerprint=None, faultable=None):
-        crash = self._maybe_crash(crashable)
-        if crash is not None:
-            return crash
-        fault = self._maybe_fault(faultable)
-        if fault is not None:
-            return fault
-        return (STEP, self._rng.choice(list(steppable)))
 
 
 def _sampler_builders() -> Dict[str, Callable[..., ScheduleSampler]]:

@@ -24,7 +24,6 @@ from repro.analysis import (
     first_divergence,
     projections_equal,
     strip_version,
-    tag_reads,
     versioned_spec,
 )
 from repro.attacks import (
@@ -583,9 +582,7 @@ def run_e8(seeds=range(30)) -> ExperimentResult:
             sim.add_program("a", [auditor.audit_op()])
             history = sim.run()
             spec = versioned_spec(tspec, reader_index)
-            result = check_history(
-                tag_reads(history.operations()), spec
-            )
+            result = check_history(history.operations(), spec)
             # Undecided counts as a failure: the claim asserts every
             # execution *verified* linearizable.
             if result.status != LIN_OK:

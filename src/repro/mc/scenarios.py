@@ -173,16 +173,27 @@ def check_tracking_ciphertext(history, reg):
     return problems
 
 
-def register_scenario_check(sim, reg):
-    """Theorem 8 / Lemma 5 oracle for one complete Alg. 1 execution."""
+def _lin_verdict(result):
+    """A fastlin result as a scenario verdict.  An undecided search is
+    surfaced as a violation so a budget-starved check cannot be mistaken
+    for a verified interleaving."""
+    if result.undecided:
+        return "linearizability undecided (node budget exhausted)"
+    if not result.ok:
+        return "not linearizable"
+    return None
+
+
+def _auditable_check(sim, reg, make_spec, initial, monotone):
+    """Audit exactness, the Lemma 7 and phase invariants, and
+    linearizability against ``make_spec(initial, reader_index)``, for
+    one complete execution of an Alg. 1 or Alg. 2 register."""
     from repro.analysis import (
-        auditable_register_spec as _spec,
         check_audit_exactness,
         check_fetch_xor_uniqueness,
         check_history,
         check_phase_structure,
         check_value_sequence,
-        tag_reads as _tag,
     )
 
     # A post-hoc audit after every explored interleaving: Lemma 5 says
@@ -196,22 +207,24 @@ def register_scenario_check(sim, reg):
         check_audit_exactness(history, reg)
         + check_phase_structure(history, reg)
         + check_fetch_xor_uniqueness(history, reg)
-        + check_value_sequence(history, reg)
+        + check_value_sequence(history, reg, monotone=monotone)
         + check_tracking_ciphertext(history, reg)
     )
     if problems:
         return "; ".join(str(p) for p in problems)
     reader_index = {f"r{j}": j for j in range(reg.num_readers)}
-    result = check_history(
-        _tag(history.operations()), _spec(reg.initial, reader_index)
+    return _lin_verdict(check_history(
+        history.operations(), make_spec(initial, reader_index)
+    ))
+
+
+def register_scenario_check(sim, reg):
+    """Theorem 8 / Lemma 5 oracle for one complete Alg. 1 execution."""
+    from repro.analysis import auditable_register_spec
+
+    return _auditable_check(
+        sim, reg, auditable_register_spec, reg.initial, False
     )
-    if result.undecided:
-        # Surfaced as a verdict so a budget-starved check cannot be
-        # mistaken for a verified interleaving.
-        return "linearizability undecided (node budget exhausted)"
-    if not result.ok:
-        return "not linearizable"
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -244,38 +257,9 @@ def max_scenario_factory(readers, writers, values=(5, 3)):
 
 def max_scenario_check(sim, reg):
     """Theorem 40 oracle for one complete Alg. 2 execution."""
-    from repro.analysis import (
-        auditable_max_register_spec as _spec,
-        check_audit_exactness,
-        check_fetch_xor_uniqueness,
-        check_history,
-        check_phase_structure,
-        check_value_sequence,
-        tag_reads as _tag,
-    )
+    from repro.analysis import auditable_max_register_spec
 
-    post = reg.auditor(sim.spawn(f"post-auditor-{sim.steps_taken}"))
-    sim.add_program(post.pid, [post.audit_op()])
-    sim.run_process(post.pid)
-    history = sim.history
-    problems = (
-        check_audit_exactness(history, reg)
-        + check_phase_structure(history, reg)
-        + check_fetch_xor_uniqueness(history, reg)
-        + check_value_sequence(history, reg, monotone=True)
-        + check_tracking_ciphertext(history, reg)
-    )
-    if problems:
-        return "; ".join(str(p) for p in problems)
-    reader_index = {f"r{j}": j for j in range(reg.num_readers)}
-    result = check_history(
-        _tag(history.operations()), _spec(0, reader_index)
-    )
-    if result.undecided:
-        return "linearizability undecided (node budget exhausted)"
-    if not result.ok:
-        return "not linearizable"
-    return None
+    return _auditable_check(sim, reg, auditable_max_register_spec, 0, True)
 
 
 # ----------------------------------------------------------------------
@@ -329,14 +313,14 @@ def buggy_counter_factory(incrementers=2, noise_readers=0, noise_ops=2):
     return factory
 
 
-def buggy_counter_check(sim, counter):
-    """Fastlin oracle: the post-hoc read must see every update."""
+def _read_back_check(sim, obj, names, spec):
+    """Fastlin oracle: a post-hoc read of ``obj``, then the history's
+    ``names`` ops checked against ``spec``."""
     from repro.analysis.fastlin import check_history
-    from repro.analysis.specs import counter_object_spec
     from repro.sim.process import Op
 
     def read_back():
-        value = yield from counter.read()
+        value = yield from obj.read()
         return value
 
     pid = f"post-reader-{sim.steps_taken}"
@@ -346,14 +330,18 @@ def buggy_counter_check(sim, counter):
     ops = [
         op
         for op in sim.history.complete_operations()
-        if op.name in ("update", "read")
+        if op.name in names
     ]
-    result = check_history(ops, counter_object_spec())
-    if result.undecided:
-        return "linearizability undecided (node budget exhausted)"
-    if not result.ok:
-        return "not linearizable"
-    return None
+    return _lin_verdict(check_history(ops, spec))
+
+
+def buggy_counter_check(sim, counter):
+    """Fastlin oracle: the post-hoc read must see every update."""
+    from repro.analysis.specs import counter_object_spec
+
+    return _read_back_check(
+        sim, counter, ("update", "read"), counter_object_spec()
+    )
 
 
 def buggy_maxreg_factory(values=(5, 3), noise_readers=0, noise_ops=2):
@@ -396,29 +384,11 @@ def buggy_maxreg_factory(values=(5, 3), noise_readers=0, noise_ops=2):
 
 def buggy_maxreg_check(sim, reg):
     """Fastlin oracle against the max-register spec."""
-    from repro.analysis.fastlin import check_history
     from repro.analysis.specs import max_register_spec
-    from repro.sim.process import Op
 
-    def read_back():
-        value = yield from reg.read()
-        return value
-
-    pid = f"post-reader-{sim.steps_taken}"
-    sim.spawn(pid)
-    sim.add_program(pid, [Op("read", read_back)])
-    sim.run_process(pid)
-    ops = [
-        op
-        for op in sim.history.complete_operations()
-        if op.name in ("write_max", "read")
-    ]
-    result = check_history(ops, max_register_spec(0))
-    if result.undecided:
-        return "linearizability undecided (node budget exhausted)"
-    if not result.ok:
-        return "not linearizable"
-    return None
+    return _read_back_check(
+        sim, reg, ("write_max", "read"), max_register_spec(0)
+    )
 
 
 @register_scenario("buggy-counter")

@@ -48,8 +48,6 @@ from repro.analysis.specs import (
     stream_max_register_spec,
     stream_register_spec,
     stream_snapshot_spec,
-    tag_pid_op,
-    tag_read_op,
 )
 from repro.analysis.streamlin import (
     DEFAULT_WINDOW,
@@ -66,7 +64,6 @@ from repro.faults import chaos_plan, parse_fault_families
 from repro.rt.process_runtime import FaultPlan, PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
 from repro.sim.event_log import JsonlEventSink, iter_event_log
-from repro.sim.history import OperationRecord
 
 STRESS_OBJECTS = ("register", "max", "snapshot", "naive")
 STRESS_RUNTIMES = ("thread", "process")
@@ -529,10 +526,9 @@ def _build(
 class StreamValidator:
     """One streaming pass producing *both* verdicts of a run.
 
-    Holds ``(spec, tag, oracle)``: each event feeds the incremental
-    :class:`~repro.analysis.streamlin.StreamingLinChecker` (``spec``,
-    with ``tag`` applied to each operation at invocation) and, when an
-    ``oracle`` is given, the
+    Holds ``(spec, oracle)``: each event feeds the incremental
+    :class:`~repro.analysis.streamlin.StreamingLinChecker` (``spec``)
+    and, when an ``oracle`` is given, the
     :class:`~repro.analysis.audit_checks.WindowedAuditOracle`
     simultaneously.  It works identically over a buffered history, a
     live runtime stream (``online=True``) or a replayed event log
@@ -544,13 +540,12 @@ class StreamValidator:
         self,
         spec: SeqSpec,
         *,
-        tag: Optional[Callable[[OperationRecord], OperationRecord]] = None,
         oracle: Optional[WindowedAuditOracle] = None,
         max_nodes: int = DEFAULT_MAX_NODES,
         window: int = DEFAULT_WINDOW,
     ) -> None:
         self.checker = StreamingLinChecker(
-            spec, window=window, max_nodes_per_window=max_nodes, tag=tag
+            spec, window=window, max_nodes_per_window=max_nodes
         )
         self.oracle = oracle
         # Bound once: a runtime tap calls ``feed`` for every event.
@@ -605,7 +600,7 @@ def validator_from_meta(
 ) -> StreamValidator:
     """The :class:`StreamValidator` of the stress run ``meta`` (a
     :func:`stress_meta`, e.g. a log's hello line) describes: its
-    streaming spec and tag, plus the windowed audit oracle where it
+    streaming spec, plus the windowed audit oracle where it
     applies.  ``window`` defaults to the meta's.
 
     The object is rebuilt deterministically from the build arguments;
@@ -637,7 +632,6 @@ def validator_from_meta(
     if object_kind == "snapshot":
         return StreamValidator(
             stream_snapshot_spec(reg.components, 0, index_of("updater")),
-            tag=tag_pid_op,
             oracle=windowed_audit_oracle(
                 reg.M, lift=strip_version, window=window
             ),
@@ -650,7 +644,6 @@ def validator_from_meta(
         # baseline's bounded scales.
         return StreamValidator(
             auditable_register_spec("v0", index_of("reader")),
-            tag=tag_read_op,
             max_nodes=max_nodes, window=window,
         )
     spec = (

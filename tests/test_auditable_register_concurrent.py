@@ -15,7 +15,6 @@ from repro.analysis import (
     check_phase_structure,
     check_value_sequence,
     phase_intervals,
-    tag_reads,
 )
 from repro.sim.scheduler import ReplaySchedule
 from repro.workloads.generators import RegisterWorkload, build_register_system
@@ -40,7 +39,7 @@ class TestRandomExecutions:
             seed, reads_per_reader=3, writes_per_writer=2
         )
         spec = auditable_register_spec("v0", built.reader_index)
-        assert check_history(tag_reads(history.operations()), spec).ok
+        assert check_history(history.operations(), spec).ok
 
     @pytest.mark.parametrize("seed", range(25))
     def test_structural_invariants(self, seed):
@@ -218,4 +217,4 @@ class TestReplayedSchedules:
         history = sim.run()
         assert check_audit_exactness(history, reg) == []
         spec = auditable_register_spec("v0", {"r0": 0})
-        assert check_history(tag_reads(history.operations()), spec).ok
+        assert check_history(history.operations(), spec).ok

@@ -11,7 +11,6 @@ from repro.analysis import (
     check_history,
     snapshot_spec,
     strip_version,
-    tag_ops_with_pid,
 )
 from repro.sim.events import Response
 from repro.workloads.generators import (
@@ -109,9 +108,7 @@ class TestConcurrent:
             workload.components, 0,
             built.updater_index, built.scanner_index,
         )
-        assert check_history(
-            tag_ops_with_pid(history.operations()), spec
-        ).ok
+        assert check_history(history.operations(), spec).ok
 
     @pytest.mark.parametrize("substrate", ["afek", "atomic"])
     def test_substrates_equivalent(self, substrate):
@@ -124,9 +121,7 @@ class TestConcurrent:
             spec = snapshot_spec(
                 2, 0, built.updater_index, built.scanner_index
             )
-            assert check_history(
-                tag_ops_with_pid(history.operations()), spec
-            ).ok
+            assert check_history(history.operations(), spec).ok
 
     @pytest.mark.parametrize("seed", range(8))
     def test_scans_see_monotone_versions(self, seed):

@@ -70,16 +70,16 @@ def history_files(tmp_path_factory):
         json.dumps([op_to_payload(o) for o in wide]) + "\n",
         encoding="utf-8",
     )
-    # An ok history, then an auditable-register history whose read was
-    # never tagged with its reader (tag_reads): the spec cannot apply it.
-    untagged = root / "untagged.jsonl"
-    untagged.write_text(ok.read_text(encoding="utf-8") + json.dumps({
-        "history": [op_to_payload(op("r0", 0, "read", (), 0, 1, "v0"))],
+    # An ok history, then an auditable-register history read by a pid
+    # its reader_index does not name: the spec cannot apply it.
+    unindexed = root / "unindexed.jsonl"
+    unindexed.write_text(ok.read_text(encoding="utf-8") + json.dumps({
+        "history": [op_to_payload(op("r1", 0, "read", (), 0, 1, "v0"))],
         "spec": "auditable_register",
         "spec_params": {"initial": "v0", "reader_index": {"r0": 0}},
     }) + "\n", encoding="utf-8")
     return {"ok": str(ok), "bad": str(bad), "undecided": str(undecided),
-            "untagged": str(untagged)}
+            "unindexed": str(unindexed)}
 
 
 # One row per (subcommand, situation).  Each argv is chosen to be the
@@ -173,17 +173,58 @@ class TestLinExitCodes:
         self, history_files, workers, capsys
     ):
         assert run_main([
-            "lin", history_files["untagged"], "--workers", workers,
+            "lin", history_files["unindexed"], "--workers", workers,
         ]) == 2
         err = capsys.readouterr().err
         assert "point 1 of section 'lin'" in err
-        assert "IndexError" in err and "tag_reads" in err
+        assert "KeyError" in err and "reader_index" in err
         assert "Traceback" not in err
+
+    def test_histories_as_recorded_pass(self, tmp_path, capsys):
+        """60 E2 auditable-register histories as recorded -- reads
+        carry no args, the spec sees each reader's pid -- in one lin
+        section: every point is linearizable."""
+        from repro.analysis.fastlin import op_to_payload
+        from repro.workloads.generators import (
+            RegisterWorkload,
+            build_register_system,
+        )
+
+        shapes = [
+            dict(num_readers=1, num_writers=1, num_auditors=1,
+                 reads_per_reader=3, writes_per_writer=3,
+                 audits_per_auditor=2),
+            dict(num_readers=2, num_writers=2, num_auditors=1,
+                 reads_per_reader=3, writes_per_writer=2,
+                 audits_per_auditor=2),
+            dict(num_readers=3, num_writers=2, num_auditors=1,
+                 reads_per_reader=2, writes_per_writer=2,
+                 audits_per_auditor=1),
+        ]
+        lines = []
+        for shape in shapes:
+            for seed in range(20):
+                built = build_register_system(
+                    RegisterWorkload(seed=seed, **shape)
+                )
+                ops = built.run().operations()
+                lines.append(json.dumps({
+                    "history": [op_to_payload(o) for o in ops],
+                    "spec": "auditable_register",
+                    "spec_params": {"initial": "v0",
+                                    "reader_index": built.reader_index},
+                }))
+        path = tmp_path / "e2.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_main(["lin", str(path), "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] 60 histories" in out
+        assert "0 not linearizable, 0 undecided" in out
 
     def test_campaign_lin_section_the_spec_cannot_apply_is_2(
         self, history_files, tmp_path, capsys
     ):
-        with open(history_files["untagged"], encoding="utf-8") as handle:
+        with open(history_files["unindexed"], encoding="utf-8") as handle:
             histories = [json.loads(line) for line in handle]
         spec = tmp_path / "lin.json"
         spec.write_text(json.dumps({"sections": [

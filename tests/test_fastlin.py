@@ -34,8 +34,6 @@ from repro.analysis.specs import (
     register_array_spec,
     register_spec,
     snapshot_spec,
-    tag_ops_with_pid,
-    tag_reads,
     versioned_spec,
 )
 from repro.sim.events import CrashEvent, PrimitiveEvent, Response
@@ -142,7 +140,7 @@ def assert_valid_order(ops, spec, result):
     state = spec.initial
     for o in result.order:
         result_value = o.result if o.is_complete else PENDING
-        state = spec.apply(state, o.name, o.args, result_value)
+        state = spec.apply(state, o.name, o.args, result_value, o.pid)
         assert state is not None, f"spec rejected witness op {o}"
 
 
@@ -349,7 +347,7 @@ class TestPartitioning:
             built.scanner_index,
         )
         assert spec.partition_key is None
-        ops = tag_ops_with_pid(history.operations())
+        ops = history.operations()
         fast = check_history(ops, spec)
         assert fast.partitions == 1
         assert fast.ok == legacy_check_history(ops, spec).ok == True  # noqa: E712
@@ -373,7 +371,7 @@ class TestPartitioning:
         history = sim.run()
         spec = versioned_spec(tspec, reader_index)
         assert spec.partition_key is None
-        ops = tag_reads(history.operations())
+        ops = history.operations()
         fast = check_history(ops, spec)
         assert fast.partitions == 1
         assert fast.ok == legacy_check_history(ops, spec).ok == True  # noqa: E712

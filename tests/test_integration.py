@@ -17,7 +17,6 @@ from repro.analysis import (
     check_history,
     check_phase_structure,
     effective_reads,
-    tag_reads,
 )
 from repro.core import AuditableSnapshot
 
@@ -154,4 +153,4 @@ class TestLongRunning:
         sim.add_program("a0", [handles["a0"].audit_op() for _ in range(2)])
         history = sim.run()
         spec = auditable_register_spec("v0", {"r0": 0, "r1": 1})
-        assert check_history(tag_reads(history.operations()), spec).ok
+        assert check_history(history.operations(), spec).ok

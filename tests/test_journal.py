@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AuditableVersioned, Simulation, journal_spec
-from repro.analysis import check_history, tag_reads, versioned_spec
+from repro.analysis import check_history, versioned_spec
 from repro.sim.scheduler import RandomSchedule
 
 
@@ -77,7 +77,7 @@ class TestAuditableJournal:
         sim.add_program("a", [auditor.audit_op()])
         history = sim.run()
         spec = versioned_spec(journal_spec(), {"r0": 0, "r1": 1})
-        assert check_history(tag_reads(history.operations()), spec).ok
+        assert check_history(history.operations(), spec).ok
 
     def test_reader_views_are_prefix_ordered(self):
         # One reader's successive views grow monotonically (versions

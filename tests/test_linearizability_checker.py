@@ -131,7 +131,7 @@ class TestSearchBehaviour:
         spec = SeqSpec(
             "set",
             frozenset(),
-            lambda state, name, args, result: state | {args[0]}
+            lambda state, name, args, result, pid: state | {args[0]}
             if name == "add"
             else (state if result is PENDING or result == state else None),
         )

@@ -9,7 +9,6 @@ from repro.analysis import (
     check_history,
     check_phase_structure,
     check_value_sequence,
-    tag_reads,
 )
 from repro.crypto.nonce import ZeroNonceSource
 from repro.workloads.generators import (
@@ -118,7 +117,7 @@ class TestConcurrentExecutions:
         )
         history = built.run()
         spec = auditable_max_register_spec(0, built.reader_index)
-        assert check_history(tag_reads(history.operations()), spec).ok
+        assert check_history(history.operations(), spec).ok
 
     @pytest.mark.parametrize("substrate", ["atomic", "cas"])
     def test_substrate_ablation_equivalent_results(self, substrate):

@@ -22,7 +22,6 @@ from repro.analysis import (
     auditable_register_spec,
     check_audit_exactness,
     check_history,
-    tag_reads,
 )
 from repro.crypto.nonce import NonceSource
 from repro.crypto.pad import OneTimePadSequence
@@ -193,7 +192,7 @@ def test_thread_runtime_concurrent_register_is_safe(seed):
     built = build_register_system(workload, runtime="thread")
     history = built.run()
     spec = auditable_register_spec(workload.initial, built.reader_index)
-    assert check_history(tag_reads(history.operations()), spec).ok
+    assert check_history(history.operations(), spec).ok
     assert not check_audit_exactness(history, built.register)
     # every program ran to completion
     assert not history.pending_operations()

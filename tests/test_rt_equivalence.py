@@ -36,7 +36,6 @@ from repro.analysis import (
     auditable_register_spec,
     check_audit_exactness,
     check_history,
-    tag_reads,
 )
 from repro.core.auditable_register import AuditableRegister
 from repro.crypto.pad import OneTimePadSequence
@@ -126,7 +125,7 @@ def test_single_process_oracle_verdicts_identical(seed):
     for kind in ("sim", "thread", "process"):
         _, reg, reader_index, history = _run_backend(kind, seed)
         spec = auditable_register_spec("v0", reader_index)
-        lin = check_history(tag_reads(history.operations()), spec).ok
+        lin = check_history(history.operations(), spec).ok
         audit = not check_audit_exactness(history, reg)
         verdicts[kind] = (lin, audit)
     assert verdicts["sim"] == verdicts["thread"] == verdicts["process"]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import PENDING, SeqSpec, check_history
-from repro.analysis.specs import tag_ops_with_pid
 from repro.sim.process import Op
 from repro.sim.runner import Simulation
 from repro.sim.scheduler import RandomSchedule
@@ -17,9 +16,9 @@ from repro.substrates.snapshot import (
 def plain_snapshot_spec(components, initial, updater_index):
     """Sequential spec of a plain (non-auditable) snapshot."""
 
-    def apply(state, op_name, args, result):
+    def apply(state, op_name, args, result, pid):
         if op_name == "update":
-            # Substrate updates carry (component, value) args (+ pid tag).
+            # Substrate updates carry (component, value) args.
             i, value = args[0], args[1]
             return state[:i] + (value,) + state[i + 1:]
         if op_name == "scan":
@@ -97,7 +96,7 @@ class TestAfekLinearizability:
         snap = AfekSnapshot("S", 2, initial=0)
         history, updater_index = run_random_workload(snap, seed)
         spec = plain_snapshot_spec(2, 0, updater_index)
-        ops = tag_ops_with_pid(history.operations())
+        ops = history.operations()
         assert check_history(ops, spec).ok
 
     @pytest.mark.parametrize("seed", range(10))
@@ -107,7 +106,7 @@ class TestAfekLinearizability:
             snap, seed, updates=1, scans=2
         )
         spec = plain_snapshot_spec(3, 0, updater_index)
-        ops = tag_ops_with_pid(history.operations())
+        ops = history.operations()
         assert check_history(ops, spec).ok
 
 

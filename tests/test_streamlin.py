@@ -558,7 +558,7 @@ def _partitioned_and_whole_verdicts(events, meta):
     other = validator_from_meta(meta)
     whole = StreamValidator(
         replace(other.checker.spec, partition_key=None),
-        tag=other.checker.tag, oracle=other.oracle,
+        oracle=other.oracle,
     )
     verdicts = []
     for validator in (partitioned, whole):

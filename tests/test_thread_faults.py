@@ -19,7 +19,6 @@ from repro.analysis import (
     auditable_register_spec,
     check_audit_exactness,
     check_history,
-    tag_reads,
 )
 from repro.faults import FAULT_FAMILIES, ScriptedFaultPlan, chaos_plan
 from repro.rt import ThreadRuntime, run_stress
@@ -52,7 +51,7 @@ def run_workload(plan, seed=0):
 
 def surviving_history_is_safe(built, history, workload):
     spec = auditable_register_spec(workload.initial, built.reader_index)
-    assert check_history(tag_reads(history.operations()), spec).ok
+    assert check_history(history.operations(), spec).ok
     assert not check_audit_exactness(history, built.register)
 
 

@@ -4,7 +4,7 @@
 import pytest
 
 from repro import Simulation
-from repro.analysis import check_history, tag_reads, versioned_spec
+from repro.analysis import check_history, versioned_spec
 from repro.core.versioned import (
     AtomicVersionedObject,
     AuditableVersioned,
@@ -111,7 +111,7 @@ class TestAuditableCounter:
         sim.add_program("a", [auditor.audit_op()])
         history = sim.run()
         spec = versioned_spec(counter_spec(), reader_index)
-        assert check_history(tag_reads(history.operations()), spec).ok
+        assert check_history(history.operations(), spec).ok
 
 
 class TestAuditableKV:
@@ -149,7 +149,7 @@ class TestAuditableLogicalClock:
         sim.add_program("a", [auditor.audit_op()])
         history = sim.run()
         spec = versioned_spec(logical_clock_spec(), reader_index)
-        assert check_history(tag_reads(history.operations()), spec).ok
+        assert check_history(history.operations(), spec).ok
 
     def test_clock_monotone_for_one_reader(self):
         sim, obj, (r0, _), (u0, _), auditor = build_auditable(
