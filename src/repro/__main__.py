@@ -752,7 +752,12 @@ def _stress(argv) -> int:
 
     from repro.campaign import OutputOptions, executor_for
     from repro.engine.aggregate import EXIT_CODES
-    from repro.rt import STRESS_OBJECTS, STRESS_RUNTIMES, run_stress
+    from repro.rt import (
+        STRESS_OBJECTS,
+        STRESS_RUNTIMES,
+        WatchdogTimeout,
+        run_stress,
+    )
     from repro.rt.stress import supported_fault_families
 
     parser = argparse.ArgumentParser(
@@ -847,10 +852,9 @@ def _stress(argv) -> int:
     )
     parser.add_argument(
         "--join-watchdog", type=float, default=None, metavar="SECONDS",
-        help="report workers as hung once this long passes with no "
-        "operation completed (thread runtime) or past the expected end "
-        "(process runtime) (default 60; raise for process-runtime op "
-        "budgets that legitimately take minutes, 0 = wait forever)",
+        help="report workers as hung (exit 2, naming their pids) once "
+        "this long passes with no operation completed, on either "
+        "runtime (default 60, 0 = wait forever)",
     )
     OutputOptions.add_to_parser(
         parser,
@@ -927,6 +931,11 @@ def _stress(argv) -> int:
             ),
         )
     except ValueError as exc:
+        print(f"stress: {exc}", file=sys.stderr)
+        return 2
+    except WatchdogTimeout as exc:
+        # A hang is inconclusive, not a violation; the message names
+        # the stuck pids.
         print(f"stress: {exc}", file=sys.stderr)
         return 2
     print(report.render())

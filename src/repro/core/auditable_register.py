@@ -76,7 +76,9 @@ class AuditableRegister:
         self.SN = CasRegister(f"{name}.SN", 0)
         self.V = RegisterArray(f"{name}.V", default=BOTTOM)
         self.B = BitMatrix(f"{name}.B", width=num_readers)
-        self._reader_indices: Set[int] = set()
+        # Rebound, never mutated: a frozenset is shared by checkpoint
+        # snapshots instead of copied into each.
+        self._reader_indices: FrozenSet[int] = frozenset()
 
     # -- handle factories --------------------------------------------------
 
@@ -88,7 +90,7 @@ class AuditableRegister:
             )
         if index in self._reader_indices:
             raise ValueError(f"reader index {index} already taken")
-        self._reader_indices.add(index)
+        self._reader_indices = self._reader_indices | {index}
         return RegisterReader(self, process, index)
 
     def writer(self, process: ProcessRef) -> "RegisterWriter":

@@ -16,7 +16,7 @@
 """
 
 from repro.faults import FAULT_FAMILIES, chaos_plan, parse_fault_families
-from repro.rt.base import Runtime, make_runtime
+from repro.rt.base import Runtime, WatchdogTimeout, make_runtime
 from repro.rt.process_runtime import (
     CrashedByServer,
     FaultPlan,
@@ -57,6 +57,7 @@ __all__ = [
     "StressReport",
     "ThreadProcess",
     "ThreadRuntime",
+    "WatchdogTimeout",
     "build_stress_register",
     "chaos_plan",
     "make_runtime",

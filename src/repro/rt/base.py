@@ -41,6 +41,12 @@ from repro.sim.history import History
 from repro.sim.process import Op
 
 
+class WatchdogTimeout(RuntimeError):
+    """A runtime's watchdog gave up: no operation completed for
+    ``join_watchdog`` seconds.  The message names the processes still
+    running."""
+
+
 class Runtime(abc.ABC):
     """Abstract execution backend for the paper's algorithms.
 

@@ -2,11 +2,16 @@
 
 Each algorithm process runs in its own OS process — true multi-core
 parallelism past the GIL — and owns nothing but its operation
-generators.  Every shared-memory access crosses a message channel
-(multiprocessing pipes) to a single **memory-server process** that owns
-the authoritative base objects and the monotonically-indexed
+generators.  Every shared-memory access crosses a message channel to a
+single **memory-server process** that owns the authoritative base
+objects and the monotonically-indexed
 :class:`~repro.sim.history.History`, in the spirit of
 shared-memory-over-network systems (M&M systems, remote memory access).
+Each channel is a pair of framed pipes (:class:`Channel`): a message
+is one ``os.write`` of a length-prefixed pickle.  In those systems the
+cost of an access is one round trip, so the channel does nothing else
+per message (``multiprocessing.Connection`` builds a pickler per send
+and reads twice per receive).
 
 The two contracts of the model hold by construction:
 
@@ -76,11 +81,14 @@ arrival order.  Seeded schedule replay remains the simulator's job.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import re
 import select
+import struct
 import time
 import traceback
 from multiprocessing.connection import wait as wait_any
+from pickle import HIGHEST_PROTOCOL, dumps, loads
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults import (
@@ -92,7 +100,7 @@ from repro.faults import (
 )
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BaseObject
-from repro.rt.base import Runtime
+from repro.rt.base import Runtime, WatchdogTimeout
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
@@ -106,6 +114,7 @@ from repro.sim.scheduler import (
 )
 
 __all__ = [
+    "Channel",
     "CrashedByServer",
     "PrimitiveOmitted",
     "FaultPlan",
@@ -117,9 +126,87 @@ __all__ = [
     "DEFAULT_WATCHDOG",
 ]
 
-#: Default seconds granted past any --duration before a stuck worker,
-#: server or channel is declared hung and the run is torn down.
+#: Default seconds without a completed operation before the workers
+#: still running are declared hung and the run is torn down.
 DEFAULT_WATCHDOG = 60.0
+
+
+# -- the worker <-> server channel ---------------------------------------------
+
+_HEADER = struct.Struct("<I")
+#: First read of a frame; the rest of a longer frame is read exactly.
+_READ = 4096
+
+
+class Channel:
+    """One end of a framed duplex channel: a one-way pipe each way.
+
+    A message is a 4-byte length and its pickle, sent with one
+    ``os.write`` and read with ``os.read`` into a per-channel buffer.
+    This is the whole cost of a primitive's round trip, so it skips
+    what ``multiprocessing.Connection`` adds: a fresh pickler (and
+    copy of the copyreg dispatch table) per ``send``, two reads per
+    ``recv``.  End of file, even mid-frame, raises ``EOFError``.
+
+    The two wrapped ``Connection`` ends own the descriptors: they close
+    them, and they carry them across a ``spawn`` boundary when the
+    channel is pickled.  The server reads one frame per readiness
+    event, which is exact because a worker never has two frames in
+    flight: it waits for the reply to each request, and ``done`` is
+    its last frame.
+    """
+
+    def __init__(self, reader, writer) -> None:
+        self._ends = (reader, writer)
+        self._rfd = reader.fileno()
+        self._wfd = writer.fileno()
+        self._buf = b""
+
+    def __reduce__(self):
+        return Channel, self._ends
+
+    def fileno(self) -> int:
+        return self._rfd
+
+    def send(self, obj: Any) -> None:
+        data = dumps(obj, HIGHEST_PROTOCOL)
+        frame = _HEADER.pack(len(data)) + data
+        sent = os.write(self._wfd, frame)
+        if sent < len(frame):  # a frame larger than the pipe buffer
+            view = memoryview(frame)
+            while sent < len(frame):
+                sent += os.write(self._wfd, view[sent:])
+
+    def recv(self) -> Any:
+        buf = self._buf
+        while len(buf) < _HEADER.size:
+            chunk = os.read(self._rfd, _READ)
+            if not chunk:
+                raise EOFError
+            buf += chunk
+        end = _HEADER.size + _HEADER.unpack_from(buf)[0]
+        if len(buf) < end:
+            parts, have = [buf], len(buf)
+            while have < end:
+                chunk = os.read(self._rfd, end - have)
+                if not chunk:
+                    raise EOFError
+                parts.append(chunk)
+                have += len(chunk)
+            buf = b"".join(parts)
+        self._buf = buf[end:]
+        return loads(buf[_HEADER.size:end])
+
+    def close(self) -> None:
+        for end in self._ends:
+            end.close()
+
+
+def channel_pair(ctx) -> Tuple[Channel, Channel]:
+    """Two connected :class:`Channel` ends built from ``ctx``'s pipes."""
+    up_reader, up_writer = ctx.Pipe(duplex=False)
+    down_reader, down_writer = ctx.Pipe(duplex=False)
+    return Channel(down_reader, up_writer), Channel(up_reader, down_writer)
 
 
 class CrashedByServer(Exception):
@@ -242,7 +329,7 @@ def _worker_main(
         outbox.append(
             ("prim", pending.obj.name, pending.primitive, pending.args)
         )
-        conn.send(outbox[:])
+        conn.send(outbox)  # pickled at once: safe to clear
         del outbox[:]
         reply = conn.recv()
         if reply[0] == "ok":
@@ -345,6 +432,7 @@ def _server_main(
     faults: Optional[FaultPlan],
     event_sink=None,
     retain_history: bool = True,
+    progress=None,
 ) -> None:
     """Own the objects and the history; serve primitives serially.
 
@@ -355,6 +443,8 @@ def _server_main(
     only counters) — the event stream is then the sole record of the
     run.  A server that dies mid-run leaves the sink's log without its
     ``end`` marker, which consumers read as truncation (PARTIAL).
+    ``progress`` (a shared ``RawValue``) counts recorded responses: the
+    parent's watchdog reads it, so the server itself keeps no clock.
     """
     history = History()
     if event_sink is not None or not retain_history:
@@ -540,6 +630,8 @@ def _server_main(
                 elif tag == "resp":
                     _, op_id, name, result = message
                     history.record_response(pid, op_id, name, result)
+                    if progress is not None:
+                        progress.value += 1
                 elif tag == "done":
                     _, lats, err = message
                     latencies.extend(lats)
@@ -747,9 +839,11 @@ class ProcessRuntime(Runtime):
     def run(self, duration: Optional[float] = None) -> History:
         """Spawn the memory server and one worker per process; collect.
 
-        Every join and channel read is bounded by ``join_watchdog`` (on
-        top of ``duration``): a stuck worker or server is terminated
-        and reported by pid instead of hanging the harness.
+        Joins are bounded by progress, not by the clock: once a whole
+        ``join_watchdog``-long wait passes with no operation completed,
+        the workers still running are terminated and reported by pid in
+        a :class:`~repro.rt.base.WatchdogTimeout` instead of hanging
+        the harness.  Pass ``join_watchdog=None`` for unbounded joins.
         """
         pids = [pid for pid in self.processes if pid in self._specs]
         if not pids:
@@ -760,7 +854,7 @@ class ProcessRuntime(Runtime):
         worker_conns: Dict[str, Any] = {}
         workers: Dict[str, Any] = {}
         for pid in pids:
-            worker_end, server_end = ctx.Pipe(duplex=True)
+            worker_end, server_end = channel_pair(ctx)
             worker_conns[pid] = worker_end
             server_conns[pid] = server_end
             workers[pid] = ctx.Process(
@@ -773,11 +867,12 @@ class ProcessRuntime(Runtime):
                 daemon=True,
             )
         parent_conn, server_out = ctx.Pipe(duplex=False)
+        progress = ctx.RawValue("Q", 0)
         server = ctx.Process(
             target=_server_main,
             args=(
                 server_out, server_conns, self._build, self._build_args,
-                self.faults, self.event_log, self.retain_history,
+                self.faults, self.event_log, self.retain_history, progress,
             ),
             name="rt-memory-server",
             daemon=True,
@@ -801,30 +896,29 @@ class ProcessRuntime(Runtime):
                 ) from exc
             started = time.perf_counter()
             watchdog = self.join_watchdog
-            deadline = (
-                None if watchdog is None
-                else time.monotonic() + (duration or 0.0) + watchdog
-            )
             # Multiplex worker exits with the server's control pipe, so
             # a server-side failure (e.g. an unresolvable object) is
             # surfaced immediately instead of after the full watchdog.
+            # A wait that times out re-arms while the server's response
+            # count moved: a slow run that keeps completing operations
+            # is never cut.
             final = None
             pending = {w.sentinel: pid for pid, w in workers.items()}
+            seen = progress.value
             while pending:
                 waitees = list(pending)
                 if final is None:
                     waitees.append(parent_conn)
-                timeout = (
-                    None if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                )
-                ready = wait_any(waitees, timeout=timeout)
+                ready = wait_any(waitees, timeout=watchdog)
                 if not ready:
+                    if progress.value != seen:
+                        seen = progress.value
+                        continue
                     self.elapsed = time.perf_counter() - started
-                    raise RuntimeError(
+                    raise WatchdogTimeout(
                         f"process runtime: worker(s) "
-                        f"{sorted(pending.values())} still running after "
-                        f"the {watchdog:.0f}s watchdog; terminating"
+                        f"{sorted(pending.values())} completed no "
+                        f"operation for {watchdog:g}s; terminating"
                     )
                 for item in ready:
                     if item is parent_conn:

@@ -718,12 +718,11 @@ def run_stress(
     :data:`~repro.analysis.streamlin.DEFAULT_WINDOW`);
     ``record_latency=False`` drops the O(n) per-op latency samples,
     recommended for multi-minute bounded-memory runs.
-    ``join_watchdog`` bounds how long the thread runtime may go with no
-    operation completed, and how long past the expected end a
-    process-runtime worker may run, before the harness reports the
-    workers as hung (default 60s); raise it for process-runtime op
-    budgets that legitimately take minutes, or pass ``None`` for
-    unbounded joins.
+    ``join_watchdog`` bounds how long either runtime may go with no
+    operation completed before the harness reports the workers still
+    running as hung, in a :class:`~repro.rt.base.WatchdogTimeout`
+    (default 60s); a long run that keeps completing operations is
+    never cut.  Pass ``None`` for unbounded joins.
     """
     if ops is None and duration is None:
         raise ValueError("need an op budget (ops=) or a duration")

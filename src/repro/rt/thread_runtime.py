@@ -49,7 +49,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import ArrivalInterpreter, FaultPlan
-from repro.rt.base import Runtime
+from repro.rt.base import Runtime, WatchdogTimeout
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
@@ -218,9 +218,10 @@ class ThreadRuntime(Runtime):
         Joins are bounded by progress, not by the clock: once no
         operation has completed for ``join_watchdog`` seconds, the
         threads still running are reported by pid in a
-        :class:`RuntimeError` instead of hanging the harness forever.
-        A slow run that keeps completing operations is never cut.
-        Pass ``join_watchdog=None`` to restore unbounded joins.
+        :class:`~repro.rt.base.WatchdogTimeout` instead of hanging the
+        harness forever.  A slow run that keeps completing operations is
+        never cut.  Pass ``join_watchdog=None`` to restore unbounded
+        joins.
         """
         procs = list(self.processes.values())
         if not procs:
@@ -268,7 +269,7 @@ class ThreadRuntime(Runtime):
             # survivors to stop and surface who is hung rather than
             # blocking the harness forever.
             self._stop.set()
-            raise RuntimeError(
+            raise WatchdogTimeout(
                 f"thread runtime: thread(s) {stuck} completed no "
                 f"operation for {watchdog:g}s; likely deadlocked"
             )

@@ -347,7 +347,10 @@ class StateVault:
         for idx, obj in enumerate(self._objects):
             target = snap[idx] if idx < len(snap) else self._birth[idx]
             state = obj.__dict__
-            if state.keys() == target.keys():
+            # Snapshots omit the excluded keys, so compare without them.
+            drop = _excluded(type(obj))
+            keys = state.keys() - drop if drop else state.keys()
+            if keys == target.keys():
                 if all(map(is_, map(state.__getitem__, target),
                            target.values())):
                     # Every value already in place (shared immutables
@@ -355,8 +358,7 @@ class StateVault:
                     # loop below would reassign the same objects.
                     continue
             else:
-                drop = _excluded(type(obj))
-                for key in state.keys() - target.keys() - drop:
+                for key in keys - target.keys():
                     del state[key]
             for key, value in target.items():
                 # copy_value's fast paths inlined: this loop is the hot path.

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.core.auditable_register import AuditableRegister
 from repro.core.types import Nonced
 from repro.mc import explore
 from repro.mc.explorer import _Explorer
@@ -31,6 +32,7 @@ from repro.mc.scenarios import (
     register_scenario_factory,
     scenario_names,
 )
+from repro.memory.array import RegisterArray
 from repro.memory.base import BOTTOM
 from repro.memory.register import AtomicRegister
 from repro.memory.rword import RWord
@@ -196,6 +198,58 @@ class _FrozenList:
 class _SlottedPair:
     left: int
     right: object
+
+
+class _WriteCountingDict(dict):
+    """An instance ``__dict__`` that counts item assignments."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+class TestRestoreFastPath:
+    def test_unchanged_object_with_excluded_keys_is_skipped(self):
+        """Snapshots omit ``_vault_exclude`` keys, so restore compares
+        state without them: an array whose state is already in place is
+        not rewritten."""
+        array = RegisterArray("a")
+        array[3]  # a non-empty, excluded cell cache
+        vault = StateVault(Simulation(), roots=[array])
+        assert vault.index_of(array) is not None
+        snap = vault.snapshot()
+        array.__dict__ = spy = _WriteCountingDict(array.__dict__)
+        vault.restore(snap)
+        assert spy.writes == 0
+        assert array[3] is spy["_cells"][3]
+
+    def test_keys_added_after_the_snapshot_go_but_excluded_ones_stay(self):
+        array = RegisterArray("a")
+        cell = array[3]
+        vault = StateVault(Simulation(), roots=[array])
+        snap = vault.snapshot()
+        array.stray = 1
+        vault.restore(snap)
+        assert not hasattr(array, "stray")
+        assert array[3] is cell
+
+    def test_reader_indices_round_trip_by_identity(self):
+        """``_reader_indices`` is a frozenset that ``reader()`` rebinds,
+        so snapshots share it and restores put back the same object."""
+        sim = Simulation()
+        reg = AuditableRegister(2)
+        reg.reader(sim.spawn("r0"), 0)
+        before = reg._reader_indices
+        vault = StateVault(sim, roots=[reg])
+        snap = vault.snapshot()
+        assert snap[vault.index_of(reg)]["_reader_indices"] is before
+        vault.restore(snap)
+        assert reg._reader_indices is before == frozenset({0})
+        reg.reader(sim.spawn("r1"), 1)
+        vault.restore(snap)
+        assert reg._reader_indices is before
 
 
 class TestSharingRule:

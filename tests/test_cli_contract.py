@@ -150,6 +150,36 @@ def test_exit_code_contract(argv, expected, capsys):
     assert run_main(argv) == expected
 
 
+def test_stress_hang_exits_2_naming_the_stuck_pids(monkeypatch, capsys):
+    """A watchdog timeout is inconclusive, not a violation: exit 2, and
+    stderr names the stuck pid instead of a traceback."""
+    import threading
+
+    import repro.rt
+    from repro.rt import ThreadRuntime
+    from repro.sim.process import Op
+
+    release = threading.Event()
+
+    def stuck():
+        release.wait()
+        return None
+        yield  # pragma: no cover - makes this a generator function
+
+    def hung_run_stress(**kwargs):
+        rt = ThreadRuntime(join_watchdog=0.2)
+        rt.add_program("w0", [Op("stuck", stuck)])
+        rt.run()
+
+    monkeypatch.setattr(repro.rt, "run_stress", hung_run_stress)
+    try:
+        assert run_main(["stress", "--threads", "2", "--ops", "2"]) == 2
+    finally:
+        release.set()  # let the daemon thread exit
+    err = capsys.readouterr().err
+    assert "['w0']" in err and "Traceback" not in err
+
+
 def test_lin_negative_workers_is_a_usage_error(history_files, capsys):
     """On a valid input, too: argparse refuses it before any run."""
     assert run_main(["lin", history_files["ok"], "--workers", "-2"]) == 2

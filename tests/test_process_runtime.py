@@ -15,7 +15,9 @@ method (and defeat the point of the API).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import threading
 import time
 
 import pytest
@@ -218,6 +220,77 @@ def test_reply_before_record_keeps_each_process_in_protocol_order(tmp_path):
                     duplicates += 1
         assert open_op is None and completed == ops - 1
     assert duplicates > 0
+
+
+# -- the framed channel ------------------------------------------------------
+
+
+def test_channel_frames_round_trip_and_share_one_read():
+    """Frames queued back to back come out one per ``recv``, in order,
+    even when one read pulled in several of them."""
+    worker, server = process_runtime.channel_pair(multiprocessing.get_context())
+    try:
+        worker.send([("inv", 0, "read", ())])
+        worker.send(("prim", "m", "read", ()))
+        assert server.recv() == [("inv", 0, "read", ())]
+        assert server.recv() == ("prim", "m", "read", ())
+        server.send(("ok", 7))
+        assert worker.recv() == ("ok", 7)
+    finally:
+        worker.close()
+        server.close()
+
+
+def test_channel_carries_a_frame_larger_than_the_pipe_buffer():
+    """A ``done`` batch of 100k latency tuples (over 1 MB, far past the
+    pipe buffer) arrives intact."""
+    worker, server = process_runtime.channel_pair(multiprocessing.get_context())
+    batch = [("done", [("r0", "read", k * 1e-6) for k in range(100_000)], None)]
+    assert len(pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)) > 1 << 20
+    # The writer blocks until the reader drains the pipe: send from a
+    # thread, read here.
+    sender = threading.Thread(target=worker.send, args=(batch,))
+    sender.start()
+    try:
+        assert server.recv() == batch
+    finally:
+        sender.join(30)
+        worker.close()
+        server.close()
+
+
+def test_a_peer_that_closes_mid_frame_is_reported_not_waited_for():
+    """The server reads a frame cut short by its peer's exit as a closed
+    channel: it records "channel closed before 'done'" and finishes."""
+    ctx = multiprocessing.get_context()
+    worker, server = process_runtime.channel_pair(ctx)
+    result, out = ctx.Pipe(duplex=False)
+    os.write(worker._wfd, b"\x64\x00\x00\x00partial")
+    worker.close()
+    process_runtime._server_main(out, {"p": server}, _build_main, (), None)
+    verdict, payload = result.recv()
+    result.close()
+    server.close()
+    assert verdict == "ok"
+    assert payload["errors"] == [("p", "channel closed before 'done'")]
+
+
+@pytest.mark.parametrize("method", _START_METHODS)
+def test_faulted_online_stress_passes_under_each_start_method(
+    method, monkeypatch
+):
+    """Channels cross both start-method boundaries: a 2-worker online
+    stress under every fault family passes under fork and spawn."""
+    monkeypatch.setattr(
+        ProcessRuntime, "_context",
+        lambda self: multiprocessing.get_context(method),
+    )
+    report = run_stress(
+        "register", threads=2, ops=30, seed=5, runtime="process",
+        faults="crash,recover,omit,dup,delay,partition", fault_rate=500,
+        online=True, record_latency=False,
+    )
+    assert recorded_verdict(report.lin_status, report.audit_ok) == PASS
 
 
 # -- the object registry -----------------------------------------------------

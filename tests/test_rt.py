@@ -27,16 +27,20 @@ from repro.crypto.nonce import NonceSource
 from repro.crypto.pad import OneTimePadSequence
 from repro.faults import ScriptedFaultPlan
 from repro.harness.experiments import run_e1, run_e6
+from repro.memory.register import CasRegister
 from repro.rt import (
+    ProcessRuntime,
     Runtime,
     SimRuntime,
     ThreadRuntime,
+    WatchdogTimeout,
     make_runtime,
     percentile_summary,
     run_stress,
     split_threads,
 )
 from repro.sim.history import CrashEvent
+from repro.sim.process import Op
 from repro.sim.runner import Simulation
 from repro.sim.scheduler import CrashDecision
 from repro.workloads.generators import (
@@ -142,7 +146,7 @@ def test_thread_runtime_watchdog_surfaces_stuck_pid():
     rt.spawn("sleeper")
     rt.add_program("sleeper", [Op("stuck", stuck)])
     try:
-        with pytest.raises(RuntimeError, match="sleeper"):
+        with pytest.raises(WatchdogTimeout, match=r"\['sleeper'\]"):
             rt.run()
     finally:
         release.set()  # let the daemon thread exit cleanly
@@ -162,6 +166,52 @@ def test_thread_runtime_watchdog_lets_a_slow_run_finish():
     rt = ThreadRuntime(join_watchdog=0.3)
     rt.spawn("slow")
     rt.add_program("slow", [Op("slow", slow) for _ in range(25)])
+    history = rt.run()
+    assert rt.elapsed > 1.0
+    assert len(history.complete_operations()) == 25
+
+
+# Process-runtime programs are module-level factories: workers rebuild
+# them on their side of the process boundary.
+
+
+def _build_cas():
+    return CasRegister("c", 0)
+
+
+def _stuck_factory(reg, pid):
+    def stuck():
+        time.sleep(60)  # the watchdog terminates the worker first
+        return (yield from reg.read())
+
+    return [Op("stuck", stuck)]
+
+
+def _slow_factory(reg, pid):
+    def slow():
+        time.sleep(0.05)
+        return (yield from reg.read())
+
+    return [Op("slow", slow) for _ in range(25)]
+
+
+def test_process_runtime_watchdog_surfaces_stuck_pid():
+    """A hung worker process must raise (naming the pid) and be
+    terminated, not hang the harness forever."""
+    rt = ProcessRuntime(_build_cas, join_watchdog=0.3)
+    rt.add_program_factory("sleeper", _stuck_factory)
+    start = time.perf_counter()
+    with pytest.raises(WatchdogTimeout, match=r"\['sleeper'\]"):
+        rt.run()
+    assert time.perf_counter() - start < 30
+
+
+def test_process_runtime_watchdog_lets_a_slow_run_finish():
+    """The watchdog judges progress, not the clock: a worker process
+    that completes an operation every 50 ms for well over a second
+    finishes under a 0.3 s watchdog."""
+    rt = ProcessRuntime(_build_cas, join_watchdog=0.3)
+    rt.add_program_factory("slow", _slow_factory)
     history = rt.run()
     assert rt.elapsed > 1.0
     assert len(history.complete_operations()) == 25
