@@ -49,7 +49,6 @@ from repro.crypto import NonceSource, OneTimePadSequence
 from repro.engine import (
     EngineReport,
     ExecutionTask,
-    ParallelSweep,
     derive_seed,
     make_tasks,
     run_tasks,
@@ -57,7 +56,6 @@ from repro.engine import (
 from repro.memory import BOTTOM
 from repro.rt import (
     Runtime,
-    SimRuntime,
     StressReport,
     ThreadRuntime,
     make_runtime,
@@ -91,7 +89,6 @@ __all__ = [
     "NonceSource",
     "OneTimePadSequence",
     "Op",
-    "ParallelSweep",
     "PrioritySchedule",
     "Process",
     "RandomSchedule",
@@ -99,7 +96,6 @@ __all__ = [
     "RoundRobinSchedule",
     "Runtime",
     "Schedule",
-    "SimRuntime",
     "Simulation",
     "StressReport",
     "ThreadRuntime",

@@ -177,7 +177,6 @@ def _sweep(argv) -> int:
     from repro.campaign import EngineOptions, OutputOptions, run_section
     from repro.engine.aggregate import EXIT_CODES, aggregate_counts
     from repro.harness.tables import render_table
-    from repro.workloads.sweeps import Sweep
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -254,10 +253,11 @@ def _sweep(argv) -> int:
         progress=progress,
     )
 
-    grid = Sweep({axis.name: axis.values for axis in section.axes})
-
     def point_label(record):
-        return grid.point_name(record["params"]["point"])
+        point = record["params"]["point"]
+        return ",".join(
+            f"{axis.name}={point[axis.name]}" for axis in section.axes
+        )
 
     check_fields = ("lin_fail", "audit_fail")
     if args.object == "register":

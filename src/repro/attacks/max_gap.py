@@ -46,10 +46,6 @@ class GapTrial:
     outcome: AttackOutcome
     certain: bool  # attacker had a proof, not a guess
 
-    @property
-    def certain_and_correct(self) -> bool:
-        return self.certain and self.outcome.correct
-
 
 @dataclass
 class GapAttackResult:

@@ -127,11 +127,6 @@ class Section:
         self.params.update(values)
         return self
 
-    def seed_list(self, *seeds: int) -> "Section":
-        """Run every crossed combination under these seeds (chainable)."""
-        self.seeds = self._check_seeds(seeds)
-        return self
-
     # -- crossing ----------------------------------------------------------
 
     def combinations(self) -> List[Dict[str, Any]]:

@@ -18,7 +18,6 @@ from repro.engine.aggregate import aggregate_counts, total
 from repro.engine.engine import (
     EngineReport,
     ExecutionTask,
-    ParallelSweep,
     encode_record,
     make_tasks,
     run_tasks,
@@ -29,7 +28,6 @@ from repro.engine.tasks import register_sweep_task, snapshot_sweep_task
 __all__ = [
     "EngineReport",
     "ExecutionTask",
-    "ParallelSweep",
     "aggregate_counts",
     "derive_seed",
     "encode_record",

@@ -307,49 +307,3 @@ def run_tasks(
         elapsed=time.perf_counter() - start,
         checkpoint=checkpoint,
     )
-
-
-# -- sweep facade ----------------------------------------------------------
-
-def _apply_point(fn: Callable[..., Any], seed: int, **params: Any) -> Any:
-    """Adapter: grid-only sweep functions do not take a seed."""
-    return fn(**params)
-
-
-@dataclass
-class ParallelSweep:
-    """Parallel counterpart of :func:`repro.workloads.sweeps.sweep`.
-
-    Runs ``fn(**point)`` over the grid through the execution engine and
-    returns the same ``(point, result)`` pairs as the serial ``sweep``,
-    in the same order.  ``fn`` must be a module-level callable when
-    ``workers > 1``.
-    """
-
-    fn: Callable[..., Any]
-    axes: Mapping[str, Sequence[Any]]
-    workers: int = 1
-    checkpoint: Optional[str] = None
-    resume: bool = True
-    progress: Optional[ProgressFn] = None
-
-    def tasks(self) -> List[ExecutionTask]:
-        from repro.workloads.sweeps import Sweep
-
-        return make_tasks(Sweep(dict(self.axes)).points())
-
-    def run(self) -> List[Tuple[Dict[str, Any], Any]]:
-        import functools
-
-        report = run_tasks(
-            functools.partial(_apply_point, self.fn),
-            self.tasks(),
-            workers=self.workers,
-            checkpoint=self.checkpoint,
-            resume=self.resume,
-            progress=self.progress,
-        )
-        return [
-            (record["params"], record["payload"])
-            for record in report.records
-        ]

@@ -2,8 +2,8 @@
 
 - :class:`Runtime` — the interface (spawn processes, apply primitives
   atomically, record history); see :mod:`repro.rt.base`.
-- :class:`SimRuntime` — thin adapter over the deterministic simulator;
-  byte-identical histories (:mod:`repro.rt.sim_runtime`).
+- :class:`~repro.sim.runner.Simulation` — the deterministic simulator,
+  a registered :class:`Runtime` (``make_runtime("sim")``).
 - :class:`ThreadRuntime` — one real OS thread per process, per-object
   locks around :meth:`~repro.memory.base.BaseObject.apply`, thread-safe
   monotonically-indexed history (:mod:`repro.rt.thread_runtime`).
@@ -27,7 +27,6 @@ from repro.rt.process_runtime import (
     ScriptedFaultPlan,
     SeededFaultPlan,
 )
-from repro.rt.sim_runtime import SimRuntime
 from repro.rt.stress import (
     STRESS_OBJECTS,
     STRESS_RUNTIMES,
@@ -53,7 +52,6 @@ __all__ = [
     "STRESS_RUNTIMES",
     "ScriptedFaultPlan",
     "SeededFaultPlan",
-    "SimRuntime",
     "StressReport",
     "ThreadProcess",
     "ThreadRuntime",

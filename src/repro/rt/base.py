@@ -16,9 +16,9 @@ yielded primitive atomically, and records a monotonically-indexed
 history that the analysis oracles (linearizability, audit exactness,
 effectiveness) consume unchanged.  Three backends ship:
 
-- :class:`~repro.rt.sim_runtime.SimRuntime` — the deterministic
-  single-threaded simulator (:mod:`repro.sim`), byte-identical to
-  driving a :class:`~repro.sim.runner.Simulation` directly;
+- :class:`~repro.sim.runner.Simulation` — the deterministic
+  single-threaded simulator (:mod:`repro.sim`), registered as a
+  :class:`Runtime` below;
 - :class:`~repro.rt.thread_runtime.ThreadRuntime` — one real OS thread
   per process, primitives serialized by per-object locks, history
   indices allocated under a dedicated history lock;
@@ -39,6 +39,8 @@ from typing import Any, List, Optional
 
 from repro.sim.history import History
 from repro.sim.process import Op
+from repro.sim.runner import Simulation
+from repro.sim.scheduler import schedule_from_seed
 
 
 class WatchdogTimeout(RuntimeError):
@@ -81,6 +83,12 @@ class Runtime(abc.ABC):
         """Primitives applied so far (one step = one primitive)."""
 
 
+# The simulator honours the contract as it stands; its extra control
+# surface (step, crash, run_process, ...) serves the experiment drivers
+# and attacks that place steps precisely.
+Runtime.register(Simulation)
+
+
 def make_runtime(
     kind: str = "sim",
     *,
@@ -95,16 +103,17 @@ def make_runtime(
 ) -> Runtime:
     """Construct a runtime backend by name.
 
-    ``schedule``/``seed``/``max_steps`` configure the simulator backend
-    (``seed`` selects a :class:`~repro.sim.scheduler.RandomSchedule`
-    when no explicit schedule is given).  The thread and process
-    backends take interleavings from the OS, so those options are
-    accepted but ignored for them — callers can pass one configuration
-    to any backend.  ``build``/``build_args`` configure the process
-    backend (the picklable system builder every process replays).
-    ``faults`` arms a :class:`~repro.faults.FaultPlan` on the thread or
-    process backend; the simulator rejects it, since its faults are
-    schedule decisions (``schedule=``).
+    ``schedule``/``seed``/``max_steps`` configure the simulator backend,
+    a :class:`~repro.sim.runner.Simulation` (without a ``schedule``, it
+    takes :func:`~repro.sim.scheduler.schedule_from_seed`'s).  The
+    thread and process backends take interleavings from the OS, so
+    those options are accepted but ignored for them — callers can pass
+    one configuration to any backend.  ``build``/``build_args``
+    configure the process backend (the picklable system builder every
+    process replays).  ``faults`` arms a
+    :class:`~repro.faults.FaultPlan` on the thread or process backend;
+    the simulator rejects it, since its faults are schedule decisions
+    (``schedule=``).
 
     ``event_log`` streams every recorded history event to a JSONL file
     (the :mod:`repro.sim.event_log` wire format) on any backend;
@@ -114,19 +123,15 @@ def make_runtime(
     """
     runtime: Runtime
     if kind == "sim":
-        from repro.rt.sim_runtime import SimRuntime
-        from repro.sim.runner import Simulation
-        from repro.sim.scheduler import RandomSchedule
-
         if faults is not None:
             raise ValueError(
                 "the simulator takes faults through its schedule seam "
                 "(a Schedule returning fault decisions), not faults="
             )
-        if schedule is None and seed is not None:
-            schedule = RandomSchedule(seed)
+        if schedule is None:
+            schedule = schedule_from_seed(seed)
         kwargs = {} if max_steps is None else {"max_steps": max_steps}
-        runtime = SimRuntime(Simulation(schedule=schedule, **kwargs))
+        runtime = Simulation(schedule=schedule, **kwargs)
     elif kind == "thread":
         from repro.rt.thread_runtime import ThreadRuntime
 

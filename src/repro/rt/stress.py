@@ -601,7 +601,9 @@ def validator_from_meta(
     """The :class:`StreamValidator` of the stress run ``meta`` (a
     :func:`stress_meta`, e.g. a log's hello line) describes: its
     streaming spec, plus the windowed audit oracle where it
-    applies.  ``window`` defaults to the meta's.
+    applies.  ``window`` defaults to the meta's.  A roster with no
+    auditor gets no oracle: it judges only audit responses, so it
+    could find nothing, yet it would keep every (reader, value) pair.
 
     The object is rebuilt deterministically from the build arguments;
     replicas are build-arg stable, so the audit oracle's register name
@@ -634,7 +636,7 @@ def validator_from_meta(
             stream_snapshot_spec(reg.components, 0, index_of("updater")),
             oracle=windowed_audit_oracle(
                 reg.M, lift=strip_version, window=window
-            ),
+            ) if a else None,
             max_nodes=max_nodes, window=window,
         )
     if object_kind == "naive":
@@ -652,7 +654,7 @@ def validator_from_meta(
     )
     return StreamValidator(
         spec,
-        oracle=windowed_audit_oracle(reg, window=window),
+        oracle=windowed_audit_oracle(reg, window=window) if a else None,
         max_nodes=max_nodes, window=window,
     )
 

@@ -79,10 +79,6 @@ class PendingPrimitive:
     primitive: str
     args: Tuple[Any, ...] = ()
 
-    def describe(self) -> str:
-        name = getattr(self.obj, "name", repr(self.obj))
-        return f"{name}.{self.primitive}{self.args!r}"
-
 
 @_direct_init
 @dataclass(frozen=True)

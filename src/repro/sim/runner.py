@@ -107,6 +107,9 @@ class StepBudgetExceeded(RuntimeError):
 class Simulation:
     """A shared-memory system: a set of processes and a schedule."""
 
+    #: The :class:`repro.rt.Runtime` backend discriminator.
+    kind = "sim"
+
     def __init__(
         self,
         schedule: Optional[Schedule] = None,

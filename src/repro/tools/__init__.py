@@ -1,10 +1,11 @@
 """Developer tooling over recorded histories.
 
-- :mod:`repro.tools.trace` -- JSON export of histories (for diffing,
-  archiving, or external analysis) and an ASCII operation timeline
-  showing concurrency and linearization-relevant steps at a glance.
+- :mod:`repro.tools.trace` -- an ASCII operation timeline showing
+  concurrency and linearization-relevant steps at a glance.  The
+  round-trippable record of a run is its JSONL event log
+  (:mod:`repro.sim.event_log`).
 """
 
-from repro.tools.trace import history_to_dict, render_timeline, save_history
+from repro.tools.trace import render_timeline
 
-__all__ = ["history_to_dict", "render_timeline", "save_history"]
+__all__ = ["render_timeline"]

@@ -1,10 +1,8 @@
-"""History export and visualisation.
+"""History visualisation.
 
-``history_to_dict`` serialises a recorded execution to plain JSON-able
-data (values are rendered with ``repr`` so arbitrary Python values
-survive); ``render_timeline`` draws operations as intervals over the
-global step axis, which makes concurrency windows -- and therefore
-linearization freedom -- visible at a glance:
+``render_timeline`` draws operations as intervals over the global step
+axis, which makes concurrency windows -- and therefore linearization
+freedom -- visible at a glance:
 
     steps       0         1         2
                 0123456789012345678901234567
@@ -18,79 +16,9 @@ R CAS, fetch&xor, R read).
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional
 
-from repro.sim.events import CrashEvent, Invocation, PrimitiveEvent, Response
 from repro.sim.history import History
-
-
-def history_to_dict(history: History) -> Dict[str, Any]:
-    """A JSON-able rendering of the full event log."""
-    events: List[Dict[str, Any]] = []
-    for event in history.events:
-        if isinstance(event, Invocation):
-            events.append({
-                "type": "invoke",
-                "index": event.index,
-                "pid": event.pid,
-                "op_id": event.op_id,
-                "op": event.op_name,
-                "args": [repr(a) for a in event.args],
-            })
-        elif isinstance(event, Response):
-            events.append({
-                "type": "response",
-                "index": event.index,
-                "pid": event.pid,
-                "op_id": event.op_id,
-                "op": event.op_name,
-                "result": repr(event.result),
-            })
-        elif isinstance(event, PrimitiveEvent):
-            events.append({
-                "type": "primitive",
-                "index": event.index,
-                "pid": event.pid,
-                "op_id": event.op_id,
-                "object": event.obj_name,
-                "primitive": event.primitive,
-                "args": [repr(a) for a in event.args],
-                "result": repr(event.result),
-            })
-        elif isinstance(event, CrashEvent):
-            events.append({
-                "type": "crash",
-                "index": event.index,
-                "pid": event.pid,
-            })
-    operations = [
-        {
-            "pid": op.pid,
-            "op_id": op.op_id,
-            "name": op.name,
-            "args": [repr(a) for a in op.args],
-            "result": repr(op.result) if op.is_complete else None,
-            "invoke_index": op.invoke_index,
-            "response_index": op.response_index,
-            "primitives": len(op.primitives),
-        }
-        for op in history.operations()
-    ]
-    return {"events": events, "operations": operations}
-
-
-def save_history(history: History, path: str) -> None:
-    """Write the JSON export to ``path``."""
-    with open(path, "w") as handle:
-        json.dump(history_to_dict(history), handle, indent=2)
-
-
-_MARKERS = {
-    ("compare_and_swap", True): "W",  # successful install
-    ("fetch_xor", None): "X",
-    ("read", None): "A",
-}
 
 
 def _marker_for(op, register_r_name: Optional[str]) -> Optional[int]:

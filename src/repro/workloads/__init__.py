@@ -1,4 +1,4 @@
-"""Workload generation and parameter sweeps for the experiments."""
+"""Seeded workload builders for the experiments."""
 
 from repro.workloads.generators import (
     RegisterWorkload,
@@ -7,14 +7,11 @@ from repro.workloads.generators import (
     build_register_system,
     build_snapshot_system,
 )
-from repro.workloads.sweeps import Sweep, sweep
 
 __all__ = [
     "RegisterWorkload",
     "SnapshotWorkload",
-    "Sweep",
     "build_max_register_system",
     "build_register_system",
     "build_snapshot_system",
-    "sweep",
 ]

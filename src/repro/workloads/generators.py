@@ -7,8 +7,8 @@ Every experiment builds a system from a :class:`RegisterWorkload`
 The builders return a :class:`BuiltSystem` exposing the host runtime,
 the shared object and the handle/index maps the analysis tooling needs
 (reader pid -> reader index, etc.).  ``runtime=`` selects the execution
-backend: the default (``None``) is the deterministic simulator, exactly
-as before; ``"thread"`` (or any :class:`repro.rt.Runtime` instance)
+backend: the default (``None``, or ``"sim"``) is the deterministic
+simulator; ``"thread"`` (or any :class:`repro.rt.Runtime` instance)
 runs the same workload under the thread runtime — reproducibility of
 *values* (write inputs, pads, nonces) is preserved, interleavings come
 from the OS.
@@ -36,10 +36,10 @@ def _runtime_host(
 ) -> Any:
     """Resolve a builder's ``runtime=`` argument to a host.
 
-    ``None`` keeps the historical direct-:class:`Simulation` path (so
-    existing experiments remain byte-identical); a string goes through
-    :func:`repro.rt.make_runtime`; anything else is assumed to already
-    be a runtime.
+    ``None`` builds a :class:`Simulation` on ``schedule``; a string
+    goes through :func:`repro.rt.make_runtime` (``"sim"`` builds the
+    same kind of object); anything else is assumed to already be a
+    runtime.
     """
     if runtime is None:
         return Simulation(schedule=schedule)
@@ -77,10 +77,10 @@ class RegisterWorkload:
 
 @dataclass
 class BuiltSystem:
-    # ``sim`` is the host the programs were loaded into: a plain
-    # Simulation on the default path, or any runtime backend (every
-    # backend exposes run()/history/steps_taken; the simulator adapter
-    # additionally forwards step()/crash() etc.).
+    # ``sim`` is the host the programs were loaded into: a Simulation
+    # (the default, or ``runtime="sim"``) or any other runtime backend
+    # (every backend exposes run()/history/steps_taken; only the
+    # Simulation offers step()/crash() etc.).
     sim: Any
     register: Any
     reader_index: Dict[str, int] = field(default_factory=dict)

@@ -150,6 +150,20 @@ def test_exit_code_contract(argv, expected, capsys):
     assert run_main(argv) == expected
 
 
+@pytest.mark.parametrize("argv,labels", [
+    (["sweep", "--smoke"], ["num_readers=1,num_writers=1"]),
+    (["sweep", "--object", "snapshot", "--seeds", "1", "--workers", "1"],
+     ["substrate=afek", "substrate=atomic"]),
+], ids=["register", "snapshot"])
+def test_sweep_rows_are_labelled_axis_equals_value(argv, labels, capsys):
+    """One table row per grid point, labelled ``axis=value,...`` in the
+    section's axis order."""
+    assert run_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[2:lines.index("")]  # below the header and its rule
+    assert [row.split()[0] for row in rows] == labels
+
+
 def test_stress_hang_exits_2_naming_the_stuck_pids(monkeypatch, capsys):
     """A watchdog timeout is inconclusive, not a violation: exit 2, and
     stderr names the stuck pid instead of a traceback."""

@@ -13,7 +13,6 @@ import pytest
 
 from repro.engine import (
     ExecutionTask,
-    ParallelSweep,
     aggregate_counts,
     derive_seed,
     encode_record,
@@ -23,18 +22,12 @@ from repro.engine import (
     run_tasks,
     total,
 )
-from repro.workloads.sweeps import Sweep, sweep
 
 
 def echo_task(seed, scale=1):
     """Module-level so worker processes can unpickle it."""
     rng = random.Random(seed)
     return {"value": rng.randrange(1000) * scale}
-
-
-def product_point(a, b):
-    """Module-level grid function for ParallelSweep."""
-    return a * b
 
 
 # -- seed derivation -------------------------------------------------------
@@ -176,40 +169,6 @@ class TestReporting:
         assert total(report.records, "value") == (
             rows[0]["value"] + rows[1]["value"]
         )
-
-
-# -- the sweep facade ------------------------------------------------------
-
-class TestParallelSweep:
-    GRID = {"a": [2, 3], "b": [10, 20]}
-
-    def test_matches_serial_sweep(self):
-        serial = sweep(product_point, self.GRID)
-        engine = ParallelSweep(product_point, self.GRID, workers=1).run()
-        assert engine == serial
-
-    def test_matches_under_worker_pool(self):
-        engine = ParallelSweep(product_point, self.GRID, workers=2).run()
-        assert engine == sweep(product_point, self.GRID)
-
-
-class TestSweepHelpers:
-    def test_named_points_are_stable_labels(self):
-        grid = Sweep({"m": [1, 2], "w": [5]})
-        names = [name for name, _ in grid.named_points()]
-        assert names == ["m=1,w=5", "m=2,w=5"]
-        assert grid.point_name({"m": 2, "w": 5}) == "m=2,w=5"
-
-    def test_sweep_progress_callback(self):
-        seen = []
-        sweep(
-            product_point,
-            {"a": [1, 2], "b": [3]},
-            progress=lambda done, total, point, result: seen.append(
-                (done, total, result)
-            ),
-        )
-        assert seen == [(1, 2, 3), (2, 2, 6)]
 
 
 # -- experiment drivers through the engine ---------------------------------

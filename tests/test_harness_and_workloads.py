@@ -11,7 +11,6 @@ from repro.workloads.generators import (
     build_register_system,
     build_snapshot_system,
 )
-from repro.workloads.sweeps import Sweep, sweep
 
 
 class TestTables:
@@ -127,15 +126,3 @@ class TestWorkloadBuilders:
         history = built.run()
         assert history.pending_operations() == []
         assert built.updater_index and built.scanner_index
-
-
-class TestSweeps:
-    def test_grid_points(self):
-        grid = Sweep({"a": [1, 2], "b": ["x", "y", "z"]})
-        assert len(grid) == 6
-        assert {"a": 2, "b": "z"} in grid.points()
-
-    def test_sweep_runs_function(self):
-        results = sweep(lambda a, b: a * b, {"a": [2, 3], "b": [10]})
-        assert ({"a": 2, "b": 10}, 20) in results
-        assert ({"a": 3, "b": 10}, 30) in results

@@ -31,7 +31,6 @@ from repro.memory.register import CasRegister
 from repro.rt import (
     ProcessRuntime,
     Runtime,
-    SimRuntime,
     ThreadRuntime,
     WatchdogTimeout,
     make_runtime,
@@ -55,7 +54,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_make_runtime_kinds():
-    assert isinstance(make_runtime("sim"), SimRuntime)
+    assert isinstance(make_runtime("sim"), Simulation)
+    assert make_runtime("sim").kind == "sim"
     assert isinstance(make_runtime("thread"), ThreadRuntime)
     assert isinstance(make_runtime("sim"), Runtime)
     assert isinstance(make_runtime("thread"), Runtime)
@@ -82,23 +82,13 @@ def test_make_runtime_arms_faults_on_thread_and_rejects_them_on_sim():
 
 
 def test_sim_runtime_is_byte_identical_to_direct_simulation():
-    """The adapter adds nothing: same workload, same event log."""
+    """``runtime="sim"`` builds the same Simulation as the default:
+    same workload, same event log."""
     workload = RegisterWorkload(seed=11)
     direct = build_register_system(workload).run()
-    adapted = build_register_system(workload, runtime="sim")
-    assert isinstance(adapted.sim, SimRuntime)
-    assert list(adapted.run()) == list(direct)
-
-
-def test_sim_runtime_forwards_control_surface():
-    rt = SimRuntime()
-    assert isinstance(rt.simulation, Simulation)
-    rt.spawn("p")
-    assert rt.processes["p"].pid == "p"
-    assert rt.steps_taken == 0
-    assert rt.runnable() == []
-    with pytest.raises(ValueError):
-        rt.spawn("p")
+    built = build_register_system(workload, runtime="sim")
+    assert isinstance(built.sim, Simulation)
+    assert list(built.run()) == list(direct)
 
 
 def test_thread_runtime_rejects_duplicate_pids():
@@ -430,6 +420,31 @@ def test_cli_stress_acceptance_command(capsys):
     out = capsys.readouterr().out
     assert "[PASS] history linearizable" in out
     assert "[PASS] audit exactness" in out
+
+
+@pytest.mark.parametrize("runtime", ["thread", "process"])
+def test_cli_stress_without_auditors_builds_no_audit_oracle(
+    runtime, tmp_path, capsys
+):
+    """The audit oracle judges only audit responses: a roster with no
+    auditor gets none, so no audit line and no resident pairs, while
+    an auditor-bearing run is still judged."""
+    import json
+
+    out_file = tmp_path / "stress.jsonl"
+    for threads in ("2", "3"):
+        assert cli_main([
+            "stress", "--threads", threads, "--ops", "30", "--online",
+            "--runtime", runtime, "--out", str(out_file),
+        ]) == 0
+    bare_out, audited_out = capsys.readouterr().out.split("== stress")[1:]
+    bare, audited = map(json.loads, out_file.read_text().splitlines())
+    assert bare["auditors"] == 0 and bare["audit_ok"] is None
+    assert "audit_resident_pairs" not in bare["stream"]
+    assert "audit exactness" not in bare_out
+    assert audited["auditors"] == 1 and audited["audit_ok"] is True
+    assert audited["stream"]["audits_checked"] == 30
+    assert "[PASS] audit exactness (30 audits" in audited_out
 
 
 def test_cli_stress_writes_jsonl_record(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: SimRuntime vs ThreadRuntime vs ProcessRuntime.
+"""Cross-backend equivalence: Simulation vs ThreadRuntime vs ProcessRuntime.
 
 The runtime seam promises that algorithm code observes the same
 primitive-memory interface on every backend.  For a *single-threaded*
@@ -47,7 +47,6 @@ from repro.rt import (
     PidRef,
     ProcessRuntime,
     ScriptedFaultPlan,
-    SimRuntime,
     ThreadRuntime,
     make_runtime,
 )
@@ -325,7 +324,7 @@ def _primitive_trace_process(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_primitive_results_match_across_backends(seed):
     """fetch&xor / CAS / swap return identical results on both backends."""
-    sim_result, sim_views = _primitive_trace(SimRuntime(), seed)
+    sim_result, sim_views = _primitive_trace(make_runtime("sim"), seed)
     thread_result, thread_views = _primitive_trace(ThreadRuntime(), seed)
     assert sim_result == thread_result
     assert sim_views == thread_views
@@ -334,7 +333,7 @@ def test_primitive_results_match_across_backends(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_primitive_results_match_on_process_backend(seed):
     """The same traces replay identically over the message channel."""
-    sim_result, sim_views = _primitive_trace(SimRuntime(), seed)
+    sim_result, sim_views = _primitive_trace(make_runtime("sim"), seed)
     proc_result, proc_views = _primitive_trace_process(seed)
     assert sim_result == proc_result
     assert sim_views == proc_views

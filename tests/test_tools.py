@@ -1,11 +1,9 @@
-"""Tests for the trace export and timeline tools."""
-
-import json
-
-import pytest
+"""Tests for the event-log record and the timeline tool."""
 
 from repro import AuditableRegister, RandomSchedule, Simulation
-from repro.tools import history_to_dict, render_timeline, save_history
+from repro.sim.event_log import JsonlEventSink, load_event_log
+from repro.sim.events import CrashEvent, Invocation, PrimitiveEvent, Response
+from repro.tools import render_timeline
 
 
 def build_history(crash_reader=False):
@@ -24,37 +22,22 @@ def build_history(crash_reader=False):
     return sim.history, reg
 
 
-class TestExport:
-    def test_dict_roundtrips_through_json(self):
-        history, _ = build_history()
-        data = history_to_dict(history)
-        text = json.dumps(data)
-        assert json.loads(text) == data
+class TestEventLogRecord:
+    """The JSONL event log is the round-trippable record of a run."""
 
-    def test_event_and_operation_counts(self):
-        history, _ = build_history()
-        data = history_to_dict(history)
-        assert len(data["operations"]) == 3
-        primitives = [
-            e for e in data["events"] if e["type"] == "primitive"
-        ]
-        assert len(primitives) == len(history.primitive_events())
-
-    def test_crash_events_exported(self):
+    def test_every_event_kind_round_trips(self, tmp_path):
         history, _ = build_history(crash_reader=True)
-        data = history_to_dict(history)
-        assert any(e["type"] == "crash" for e in data["events"])
-        pending = [
-            op for op in data["operations"]
-            if op["response_index"] is None
-        ]
-        assert len(pending) == 1
-
-    def test_save_history(self, tmp_path):
-        history, _ = build_history()
-        path = tmp_path / "trace.json"
-        save_history(history, str(path))
-        assert json.loads(path.read_text())["operations"]
+        path = str(tmp_path / "run.jsonl")
+        sink = JsonlEventSink(path, meta={"seed": 4})
+        for event in history.events:
+            sink(event)
+        sink.close()
+        events, clean, meta = load_event_log(path)
+        assert clean and meta["seed"] == 4
+        assert events == list(history.events)
+        assert {type(event) for event in events} == {
+            Invocation, Response, PrimitiveEvent, CrashEvent,
+        }
 
 
 class TestTimeline:
