@@ -254,29 +254,21 @@ class StressExecutor(Executor):
     def validate_point(self, params: Dict[str, Any]) -> None:
         _require(params, "object", self.kind)
         _unknown(params, self._ALLOWED, self.kind)
-        from repro.rt import STRESS_OBJECTS, STRESS_RUNTIMES
-
-        if params["object"] not in STRESS_OBJECTS:
-            raise SpecError(f"unknown stress object {params['object']!r}")
-        runtime = params.get("runtime", "thread")
-        if runtime not in STRESS_RUNTIMES:
-            raise SpecError(f"unknown stress runtime {runtime!r}")
         ops = params.get("ops", 16)
         if not isinstance(ops, int) or ops < 1:
             raise SpecError(
                 "stress points need a bounded per-worker op budget "
                 "(ops >= 1); duration runs are not deterministic"
             )
-        from repro.rt.stress import check_fault_families, stress_roles
+        from repro.rt.stress import check_stress_options
 
         try:
-            stress_roles(
-                params["object"], params.get("threads", 4),
-                params.get("readers"), params.get("writers"),
-                params.get("auditors"),
+            check_stress_options(
+                params["object"], params.get("runtime", "thread"),
+                params.get("threads", 4), params.get("readers"),
+                params.get("writers"), params.get("auditors"), ops,
+                faults=params.get("faults") or None,
             )
-            if params.get("faults"):
-                check_fault_families(runtime, params["faults"])
         except ValueError as exc:
             raise SpecError(str(exc)) from None
 

@@ -35,7 +35,7 @@ sees an ordinary process with one extra pending operation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro._seeding import stable_hash, stable_hash_from, stable_prefix
 from repro.sim.scheduler import (
@@ -90,9 +90,22 @@ class ArrivalInterpreter:
     the requester; delay holds the requester's request; recover, dup
     and partition name their side-effect target.  ``plan.decide`` is
     looked up on every call, so a patched plan class sees every one.
+
+    Holding is ruled here too, on the same arrival clock.
+    :meth:`admit` rules as :meth:`arrive` does and holds the request
+    when it must wait; :meth:`release` returns the held requests now
+    due, which the runtime applies without a second ruling.  A delay
+    of ``k`` holds the requester's request until ``k`` further
+    arrivals.  A partition of ``k`` severs its pids for ``k`` arrivals,
+    its own included, and holds every request they make meanwhile
+    until they heal.  No timer: a delay is the adversary serving other
+    requests first, so once every live worker is blocked on a held
+    request nothing else can arrive, and all of them are released in
+    arrival order (every partition heals).  Under a single worker a
+    delay is therefore a no-op.
     """
 
-    __slots__ = ("plan", "families", "arrivals", "_doomed")
+    __slots__ = ("plan", "families", "arrivals", "held", "_doomed", "_severed")
 
     def __init__(self, plan: FaultPlan, families: Iterable[str]) -> None:
         self.plan = plan
@@ -100,7 +113,11 @@ class ArrivalInterpreter:
         #: Arrivals so far; omitted and held requests count too, so a
         #: scripted decision never re-fires on the victim's next one.
         self.arrivals = 0
+        #: Held ``(due, pid, request)`` in arrival order; ``due`` is
+        #: ``None`` while the request waits for ``pid`` to heal.
+        self.held: List[Tuple[Optional[int], str, Any]] = []
         self._doomed: set = set()
+        self._severed: Dict[str, int] = {}  # pid -> arrival it heals at
 
     def arrive(self, pid: str, obj_name: str, primitive: str) -> Optional[Any]:
         self.arrivals += 1
@@ -116,6 +133,44 @@ class ArrivalInterpreter:
         if decision.family == "omit" and decision.pid != pid:
             return None
         return decision
+
+    def admit(
+        self, pid: str, obj_name: str, primitive: str, request: Any
+    ) -> Tuple[Optional[Any], bool]:
+        """Rule on one arrival as :meth:`arrive` does; return the
+        decision and whether ``request`` is now held.  A crashed or
+        omitted request is never held."""
+        decision = self.arrive(pid, obj_name, primitive)
+        family = None if decision is None else decision.family
+        if family == "crash" or family == "omit":
+            return decision, False
+        severed = self._severed
+        if family == "partition":
+            heal = self.arrivals + decision.steps
+            for vpid in decision.pids:
+                severed[vpid] = max(severed.get(vpid, 0), heal)
+        if severed.get(pid, 0) > self.arrivals:
+            self.held.append((None, pid, request))
+        elif family == "delay":
+            self.held.append((self.arrivals + decision.steps, pid, request))
+        else:
+            return decision, False
+        return decision, True
+
+    def release(self, live: int) -> List[Any]:
+        """The held requests now due, in arrival order, given ``live``
+        running workers (held ones included)."""
+        severed, now = self._severed, self.arrivals
+        waiting = [
+            (severed.get(pid, 0) if due is None else due) > now
+            for due, pid, _ in self.held
+        ]
+        if sum(waiting) >= live:
+            severed.clear()
+            waiting = [False] * len(waiting)
+        pairs = list(zip(self.held, waiting))
+        self.held = [entry for entry, wait in pairs if wait]
+        return [entry[2] for entry, wait in pairs if not wait]
 
 
 #: A match pattern: (pid, obj_name, primitive), any field None = wildcard.

@@ -15,17 +15,21 @@
   ``python -m repro stress`` (:mod:`repro.rt.stress`).
 """
 
-from repro.faults import FAULT_FAMILIES, chaos_plan, parse_fault_families
+from repro.faults import (
+    FAULT_FAMILIES,
+    FaultPlan,
+    ScriptedFaultPlan,
+    SeededFaultPlan,
+    chaos_plan,
+    parse_fault_families,
+)
 from repro.rt.base import Runtime, WatchdogTimeout, make_runtime
 from repro.rt.process_runtime import (
     CrashedByServer,
-    FaultPlan,
     ObjectRegistry,
     PidRef,
     PrimitiveOmitted,
     ProcessRuntime,
-    ScriptedFaultPlan,
-    SeededFaultPlan,
 )
 from repro.rt.stress import (
     STRESS_OBJECTS,

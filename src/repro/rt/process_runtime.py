@@ -52,12 +52,11 @@ decision the fuzzer's schedule adversaries emit:
   the picklable ``build``/program factories; the crashed operation is
   skipped, later operations get fresh op ids), and when the run ends
   without one the server confirms it stays dead.
-- ``DelayDecision`` — hold the request while later-arriving messages
-  from other processes are served first (network delay/reorder).
-- ``PartitionDecision`` — park every request from the named pids until
-  ``steps`` further arrivals have been served; parked requests are
-  then applied in arrival order (a severed-then-healed network
-  segment).
+- ``DelayDecision`` and ``PartitionDecision`` — the interpreter holds
+  the request (a delayed one, or any from a severed pid) and later
+  hands it back for the server to apply, by the hold-and-release rule
+  on the arrival clock that :class:`~repro.faults.ArrivalInterpreter`
+  documents (network delay, reorder, a severed-then-healed segment).
 - ``DuplicateDecision`` — re-apply the named pid's most recently
   applied primitive and record the second application in the history;
   the worker never sees the duplicate's result.  The history keeps
@@ -66,12 +65,6 @@ decision the fuzzer's schedule adversaries emit:
 - ``OmitDecision`` — drop the requester's message: never applied,
   never recorded; the worker abandons the operation (it stays pending
   in the history) and continues with its next one.
-
-Held (delayed or parked) requests are released by an exact rule, with
-no timer: when they fall due, or as soon as every live worker is
-blocked on a held request — nothing else can arrive then, so all of
-them are served in arrival order.  A delay under a single worker is
-therefore an immediate no-op.
 
 Determinism matches the thread backend: values, pads and nonces replay
 from the seed; interleavings come from OS scheduling and message
@@ -91,13 +84,7 @@ from multiprocessing.connection import wait as wait_any
 from pickle import HIGHEST_PROTOCOL, dumps, loads
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.faults import (
-    FAULT_FAMILIES,
-    ArrivalInterpreter,
-    FaultPlan,
-    ScriptedFaultPlan,
-    SeededFaultPlan,
-)
+from repro.faults import FAULT_FAMILIES, ArrivalInterpreter, FaultPlan
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BaseObject
 from repro.rt.base import Runtime, WatchdogTimeout
@@ -106,10 +93,8 @@ from repro.sim.process import Op
 from repro.sim.runner import drive_op
 from repro.sim.scheduler import (
     CrashDecision,
-    DelayDecision,
     DuplicateDecision,
     OmitDecision,
-    PartitionDecision,
     RecoverDecision,
 )
 
@@ -117,9 +102,6 @@ __all__ = [
     "Channel",
     "CrashedByServer",
     "PrimitiveOmitted",
-    "FaultPlan",
-    "ScriptedFaultPlan",
-    "SeededFaultPlan",
     "ObjectRegistry",
     "PidRef",
     "ProcessRuntime",
@@ -475,16 +457,6 @@ def _server_main(
         # Most recent applied primitive per pid (op_id, obj_name,
         # primitive, args): what a DuplicateDecision re-delivers.
         last_applied: Dict[str, Tuple[int, str, str, Tuple[Any, ...]]] = {}
-        # Partitioned pids: pid -> last msgs index still severed; their
-        # requests are parked (conn, pid, message) in arrival order.
-        partitioned: Dict[str, int] = {}
-        parked: List[Tuple[Any, str, Tuple[Any, ...]]] = []
-        # Held (delayed) primitive requests: (release_at_msgs, conn,
-        # pid, message).  Released once enough later messages have been
-        # served, or as soon as every live worker is blocked on a held
-        # request (see the quiescence rule in the loop below).
-        delayed: List[Tuple[int, Any, str, Tuple[Any, ...]]] = []
-        msgs = 0
 
         def activate(conn, pid):
             nonlocal active_stale
@@ -546,80 +518,33 @@ def _server_main(
 
         def handle_prim(conn, pid, message):
             # The interpreter returns crash and omit only for the
-            # requester itself; recover, dup and partition act on their
-            # target, then this request proceeds.
-            decision = None
-            if interpreter is not None:
-                decision = interpreter.arrive(pid, message[1], message[2])
-            if decision is not None:
-                if isinstance(decision, CrashDecision):
-                    history.record_crash(pid, current_op.get(pid))
-                    crashed.append(pid)
-                    conn.send(("crash",))
-                    deactivate(conn)
-                    awaiting[pid] = conn
-                    return
-                if isinstance(decision, OmitDecision):
-                    conn.send(("omit",))
-                    return
-                if isinstance(decision, RecoverDecision):
-                    recover_pid(decision.pid)
-                elif isinstance(decision, DuplicateDecision):
-                    apply_duplicate(decision.pid)
-                elif isinstance(decision, PartitionDecision):
-                    heal_at = msgs + decision.steps
-                    for vpid in decision.pids:
-                        partitioned[vpid] = max(
-                            partitioned.get(vpid, 0), heal_at
-                        )
-            if pid in partitioned:
-                if partitioned[pid] >= msgs:
-                    parked.append((conn, pid, message))
-                    return
-                del partitioned[pid]
-            if isinstance(decision, DelayDecision):
-                delayed.append((msgs + decision.steps, conn, pid, message))
+            # requester itself; recover and dup act on their target,
+            # then this request proceeds unless the interpreter held it.
+            if interpreter is None:
+                apply_prim(conn, pid, message)
                 return
-            apply_prim(conn, pid, message)
-
-        def release_delayed(due_only: bool) -> None:
-            remaining = []
-            for entry in delayed:
-                if not due_only or entry[0] <= msgs:
-                    apply_prim(entry[1], entry[2], entry[3])
-                else:
-                    remaining.append(entry)
-            delayed[:] = remaining
-
-        def release_parked(due_only: bool) -> None:
-            # Heal partitions (all of them once every live worker is
-            # blocked on a held request) and serve parked requests in
-            # arrival order.  Like delayed requests, a healed request
-            # applies directly: the fault plan ruled on it at arrival.
-            if due_only:
-                still = {
-                    vpid: heal
-                    for vpid, heal in partitioned.items()
-                    if heal >= msgs
-                }
-            else:
-                still = {}
-            partitioned.clear()
-            partitioned.update(still)
-            if not parked:
+            decision, held = interpreter.admit(
+                pid, message[1], message[2], (conn, pid, message)
+            )
+            if isinstance(decision, CrashDecision):
+                history.record_crash(pid, current_op.get(pid))
+                crashed.append(pid)
+                conn.send(("crash",))
+                deactivate(conn)
+                awaiting[pid] = conn
                 return
-            remaining = []
-            for conn, vpid, message in parked:
-                if vpid in partitioned:
-                    remaining.append((conn, vpid, message))
-                else:
-                    apply_prim(conn, vpid, message)
-            parked[:] = remaining
+            if isinstance(decision, OmitDecision):
+                conn.send(("omit",))
+                return
+            if isinstance(decision, RecoverDecision):
+                recover_pid(decision.pid)
+            elif isinstance(decision, DuplicateDecision):
+                apply_duplicate(decision.pid)
+            if not held:
+                apply_prim(conn, pid, message)
 
         def handle_batch(conn, pid, batch) -> None:
-            nonlocal msgs
             for message in batch:
-                msgs += 1
                 tag = message[0]
                 if tag == "prim":
                     handle_prim(conn, pid, message)
@@ -647,16 +572,9 @@ def _server_main(
         # next pass does not.  Crashed workers sit in ``awaiting``
         # outside the poller; once every live worker finished, they are
         # told they stay dead and rejoin only to deliver their final
-        # batch.
-        #
-        # Held requests are released by an exact rule, never a timer:
-        # when they fall due, or as soon as every live worker is blocked
-        # on a held request.  A worker has at most one request in flight
-        # and stays in ``active`` while it is held, so the second case
-        # is an O(1) count.  Nothing else can arrive then, so releasing
-        # everything in arrival order is what any wait would end in.
-        # (``>=``, not ``==``: a held request whose channel then closed
-        # must not leave the poller blocked with no sender.)
+        # batch.  Before each wait the interpreter hands back the held
+        # requests now due; a held worker stays in ``active``, so
+        # ``len(active)`` is its count of live workers.
         while active or awaiting:
             if not active:
                 for rpid in list(awaiting):
@@ -668,15 +586,9 @@ def _server_main(
                     activate(rconn, rpid)
                 if not active:
                     break
-            if delayed:
-                release_delayed(due_only=True)
-            if partitioned or parked:
-                release_parked(due_only=True)
-            if len(delayed) + len(parked) >= len(active):
-                if delayed:
-                    release_delayed(due_only=False)
-                if partitioned or parked:
-                    release_parked(due_only=False)
+            if interpreter is not None and interpreter.held:
+                for request in interpreter.release(len(active)):
+                    apply_prim(*request)
             if active_stale:
                 poller = select.poll()
                 by_fd = {conn.fileno(): conn for conn in active}
@@ -695,8 +607,6 @@ def _server_main(
                     deactivate(conn)
                     continue
                 handle_batch(conn, pid, batch)
-        release_delayed(due_only=False)
-        release_parked(due_only=False)
         if event_sink is not None:
             event_sink.close()
         out_conn.send(("ok", {

@@ -60,8 +60,8 @@ from repro.core.auditable_register import AuditableRegister
 from repro.core.auditable_snapshot import AuditableSnapshot
 from repro.crypto.nonce import NonceSource
 from repro.crypto.pad import OneTimePadSequence
-from repro.faults import chaos_plan, parse_fault_families
-from repro.rt.process_runtime import FaultPlan, PidRef, ProcessRuntime
+from repro.faults import FaultPlan, chaos_plan, parse_fault_families
+from repro.rt.process_runtime import PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
 from repro.sim.event_log import JsonlEventSink, iter_event_log
 
@@ -138,10 +138,49 @@ def supported_fault_families(runtime: str) -> Tuple[str, ...]:
     )
 
 
-def check_fault_families(runtime: str, spec: str) -> Tuple[str, ...]:
-    """Parse a ``--faults`` spec; reject families ``runtime`` lacks."""
-    families = parse_fault_families(spec)
+def check_stress_options(
+    object_kind: str,
+    runtime: str = "thread",
+    threads: int = 8,
+    readers: Optional[int] = None,
+    writers: Optional[int] = None,
+    auditors: Optional[int] = None,
+    ops: Optional[int] = 25,
+    duration: Optional[float] = None,
+    faults: Optional[str] = None,
+) -> Tuple[Tuple[int, int, int], Optional[Tuple[str, ...]]]:
+    """Check one stress run's options, raising ``ValueError`` on the
+    first bad one.  Returns the ``(readers, writers, auditors)`` the
+    run spawns (the :func:`split_threads` split; a snapshot always has
+    an updater) and the parsed ``faults`` family spec, if one is
+    given."""
+    if object_kind not in STRESS_OBJECTS:
+        raise ValueError(
+            f"unknown stress object {object_kind!r} "
+            f"(choose from {', '.join(STRESS_OBJECTS)})"
+        )
     allowed = supported_fault_families(runtime)
+    if ops is None and duration is None:
+        raise ValueError("need an op budget (ops=) or a duration")
+    if ops is not None and ops < 1:
+        raise ValueError(f"need at least one op per worker (got {ops})")
+    if duration is not None and duration <= 0:
+        raise ValueError(f"need a positive duration (got {duration})")
+    r, w, a = split_threads(threads, readers, writers, auditors)
+    if min(r, w, a) < 0:
+        raise ValueError(
+            f"role counts must be non-negative (got {r}/{w}/{a})"
+        )
+    if object_kind == "snapshot":
+        # Updaters are the snapshot's components; there is always at
+        # least one, and the report's role counts must match the
+        # workers actually spawned.
+        w = max(1, w)
+    if r + w + a < 1:
+        raise ValueError("no workers: all role counts are zero")
+    if faults is None:
+        return (r, w, a), None
+    families = parse_fault_families(faults)
     unsupported = [fam for fam in families if fam not in allowed]
     if unsupported:
         raise ValueError(
@@ -149,7 +188,7 @@ def check_fault_families(runtime: str, spec: str) -> Tuple[str, ...]:
             f"process runtime; the {runtime} runtime supports "
             f"{', '.join(allowed)}"
         )
-    return families
+    return (r, w, a), families
 
 
 def split_threads(
@@ -172,30 +211,6 @@ def split_threads(
     w = max(1, (threads - a) // 2)
     r = max(0, threads - a - w)
     return (r, w, a)
-
-
-def stress_roles(
-    object_kind: str,
-    threads: int,
-    readers: Optional[int] = None,
-    writers: Optional[int] = None,
-    auditors: Optional[int] = None,
-) -> Tuple[int, int, int]:
-    """The (readers, writers, auditors) a stress run spawns: the
-    :func:`split_threads` split, checked (ValueError when bad)."""
-    r, w, a = split_threads(threads, readers, writers, auditors)
-    if min(r, w, a) < 0:
-        raise ValueError(
-            f"role counts must be non-negative (got {r}/{w}/{a})"
-        )
-    if object_kind == "snapshot":
-        # Updaters are the snapshot's components; there is always at
-        # least one, and the report's role counts must match the
-        # workers actually spawned.
-        w = max(1, w)
-    if r + w + a < 1:
-        raise ValueError("no workers: all role counts are zero")
-    return r, w, a
 
 
 def percentile_summary(samples: List[float]) -> Dict[str, float]:
@@ -477,11 +492,6 @@ def _build(
 ) -> Union[ThreadRuntime, ProcessRuntime]:
     """Construct the runtime, shared object and per-worker op sources
     of the run ``meta`` (a :func:`stress_meta`) describes."""
-    if runtime not in STRESS_RUNTIMES:
-        raise ValueError(
-            f"unknown stress runtime {runtime!r} "
-            f"(choose from {', '.join(STRESS_RUNTIMES)})"
-        )
     object_kind, seed = meta["object"], meta["seed"]
     build_args = (
         object_kind, meta["r"], meta["w"], seed,
@@ -687,21 +697,25 @@ def run_stress(
     ``ops`` is the per-worker operation budget (``None`` = unbounded,
     requires ``duration``).  ``validate`` defaults to on for bounded
     budgets and for any online run, and off for buffered duration-only
-    runs, whose histories can be far too large for the exponential
-    linearizability search.  ``lin_max_nodes`` bounds that search:
+    runs: every validated run feeds the same windowed streaming
+    validator, but a buffered run first holds its whole history in
+    memory, which an unbounded run can grow without limit (``online``
+    validates without buffering).  ``lin_max_nodes`` bounds the
+    linearizability search:
     exhausting it yields an UNDECIDED linearizability verdict
     (``lin_ok is None``), never a crash.  ``runtime`` selects the
     backend (``thread`` or ``process``); ``faults`` injects faults at
     the primitive-arrival seam: pass a
-    :class:`~repro.rt.process_runtime.FaultPlan` directly, or a family
+    :class:`~repro.faults.FaultPlan` directly, or a family
     spec string (``"crash,partition,dup"`` -- chaos mode), which
     builds a :func:`repro.faults.chaos_plan` at ``fault_rate`` total
     faults per 10k requests, seeded from ``seed`` and rostered with
     the run's worker pids (exact crash budget, recovery nominations).
     The process runtime supports every family; the thread runtime
     supports :func:`supported_fault_families` = crash and delay only
-    (family specs are validated up front, explicit plans simply have
-    their message-level decisions ignored).
+    (family specs are validated up front by
+    :func:`check_stress_options`, with every other option; explicit
+    plans simply have their message-level decisions ignored).
 
     ``online=True`` streams instead of buffering: history retention is
     disabled and every event feeds the incremental checker as it is
@@ -726,20 +740,16 @@ def run_stress(
     (default 60s); a long run that keeps completing operations is
     never cut.  Pass ``None`` for unbounded joins.
     """
-    if ops is None and duration is None:
-        raise ValueError("need an op budget (ops=) or a duration")
-    if ops is not None and ops < 1:
-        raise ValueError(f"need at least one op per worker (got {ops})")
-    if duration is not None and duration <= 0:
-        raise ValueError(f"need a positive duration (got {duration})")
+    (r, w, a), families = check_stress_options(
+        object, runtime, threads, readers, writers, auditors,
+        ops, duration, faults if isinstance(faults, str) else None,
+    )
     if validate is None:
         validate = ops is not None or online
     window = DEFAULT_WINDOW if stream_window is None else stream_window
-    r, w, a = stress_roles(object, threads, readers, writers, auditors)
 
     fault_desc: Optional[str] = None
-    if isinstance(faults, str):
-        families = check_fault_families(runtime, faults)
+    if families is not None:
         roster_pids = [pid for pid, _, _ in _stress_pids(object, r, w, a)]
         faults = chaos_plan(
             families, fault_rate, seed, pids=roster_pids

@@ -36,10 +36,13 @@ layer apply here (:attr:`ThreadRuntime.fault_families`) -- **crash**
 (the worker thread stops, leaving its operation forever pending:
 exactly the conservative "may or may not have happened" the oracles
 already treat correctly, with the crash event recorded in the history)
-and **delay** (the worker sleeps before applying, an ordinary
-scheduling stall).  The interpreter ignores message-level families
-(partition/dup/omit/recover) if a plan emits them; ``repro stress``
-rejects them up front for this runtime.
+and **delay** (the interpreter holds the arriving thread until its
+request is released, by the rule the memory server follows: after
+``k`` further arrivals, or once every live thread is held).  Released
+threads are woken in arrival order; the OS then orders their
+applications.  No thread ever sleeps on a timer.  The interpreter
+ignores message-level families (partition/dup/omit/recover) if a plan
+emits them; ``repro stress`` rejects them up front for this runtime.
 """
 
 from __future__ import annotations
@@ -53,18 +56,12 @@ from repro.rt.base import Runtime, WatchdogTimeout
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
-from repro.sim.scheduler import CrashDecision, DelayDecision
+from repro.sim.scheduler import CrashDecision
 
 #: Default seconds without a completed operation before the threads
 #: still running are declared hung and surfaced instead of joined
 #: forever.
 DEFAULT_WATCHDOG = 60.0
-
-#: Injected delays are real sleeps; one "step" of server-style delay
-#: becomes this many seconds, capped so chaos plans cannot stall a
-#: bounded stress run indefinitely.
-DELAY_STEP_SECONDS = 0.001
-MAX_DELAY_SECONDS = 0.1
 
 
 class _CrashFault(BaseException):
@@ -174,6 +171,13 @@ class ThreadRuntime(Runtime):
         # the single-threaded memory server does.  Scripted plans may
         # mutate internal state in decide(), so it stays under the lock.
         self._fault_lock = threading.Lock()
+        # A held thread waits on its own condition over the fault lock,
+        # so a release wakes the held threads in arrival order.
+        # ``_live`` counts the threads still running, held ones
+        # included: the release rule's measure of quiescence.
+        self._wakeups: Dict[str, threading.Condition] = {}
+        self._held: set = set()
+        self._live = 0
         #: Pids crashed by fault injection, in crash order.
         self.crashed: List[str] = []
 
@@ -227,6 +231,11 @@ class ThreadRuntime(Runtime):
         if not procs:
             return self._history
         self._stop.clear()
+        self._live = len(procs)
+        self._wakeups = {
+            process.pid: threading.Condition(self._fault_lock)
+            for process in procs
+        }
         # All threads block on the barrier until everyone is spawned, so
         # the measured window contains no thread start-up skew and the
         # deadline is shared by construction.
@@ -326,6 +335,10 @@ class ThreadRuntime(Runtime):
         finally:
             with self._err_lock:
                 self.latencies.extend(local_latencies)
+            if self._interpreter is not None:
+                with self._fault_lock:
+                    self._live -= 1
+                    self._release_held()
 
     def _run_op(
         self,
@@ -367,21 +380,30 @@ class ThreadRuntime(Runtime):
     def _consult_faults(self, pid: str, op_id: int, pending: Any) -> None:
         """One primitive arrival through the fault interpreter: a crash
         (of the requester) records its event and raises
-        :class:`_CrashFault`; a delay is a bounded real sleep."""
+        :class:`_CrashFault`; a held arrival waits until released."""
+        interpreter = self._interpreter
         with self._fault_lock:
-            decision = self._interpreter.arrive(
-                pid, pending.obj.name, pending.primitive
+            decision, held = interpreter.admit(
+                pid, pending.obj.name, pending.primitive, pid
             )
+            if held:
+                self._held.add(pid)
+            if interpreter.held:
+                self._release_held()
+            while pid in self._held:
+                self._wakeups[pid].wait()
         if isinstance(decision, CrashDecision):
             with self._hist_lock:
                 self._history.record_crash(pid, op_id)
                 self.crashed.append(pid)
             raise _CrashFault(pid)
-        if isinstance(decision, DelayDecision):
-            time.sleep(min(
-                DELAY_STEP_SECONDS * max(1, decision.steps),
-                MAX_DELAY_SECONDS,
-            ))
+
+    def _release_held(self) -> None:
+        """Wake the held threads the interpreter releases, in arrival
+        order (caller holds the fault lock)."""
+        for pid in self._interpreter.release(self._live):
+            self._held.discard(pid)
+            self._wakeups[pid].notify()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

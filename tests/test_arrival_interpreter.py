@@ -6,7 +6,9 @@ Every decision class names its family once; the family registry, the
 arrival semantics live (arrival numbering, crash-at-next-primitive,
 ignored omissions and families), so it is pinned here directly;
 ``tests/test_rt_equivalence.py`` checks the runtimes carry its
-decisions out identically.
+decisions out identically.  The hold-and-release rule both real
+runtimes follow is pure interpreter state too (requests are opaque
+tokens here), so it is pinned here without threads or processes.
 """
 
 from repro.faults import (
@@ -141,3 +143,91 @@ def test_decide_is_looked_up_on_every_arrival():
     finally:
         ScriptedFaultPlan.decide = original
     assert seen == [1, 2]
+
+
+# -- the hold-and-release rule ------------------------------------------------
+
+
+def test_delay_releases_after_exactly_k_further_arrivals():
+    interp = ArrivalInterpreter(
+        ScriptedFaultPlan({1: DelayDecision("p", steps=3)}), FAULT_FAMILIES
+    )
+    assert interp.admit("p", "R", "read", "p1") == (
+        interp.plan.decisions[1], True,
+    )
+    for arrival in range(2, 5):
+        assert interp.release(live=2) == []
+        assert interp.admit("q", "R", "read", f"q{arrival}") == (None, False)
+    # Three further arrivals: due now, and not a moment earlier.
+    assert interp.release(live=2) == ["p1"]
+    assert interp.held == []
+
+
+def test_partition_holds_later_requests_from_the_severed_pids():
+    interp = ArrivalInterpreter(
+        ScriptedFaultPlan({1: PartitionDecision(("p", "q"), steps=4)}),
+        FAULT_FAMILIES,
+    )
+    # The deciding arrival comes from r; p's and q's later ones are held.
+    assert interp.admit("r", "R", "read", "r1") == (
+        interp.plan.decisions[1], False,
+    )
+    assert interp.admit("p", "R", "read", "p2") == (None, True)
+    assert interp.admit("r", "R", "read", "r3") == (None, False)
+    assert interp.admit("q", "R", "read", "q4") == (None, True)
+    assert interp.release(live=3) == []
+    # Arrival 5 is the first after the partition's 4: p and q heal.
+    assert interp.admit("r", "R", "read", "r5") == (None, False)
+    assert interp.release(live=3) == ["p2", "q4"]
+    assert interp.admit("p", "R", "read", "p6") == (None, False)
+
+
+def test_release_all_in_arrival_order_once_every_live_worker_is_held():
+    plan = ScriptedFaultPlan({
+        1: DelayDecision("q", steps=10**6),
+        2: PartitionDecision(("p",), steps=10**6),
+        3: DelayDecision("r", steps=10**6),
+    })
+    interp = ArrivalInterpreter(plan, FAULT_FAMILIES)
+    assert interp.admit("q", "R", "read", "q1")[1]
+    assert interp.admit("p", "R", "read", "p2")[1]
+    assert interp.release(live=3) == []
+    assert interp.admit("r", "R", "read", "r3")[1]
+    assert interp.release(live=3) == ["q1", "p2", "r3"]
+    assert interp.held == []
+    # Every partition healed with the release.
+    assert interp.admit("p", "R", "read", "p4") == (None, False)
+
+
+def test_release_all_when_a_held_worker_is_all_that_is_left():
+    interp = ArrivalInterpreter(
+        ScriptedFaultPlan({1: DelayDecision("p", steps=10**6)}),
+        FAULT_FAMILIES,
+    )
+    assert interp.admit("p", "R", "read", "p1")[1]
+    assert interp.release(live=2) == []
+    # The other worker finished: the held one is the only one live.
+    assert interp.release(live=1) == ["p1"]
+
+
+def test_a_released_request_is_never_ruled_on_again():
+    plan = _Recording({1: DelayDecision("p", steps=1)})
+    interp = ArrivalInterpreter(plan, FAULT_FAMILIES)
+    assert interp.admit("p", "R", "read", "p1")[1]
+    assert interp.admit("q", "R", "read", "q2") == (None, False)
+    assert interp.release(live=2) == ["p1"]
+    assert plan.calls == [(1, "p"), (2, "q")]
+    assert interp.arrivals == 2
+
+
+def test_crashed_and_omitted_requests_are_never_held():
+    plan = ScriptedFaultPlan({
+        1: PartitionDecision(("p",), steps=10),
+        2: OmitDecision("p"),
+        3: CrashDecision("p"),
+    })
+    interp = ArrivalInterpreter(plan, FAULT_FAMILIES)
+    assert interp.admit("p", "R", "read", "p1")[1]
+    assert interp.admit("p", "R", "read", "p2") == (plan.decisions[2], False)
+    assert interp.admit("p", "R", "read", "p3") == (plan.decisions[3], False)
+    assert [pid for _, pid, _ in interp.held] == ["p"]

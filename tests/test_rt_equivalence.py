@@ -12,13 +12,16 @@ results exactly.
 Fault-injection regressions ride along: with a single process, a
 scripted crash at the memory server must truncate the history at
 exactly the same event the fault names (everything before it identical
-to the fault-free run), and a scripted delay must be a pure no-op (the
-server releases a held request as soon as every live worker is blocked
-on one, so no other message can overtake it).  The fault differential
-runs one scripted plan per family through the shared
-:class:`~repro.faults.ArrivalInterpreter` on every backend that
+to the fault-free run), and a scripted delay must be a pure no-op on
+both real runtimes (the interpreter releases a held request as soon as
+every live worker is blocked on one, so nothing can overtake it).  The
+fault differential runs one scripted plan per family through the
+shared :class:`~repro.faults.ArrivalInterpreter` on every backend that
 supports the family — the simulator via a test-local schedule — and
-requires event-for-event identical histories.
+requires event-for-event identical histories.  Its cross-pid cells
+(doom, omission of another pid, recover) need two processes, so real
+arrival order may differ between backends; they compare only the facts
+that no arrival order can change.
 
 Builders and program factories are module-level so the process backend
 can ship them across the fork/spawn boundary by name; the sim and
@@ -28,6 +31,7 @@ thread backends call the very same functions in-process.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -58,6 +62,7 @@ from repro.sim.scheduler import (
     DuplicateDecision,
     OmitDecision,
     PartitionDecision,
+    RecoverDecision,
     Schedule,
 )
 
@@ -155,12 +160,13 @@ def test_scripted_crash_truncates_history_at_the_named_primitive():
     assert len(crashed.primitive_events()) == crash_at - 1
 
 
-def test_scripted_delay_is_a_no_op_for_a_single_process():
-    """With one process there is no later message to reorder past, so a
+@pytest.mark.parametrize("kind", ["thread", "process"])
+def test_scripted_delay_is_a_no_op_for_a_single_process(kind):
+    """With one process there is no later arrival to reorder past, so a
     held request is released at once and the history is unchanged."""
-    _, _, _, clean = _run_backend("process", seed=1)
+    _, _, _, clean = _run_backend(kind, seed=1)
     _, _, _, delayed = _run_backend(
-        "process", seed=1,
+        kind, seed=1,
         faults=ScriptedFaultPlan({3: DelayDecision("p", steps=50)}),
     )
     assert list(clean) == list(delayed)
@@ -170,9 +176,10 @@ def test_scripted_delay_is_a_no_op_for_a_single_process():
 
 
 class _ArrivalSchedule(Schedule):
-    """Feed a one-process simulation through the runtimes' interpreter.
+    """Feed a simulation through the runtimes' interpreter.
 
-    Each primitive arrival is ruled on once by an
+    The first runnable process always steps next, so the arrival order
+    is fixed.  Each primitive arrival is ruled on once by an
     :class:`~repro.faults.ArrivalInterpreter`; ``None`` steps the
     process, anything else is returned as the sim's fault decision.  A
     decision that leaves the request in flight (delay, partition, dup)
@@ -182,14 +189,14 @@ class _ArrivalSchedule(Schedule):
 
     def __init__(self, plan):
         self.interpreter = ArrivalInterpreter(plan, FAULT_FAMILIES)
-        self._ruled = None
+        self._ruled = {}
 
     def choose(self, runnable, step_index):
-        (process,) = runnable
+        process = runnable[0]
         pending = process.pending
-        if pending is None or pending is self._ruled:
+        if pending is None or pending is self._ruled.get(process.pid):
             return process
-        self._ruled = pending
+        self._ruled[process.pid] = pending
         decision = self.interpreter.arrive(
             process.pid, pending.obj.name, pending.primitive
         )
@@ -197,8 +204,8 @@ class _ArrivalSchedule(Schedule):
 
 
 #: One scripted decision per family the single process can exercise
-#: (recover needs a second process to nominate it), and whether it
-#: changes the fault-free history.
+#: (recover needs a second process: see the cross-pid cells), and
+#: whether it changes the fault-free history.
 _FAMILY_SCRIPTS = {
     "crash": ({5: CrashDecision("p")}, True),
     "delay": ({3: DelayDecision("p", steps=50)}, False),
@@ -234,17 +241,97 @@ def test_fault_differential_histories_identical(family):
     assert (histories["sim"] != clean) is changes
 
 
+def _pair_program_factory(reg, pid):
+    """Two processes of Algorithm 1: ``p`` writes three values, ``q``
+    reads three times."""
+    ref = PidRef(pid)
+    if pid == "p":
+        writer = reg.writer(ref)
+        return [writer.write_op(f"v{k + 1}") for k in range(3)]
+    reader = reg.reader(ref, 0)
+    return [reader.read_op() for _ in range(3)]
+
+
+def _run_pair(kind, plan):
+    if kind == "process":
+        runtime = ProcessRuntime(_eq_build, (0,), faults=plan)
+        for pid in ("p", "q"):
+            runtime.add_program_factory(pid, _pair_program_factory)
+        return runtime.run()
+    if kind == "sim":
+        runtime = make_runtime(kind, schedule=_ArrivalSchedule(plan))
+    else:
+        runtime = make_runtime(kind, faults=plan)
+    reg = _eq_build(0)
+    for pid in ("p", "q"):
+        runtime.spawn(pid)
+        runtime.add_program(pid, _pair_program_factory(reg, pid))
+    return runtime.run()
+
+
+#: The cross-pid cells: (family, match rules, expected facts).  The
+#: facts are the crashed pids, the pids of pending operations and the
+#: completed operations per pid (``q``'s left out where arrival order
+#: decides it).  Each plan pins its outcome under any arrival order:
+#:
+#: - doom: ``p``'s first arrival crashes ``q``.  Should ``q`` arrive
+#:   first, it is held until ``p`` finishes; its held request is applied
+#:   unruled, and its next arrival is the doomed one.
+#: - omit-other: an omission naming another pid is ignored.
+#: - recover: ``q`` crashes at its first arrival and ``p``'s second
+#:   recovers it.  ``p``'s first arrival severs ``p`` itself, so ``p``
+#:   cannot run ahead while ``q`` is live and unheld.
+_CROSS_PID_SCRIPTS = {
+    "doom": ("crash", [
+        (("q", None, None), DelayDecision("q", steps=10**6)),
+        (("p", None, None), CrashDecision("q")),
+    ], (["q"], ["q"], {"p": 3})),
+    "omit-other": ("omit", [
+        (("p", None, None), OmitDecision("q")),
+    ], ([], [], {"p": 3, "q": 3})),
+    "recover": ("recover", [
+        (("p", None, None), PartitionDecision(("p",), steps=10**6)),
+        (("q", None, None), CrashDecision("q")),
+        (("p", None, None), RecoverDecision("q")),
+    ], (["q"], ["q"], {"p": 3, "q": 2})),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_CROSS_PID_SCRIPTS))
+def test_fault_differential_cross_pid_facts(cell):
+    """Two processes, one cross-pid plan, every backend supporting its
+    family: the order-independent facts coincide."""
+    family, rules, (crashed, pending, complete) = _CROSS_PID_SCRIPTS[cell]
+    for kind in ["sim"] + _runtimes_supporting(family):
+        history = _run_pair(kind, ScriptedFaultPlan(match=rules))
+        done = Counter(op.pid for op in history.complete_operations())
+        assert [
+            event.pid for event in history if isinstance(event, CrashEvent)
+        ] == crashed, kind
+        assert [op.pid for op in history.pending_operations()] == pending
+        assert {pid: done[pid] for pid in complete} == complete, kind
+
+
 def test_fault_differential_cells():
     """The cell table the differential covers, derived from the runtime
-    classes' support tables."""
+    classes' support tables: every family has a cell."""
     cells = {fam: _runtimes_supporting(fam) for fam in _FAMILY_SCRIPTS}
+    cells.update(
+        (cell, _runtimes_supporting(family))
+        for cell, (family, _, _) in _CROSS_PID_SCRIPTS.items()
+    )
     assert cells == {
         "crash": ["thread", "process"],
         "delay": ["thread", "process"],
         "partition": ["process"],
         "dup": ["process"],
         "omit": ["process"],
+        "doom": ["thread", "process"],
+        "omit-other": ["process"],
+        "recover": ["process"],
     }
+    families = {family for family, _, _ in _CROSS_PID_SCRIPTS.values()}
+    assert set(_FAMILY_SCRIPTS) | families == set(FAULT_FAMILIES)
 
 
 # -- primitive-level property tests ------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.fastlin import LIN_OK, check_history
 from repro.analysis.specs import stream_register_spec
 from repro.analysis.streamlin import LIN_PARTIAL
-from repro.rt.process_runtime import CrashDecision, ScriptedFaultPlan
+from repro.faults import ScriptedFaultPlan
 from repro.rt.serve import (
     ServeOutcome,
     VerdictServer,
@@ -22,6 +22,7 @@ from repro.rt.serve import (
 )
 from repro.rt.stress import STRESS_OBJECTS, run_stress, validator_from_meta
 from repro.sim.event_log import load_event_log, parse_line
+from repro.sim.scheduler import CrashDecision
 
 
 @pytest.fixture(scope="module")

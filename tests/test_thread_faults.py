@@ -4,14 +4,19 @@ The thread runtime has no message seam (threads touch shared objects
 under per-object locks), so only the families that make sense at the
 primitive-arrival point are supported: ``crash`` (the arriving thread
 stops, its operation stays pending forever) and ``delay`` (the arrival
-sleeps, widening real interleavings).  The arrival sequence is
-serialised under a dedicated lock so fault plans see the same
-totally-ordered view the single-threaded memory server provides.
+is held, widening real interleavings, and released by the memory
+server's rule: when due, or once every live thread is held -- never on
+a timer).  The arrival sequence is serialised under a dedicated lock so
+fault plans see the same totally-ordered view the single-threaded
+memory server provides.
 
 The safety claim mirrors the process runtime's: whatever the faults do,
 the surviving history must still pass linearizability and audit
 exactness -- crashes lose operations, never soundness.
 """
+
+import threading
+import time
 
 import pytest
 
@@ -20,10 +25,18 @@ from repro.analysis import (
     check_audit_exactness,
     check_history,
 )
-from repro.faults import FAULT_FAMILIES, ScriptedFaultPlan, chaos_plan
+from repro.faults import (
+    FAULT_FAMILIES,
+    ScriptedFaultPlan,
+    SeededFaultPlan,
+    chaos_plan,
+)
+from repro.memory.main_register import MainRegister
+from repro.memory.rword import RWord
 from repro.rt import ThreadRuntime, run_stress
-from repro.rt.stress import supported_fault_families
+from repro.rt.stress import build_stress_register, supported_fault_families
 from repro.sim.history import CrashEvent
+from repro.sim.process import Op
 from repro.sim.scheduler import (
     CrashDecision,
     DelayDecision,
@@ -119,6 +132,81 @@ class TestScriptedDelay:
         assert runtime.crashed == []
         assert not history.pending_operations()
         surviving_history_is_safe(built, history, workload)
+
+    def test_single_worker_delays_release_without_a_timer(self):
+        """Every request delayed, one thread: each held arrival is
+        released at once (the only live thread is held), so the run
+        pays no wait and the history is event-for-event the fault-free
+        one."""
+        delay_all = SeededFaultPlan(5, delay_per_10k=10_000)
+        runs = []
+        for faults in (None, delay_all):
+            reg = build_stress_register("register", 1, 1, 5)
+            runtime = ThreadRuntime(record_latency=False, faults=faults)
+            ref = runtime.spawn("p")
+            writer, reader = reg.writer(ref), reg.reader(ref, 0)
+            auditor = reg.auditor(ref)
+            for k in range(16):
+                runtime.add_program("p", [
+                    writer.write_op(f"v{k + 1}"),
+                    reader.read_op(),
+                    auditor.audit_op(),
+                ])
+            start = time.perf_counter()
+            runs.append((list(runtime.run()), time.perf_counter() - start))
+        (clean, _), (delayed, elapsed) = runs
+        assert runtime.steps_taken >= 200
+        assert elapsed < 2.0
+        assert delayed == clean
+
+    def test_two_threads_delayed_far_past_the_run_finish_promptly(self):
+        """Every request of two threads delayed 10**6 arrivals: each is
+        held until the other thread is held too (or has finished), then
+        both are released together, so the run neither hangs nor
+        waits."""
+        plan = SeededFaultPlan(3, delay_per_10k=10_000, delay_steps=10**6)
+        runtime = ThreadRuntime(record_latency=False, faults=plan)
+        workload = RegisterWorkload(
+            num_readers=1, num_writers=1, num_auditors=0,
+            reads_per_reader=20, writes_per_writer=20,
+        )
+        built = build_register_system(workload, runtime=runtime)
+        start = time.perf_counter()
+        history = built.run()
+        assert time.perf_counter() - start < 2.0
+        assert runtime.steps_taken >= 40
+        assert len(history.complete_operations()) == 40
+        assert not history.pending_operations()
+        surviving_history_is_safe(built, history, workload)
+
+    def test_a_thread_that_finishes_releases_the_held_one(self):
+        """``q`` is held while ``p``, the only other thread, finishes
+        without arriving again: ``p``'s exit leaves every live thread
+        held, so it releases ``q`` rather than stranding it."""
+        main = MainRegister("m", RWord(0, "init", 0))
+        started = threading.Event()
+
+        def read_gen():
+            started.set()
+            word = yield from main.read()
+            return word.val
+
+        def idle_gen():
+            started.wait(5)
+            time.sleep(0.2)  # q reaches its held arrival meanwhile
+            return None
+            yield  # pragma: no cover - makes this a generator
+
+        plan = ScriptedFaultPlan({1: DelayDecision("q", steps=10**6)})
+        runtime = ThreadRuntime(
+            record_latency=False, faults=plan, join_watchdog=5
+        )
+        runtime.add_program("p", [Op("idle", idle_gen)])
+        runtime.add_program("q", [Op("read", read_gen)])
+        history = runtime.run()
+        assert {
+            op.pid: op.result for op in history.complete_operations()
+        } == {"p": None, "q": "init"}
 
     def test_message_level_decisions_are_ignored(self):
         # An explicit plan may emit message-seam decisions; the thread
