@@ -18,7 +18,16 @@ next are a prefix of the resident ops in invocation order: those
 invoked before the first response outside its mask.  The closure
 visits only those, and a response that every other completed op
 precedes extends only the *full* configurations (all completed ops
-linearized), so its cost does not grow with the resident ops.
+linearized), so its cost does not grow with the resident ops.  When
+exactly one full configuration exists, that response costs one
+``spec.apply`` and one set add, inline in ``respond``.
+
+**Per-event cost.**  :meth:`StreamingLinChecker.feed` dispatches each
+event once, straight to its partition.  A resident operation is a
+``__slots__`` record holding only what the closure applies and its
+interval.  Primitive events carry no linearizability content, so a
+streaming :class:`~repro.sim.history.History` need not build them:
+:meth:`StreamingLinChecker.count_primitive` takes just the index.
 
 **Forced cuts and the rolling verified frontier.**  Real-time
 precedence is an interval order, so once every *open* (invoked,
@@ -52,7 +61,8 @@ set, configurations, frontier and budget accounting.
 one window, or more than ``max_configs`` live configurations, marks the
 partition undecided — it stops checking but keeps draining (residents
 dropped, memory stays bounded) and the final verdict degrades to
-:data:`~repro.analysis.fastlin.LIN_UNDECIDED` instead of OK.  Wide
+:data:`~repro.analysis.fastlin.LIN_UNDECIDED` instead of OK, naming the
+budget that cut it (:attr:`StreamVerdict.budget`).  Wide
 adversarial overlap (hundreds of operations mutually concurrent) is
 where the configuration set can genuinely grow.  It also grows, cheaply,
 when one operation stays open across a burst of sequential completions
@@ -144,13 +154,18 @@ class StreamVerdict:
     ``status`` is :data:`~repro.analysis.fastlin.LIN_OK`,
     :data:`~repro.analysis.fastlin.LIN_FAIL`,
     :data:`~repro.analysis.fastlin.LIN_UNDECIDED` (a window exhausted
-    its node or configuration budget) or :data:`LIN_PARTIAL` (the
-    stream ended without a proper finish — the prefix up to
-    ``progress.frontier_index`` is verified, the rest is unknown).
+    its node or configuration budget, named by ``budget``) or
+    :data:`LIN_PARTIAL` (the stream ended without a proper finish — the
+    prefix up to ``progress.frontier_index`` is verified, the rest is
+    unknown).
     """
 
     status: str
     progress: StreamProgress
+    #: The budget that cut an undecided search: ``"max_configs"`` or
+    #: ``"max_nodes_per_window"`` (``None`` unless ``status`` is
+    #: :data:`~repro.analysis.fastlin.LIN_UNDECIDED`).
+    budget: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -175,6 +190,25 @@ class _ResidentGauge:
             self.peak = self.current
 
 
+class _Resident:
+    """One resident operation: what the closure applies, and its
+    interval."""
+
+    __slots__ = (
+        "pid", "name", "args", "invoke_index", "response_index", "result",
+    )
+
+    def __init__(
+        self, pid: str, name: str, args: Tuple[Any, ...], invoke_index: int
+    ) -> None:
+        self.pid = pid
+        self.name = name
+        self.args = args
+        self.invoke_index = invoke_index
+        self.response_index: Optional[int] = None
+        self.result: Any = None
+
+
 class _PartitionStream:
     """One partition's residents, configurations and verdict."""
 
@@ -184,7 +218,7 @@ class _PartitionStream:
         "completed_mask", "configs", "full",
         "retired", "windows", "undecided_windows", "explored",
         "window_events", "window_explored",
-        "failed", "dead", "frontier_index", "last_index",
+        "failed", "dead", "cut_by", "frontier_index", "last_index",
     )
 
     def __init__(
@@ -202,7 +236,7 @@ class _PartitionStream:
         self.gauge = gauge
         #: bit position -> resident operation (open or completed), in
         #: invocation order.
-        self.ops: Dict[int, OperationRecord] = {}
+        self.ops: Dict[int, _Resident] = {}
         self.by_key: Dict[Tuple[str, int], int] = {}
         #: bit position of an *open* op -> mask of its resident
         #: real-time predecessors (retired predecessors are implicit:
@@ -224,6 +258,8 @@ class _PartitionStream:
         self.window_explored = 0
         self.failed = False
         self.dead = False  # stop checking; keep draining events
+        #: The budget that killed the partition, if one did.
+        self.cut_by: Optional[str] = None
         self.frontier_index = -1
         self.last_index = -1
 
@@ -237,7 +273,7 @@ class _PartitionStream:
             self.window_events = 0
             self.window_explored = 0
 
-    def invoke(self, op: OperationRecord) -> None:
+    def invoke(self, key: Tuple[str, int], op: _Resident) -> None:
         self._tick(op.invoke_index)
         if self.dead:
             return
@@ -245,29 +281,53 @@ class _PartitionStream:
         if bit == self.next_bit:
             self.next_bit += 1
         self.ops[bit] = op
-        self.by_key[op.key()] = bit
+        self.by_key[key] = bit
         # Everything already completed precedes this op; open residents
         # are concurrent with it.
         self.pred[bit] = self.completed_mask
         self.gauge.add(1)
 
-    def respond(self, pid: str, op_id: int, result: Any, index: int) -> None:
+    def respond(self, key: Tuple[str, int], result: Any, index: int) -> None:
         self._tick(index)
         if self.dead:
             return
-        bit = self.by_key.pop((pid, op_id), None)
+        bit = self.by_key.pop(key, None)
         if bit is None:
-            raise ValueError(
-                f"response for unknown operation ({pid!r}, {op_id})"
-            )
+            raise ValueError(f"response for unknown operation {key!r}")
         op = self.ops[bit]
         op.response_index = index
         op.result = result
-        self.completed_mask |= 1 << bit
+        fresh = 1 << bit
+        pred = self.pred.pop(bit)
+        full = self.full
         self.done.append(bit)
-        self._extend(1 << bit, self.pred.pop(bit))
-        if not self.dead:
-            self._retire()
+        if pred != self.completed_mask or len(full) != 1:
+            self.completed_mask |= fresh
+            self._extend(fresh, pred)
+            if not self.dead:
+                self._retire()
+            return
+        # Every other completed op precedes this one and one full
+        # configuration exists: it alone can take the op, and the new
+        # configuration is full, so it enables nothing more.  This is
+        # ``_extend``'s first step inlined, same count and budgets.
+        completed = self.completed_mask = pred | fresh
+        self.explored += 1
+        self.window_explored += 1
+        if self.window_explored > self.max_nodes:
+            self._die(failed=False, cut_by="max_nodes_per_window")
+            return
+        state = self.spec.apply(full[0], op.name, op.args, result, op.pid)
+        if state is None:
+            full.clear()
+        else:
+            configs = self.configs
+            configs.add((completed, state))
+            if len(configs) > self.max_configs:
+                self._die(failed=False, cut_by="max_configs")
+                return
+            full[0] = state
+        self._retire()
 
     # -- the configuration closure -----------------------------------------
 
@@ -370,7 +430,7 @@ class _PartitionStream:
                 self.explored += 1
                 self.window_explored += 1
                 if self.window_explored > max_nodes:
-                    self._die(failed=False)
+                    self._die(failed=False, cut_by="max_nodes_per_window")
                     return
                 i = bmask.bit_length() - 1
                 key = (i, state)
@@ -389,7 +449,7 @@ class _PartitionStream:
                     continue
                 configs.add(cfg)
                 if len(configs) > max_configs:
-                    self._die(failed=False)
+                    self._die(failed=False, cut_by="max_configs")
                     return
                 if new_mask == completed:
                     full.append(new_state)
@@ -445,13 +505,15 @@ class _PartitionStream:
         self.retired += len(retire_bits)
         self.gauge.add(-len(retire_bits))
 
-    def _die(self, *, failed: bool) -> None:
-        """Stop checking (budget blown or violation proven), drop all
-        residency so memory stays bounded, keep draining events."""
+    def _die(self, *, failed: bool, cut_by: Optional[str] = None) -> None:
+        """Stop checking (budget ``cut_by`` blown or violation proven),
+        drop all residency so memory stays bounded, keep draining
+        events."""
         if failed:
             self.failed = True
         else:
             self.undecided_windows += 1
+            self.cut_by = cut_by
         self.dead = True
         self.frontier_index = self.frontier(self.last_index)
         self.gauge.add(-len(self.ops))
@@ -514,7 +576,8 @@ class StreamingLinChecker:
     Feed :class:`~repro.sim.events.Invocation` /
     :class:`~repro.sim.events.Response` events (crash and primitive
     events are accepted and ignored — a crashed operation simply stays
-    pending) in history-index order via :meth:`feed`, then call
+    pending) in history-index order via :meth:`feed`, or hand it a
+    primitive's index alone via :meth:`count_primitive`, then call
     :meth:`finish` for the final verdict or :meth:`partial` when the
     stream was cut.
     """
@@ -544,11 +607,13 @@ class StreamingLinChecker:
 
     # -- partition routing -------------------------------------------------
 
-    def _partition_for(self, op: OperationRecord) -> _PartitionStream:
+    def _partition_for(
+        self, name: str, args: Tuple[Any, ...]
+    ) -> _PartitionStream:
         if self.spec.partition_key is None:
             key = None
         else:
-            key = self.spec.partition_key(op.name, op.args)
+            key = self.spec.partition_key(name, args)
         stream = self._partitions.get(key)
         if stream is None:
             if self.spec.partition_key is None:
@@ -565,75 +630,53 @@ class StreamingLinChecker:
     # -- event intake ------------------------------------------------------
 
     def feed(self, event: Any) -> None:
-        """Consume one history event (in index order)."""
+        """Consume one history event (in index order).  Primitive and
+        crash events carry no lin content: a crashed op simply stays
+        pending."""
+        self._events += 1
+        index = event.index
+        if index > self._last_index:
+            self._last_index = index
         kind = type(event)
         if kind is Response:
-            self.on_response(
-                event.pid, event.op_id, event.result, event.index
-            )
+            self._completed += 1
+            key = (event.pid, event.op_id)
+            stream = self._route.pop(key, None)
+            if stream is None:
+                raise ValueError(f"response for unknown operation {key!r}")
+            stream.respond(key, event.result, index)
         elif kind is Invocation:
-            self.on_invoke(
-                event.pid, event.op_id, event.op_name, event.args,
-                event.index,
-            )
-        else:
-            # Primitive events carry no lin content; a crashed op
-            # simply stays pending.
-            self._events += 1
-            index = getattr(event, "index", None)
-            if index is not None and index > self._last_index:
-                self._last_index = index
+            self._started += 1
+            name, args = event.op_name, tuple(event.args)
+            stream = self._partition_for(name, args)
+            key = (event.pid, event.op_id)
+            self._route[key] = stream
+            stream.invoke(key, _Resident(event.pid, name, args, index))
 
-    def on_invoke(
-        self,
-        pid: str,
-        op_id: int,
-        name: str,
-        args: Tuple[Any, ...],
-        index: int,
-    ) -> None:
+    def count_primitive(self, index: int) -> None:
+        """Count primitive event ``index`` without receiving it: its
+        index is all that :meth:`feed` reads of a primitive event."""
         self._events += 1
-        self._started += 1
         if index > self._last_index:
             self._last_index = index
-        op = OperationRecord(
-            pid=pid, op_id=op_id, name=name, args=tuple(args),
-            invoke_index=index,
-        )
-        stream = self._partition_for(op)
-        self._route[(pid, op_id)] = stream
-        stream.invoke(op)
-
-    def on_response(
-        self, pid: str, op_id: int, result: Any, index: int
-    ) -> None:
-        self._events += 1
-        self._completed += 1
-        if index > self._last_index:
-            self._last_index = index
-        stream = self._route.pop((pid, op_id), None)
-        if stream is None:
-            raise ValueError(
-                f"response for unknown operation ({pid!r}, {op_id})"
-            )
-        stream.respond(pid, op_id, result, index)
 
     def feed_operations(
         self, operations: Sequence[OperationRecord]
     ) -> None:
         """Decompose finished operation records into an event stream
         (index-ordered) and feed it — the offline entry point."""
-        events: List[Tuple[int, int, OperationRecord]] = []
+        events: List[Any] = []
         for op in operations:
-            events.append((op.invoke_index, 0, op))
+            events.append(Invocation(
+                op.invoke_index, op.pid, op.op_id, op.name, op.args
+            ))
             if op.response_index is not None:
-                events.append((op.response_index, 1, op))
-        events.sort(key=lambda entry: entry[0])
-        for index, kind, op in events:
-            if kind == 0:
-                self.on_invoke(op.pid, op.op_id, op.name, op.args, index)
-            else:
-                self.on_response(op.pid, op.op_id, op.result, index)
+                events.append(Response(
+                    op.response_index, op.pid, op.op_id, op.name, op.result
+                ))
+        events.sort(key=lambda event: event.index)
+        for event in events:
+            self.feed(event)
 
     # -- verdicts ----------------------------------------------------------
 
@@ -668,6 +711,17 @@ class StreamingLinChecker:
     def peak_resident_ops(self) -> int:
         return self._gauge.peak
 
+    def _verdict_of(self, status: str) -> StreamVerdict:
+        """``status`` with the progress; an undecided one names the
+        budget that killed its first undecided partition."""
+        budget = None
+        if status == LIN_UNDECIDED:
+            budget = next(
+                (p.cut_by for p in self._partitions.values() if p.cut_by),
+                None,
+            )
+        return StreamVerdict(status, self.progress(), budget)
+
     def finish(self) -> StreamVerdict:
         """The stream ended properly: produce the full verdict
         (equal to the batch fastlin verdict on the same history)."""
@@ -679,7 +733,7 @@ class StreamingLinChecker:
                 self._verdict = LIN_UNDECIDED
             else:
                 self._verdict = LIN_OK
-        return StreamVerdict(self._verdict, self.progress())
+        return self._verdict_of(self._verdict)
 
     def partial(self) -> StreamVerdict:
         """The stream was cut (disconnect, truncation): report the
@@ -687,10 +741,10 @@ class StreamingLinChecker:
         exhausted budget still reads UNDECIDED; otherwise the verdict
         is PARTIAL — never a bogus OK."""
         if any(p.failed for p in self._partitions.values()):
-            return StreamVerdict(LIN_FAIL, self.progress())
+            return self._verdict_of(LIN_FAIL)
         if any(p.dead for p in self._partitions.values()):
-            return StreamVerdict(LIN_UNDECIDED, self.progress())
-        return StreamVerdict(LIN_PARTIAL, self.progress())
+            return self._verdict_of(LIN_UNDECIDED)
+        return self._verdict_of(LIN_PARTIAL)
 
 
 def check_history_streaming(

@@ -61,10 +61,10 @@ class BaseObject:
         Atomicity is the caller's responsibility: apply calls on one
         object must be serialized.  The simulator guarantees this by
         executing one primitive per scheduler step; the thread runtime
-        (:mod:`repro.rt`) by holding a per-object lock across the
-        application *and* its history recording — object lock strictly
-        before the history lock, never two object locks at once, so the
-        lock order is acyclic by construction.
+        (:mod:`repro.rt`) by holding its one history lock across the
+        application *and* its history recording; the process runtime
+        by applying every primitive on its single-threaded memory
+        server.
         """
         method = getattr(self, "_apply_" + primitive, None)
         if method is None:

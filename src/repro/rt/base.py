@@ -20,8 +20,8 @@ effectiveness) consume unchanged.  Three backends ship:
   single-threaded simulator (:mod:`repro.sim`), registered as a
   :class:`Runtime` below;
 - :class:`~repro.rt.thread_runtime.ThreadRuntime` — one real OS thread
-  per process, primitives serialized by per-object locks, history
-  indices allocated under a dedicated history lock;
+  per process, each primitive applied and recorded under the one
+  history lock;
 - :class:`~repro.rt.process_runtime.ProcessRuntime` — one real OS
   process per process, primitives applied over message channels by a
   memory-server process that owns the objects and the history (true

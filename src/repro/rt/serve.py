@@ -78,7 +78,8 @@ class ServeOutcome:
             f"(peak resident {self.stream.get('peak_resident_ops')})",
         ]
         lines += verdict_lines(
-            self.status, self.audit_ok, audit_note(self.stream)
+            self.status, self.audit_ok, audit_note(self.stream),
+            self.stream.get("budget"),
         )
         return "\n".join(lines)
 

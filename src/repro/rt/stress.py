@@ -75,7 +75,7 @@ PASS, FAIL, PARTIAL = "PASS", "FAIL", "PARTIAL"
 _LIN_LINES = {
     LIN_OK: "[PASS] history linearizable",
     LIN_FAIL: "[FAIL] history linearizable",
-    LIN_UNDECIDED: "[UNDECIDED] linearizability node budget exhausted",
+    LIN_UNDECIDED: "[UNDECIDED] linearizability search budget exhausted",
     LIN_PARTIAL: "[PARTIAL] stream cut before its end marker",
 }
 
@@ -100,11 +100,19 @@ def recorded_verdict(
 
 
 def verdict_lines(
-    lin_status: str, audit_ok: Optional[bool], audit_note: str = ""
+    lin_status: str,
+    audit_ok: Optional[bool],
+    audit_note: str = "",
+    budget: Optional[str] = None,
 ) -> List[str]:
     """The report lines of one validated run: each check, then the
-    :func:`recorded_verdict`."""
-    lines = [f"  {_LIN_LINES[lin_status]}"]
+    :func:`recorded_verdict`.  ``budget`` names the budget that cut an
+    undecided search (:attr:`StreamVerdict.budget
+    <repro.analysis.streamlin.StreamVerdict.budget>`)."""
+    line = _LIN_LINES[lin_status]
+    if budget is not None:
+        line += f" ({budget})"
+    lines = [f"  {line}"]
     if audit_ok is not None:
         audit = "PASS" if audit_ok else "FAIL"
         lines.append(f"  [{audit}] audit exactness{audit_note}")
@@ -258,7 +266,7 @@ class StressReport:
     lin_ok: Optional[bool] = None
     audit_ok: Optional[bool] = None
     # "ok"/"fail"/"undecided"/"partial" when validated; an undecided
-    # verdict (linearizability node budget exhausted) or a partial one
+    # verdict (a linearizability search budget exhausted) or a partial one
     # (process log cut before its end marker) leaves lin_ok None -- the
     # run is reported, just not vouched for.
     lin_status: Optional[str] = None
@@ -274,6 +282,9 @@ class StressReport:
     # resident) for the report's audit line; on online runs ``stream``
     # carries them in the JSONL record too.
     audit_counts: Optional[Dict[str, Any]] = None
+    # The budget that cut an undecided search, for the report's
+    # linearizability line (``stream`` carries it on online runs).
+    lin_budget: Optional[str] = None
 
     @property
     def threads(self) -> int:
@@ -337,6 +348,7 @@ class StressReport:
             lines += verdict_lines(
                 self.lin_status, self.audit_ok,
                 audit_note(self.audit_counts) if self.audit_counts else "",
+                self.lin_budget,
             )
         else:
             lines.append("  (history not post-validated)")
@@ -544,6 +556,10 @@ class StreamValidator:
     live runtime stream (``online=True``) or a replayed event log
     (``repro serve``).  :func:`validator_from_meta` builds it for a
     stress run; ``repro serve --spec`` builds it with no oracle.
+
+    Without an oracle nothing reads primitive events, so the validator
+    offers the checker's ``count_primitive``: a history streaming into
+    it without retention counts each primitive instead of building it.
     """
 
     def __init__(
@@ -561,7 +577,10 @@ class StreamValidator:
         # Bound once: a runtime tap calls ``feed`` for every event.
         lin_feed = self.checker.feed
         self.feed: Callable[[Any], None] = lin_feed
-        if oracle is not None:
+        self.count_primitive: Optional[Callable[[int], None]] = None
+        if oracle is None:
+            self.count_primitive = self.checker.count_primitive
+        else:
             audit_feed = oracle.feed
 
             def feed(event: Any) -> None:
@@ -593,6 +612,7 @@ class StreamValidator:
         audit: Optional[bool] = None
         payload = result.progress.to_payload()
         payload["status"] = result.status
+        payload["budget"] = result.budget
         if self.oracle is not None:
             audit = not self.oracle.violations
             payload["audits_checked"] = self.oracle.audits_checked
@@ -793,7 +813,9 @@ def run_stress(
     if runtime != "process" and (online or file_sink is not None):
         # Attach the live tap before the run starts.  The history lock
         # serializes sink calls, so the validator sees events in index
-        # order without its own locking.
+        # order without its own locking.  Without a tee the validator
+        # itself is the sink, so it can count the primitives it does
+        # not read.
         sink = file_sink
         if online and validator is not None:
             if file_sink is not None:
@@ -801,7 +823,7 @@ def run_stress(
                     _feed(event)
                     _tee(event)
             else:
-                sink = validator.feed
+                sink = validator
         rt.history.stream_to(sink, retain=not online)
 
     history = rt.run(duration=duration)
@@ -862,6 +884,7 @@ def run_stress(
         lin, audit, status, stream = validator.verdict(finished=finished)
         report.validated = True
         report.lin_ok, report.audit_ok, report.lin_status = lin, audit, status
+        report.lin_budget = stream["budget"]
         if audit is not None:
             report.audit_counts = {
                 key: stream[key] for key in (

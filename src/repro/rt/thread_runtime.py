@@ -6,22 +6,21 @@ the runtime preserves the two contracts of the model:
 
 1. **Primitive atomicity.**  Every yielded
    :class:`~repro.sim.events.PendingPrimitive` is applied through the
-   existing :meth:`~repro.memory.base.BaseObject.apply` under a
-   per-object lock, so primitives on one object are totally ordered and
-   each executes indivisibly.  Local computation between primitives runs
-   unlocked on the owning thread, exactly as in the model where local
-   steps are free.
-2. **A monotonically-indexed, order-faithful history.**  Indices are
-   allocated under a dedicated history lock.  The per-object lock is
-   held *across* both the primitive's application and its recording
-   (lock order: object lock, then history lock, never two object locks),
-   which guarantees that for any single object the index order of its
-   primitive events equals their true application order — the property
-   the audit-exactness oracle relies on (all its comparisons are between
-   events on ``R``).  Across objects, an event's index is assigned
-   between the operation's invocation recording and its response
-   recording, so recorded real-time precedence (response index below
-   invocation index) always implies true precedence: the
+   existing :meth:`~repro.memory.base.BaseObject.apply` under the one
+   history lock, so primitives are totally ordered and each executes
+   indivisibly.  Local computation between primitives runs unlocked on
+   the owning thread, exactly as in the model where local steps are
+   free.  (Under the GIL a lock per object would buy no parallelism,
+   only a second acquire per primitive.)
+2. **A monotonically-indexed, order-faithful history.**  The same lock
+   is held across both the primitive's application and its recording,
+   so the index order of primitive events equals their true
+   application order, on every object by construction — the property
+   the audit-exactness oracle relies on (all its comparisons are
+   between events on ``R``).  Across objects, an event's index is
+   assigned between the operation's invocation recording and its
+   response recording, so recorded real-time precedence (response
+   index below invocation index) always implies true precedence: the
    linearizability checker never sees a constraint that did not hold.
 
 Determinism is **not** preserved: interleavings come from the OS
@@ -142,13 +141,6 @@ class ThreadRuntime(Runtime):
     ) -> None:
         self._history = History()
         self._hist_lock = threading.Lock()
-        # Keyed by id(obj) but each entry *pins* the object with a strong
-        # reference: a pinned object can never be garbage-collected, so
-        # its id can never be reused to alias a second object onto the
-        # same lock (and the table's size is bounded by the number of
-        # distinct objects the run touches, not by churn).
-        self._obj_locks: Dict[int, Tuple[Any, threading.Lock]] = {}
-        self._obj_locks_guard = threading.Lock()
         self.join_watchdog = join_watchdog
         self.processes: Dict[str, ThreadProcess] = {}
         self.record_latency = record_latency
@@ -292,20 +284,6 @@ class ThreadRuntime(Runtime):
 
     # -- internals ---------------------------------------------------------
 
-    def _lock_for(self, obj: Any) -> threading.Lock:
-        # Plain dict reads are atomic under the GIL; only creation needs
-        # the guard (setdefault keeps the first entry on a lost race).
-        # Entries are (obj, lock): pinning obj keeps its id unique for
-        # the table's lifetime, so a reused id can never alias two
-        # distinct objects to one lock.
-        entry = self._obj_locks.get(id(obj))
-        if entry is None:
-            with self._obj_locks_guard:
-                entry = self._obj_locks.setdefault(
-                    id(obj), (obj, threading.Lock())
-                )
-        return entry[1]
-
     def _drive(
         self,
         process: ThreadProcess,
@@ -356,18 +334,18 @@ class ThreadRuntime(Runtime):
         def apply_locked(pending):
             if self._interpreter is not None:
                 self._consult_faults(pid, op_id, pending)
-            with self._lock_for(pending.obj):
-                result = pending.obj.apply(pending.primitive, pending.args)
-                with self._hist_lock:
-                    self._history.record_primitive(
-                        pid,
-                        op_id,
-                        pending.obj.name,
-                        pending.primitive,
-                        pending.args,
-                        result,
-                    )
-                    self._steps += 1
+            obj = pending.obj
+            with self._hist_lock:
+                result = obj.apply(pending.primitive, pending.args)
+                self._history.record_primitive(
+                    pid,
+                    op_id,
+                    obj.name,
+                    pending.primitive,
+                    pending.args,
+                    result,
+                )
+                self._steps += 1
             return result
 
         result = drive_op(pid, op, apply_locked)

@@ -62,12 +62,15 @@ class History:
     event is handed to the sink as it happens (the streaming seam the
     online verdict paths — ``repro serve``, ``stress --online`` —
     consume).  With ``retain=False`` the history stops buffering:
-    events are forwarded but not stored, and operation records are
-    pruned at their response, so memory stays bounded by the number of
-    *in-flight* operations regardless of run length.  Recording calls
-    are serialized by the runtime that owns the history (simulation
-    step loop, thread runtime's history lock, memory-server process),
-    so the sink inherits that mutual exclusion.
+    events are forwarded but not stored and no operation record is
+    kept, so memory stays constant regardless of run length.  A
+    streaming sink that reads no primitive events says so with a
+    ``count_primitive(index)`` attribute that is not ``None``: each
+    primitive then costs one call with its index instead of a built
+    :class:`PrimitiveEvent`.  Recording calls are serialized by the
+    runtime that owns the history (simulation step loop, thread
+    runtime's history lock, memory-server process), so the sink
+    inherits that mutual exclusion.
     """
 
     def __init__(self) -> None:
@@ -76,6 +79,7 @@ class History:
         self._ops: Dict[Tuple[str, int], OperationRecord] = {}
         self._op_order: List[Tuple[str, int]] = []
         self._sink = None
+        self._count = None
         self._retain = True
         self.completed_count = 0
 
@@ -85,10 +89,14 @@ class History:
         """Forward every subsequently recorded event to ``sink``.
 
         ``retain=False`` additionally disables buffering (see class
-        docstring); the query helpers then only see in-flight state.
+        docstring); the query helpers then see nothing recorded after
+        this call.
         """
         self._sink = sink
         self._retain = retain
+        self._count = (
+            None if retain else getattr(sink, "count_primitive", None)
+        )
 
     # -- recording (used by Simulation) ----------------------------------
 
@@ -101,17 +109,17 @@ class History:
         self, pid: str, op_id: int, op_name: str, args: Tuple[Any, ...]
     ) -> Invocation:
         event = Invocation(self.next_index(), pid, op_id, op_name, args)
-        record = OperationRecord(
-            pid=pid,
-            op_id=op_id,
-            name=op_name,
-            args=args,
-            invoke_index=event.index,
-        )
-        self._ops[record.key()] = record
         if self._retain:
+            key = (pid, op_id)
+            self._ops[key] = OperationRecord(
+                pid=pid,
+                op_id=op_id,
+                name=op_name,
+                args=args,
+                invoke_index=event.index,
+            )
             self.events.append(event)
-            self._op_order.append(record.key())
+            self._op_order.append(key)
         if self._sink is not None:
             self._sink(event)
         return event
@@ -126,8 +134,6 @@ class History:
             record = self._ops[(pid, op_id)]
             record.response_index = event.index
             record.result = result
-        else:
-            self._ops.pop((pid, op_id), None)
         if self._sink is not None:
             self._sink(event)
         return event
@@ -140,7 +146,15 @@ class History:
         primitive: str,
         args: Tuple[Any, ...],
         result: Any,
-    ) -> PrimitiveEvent:
+    ) -> Optional[PrimitiveEvent]:
+        """Record one applied primitive; ``None`` when the sink only
+        counts primitives (no event is built)."""
+        count = self._count
+        if count is not None:
+            index = self._index
+            self._index = index + 1
+            count(index)
+            return None
         event = PrimitiveEvent(
             self.next_index(), pid, op_id, obj_name, primitive, args, result
         )

@@ -77,8 +77,8 @@ def drive_op(
     """Drive one operation to completion; return the operation's result.
 
     Every yielded primitive goes through ``apply``, which executes it
-    atomically (however the backend defines atomicity: under a
-    per-object lock on the thread runtime, as a message round-trip to
+    atomically (however the backend defines atomicity: under the
+    history lock on the thread runtime, as a message round-trip to
     the memory server on the process runtime) and returns its result.
     ``apply`` may raise to abandon the operation (e.g. when the memory
     server crashed the process mid-operation); the generator is closed

@@ -98,26 +98,50 @@ def test_thread_runtime_rejects_duplicate_pids():
         rt.spawn("p")
 
 
-def test_thread_runtime_lock_table_pins_objects():
-    """The per-object lock table must keep each registered object alive:
-    a garbage-collected object's id could otherwise be reused by a new
-    object, silently aliasing two objects to one lock."""
-    import gc
+class _LoggedCas(CasRegister):
+    """A compare&swap register that logs every application, then yields
+    the CPU: a runtime that recorded outside the lock it applies under
+    would be switched out between the two."""
 
-    from repro.memory.register import CasRegister
+    def __init__(self, name, initial):
+        super().__init__(name, initial)
+        self.log = []
 
-    rt = ThreadRuntime()
-    obj = CasRegister("c", 0)
-    key = id(obj)
-    lock = rt._lock_for(obj)
-    assert rt._lock_for(obj) is lock  # stable per object
-    assert rt._obj_locks[key][0] is obj  # strong reference pins it
-    del obj
-    gc.collect()
-    # Still pinned after the caller dropped it: the id stays taken.
-    assert rt._obj_locks[key][0].name == "c"
-    other = CasRegister("d", 0)
-    assert rt._lock_for(other) is not lock
+    def apply(self, primitive, args):
+        result = super().apply(primitive, args)
+        self.log.append((primitive, args, result))
+        time.sleep(0)
+        return result
+
+
+def test_thread_runtime_records_primitives_in_application_order():
+    """One lock covers each primitive's application and its recording,
+    so an object's primitive events, in index order, are its true
+    application order."""
+    obj = _LoggedCas("c", 0)
+
+    def bump():
+        while True:
+            old = yield from obj.read()
+            if (yield from obj.compare_and_swap(old, old + 1)):
+                return old
+
+    rt = ThreadRuntime(join_watchdog=30)
+    for k in range(4):
+        rt.add_program(f"p{k}", [Op("bump", bump) for _ in range(50)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        history = rt.run()
+    finally:
+        sys.setswitchinterval(interval)
+    recorded = [
+        (event.primitive, event.args, event.result)
+        for event in history.primitive_events(obj_name="c")
+    ]
+    assert recorded == obj.log
+    assert obj.peek() == 200
+    assert rt.steps_taken == len(obj.log)
 
 
 def test_thread_runtime_watchdog_surfaces_stuck_pid():

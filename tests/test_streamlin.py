@@ -765,3 +765,125 @@ class TestPinnedProgress:
         assert small_row == PINS["scaling"]["500"]
         assert large_row == PINS["scaling"]["2000"]
         assert large < 8 * small, (small, large)
+
+
+def _unaudited_sim_run(object_kind, seed, sink, ops=60):
+    """A stress-roster run (1 reader, 1 writer, no auditor) on the
+    simulator, streaming into ``sink`` without retention; returns the
+    hello meta."""
+    from repro.rt.stress import (
+        _stress_pids,
+        build_stress_register,
+        stress_op_source,
+    )
+    from repro.sim.runner import Simulation
+    from repro.sim.scheduler import RandomSchedule
+
+    r, w, a = 1, 1, 0
+    reg = build_stress_register(object_kind, r, w, seed)
+    sim = Simulation(RandomSchedule(seed))
+    sim.history.stream_to(sink, retain=False)
+    for pid, role, index in _stress_pids(object_kind, r, w, a):
+        sim.spawn(pid)
+        source = stress_op_source(reg, pid, object_kind, seed, role, index)
+        sim.add_program(pid, [source() for _ in range(ops)])
+    sim.run()
+    return {"kind": "stress", "object": object_kind,
+            "r": r, "w": w, "a": a, "seed": seed}
+
+
+class TestCountedPrimitives:
+    """A validator with no audit oracle reads no primitive event, so a
+    streaming history only counts primitives into it; the verdict and
+    progress must be those of feeding it every event."""
+
+    @pytest.mark.parametrize("object_kind", ["register", "max", "snapshot"])
+    def test_counted_tap_matches_feeding_every_event(self, object_kind):
+        from repro.rt.stress import validator_from_meta
+
+        for seed in range(15):
+            events = []
+            meta = _unaudited_sim_run(object_kind, seed, events.append)
+            full = validator_from_meta(meta)
+            for event in events:
+                full.feed(event)
+            counted = validator_from_meta(meta)
+            _unaudited_sim_run(object_kind, seed, counted)
+            assert counted.verdict() == full.verdict(), seed
+            assert any(
+                type(event).__name__ == "PrimitiveEvent" for event in events
+            )
+
+    def test_oracle_bearing_validators_read_every_primitive(self):
+        from repro.rt.stress import validator_from_meta
+
+        meta = {"kind": "stress", "object": "register",
+                "r": 1, "w": 1, "a": 1, "seed": 0}
+        assert validator_from_meta(meta).count_primitive is None
+
+    def test_streaming_thread_history_keeps_no_op_record(self):
+        """The bounded-memory claim of ``History``: while streaming, no
+        operation record and no event is held at any point of a
+        thread-runtime run."""
+        from repro.rt.stress import _build, stress_meta, validator_from_meta
+
+        meta = stress_meta("register", 1, 1, 0, seed=3)
+        rt = _build(meta, 300, record_latency=False)
+        history = rt.history
+        validator = validator_from_meta(meta)
+        sizes = set()
+        counted = []
+
+        class Probe:
+            def __call__(self, event):
+                sizes.add((len(history._ops), len(history.events)))
+                validator(event)
+
+            def count_primitive(self, index):
+                sizes.add((len(history._ops), len(history.events)))
+                counted.append(index)
+                validator.count_primitive(index)
+
+        history.stream_to(Probe(), retain=False)
+        rt.run()
+        assert sizes == {(0, 0)}
+        assert len(counted) == rt.steps_taken > 0
+        lin, _audit, status, payload = validator.verdict()
+        assert status == LIN_OK and lin
+        assert payload["events"] == history._index
+        assert payload["ops_completed"] == 600
+
+
+class TestUndecidedNamesItsBudget:
+    def test_configuration_cap(self):
+        checker = StreamingLinChecker(register_spec(0), max_configs=8)
+        for event in open_write_burst(50, BURSTS["open-write"]):
+            checker.feed(event)
+        verdict = checker.finish()
+        assert verdict.status == LIN_UNDECIDED
+        assert verdict.budget == "max_configs"
+
+    def test_node_budget(self):
+        checker = StreamingLinChecker(
+            register_spec(0), max_nodes_per_window=5
+        )
+        for event in open_write_burst(50, BURSTS["open-write"]):
+            checker.feed(event)
+        assert checker.partial().budget == "max_nodes_per_window"
+        verdict = checker.finish()
+        assert verdict.status == LIN_UNDECIDED
+        assert verdict.budget == "max_nodes_per_window"
+
+    def test_decided_verdicts_name_no_budget(self):
+        checker = StreamingLinChecker(register_spec(0))
+        for event in open_write_burst(50, BURSTS["open-write"]):
+            checker.feed(event)
+        assert checker.finish().budget is None
+
+    def test_report_line_names_the_budget(self):
+        from repro.rt.stress import verdict_lines
+
+        assert verdict_lines(LIN_UNDECIDED, None, "", "max_configs")[0] == (
+            "  [UNDECIDED] linearizability search budget exhausted "
+            "(max_configs)"
+        )

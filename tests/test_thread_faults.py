@@ -1,14 +1,15 @@
 """Fault injection on the thread runtime.
 
-The thread runtime has no message seam (threads touch shared objects
-under per-object locks), so only the families that make sense at the
-primitive-arrival point are supported: ``crash`` (the arriving thread
-stops, its operation stays pending forever) and ``delay`` (the arrival
-is held, widening real interleavings, and released by the memory
-server's rule: when due, or once every live thread is held -- never on
-a timer).  The arrival sequence is serialised under a dedicated lock so
-fault plans see the same totally-ordered view the single-threaded
-memory server provides.
+The thread runtime has no message seam (threads apply primitives to
+shared objects under the one history lock), so only the families that
+make sense at the primitive-arrival point are supported: ``crash`` (the
+arriving thread stops, its operation stays pending forever) and
+``delay`` (the arrival is held, widening real interleavings, and
+released by the memory server's rule: when due, or once every live
+thread is held -- never on a timer).  The arrival sequence is
+serialised under a dedicated fault lock, never held together with the
+history lock, so fault plans see the same totally-ordered view the
+single-threaded memory server provides.
 
 The safety claim mirrors the process runtime's: whatever the faults do,
 the surviving history must still pass linearizability and audit
