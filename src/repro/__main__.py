@@ -343,8 +343,10 @@ def _check(argv) -> int:
     EngineOptions.add_to_parser(
         parser,
         default=1,
-        help="worker processes for parallel frontier fan-out "
-        "(default: 1 = serial; 0 = one per CPU)",
+        help="engine worker processes for checkpointed frontier "
+        "fan-out (default: 1 = no engine pool; 0 = one per CPU).  "
+        "Every check already forks one explorer per available CPU, "
+        "so 1 does not mean one CPU",
     )
     OutputOptions.add_to_parser(
         parser,

@@ -1,13 +1,15 @@
 """``repro.mc`` -- the model-checking subsystem.
 
-A partial-order-reduced, checkpoint-driven (and optionally parallel)
-explorer:
+A partial-order-reduced, checkpoint-driven, parallel explorer:
 
-- :func:`explore` -- serial exploration of an arbitrary
-  ``(factory, check)`` scenario; ``reduce=False`` enumerates every raw
-  interleaving.
-- :func:`explore_parallel` -- frontier fan-out of a *named* scenario
-  across the ``repro.engine`` worker pool with JSONL
+- :func:`explore` -- exploration of an arbitrary ``(factory, check)``
+  scenario; ``reduce=False`` enumerates every raw interleaving.  The
+  tree is split at a fixed frontier depth and the subtrees are shared
+  out over one forked process per available CPU where a fork is safe
+  (:mod:`repro.mc.fanout`); the report is the serial DFS's, field for
+  field, whatever the number of processes.
+- :func:`explore_parallel` -- the same frontier subtrees for a *named*
+  scenario, run as ``repro.engine`` tasks with JSONL
   checkpoint/resume.
 - :mod:`repro.mc.scenarios` -- the named scenario catalogue (the E13
   suite lives here).

@@ -15,7 +15,7 @@ independence module) holds for *every* interleaving iff it holds for the
 visited representatives.
 
 Compared to a naive exhaustive walk that replays every prefix, this
-explorer layers two accelerations:
+explorer layers three accelerations:
 
 - **replay elimination** -- the DFS backtracks a single live simulation
   through :class:`repro.sim.checkpoint.SimulationCheckpointer` instead
@@ -23,7 +23,15 @@ explorer layers two accelerations:
   is O(state size), not O(depth), and a node with a single candidate
   step is never captured at all, since nothing backtracks to it;
 - **partial-order reduction** -- sleep sets prune sibling orderings of
-  independent steps, visiting one representative per trace.
+  independent steps, visiting one representative per trace;
+- **fan-out** -- where a fork is safe (:mod:`repro.mc.fanout`), the
+  DFS explores the subtrees below :data:`FRONTIER_DEPTH` inline for
+  :data:`FORK_AFTER_S`, then defers the remaining ``(prefix, sleep
+  set)`` subtrees to one forked process per available CPU.
+  :class:`_Plan` places the deferred subtrees in DFS order and merges
+  their reports back into the report the serial DFS produces, field
+  for field and violation for violation, budget overruns included
+  (DESIGN.md section 5).
 
 There is no state memo.  A sleep-set DFS never visits two
 trace-equivalent prefixes (Godefroid's sleep-set theorem): if two
@@ -49,18 +57,28 @@ Typical use (experiment E13)::
 
 Budgets raise :class:`ExplorationBudgetExceeded`; the exception's
 ``report`` attribute carries the partial :class:`ExplorationReport`
-accumulated so far, so a too-large scenario still yields usable
-evidence.
+the serial DFS had accumulated when the budget tripped, so a too-large
+scenario still yields usable evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import sys
+import time
 
 from repro._seeding import stable_hash
+from repro.mc import fanout
 from repro.mc.independence import StepInfo, independent
 from repro.sim.checkpoint import SimulationCheckpointer
 from repro.sim.runner import Simulation
@@ -172,6 +190,7 @@ class _Explorer:
         max_depth: int,
         reduce: bool,
         frontier_depth: Optional[int] = None,
+        defer_after: float = 0.0,
     ) -> None:
         self.sim = sim
         self.context = context
@@ -180,7 +199,11 @@ class _Explorer:
         self.max_depth = max_depth
         self.reduce = reduce
         self.frontier_depth = frontier_depth
-        self.frontier: List[Tuple[Tuple[str, ...], Tuple[StepInfo, ...]]] = []
+        self.defer_after = defer_after
+        # The deferred frontier nodes and, in DFS order around them,
+        # the leaves met after the first (see _Plan).
+        self.items: List[Tuple] = []
+        self.subtrees: List[Tuple[Tuple[str, ...], Tuple[StepInfo, ...]]] = []
         self.ckpt = SimulationCheckpointer(sim, roots=[context])
         self.report = ExplorationReport(reduced=reduce)
 
@@ -237,9 +260,7 @@ class _Explorer:
             return
         if depth >= self.max_depth:
             raise ExplorationBudgetExceeded(
-                f"execution deeper than {self.max_depth} steps; "
-                "not wait-free or scenario too large",
-                report=self.report,
+                _too_deep(self.max_depth), report=self.report
             )
         sleeping = {entry.pid for entry in sleep}
         candidates = [pid for pid in runnable if pid not in sleeping]
@@ -248,11 +269,11 @@ class _Explorer:
             # are permutations of executions visited elsewhere.
             self.report.sleep_pruned += 1
             return
-        if (
-            self.frontier_depth is not None
-            and depth >= self.frontier_depth
-        ):
-            self.frontier.append((prefix, tuple(sorted(sleep))))
+        if depth == self.frontier_depth and self._defer():
+            self.items.append(
+                ("subtree", _counts(self.report), len(self.subtrees))
+            )
+            self.subtrees.append((prefix, tuple(sorted(sleep))))
             return
 
         self.report.distinct_states += 1
@@ -275,6 +296,11 @@ class _Explorer:
                 child_sleep = frozenset()
             self._node(prefix + (pid,), child_sleep)
             done.append(info)
+
+    def _defer(self) -> bool:
+        """Whether to hand the frontier node here to a share instead
+        of exploring its subtree inline."""
+        return time.perf_counter() >= self.defer_after
 
     def _step(self, pid: str, vault_snap: Optional[list]) -> StepInfo:
         """Execute one step and observe it.  ``vault_snap`` is the
@@ -310,11 +336,11 @@ class _Explorer:
     def _leaf(self, prefix: Tuple[str, ...]) -> None:
         self.report.max_depth = max(self.report.max_depth, len(prefix))
         self.report.executions += 1
+        if self.subtrees:  # the merge needs the counters of each leaf
+            self.items.append(("leaf", _counts(self.report)))
         if self.report.executions > self.max_executions:
             raise ExplorationBudgetExceeded(
-                f"more than {self.max_executions} executions; "
-                "shrink the scenario",
-                report=self.report,
+                _too_many(self.max_executions), report=self.report
             )
         # The parent's restore rolls back what the check mutates (a
         # post-hoc audit) only in adopted objects; _step adopted every
@@ -327,6 +353,219 @@ class _Explorer:
             self.report.violation_details.append((prefix, verdict))
 
 
+def _too_deep(max_depth: int) -> str:
+    return (
+        f"execution deeper than {max_depth} steps; "
+        "not wait-free or scenario too large"
+    )
+
+
+def _too_many(max_executions: int) -> str:
+    return f"more than {max_executions} executions; shrink the scenario"
+
+
+Counts = Tuple[int, int, int, int, int, int]
+
+
+def _counts(report: ExplorationReport) -> Counts:
+    return (report.executions, report.distinct_states, report.restores,
+            report.sleep_pruned, report.max_depth,
+            len(report.violation_details))
+
+
+#: The depth at which :func:`explore` splits the reduced tree into
+#: independent subtrees.  Shallower leaves too few subtrees to share
+#: out evenly; deeper makes each subtree's prefix replay cost more.
+FRONTIER_DEPTH = 5
+
+#: How long :func:`explore` explores frontier subtrees inline before it
+#: defers the rest to forked shares.  A fork costs milliseconds, with
+#: copy-on-write faults in both processes after it: a tree explored
+#: sooner than this never pays for one.
+FORK_AFTER_S = 0.02
+
+
+def explore_subtree(
+    factory: Factory,
+    check: Check,
+    prefix: Tuple[str, ...],
+    sleep: Tuple[StepInfo, ...],
+    max_executions: int,
+    max_depth: int,
+    reduce: bool,
+    report: Optional[ExplorationReport] = None,
+) -> ExplorationReport:
+    """Explore one frontier subtree on a fresh ``factory()`` system.
+
+    ``report`` continues an existing report (budgets then count from
+    its totals); by default the subtree gets a report of its own.
+    """
+    sim, context = factory()
+    explorer = _Explorer(
+        sim, context, check, max_executions, max_depth, reduce
+    )
+    if report is not None:
+        explorer.report = report
+    try:
+        return explorer.run(prefix, sleep)
+    finally:
+        sim.release()
+
+
+@dataclass
+class _Plan:
+    """The serial DFS down to a frontier depth, with some frontier
+    subtrees deferred.
+
+    ``report`` is the walk's own report: everything but the deferred
+    subtrees ``subtrees`` (each a prefix and sleep set).  ``items``
+    places them in DFS order: ``("subtree", counts, index)`` for a
+    deferred node, ``("leaf", counts)`` for each execution completed
+    after the first deferred node, and at most one final
+    ``("overrun", counts, message)`` where the walk's own budget
+    tripped.  ``counts`` are the walk's counters at that point
+    (``_counts``: the last is its number of violations).
+    """
+
+    factory: Factory
+    check: Check
+    max_executions: int
+    max_depth: int
+    reduce: bool
+    items: List[Tuple]
+    subtrees: List[Tuple[Tuple[str, ...], Tuple[StepInfo, ...]]]
+    report: ExplorationReport
+
+    @classmethod
+    def build(
+        cls,
+        factory: Factory,
+        check: Check,
+        max_executions: int,
+        max_depth: int,
+        reduce: bool,
+        frontier_depth: Optional[int],
+        defer_after: float = 0.0,
+    ) -> "_Plan":
+        """Walk the tree, deferring the frontier nodes met at or after
+        the ``time.perf_counter()`` instant ``defer_after`` (by default
+        all of them; none without a ``frontier_depth``)."""
+        sim, context = factory()
+        explorer = _Explorer(
+            sim, context, check, max_executions, max_depth, reduce,
+            frontier_depth=frontier_depth, defer_after=defer_after,
+        )
+        try:
+            explorer.run()
+        except ExplorationBudgetExceeded as exc:
+            if not explorer.subtrees:  # the serial run's own overrun
+                raise
+            explorer.items.append(
+                ("overrun", _counts(exc.report), str(exc))
+            )
+        finally:
+            sim.release()
+        return cls(factory, check, max_executions, max_depth, reduce,
+                   explorer.items, explorer.subtrees, explorer.report)
+
+    def subtree(
+        self, index: int, budget: int,
+        report: Optional[ExplorationReport] = None,
+    ) -> ExplorationReport:
+        """Explore deferred subtree ``index`` (see
+        :func:`explore_subtree`)."""
+        return explore_subtree(
+            self.factory, self.check, *self.subtrees[index], budget,
+            self.max_depth, self.reduce, report,
+        )
+
+    def share(
+        self, indices: Sequence[int]
+    ) -> List[Optional[ExplorationReport]]:
+        """Explore the deferred subtrees ``indices`` in order, within
+        the whole run's budget less what is known to precede each: the
+        walk's executions before it and the share's own.  The subtree
+        that overruns that is reported as ``None`` and ends the share:
+        the serial run overruns at or before it, which :meth:`merge`
+        then finds, so every later subtree is wasted work."""
+        before = [counts[0] for kind, counts, *_ in self.items
+                  if kind == "subtree"]
+        results: List[Optional[ExplorationReport]] = []
+        spent = 0
+        for index in indices:
+            budget = self.max_executions - before[index] - spent
+            try:
+                report = self.subtree(index, budget)
+            except ExplorationBudgetExceeded:
+                results.append(None)
+                break
+            spent += report.executions
+            results.append(report)
+        return results
+
+    def merge(
+        self, results: List[Optional[ExplorationReport]]
+    ) -> ExplorationReport:
+        """The serial explorer's report, from the deferred subtrees'.
+
+        ``results[i]`` is subtree ``i``'s complete report, or ``None``
+        where it overran the budget it was given (or was never run).
+        Budgets apply in DFS order, as in the serial run: at the first
+        point where the running total overruns, the merge raises that
+        run's :class:`ExplorationBudgetExceeded`.  When that point lies
+        inside a subtree, the merge re-explores it in-process on top of
+        the serial report at its root, which raises the serial run's
+        exact partial report.
+        """
+        top = self.report
+        below = ExplorationReport()  # sums over the subtrees merged
+        violations: List[Tuple[Tuple[str, ...], str]] = []
+        taken = 0  # the walk's own violations merged so far
+
+        def at(counts: Counts) -> ExplorationReport:
+            nonlocal taken
+            executions, states, restores, pruned, depth, found = counts
+            violations.extend(top.violation_details[taken:found])
+            taken = found
+            return ExplorationReport(
+                executions=executions + below.executions,
+                max_depth=max(depth, below.max_depth),
+                violation_details=list(violations),
+                reduced=top.reduced,
+                distinct_states=states + below.distinct_states,
+                sleep_pruned=pruned + below.sleep_pruned,
+                restores=restores + below.restores,
+            )
+
+        for kind, counts, *rest in self.items:
+            running = counts[0] + below.executions
+            if kind == "overrun":
+                raise ExplorationBudgetExceeded(rest[0], report=at(counts))
+            if kind == "leaf":
+                if running > self.max_executions:
+                    raise ExplorationBudgetExceeded(
+                        _too_many(self.max_executions), report=at(counts)
+                    )
+                continue
+            index = rest[0]
+            result = results[index]
+            if (result is None
+                    or running + result.executions > self.max_executions):
+                self.subtree(index, self.max_executions, at(counts))
+                raise RuntimeError(
+                    "a frontier subtree overran its budget once but not "
+                    "when re-explored: the scenario is not deterministic"
+                )
+            at(counts)  # the walk's violations before this subtree
+            below.executions += result.executions
+            below.distinct_states += result.distinct_states
+            below.restores += result.restores
+            below.sleep_pruned += result.sleep_pruned
+            below.max_depth = max(below.max_depth, result.max_depth)
+            violations.extend(result.violation_details)
+        return at(_counts(top))
+
+
 def explore(
     factory: Factory,
     check: Check,
@@ -337,27 +576,36 @@ def explore(
 ) -> ExplorationReport:
     """Run ``check`` on (a trace-covering set of) maximal executions.
 
-    ``factory`` is called once and must return a freshly built,
-    deterministic system with no process mid-operation; the explorer
-    backtracks it in place.  ``check`` may extend the simulation (e.g.
-    run a post-hoc audit) as long as it only mutates shared objects
-    that existed when the scenario was built -- the explorer rolls
-    those effects back before exploring the next execution.  Mutable
-    state *outside* the repro object graph (e.g. a plain dict used as
-    context) is not rolled back: treat the context as read-only wiring
-    and keep per-execution scratch state local to ``check``.
+    ``factory`` must return a freshly built, deterministic system with
+    no process mid-operation; it is called once, plus once per
+    frontier subtree deferred to a share (see the module docstring),
+    and the explorer backtracks each system in place.  ``check`` may
+    extend the simulation (e.g. run a post-hoc audit) as long as it
+    only mutates shared objects that existed when the scenario was
+    built -- the explorer rolls those effects back before exploring
+    the next execution.  Mutable state *outside* the repro object
+    graph (e.g. a plain dict used as context) is not rolled back:
+    treat the context as read-only wiring and keep per-execution
+    scratch state local to ``check``.
+
+    Deferred subtrees are shared out over one process per CPU where a
+    fork is safe (:func:`repro.mc.fanout.fork_width`); a forked child's
+    ``check`` calls and their side effects stay in the child, and only
+    the report comes back.  The report is the serial DFS's, field for
+    field and in the same violation order, whatever the number of
+    processes -- budget overruns included.
 
     With ``reduce=False`` this enumerates every raw interleaving (the
     E13 baseline counts), without a per-node replay cost.
     """
-    sim, context = factory()
-    explorer = _Explorer(
-        sim, context, check, max_executions, max_depth, reduce
+    width = fanout.fork_width()
+    plan = _Plan.build(
+        factory, check, max_executions, max_depth, reduce,
+        FRONTIER_DEPTH if width > 1 else None,
+        time.perf_counter() + FORK_AFTER_S,
     )
-    try:
-        return explorer.run()
-    finally:
-        sim.release()
+    indices = range(len(plan.subtrees))
+    return plan.merge(fanout.fan_out(plan.share, indices, width))
 
 
 def count_interleavings(

@@ -1,23 +1,20 @@
-"""Parallel frontiers: fan independent subtrees across the engine pool.
+"""Parallel frontiers over the engine pool: by name, checkpointed.
 
-The reduced schedule tree decomposes cleanly: once the serial explorer
-has expanded it to a fixed *frontier depth* (checking any executions
-that complete earlier inline), the surviving frontier nodes --
-``(prefix, sleep set)`` pairs -- root pairwise disjoint subtrees whose
-exploration needs no shared state.  Each subtree becomes one
-:class:`repro.engine.ExecutionTask`; a worker rebuilds the scenario
-*by name* from :mod:`repro.mc.scenarios`, replays the prefix on its own
-live simulation, reconstitutes the sleep set (each sleeping entry is
-re-indexed against the worker's own vault through its process's
-pending primitive, so step signatures transfer across processes) and
-runs the same sleep-set DFS.
+:func:`repro.mc.explore` already splits the reduced schedule tree at a
+frontier depth and shares the ``(prefix, sleep set)`` subtrees out over
+forked children.  This module adds only what the engine brings on top
+of that: each subtree becomes one :class:`repro.engine.ExecutionTask`
+whose worker rebuilds the scenario *by name* from
+:mod:`repro.mc.scenarios` (so any start method works), and the engine's
+JSONL checkpoint makes an interrupted check resumable.  The frontier
+plan, the subtree runner and the merge are ``explore``'s
+(:mod:`repro.mc.explorer`), so the report equals the serial run's
+field for field.
 
 Determinism contract (inherited from :mod:`repro.engine.engine`): one
 canonical JSON record per subtree, written in task-index order --
 byte-identical across runs and worker counts, resumable from the JSONL
-checkpoint by skipping exactly the completed subtrees.  The explorer
-keeps no cross-subtree state, so the merged ``executions``,
-``distinct_states`` and verdicts equal a serial run's exactly.
+checkpoint by skipping exactly the completed subtrees.
 
 Typical use (experiment E13 at scale, ``python -m repro check``)::
 
@@ -34,7 +31,8 @@ from repro.engine.engine import ExecutionTask, run_tasks
 from repro.mc.explorer import (
     ExplorationBudgetExceeded,
     ExplorationReport,
-    _Explorer,
+    _Plan,
+    explore_subtree,
 )
 from repro.mc.independence import StepInfo
 
@@ -52,19 +50,16 @@ def _subtree_task(
     from repro.mc.scenarios import get_scenario
 
     factory, check = get_scenario(scenario)()
-    sim, context = factory()
-    explorer = _Explorer(
-        sim, context, check, max_executions, max_depth, reduce
-    )
-    entries = frozenset(StepInfo.from_wire(wire) for wire in sleep)
+    entries = tuple(StepInfo.from_wire(wire) for wire in sleep)
     budget = None
     try:
-        report = explorer.run(tuple(prefix), entries)
+        report = explore_subtree(
+            factory, check, tuple(prefix), entries,
+            max_executions, max_depth, reduce,
+        )
     except ExplorationBudgetExceeded as exc:
         report = exc.report
         budget = str(exc)
-    finally:
-        sim.release()
     return {
         "executions": report.executions,
         "max_depth": report.max_depth,
@@ -77,6 +72,23 @@ def _subtree_task(
         "restores": report.restores,
         "budget_exceeded": budget,
     }
+
+
+def _from_payload(payload: Dict[str, Any]) -> Optional[ExplorationReport]:
+    """A subtree record's report; ``None`` where it overran its budget."""
+    if payload["budget_exceeded"] is not None:
+        return None
+    return ExplorationReport(
+        executions=payload["executions"],
+        max_depth=payload["max_depth"],
+        violation_details=[
+            (tuple(schedule), verdict)
+            for schedule, verdict in payload["violations"]
+        ],
+        distinct_states=payload["distinct_states"],
+        sleep_pruned=payload["sleep_pruned"],
+        restores=payload["restores"],
+    )
 
 
 def explore_parallel(
@@ -97,27 +109,20 @@ def explore_parallel(
     checking executions that already complete; phase 2 fans the
     frontier subtrees across ``workers`` processes through the engine
     (``workers=1`` degrades to the serial engine path, keeping the
-    JSONL checkpoint/resume contract).  Budgets apply per subtree and
-    are re-checked on the merged total, so a too-large scenario raises
-    :class:`ExplorationBudgetExceeded` with the merged partial report
-    attached.
+    JSONL checkpoint/resume contract).  Each subtree runs with the
+    whole budget; the merge is :func:`repro.mc.explore`'s, so the
+    report -- or the partial report of
+    :class:`ExplorationBudgetExceeded` -- is the serial run's.
     """
     from repro.mc.scenarios import get_scenario
 
     factory, check = get_scenario(scenario)()
-    sim, context = factory()
-    explorer = _Explorer(
-        sim, context, check, max_executions, max_depth, reduce,
-        frontier_depth=frontier_depth,
-    )
-    try:
-        merged = explorer.run()  # inline leaves + frontier collection
-    finally:
-        sim.release()
-    merged.workers = workers or os.cpu_count() or 1
+    plan = _Plan.build(factory, check, max_executions, max_depth, reduce,
+                       frontier_depth)
+    width = workers or os.cpu_count() or 1
 
     tasks: List[ExecutionTask] = []
-    for index, (prefix, entries) in enumerate(explorer.frontier):
+    for index, (prefix, entries) in enumerate(plan.subtrees):
         params = (
             ("scenario", scenario),
             ("prefix", list(prefix)),
@@ -131,29 +136,19 @@ def explore_parallel(
     engine_report = run_tasks(
         _subtree_task,
         tasks,
-        workers=merged.workers,
+        workers=width,
         checkpoint=checkpoint,
         resume=resume,
         progress=progress,
     )
-
-    budget_message = None
+    results: List[Optional[ExplorationReport]] = [None] * len(tasks)
     for record in engine_report.records:
-        payload = record["payload"]
-        merged.executions += payload["executions"]
-        merged.max_depth = max(merged.max_depth, payload["max_depth"])
-        merged.distinct_states += payload["distinct_states"]
-        merged.sleep_pruned += payload["sleep_pruned"]
-        merged.restores += payload["restores"]
-        for schedule, verdict in payload["violations"]:
-            merged.violation_details.append((tuple(schedule), verdict))
-        if payload["budget_exceeded"] and budget_message is None:
-            budget_message = payload["budget_exceeded"]
+        results[record["index"]] = _from_payload(record["payload"])
 
-    if budget_message is None and merged.executions > max_executions:
-        budget_message = (
-            f"more than {max_executions} executions; shrink the scenario"
-        )
-    if budget_message is not None:
-        raise ExplorationBudgetExceeded(budget_message, report=merged)
+    try:
+        merged = plan.merge(results)
+    except ExplorationBudgetExceeded as exc:
+        exc.report.workers = width
+        raise
+    merged.workers = width
     return merged

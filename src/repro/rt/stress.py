@@ -813,18 +813,18 @@ def run_stress(
     if runtime != "process" and (online or file_sink is not None):
         # Attach the live tap before the run starts.  The history lock
         # serializes sink calls, so the validator sees events in index
-        # order without its own locking.  Without a tee the validator
-        # itself is the sink, so it can count the primitives it does
-        # not read.
-        sink = file_sink
+        # order without its own locking.  Without a tee the validator's
+        # own feed is the sink (no ``__call__`` frame per event), and
+        # the validator counts the primitives it does not read.
+        sink, count = file_sink, None
         if online and validator is not None:
             if file_sink is not None:
                 def sink(event, _feed=validator.feed, _tee=file_sink):
                     _feed(event)
                     _tee(event)
             else:
-                sink = validator
-        rt.history.stream_to(sink, retain=not online)
+                sink, count = validator.feed, validator.count_primitive
+        rt.history.stream_to(sink, retain=not online, count_primitive=count)
 
     history = rt.run(duration=duration)
     if file_sink is not None and runtime != "process":

@@ -55,6 +55,10 @@ class OperationRecord:
         )
 
 
+def _uncounted(index: int) -> None:
+    """The primitive counter of a history that streams nowhere."""
+
+
 class History:
     """Append-only event log with query helpers.
 
@@ -85,18 +89,26 @@ class History:
 
     # -- streaming ---------------------------------------------------------
 
-    def stream_to(self, sink, retain: bool = True) -> None:
+    def stream_to(self, sink, retain: bool = True,
+                  count_primitive=None) -> None:
         """Forward every subsequently recorded event to ``sink``.
 
         ``retain=False`` additionally disables buffering (see class
         docstring); the query helpers then see nothing recorded after
-        this call.
+        this call.  ``count_primitive`` stands in for the sink's own
+        attribute of that name, so a plain function can be the sink;
+        with no sink at all, primitives are only counted.
         """
         self._sink = sink
         self._retain = retain
-        self._count = (
-            None if retain else getattr(sink, "count_primitive", None)
-        )
+        if retain:
+            self._count = None
+        elif sink is None:
+            self._count = _uncounted
+        else:
+            self._count = count_primitive or getattr(
+                sink, "count_primitive", None
+            )
 
     # -- recording (used by Simulation) ----------------------------------
 

@@ -357,6 +357,14 @@ class StateVault:
                     # and adopted objects are held by identity): the
                     # loop below would reassign the same objects.
                     continue
+                if (idx in self._volatile
+                        and state["_issued"] == target["_issued"]):
+                    # A nonce source's state is a function of its draw
+                    # count (every draw goes through ``_fresh_locked``,
+                    # which counts it), so a source that drew nothing
+                    # since the snapshot is in place -- its RNG too,
+                    # which the identity test above can never see.
+                    continue
             else:
                 for key in keys - target.keys():
                     del state[key]

@@ -17,6 +17,7 @@
 """
 
 import gc
+import random
 import weakref
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core.auditable_register import AuditableRegister
 from repro.core.types import Nonced
+from repro.crypto.nonce import NonceSource, PresetNonceSource
 from repro.mc import explore
 from repro.mc.explorer import _Explorer
 from repro.mc.scenarios import (
@@ -250,6 +252,39 @@ class TestRestoreFastPath:
         reg.reader(sim.spawn("r1"), 1)
         vault.restore(snap)
         assert reg._reader_indices is before
+
+    def _nonce_vault(self, source):
+        vault = StateVault(Simulation(), roots=[source])
+        snap = vault.snapshot()
+        calls = []
+        rng = source._rng
+        rng.setstate = lambda state: calls.append(state) or (
+            random.Random.setstate(rng, state)
+        )
+        return vault, snap, calls
+
+    @pytest.mark.parametrize(
+        "source", [NonceSource(3), PresetNonceSource([7, 9], seed=3)],
+        ids=["random", "preset"],
+    )
+    def test_unchanged_nonce_source_is_not_setstate_again(self, source):
+        source.fresh()  # a draw before the snapshot is no change since
+        vault, snap, calls = self._nonce_vault(source)
+        for _ in range(3):
+            vault.restore(snap)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "source", [NonceSource(3), PresetNonceSource([7], seed=3)],
+        ids=["random", "preset"],
+    )
+    def test_nonce_source_that_drew_is_rewound_exactly(self, source):
+        vault, snap, calls = self._nonce_vault(source)
+        first = [source.fresh(), source.fresh()]
+        vault.restore(snap)
+        assert len(calls) == 1
+        assert source.issued == 0
+        assert [source.fresh(), source.fresh()] == first
 
 
 class TestSharingRule:

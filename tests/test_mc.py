@@ -11,11 +11,17 @@ The load-bearing properties:
   trace-equivalent prefixes (so a trace-keyed state memo could never
   hit), and every registered scenario's counts are pinned exactly;
 - budget exhaustion still surfaces a usable partial report;
+- fanning the frontier subtrees out over forked children changes no
+  report field, violation order and budget partial reports included,
+  and leaves no child process behind;
 - parallel frontier exploration matches serial exploration exactly and
   keeps the engine's byte-identical JSONL checkpoint/resume contract.
 """
 
+import itertools
 import math
+import os
+import threading
 
 import pytest
 
@@ -25,7 +31,9 @@ from repro.mc import (
     explore,
     scenarios,
 )
-from repro.mc.explorer import _Explorer
+from repro.mc import explorer as explorer_module
+from repro.mc import fanout
+from repro.mc.explorer import FRONTIER_DEPTH, _Explorer, _Plan
 from repro.mc.independence import foata_insert
 from repro.mc.parallel import explore_parallel
 from repro.mc.scenarios import (
@@ -511,6 +519,247 @@ class TestParallelFrontiers:
         assert second.executions == first.executions
         assert out.read_text().splitlines() == lines
         assert len(executed) == 1
+
+
+def serial_report(factory, check, reduce=True, max_executions=200_000,
+                  max_depth=200):
+    """The undivided sleep-set DFS on one live system: the reference
+    every fanned-out report must equal."""
+    sim, context = factory()
+    explorer = _Explorer(
+        sim, context, check, max_executions, max_depth, reduce
+    )
+    try:
+        return explorer.run()
+    finally:
+        sim.release()
+
+
+def report_fields(report):
+    return (
+        report.executions, report.distinct_states, report.restores,
+        report.sleep_pruned, report.max_depth, report.violation_details,
+        report.reduced, report.fingerprint_hits,
+    )
+
+
+def budget_outcome(explore_fn):
+    with pytest.raises(ExplorationBudgetExceeded) as exc_info:
+        explore_fn()
+    return str(exc_info.value), report_fields(exc_info.value.report)
+
+
+def mixed_depth_scenario():
+    """A reader whose operation is one step long or four, depending on
+    whether the writer went first: raw executions end both above and
+    below the frontier depth, interleaved in DFS order."""
+
+    def factory():
+        sim = Simulation()
+        x = AtomicRegister("x", 0)
+        y = AtomicRegister("y", 0)
+
+        def write():
+            yield from x.write(1)
+
+        def read():
+            seen = yield from x.read()
+            if seen:
+                for _ in range(3):
+                    yield from y.read()
+
+        sim.spawn("r")
+        sim.spawn("w")
+        sim.add_program("r", [Op("read", read)])
+        sim.add_program("w", [Op("write", write)])
+        return sim, x
+
+    return factory
+
+
+def every_execution_bad(sim, ctx):
+    return f"{len(sim.history.events)} events"
+
+
+def force_width(monkeypatch, width):
+    """The fork-safety predicate forced to ``width`` processes, with
+    every frontier subtree deferred to the shares (none inline)."""
+    monkeypatch.setattr(fanout, "fork_width", lambda: width)
+    monkeypatch.setattr(explorer_module, "FORK_AFTER_S", 0.0)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["serial", "fork-2", "fork-3"])
+def width(request, monkeypatch):
+    force_width(monkeypatch, request.param)
+    return request.param
+
+
+class Escaped(BaseException):
+    """Not an ``Exception``: the explorer does not record it."""
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFanOut:
+    """``explore`` splits the tree at a frontier and shares the subtrees
+    out over forked children; every report field must equal the
+    undivided serial DFS's, whatever the number of processes."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(GOLDEN_COUNTS) + ["alg1-r2-w1"]
+    )
+    def test_every_field_equals_the_serial_dfs(self, name, monkeypatch):
+        factory, check = (
+            two_reader_scenario() if name == "alg1-r2-w1"
+            else get_scenario(name)()
+        )
+        serial = report_fields(serial_report(factory, check))
+        for forced in (1, 2):
+            force_width(monkeypatch, forced)
+            assert report_fields(explore(factory, check)) == serial, forced
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("name", ["buggy-counter", "alg2-w2"])
+    def test_inline_and_deferred_subtrees_mix(self, name, monkeypatch):
+        # explore() explores frontier subtrees inline until forking
+        # would pay off, then defers the rest: any mix must merge to
+        # the serial report.
+        force_width(monkeypatch, 2)
+        turns = itertools.cycle([False, True, True])
+        monkeypatch.setattr(_Explorer, "_defer", lambda self: next(turns))
+        factory, check = get_scenario(name)()
+        assert report_fields(explore(factory, check)) == report_fields(
+            serial_report(factory, check)
+        )
+        assert budget_outcome(
+            lambda: explore(factory, check, max_executions=30)
+        ) == budget_outcome(
+            lambda: serial_report(factory, check, max_executions=30)
+        )
+
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_leaves_above_the_frontier_keep_their_dfs_position(
+        self, reduce, width
+    ):
+        factory = mixed_depth_scenario()
+        plan = _Plan.build(factory, every_execution_bad, 200_000, 200,
+                           reduce, FRONTIER_DEPTH)
+        kinds = [item[0] for item in plan.items]
+        assert plan.report.executions > 0 and "subtree" in kinds
+        if not reduce:  # a leaf after a subtree: the order is pinned
+            assert "leaf" in kinds
+        serial = serial_report(factory, every_execution_bad, reduce)
+        report = explore(factory, every_execution_bad, reduce=reduce)
+        assert report_fields(report) == report_fields(serial)
+        assert len(report.violation_details) == report.executions
+
+    @pytest.mark.parametrize("reduce", [False, True])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 20, 40])
+    def test_budget_partial_report_equals_serial(
+        self, reduce, budget, width
+    ):
+        factory, check = get_scenario("buggy-counter")()
+        expected = budget_outcome(lambda: serial_report(
+            factory, check, reduce, max_executions=budget,
+        ))
+        assert budget_outcome(lambda: explore(
+            factory, check, max_executions=budget, reduce=reduce,
+        )) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("max_depth", [3, 5, 6, 9])
+    def test_depth_budget_partial_report_equals_serial(
+        self, max_depth, width
+    ):
+        factory, check = get_scenario("buggy-counter-deep")()
+        expected = budget_outcome(lambda: serial_report(
+            factory, check, max_depth=max_depth,
+        ))
+        assert budget_outcome(lambda: explore(
+            factory, check, max_depth=max_depth,
+        )) == expected
+
+    def test_check_exceptions_are_recorded_as_in_serial(self, width):
+        def check(sim, ctx):
+            if len(sim.history.events) % 2:
+                raise ValueError(f"odd {len(sim.history.events)}")
+            return None
+
+        factory = mixed_depth_scenario()
+        serial = serial_report(factory, check, reduce=False)
+        assert any("ValueError: odd" in v for _, v in
+                   serial.violation_details)
+        report = explore(factory, check, reduce=False)
+        assert report_fields(report) == report_fields(serial)
+
+    def test_child_exception_is_reraised_and_children_reaped(
+        self, monkeypatch
+    ):
+        parent = os.getpid()
+
+        def check(sim, ctx):
+            if os.getpid() != parent:
+                raise Escaped("raised in a child")
+            return None
+
+        force_width(monkeypatch, 2)
+        factory, _ = get_scenario("alg2-w2")()
+        with pytest.raises(Escaped, match="raised in a child"):
+            explore(factory, check)
+        assert_no_child_left()
+
+    def test_unpicklable_child_exception_is_still_reported(
+        self, monkeypatch
+    ):
+        class LocalEscape(BaseException):
+            pass  # local: pickle cannot name it
+
+        parent = os.getpid()
+
+        def check(sim, ctx):
+            if os.getpid() != parent:
+                raise LocalEscape("raised in a child")
+            return None
+
+        force_width(monkeypatch, 2)
+        factory, _ = get_scenario("alg2-w2")()
+        with pytest.raises(RuntimeError,
+                           match="LocalEscape: raised in a child"):
+            explore(factory, check)
+        assert_no_child_left()
+
+    def test_parent_exception_reaps_the_children(self, monkeypatch):
+        parent = os.getpid()
+        calls = []
+
+        def check(sim, ctx):
+            calls.append(None)
+            if os.getpid() == parent and len(calls) > 40:
+                raise KeyboardInterrupt
+            return None
+
+        force_width(monkeypatch, 3)
+        factory, _ = get_scenario("alg2-w2")()
+        with pytest.raises(KeyboardInterrupt):
+            explore(factory, check)
+        assert_no_child_left()
+
+    def test_fork_is_unsafe_beside_other_threads(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert fanout.fork_width() == 1
+            factory, check = get_scenario("buggy-counter")()
+            assert report_fields(explore(factory, check)) == (
+                report_fields(serial_report(factory, check))
+            )
+        finally:
+            release.set()
+            thread.join()
 
 
 class TestE13Driver:

@@ -97,3 +97,32 @@ class TestEmpty:
         assert history.primitive_events() == []
         assert history.projection("p") == []
         assert len(history) == 0
+
+
+class TestStreaming:
+    def test_history_streaming_nowhere_only_counts_primitives(self):
+        """Without retention or a sink no one reads a primitive event,
+        so none is built; the index still advances past each one."""
+        history = History()
+        history.stream_to(None, retain=False)
+        invocation = history.record_invocation("p", 0, "write", (1,))
+        assert history.record_primitive(
+            "p", 0, "R", "write", (1,), None
+        ) is None
+        assert history.record_primitive(
+            "p", 0, "R", "read", (), 1
+        ) is None
+        response = history.record_response("p", 0, "write", None)
+        assert (invocation.index, response.index) == (0, 3)
+        assert history.events == [] and history.completed_count == 1
+
+    def test_explicit_counter_stands_in_for_the_sinks(self):
+        history = History()
+        seen, counted = [], []
+        history.stream_to(seen.append, retain=False,
+                          count_primitive=counted.append)
+        history.record_invocation("p", 0, "read", ())
+        history.record_primitive("p", 0, "R", "read", (), 0)
+        history.record_response("p", 0, "read", 0)
+        assert [event.index for event in seen] == [0, 2]
+        assert counted == [1]

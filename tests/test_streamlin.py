@@ -853,6 +853,24 @@ class TestCountedPrimitives:
         assert payload["events"] == history._index
         assert payload["ops_completed"] == 600
 
+    def test_online_thread_tap_counts_primitives(self, monkeypatch):
+        """``stress --online`` on threads hands the history the
+        validator's feed and counter: no primitive event is built."""
+        from repro.rt.stress import run_stress
+        from repro.sim import history as history_module
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a primitive event was built")
+
+        offline = run_stress("register", readers=1, writers=1, auditors=0,
+                             ops=200, seed=5, record_latency=False)
+        monkeypatch.setattr(history_module, "PrimitiveEvent", unbuilt)
+        online = run_stress("register", readers=1, writers=1, auditors=0,
+                            ops=200, seed=5, record_latency=False,
+                            online=True)
+        assert online.lin_ok and offline.lin_ok
+        assert online.ops_completed == offline.ops_completed == 400
+
 
 class TestUndecidedNamesItsBudget:
     def test_configuration_cap(self):
