@@ -1,4 +1,4 @@
-"""B8 -- model-checking throughput: baseline vs reduced vs parallel.
+"""B8 -- model-checking throughput: baseline vs reduced.
 
 The measurements behind the repro.mc design choices:
 
@@ -9,28 +9,17 @@ The measurements behind the repro.mc design choices:
   same verdicts, visiting one representative per Mazurkiewicz trace.
   The >=5x acceptance bar of the E13 suite is asserted here on the
   single scenario too.
-- *Parallel frontiers*: the reduced exploration of the largest E13
-  scenario fanned across workers through the engine.  On a small
-  scenario the pool start-up dominates, so the assertion is only
-  equality of results; throughput lands in ``extra_info``.
+
+``explore`` forks its frontier subtrees out over the available CPUs;
+perfbench's ``explore`` workload measures that fan-out end to end.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
-from conftest import _smoke_gate
-
 from repro.mc import explore
-from repro.mc.parallel import explore_parallel
 from repro.mc.scenarios import get_scenario
 
-SMOKE = _smoke_gate("BENCH_MC_SMOKE")
 SCENARIO = "alg1-w1-r1"
-# In smoke mode the parallel-frontier leg reuses the small scenario:
-# the equality assertions still bite, the wall clock does not.
-BIG_SCENARIO = SCENARIO if SMOKE else "alg2-w2"
 
 
 def test_bench_raw_enumeration(benchmark):
@@ -57,29 +46,3 @@ def test_bench_reduced_exploration(benchmark):
     benchmark.extra_info["reduction"] = (
         f"{baseline.executions / report.executions:.1f}x"
     )
-
-
-def test_bench_parallel_frontiers(benchmark):
-    """Reduced exploration of the largest E13 scenario, fanned out."""
-    cores = os.cpu_count() or 1
-    workers = min(4, cores)
-
-    t0 = time.perf_counter()
-    serial = explore_parallel(BIG_SCENARIO, workers=1, frontier_depth=6)
-    serial_s = time.perf_counter() - t0
-
-    parallel = benchmark.pedantic(
-        lambda: explore_parallel(
-            BIG_SCENARIO, workers=workers, frontier_depth=6
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert parallel.ok and serial.ok
-    # Frontier partitioning is worker-count independent, so the merged
-    # outcome must coincide exactly.
-    assert parallel.executions == serial.executions
-    assert parallel.verdicts == serial.verdicts
-    benchmark.extra_info["executions"] = parallel.executions
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["serial_s"] = round(serial_s, 3)

@@ -34,10 +34,10 @@ worker processes, streamed to a resumable JSONL checkpoint::
         --workers 4 --out sweep.jsonl
 
 Model-checking example -- verify every interleaving of the E13 suite,
-partial-order reduced, subtrees fanned over 4 workers with a resumable
-checkpoint::
+partial-order reduced, each exploration forked over the available
+CPUs, one resumable JSONL record per scenario::
 
-    python -m repro check --workers 4 --out mc.jsonl
+    python -m repro check --out mc.jsonl
 
 Fuzz example -- 1024 PCT-sampled schedules of a scenario too large to
 model-check, fanned over 4 workers with a resumable JSONL checkpoint,
@@ -114,7 +114,7 @@ def _overview() -> int:
     print("  python -m repro campaign example > spec.toml && "
           "python -m repro campaign run spec.toml")
     print("  python -m repro sweep --seeds 64 --workers 4 --out sweep.jsonl")
-    print("  python -m repro check --compare --workers 4 --out mc.jsonl")
+    print("  python -m repro check --compare --out mc.jsonl")
     print("  python -m repro fuzz --target buggy-maxreg-deep "
           "--sampler pct --schedules 1024")
     print("  python -m repro stress --object register --threads 8")
@@ -286,20 +286,13 @@ def _sweep(argv) -> int:
 
 
 def _check(argv) -> int:
-    """The ``check`` subcommand: one ``check`` campaign section, its
-    points optionally fanned out by subtree (``repro.mc.parallel``)."""
+    """The ``check`` subcommand: one ``check`` campaign section, run
+    in-process so each point's ``mc.explore`` forks its own workers."""
     import argparse
-    import functools
 
-    from repro.campaign import (
-        EngineOptions,
-        OutputOptions,
-        executor_for,
-        run_section,
-    )
+    from repro.campaign import OutputOptions, run_section
     from repro.engine.aggregate import EXIT_CODES, fold_verdicts
     from repro.harness.tables import render_table
-    from repro.mc.parallel import explore_parallel
     from repro.mc.scenarios import E13_SUITE, scenario_names
 
     parser = argparse.ArgumentParser(
@@ -340,26 +333,14 @@ def _check(argv) -> int:
         "--max-depth", type=int, default=200, metavar="D",
         help="schedule-depth budget (default: 200)",
     )
-    EngineOptions.add_to_parser(
-        parser,
-        default=1,
-        help="engine worker processes for checkpointed frontier "
-        "fan-out (default: 1 = no engine pool; 0 = one per CPU).  "
-        "Every check already forks one explorer per available CPU, "
-        "so 1 does not mean one CPU",
-    )
     OutputOptions.add_to_parser(
         parser,
-        out_help="JSONL checkpoint: one canonical record per explored "
-        "subtree; rerunning with the same file resumes an interrupted "
-        "check (implies the frontier engine even with --workers 1)",
+        out_help="JSONL checkpoint: one canonical record per scenario "
+        "(and, with --compare, per leg); rerunning with the same file "
+        "resumes an interrupted check.  Each exploration forks one "
+        "explorer per available CPU",
     )
     _add_print_spec(parser)
-    parser.add_argument(
-        "--frontier-depth", type=int, default=6, metavar="D",
-        help="depth at which subtrees are handed to workers "
-        "(default: 6)",
-    )
     parser.add_argument(
         "--smoke", action="store_true",
         help="tiny serial reduced check of one scenario (for CI)",
@@ -380,7 +361,7 @@ def _check(argv) -> int:
         return 2
     if args.smoke:
         args.scenario = ["alg1-w1-r1"]
-        args.workers, args.out, args.baseline = 1, None, False
+        args.out, args.baseline = None, False
     names = args.scenario or [key for _, key in E13_SUITE]
 
     def build(spec):
@@ -404,33 +385,12 @@ def _check(argv) -> int:
         baseline = args.compare and not point["reduce"]
         return point["scenario"] + (", baseline" if baseline else "")
 
-    if args.workers == 1 and output.out is None:
-        results = [
-            (record["params"]["point"], record["payload"])
-            for record in run_section(section, workers=1).records
-        ]
-    else:
-        # Subtree fan-out, each point with its own resumable checkpoint,
-        # judged by the same rule as a campaign check point.
-        results = []
-        for point in [p.params for p in section.points()]:
-            checkpoint = output.out
-            if checkpoint and len(names) > 1:
-                checkpoint += f".{point['scenario']}"
-            if checkpoint and args.compare and not point["reduce"]:
-                checkpoint += ".baseline"
-            fan_out = functools.partial(
-                explore_parallel, point["scenario"],
-                workers=args.workers or None,
-                frontier_depth=args.frontier_depth,
-                checkpoint=checkpoint, resume=output.resume,
-            )
-            results.append((
-                point, executor_for("check").explore_point(point, fan_out),
-            ))
-
+    outcome = run_section(
+        section, workers=1, checkpoint=output.out, resume=output.resume,
+    )
     legs: dict = {}
-    for point, payload in results:
+    for record in outcome.records:
+        point, payload = record["params"]["point"], record["payload"]
         legs.setdefault(point["scenario"], []).append(payload)
         for violation in payload["violations"]:
             print(f"  violation [{leg(point)}]: {violation}", file=sys.stderr)

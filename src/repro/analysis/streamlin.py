@@ -58,11 +58,14 @@ set, configurations, frontier and budget accounting.
 
 **Structured budgets.**  Closure work is metered per *window* of
 ``window`` events: more than ``max_nodes_per_window`` transitions in
-one window, or more than ``max_configs`` live configurations, marks the
+one window, or more than ``max_configs`` configurations left resident
+once a response's closure and forced cut are done, marks the
 partition undecided — it stops checking but keeps draining (residents
 dropped, memory stays bounded) and the final verdict degrades to
 :data:`~repro.analysis.fastlin.LIN_UNDECIDED` instead of OK, naming the
-budget that cut it (:attr:`StreamVerdict.budget`).  Wide
+budget that cut it (:attr:`StreamVerdict.budget`).  Configurations
+the closure adds and the same response's cut then drops never count
+against the cap; that transient is bounded by the node budget.  Wide
 adversarial overlap (hundreds of operations mutually concurrent) is
 where the configuration set can genuinely grow.  It also grows, cheaply,
 when one operation stays open across a burst of sequential completions
@@ -306,6 +309,7 @@ class _PartitionStream:
             self._extend(fresh, pred)
             if not self.dead:
                 self._retire()
+                self._cap()
             return
         # Every other completed op precedes this one and one full
         # configuration exists: it alone can take the op, and the new
@@ -321,13 +325,10 @@ class _PartitionStream:
         if state is None:
             full.clear()
         else:
-            configs = self.configs
-            configs.add((completed, state))
-            if len(configs) > self.max_configs:
-                self._die(failed=False, cut_by="max_configs")
-                return
+            self.configs.add((completed, state))
             full[0] = state
         self._retire()
+        self._cap()
 
     # -- the configuration closure -----------------------------------------
 
@@ -381,9 +382,7 @@ class _PartitionStream:
         only extend configurations holding its predecessors
         ``fresh_pred``: when those are every other completed op, that
         is the one full configuration, if any; otherwise a scan finds
-        them.  (Two full configurations take the scan too, so the
-        closure visits configurations in the set's order, and the
-        ``explored`` count at a ``max_configs`` cut does not move.)
+        them (two full configurations take the scan too).
         Several fresh ops (:meth:`finish`) come without ``fresh_pred``:
         each configuration tries the fresh ops its cut enables.
         Configurations discovered during the sweep try every op their
@@ -415,7 +414,6 @@ class _PartitionStream:
         self.full = full
         trans: Dict[Tuple[int, Any], Any] = {}
         max_nodes = self.max_nodes
-        max_configs = self.max_configs
         while stack:
             mask, state, cand = stack.pop()
             if cand is None:
@@ -448,12 +446,18 @@ class _PartitionStream:
                 if cfg in configs:
                     continue
                 configs.add(cfg)
-                if len(configs) > max_configs:
-                    self._die(failed=False, cut_by="max_configs")
-                    return
                 if new_mask == completed:
                     full.append(new_state)
                 stack.append((new_mask, new_state, None))
+
+    def _cap(self) -> None:
+        """Judge the configuration cap on what stays resident: after
+        :meth:`_retire` has dropped the configurations lacking a retired
+        op.  The closure's transient peak is bounded by the node budget
+        instead (one transition per configuration it adds).  A dead
+        partition holds no configuration."""
+        if len(self.configs) > self.max_configs:
+            self._die(failed=False, cut_by="max_configs")
 
     # -- the rolling frontier ----------------------------------------------
 
@@ -553,6 +557,7 @@ class _PartitionStream:
             self.completed_mask |= pending_mask
             self.window_explored = 0
             self._extend(pending_mask, None)
+            self._cap()
             if self.dead:
                 return LIN_FAIL if self.failed else LIN_UNDECIDED
         for mask, _state in self.configs:

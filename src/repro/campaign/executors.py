@@ -133,23 +133,14 @@ class CheckExecutor(Executor):
             )
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.mc import explore
+        from repro.mc import ExplorationBudgetExceeded, explore
         from repro.mc.scenarios import get_scenario
 
         factory, check = get_scenario(params["scenario"])()
-        return self.explore_point(
-            params, lambda **settings: explore(factory, check, **settings)
-        )
-
-    @staticmethod
-    def explore_point(params: Dict[str, Any], explore_fn) -> Dict[str, Any]:
-        """Explore one point with ``explore_fn(**settings)`` (``explore``,
-        or ``repro check``'s subtree fan-out) and judge the report."""
-        from repro.mc import ExplorationBudgetExceeded
-
         budget_note = None
         try:
-            report = explore_fn(
+            report = explore(
+                factory, check,
                 max_executions=params.get("max_executions", 300_000),
                 max_depth=params.get("max_depth", 200),
                 reduce=params.get("reduce", True),

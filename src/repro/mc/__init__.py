@@ -1,6 +1,6 @@
 """``repro.mc`` -- the model-checking subsystem.
 
-A partial-order-reduced, checkpoint-driven, parallel explorer:
+A partial-order-reduced, checkpoint-driven, forking explorer:
 
 - :func:`explore` -- exploration of an arbitrary ``(factory, check)``
   scenario; ``reduce=False`` enumerates every raw interleaving.  The
@@ -8,11 +8,9 @@ A partial-order-reduced, checkpoint-driven, parallel explorer:
   out over one forked process per available CPU where a fork is safe
   (:mod:`repro.mc.fanout`); the report is the serial DFS's, field for
   field, whatever the number of processes.
-- :func:`explore_parallel` -- the same frontier subtrees for a *named*
-  scenario, run as ``repro.engine`` tasks with JSONL
-  checkpoint/resume.
 - :mod:`repro.mc.scenarios` -- the named scenario catalogue (the E13
-  suite lives here).
+  suite lives here); ``python -m repro check`` runs its scenarios as
+  one ``check`` campaign section, one resumable record per point.
 - :mod:`repro.mc.independence` -- the soundness core: which steps
   commute, and why the repository's oracles cannot tell.
 - :func:`configuration_fingerprint` -- a stable hash of a live
@@ -20,8 +18,8 @@ A partial-order-reduced, checkpoint-driven, parallel explorer:
   explorer itself keeps no state memo: sleep sets never revisit a
   trace).
 
-See DESIGN.md section 5 for the soundness argument and the
-parallel-frontier protocol.
+See DESIGN.md section 5 for the soundness argument and the fan-out
+protocol.
 """
 
 from repro.mc.explorer import (
@@ -32,7 +30,6 @@ from repro.mc.explorer import (
     explore,
 )
 from repro.mc.independence import StepInfo, independent
-from repro.mc.parallel import explore_parallel
 
 
 __all__ = [
@@ -42,6 +39,5 @@ __all__ = [
     "configuration_fingerprint",
     "count_interleavings",
     "explore",
-    "explore_parallel",
     "independent",
 ]

@@ -155,7 +155,6 @@ class ExplorationReport:
     #: no memo to hit (the module docstring has the argument).
     fingerprint_hits: int = 0
     restores: int = 0
-    workers: int = 1
 
     @property
     def violations(self) -> List[str]:
@@ -385,33 +384,6 @@ FRONTIER_DEPTH = 5
 FORK_AFTER_S = 0.02
 
 
-def explore_subtree(
-    factory: Factory,
-    check: Check,
-    prefix: Tuple[str, ...],
-    sleep: Tuple[StepInfo, ...],
-    max_executions: int,
-    max_depth: int,
-    reduce: bool,
-    report: Optional[ExplorationReport] = None,
-) -> ExplorationReport:
-    """Explore one frontier subtree on a fresh ``factory()`` system.
-
-    ``report`` continues an existing report (budgets then count from
-    its totals); by default the subtree gets a report of its own.
-    """
-    sim, context = factory()
-    explorer = _Explorer(
-        sim, context, check, max_executions, max_depth, reduce
-    )
-    if report is not None:
-        explorer.report = report
-    try:
-        return explorer.run(prefix, sleep)
-    finally:
-        sim.release()
-
-
 @dataclass
 class _Plan:
     """The serial DFS down to a frontier depth, with some frontier
@@ -445,11 +417,11 @@ class _Plan:
         max_depth: int,
         reduce: bool,
         frontier_depth: Optional[int],
-        defer_after: float = 0.0,
+        defer_after: float,
     ) -> "_Plan":
         """Walk the tree, deferring the frontier nodes met at or after
-        the ``time.perf_counter()`` instant ``defer_after`` (by default
-        all of them; none without a ``frontier_depth``)."""
+        the ``time.perf_counter()`` instant ``defer_after`` (none
+        without a ``frontier_depth``)."""
         sim, context = factory()
         explorer = _Explorer(
             sim, context, check, max_executions, max_depth, reduce,
@@ -472,12 +444,20 @@ class _Plan:
         self, index: int, budget: int,
         report: Optional[ExplorationReport] = None,
     ) -> ExplorationReport:
-        """Explore deferred subtree ``index`` (see
-        :func:`explore_subtree`)."""
-        return explore_subtree(
-            self.factory, self.check, *self.subtrees[index], budget,
-            self.max_depth, self.reduce, report,
+        """Explore deferred subtree ``index`` on a fresh ``factory()``
+        system within ``budget`` executions.  ``report`` continues an
+        existing report (the budget then counts from its totals); by
+        default the subtree gets a report of its own."""
+        sim, context = self.factory()
+        explorer = _Explorer(
+            sim, context, self.check, budget, self.max_depth, self.reduce
         )
+        if report is not None:
+            explorer.report = report
+        try:
+            return explorer.run(*self.subtrees[index])
+        finally:
+            sim.release()
 
     def share(
         self, indices: Sequence[int]

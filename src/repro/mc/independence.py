@@ -58,22 +58,6 @@ class StepInfo(NamedTuple):
     response: bool  # did the step emit a response event?
     draws: Tuple[int, ...]  # vault indices of nonce sources drawn
 
-    def to_wire(self) -> list:
-        """JSON-native form (parallel frontier hand-off).
-
-        Must contain no tuples: engine checkpoint records are validated
-        by comparing JSON-round-tripped params with ``==``, and a tuple
-        would never equal its decoded list, silently invalidating every
-        resume record that carries a sleep set.
-        """
-        return [self.pid, self.kind, self.obj, self.response,
-                list(self.draws)]
-
-    @classmethod
-    def from_wire(cls, wire) -> "StepInfo":
-        pid, kind, obj, response, draws = wire
-        return cls(pid, kind, obj, bool(response), tuple(draws))
-
 
 def independent(x: StepInfo, y: StepInfo) -> bool:
     """Whether two observed steps of distinct processes commute."""

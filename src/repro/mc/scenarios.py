@@ -10,8 +10,9 @@ execution.  Builders are registered under stable string names so that
 
 - the E13 harness driver, the ``python -m repro check`` CLI and the
   benchmarks share one scenario catalogue, and
-- parallel frontier workers (:mod:`repro.mc.parallel`) can reconstruct
-  a scenario from its *name* -- closures do not pickle, names do.
+- a ``check`` campaign point run in an engine worker
+  (:mod:`repro.campaign`) can reconstruct a scenario from its *name*
+  -- closures do not pickle, names do.
 
 The checks wire the exploration into the repository's oracles: the
 linearizability checker against the sequential specifications of

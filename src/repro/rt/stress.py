@@ -559,7 +559,8 @@ class StreamValidator:
 
     Without an oracle nothing reads primitive events, so the validator
     offers the checker's ``count_primitive``: a history streaming into
-    it without retention counts each primitive instead of building it.
+    :attr:`feed` without retention, handed that counter, counts each
+    primitive instead of building it.
     """
 
     def __init__(
@@ -588,9 +589,6 @@ class StreamValidator:
                 audit_feed(event)
 
             self.feed = feed
-
-    def __call__(self, event: Any) -> None:
-        self.feed(event)
 
     def verdict(
         self, *, finished: bool = True
@@ -814,8 +812,8 @@ def run_stress(
         # Attach the live tap before the run starts.  The history lock
         # serializes sink calls, so the validator sees events in index
         # order without its own locking.  Without a tee the validator's
-        # own feed is the sink (no ``__call__`` frame per event), and
-        # the validator counts the primitives it does not read.
+        # own feed is the sink, and the validator counts the primitives
+        # it does not read.
         sink, count = file_sink, None
         if online and validator is not None:
             if file_sink is not None:

@@ -68,8 +68,8 @@ class History:
     consume).  With ``retain=False`` the history stops buffering:
     events are forwarded but not stored and no operation record is
     kept, so memory stays constant regardless of run length.  A
-    streaming sink that reads no primitive events says so with a
-    ``count_primitive(index)`` attribute that is not ``None``: each
+    streaming tap that reads no primitive events passes a
+    ``count_primitive(index)`` callable beside its sink: each
     primitive then costs one call with its index instead of a built
     :class:`PrimitiveEvent`.  Recording calls are serialized by the
     runtime that owns the history (simulation step loop, thread
@@ -95,9 +95,9 @@ class History:
 
         ``retain=False`` additionally disables buffering (see class
         docstring); the query helpers then see nothing recorded after
-        this call.  ``count_primitive`` stands in for the sink's own
-        attribute of that name, so a plain function can be the sink;
-        with no sink at all, primitives are only counted.
+        this call.  ``count_primitive(index)`` then takes each
+        primitive instead of the sink; with no sink at all, primitives
+        are only counted.
         """
         self._sink = sink
         self._retain = retain
@@ -106,9 +106,7 @@ class History:
         elif sink is None:
             self._count = _uncounted
         else:
-            self._count = count_primitive or getattr(
-                sink, "count_primitive", None
-            )
+            self._count = count_primitive
 
     # -- recording (used by Simulation) ----------------------------------
 

@@ -197,6 +197,32 @@ def printed_spec(argv, capsys):
     return loads_spec(capsys.readouterr().out, format="toml")
 
 
+def assert_runs_its_printed_spec(argv, tmp_path, capsys):
+    """``argv --out`` and ``campaign run`` of ``argv --print-spec``
+    write byte-identical records."""
+    from repro.__main__ import main
+
+    path = tmp_path / "cli.toml"
+    path.write_text(
+        dumps_spec(printed_spec(argv, capsys)), encoding="utf-8",
+    )
+    direct = tmp_path / "direct.jsonl"
+    assert main(argv + ["--out", str(direct)]) == 0
+    base = str(tmp_path / "campaign")
+    assert main(
+        ["campaign", "run", str(path), "--workers", "1", "--out", base]
+    ) == 0
+    capsys.readouterr()
+    via_spec = section_checkpoint(base, argv[0])
+
+    def seeds_and_payloads(file):
+        records = [json.loads(line) for line in open(file)]
+        return [(r["seed"], r["payload"]) for r in records]
+
+    assert seeds_and_payloads(direct) == seeds_and_payloads(via_spec)
+    assert direct.read_bytes() == open(via_spec, "rb").read()
+
+
 @pytest.mark.skipif(not HAS_TOMLLIB, reason="tomllib is 3.11+")
 class TestSpecFromCli:
     @pytest.mark.parametrize("argv", [
@@ -232,28 +258,15 @@ class TestSpecFromCli:
     def test_sweep_runs_its_printed_spec(self, tmp_path, capsys):
         """repro sweep and repro campaign run of its printed spec are
         the same run: same seeds, same payloads, same bytes."""
-        from repro.__main__ import main
+        assert_runs_its_printed_spec(["sweep", "--smoke"], tmp_path, capsys)
 
-        path = tmp_path / "cli.toml"
-        path.write_text(
-            dumps_spec(printed_spec(["sweep", "--smoke"], capsys)),
-            encoding="utf-8",
+    def test_check_runs_its_printed_spec(self, tmp_path, capsys):
+        """repro check --out writes the records its printed spec does:
+        one per (scenario, reduce) point."""
+        assert_runs_its_printed_spec(
+            ["check", "--scenario", "alg1-silent-read", "--compare"],
+            tmp_path, capsys,
         )
-        direct = tmp_path / "direct.jsonl"
-        assert main(["sweep", "--smoke", "--out", str(direct)]) == 0
-        base = str(tmp_path / "campaign")
-        assert main(
-            ["campaign", "run", str(path), "--workers", "1", "--out", base]
-        ) == 0
-        capsys.readouterr()
-        via_spec = section_checkpoint(base, "sweep")
-
-        def seeds_and_payloads(file):
-            records = [json.loads(line) for line in open(file)]
-            return [(r["seed"], r["payload"]) for r in records]
-
-        assert seeds_and_payloads(direct) == seeds_and_payloads(via_spec)
-        assert direct.read_bytes() == open(via_spec, "rb").read()
 
     def test_print_spec_carries_every_run_flag(self, capsys):
         stress = printed_spec(

@@ -369,15 +369,43 @@ class TestCheckCompare:
         assert cells["reduction"] == "-"
         assert cells["verdict"] == "PARTIAL"
 
-    def test_checkpointed_compare_writes_one_file_per_leg(
-        self, tmp_path, capsys
+    def test_checkpointed_compare_writes_one_file(self, tmp_path, capsys):
+        out = tmp_path / "mc.jsonl"
+        argv = self.ARGV + ["--out", str(out)]
+        assert run_main(argv) == 0
+        first = self.table(capsys)
+        assert dict(zip(*first))["verdict"] == "PASS"
+        assert [path.name for path in tmp_path.iterdir()] == ["mc.jsonl"]
+        before = out.read_bytes()
+        legs = [json.loads(line)["params"]["point"]["reduce"]
+                for line in before.splitlines()]
+        assert legs == [False, True]
+        assert run_main(argv) == 0
+        assert self.table(capsys) == first
+        assert out.read_bytes() == before
+
+    def test_truncated_checkpoint_reruns_exactly_the_lost_point(
+        self, tmp_path, monkeypatch, capsys
     ):
-        out = str(tmp_path / "mc.jsonl")
-        argv = self.ARGV + ["--out", out]
+        from repro.campaign import executors
+
+        out = tmp_path / "mc.jsonl"
+        argv = ["check", "--scenario", "alg1-w1-r1", "alg1-silent-read",
+                "--out", str(out)]
         assert run_main(argv) == 0
-        header, row = self.table(capsys)
-        assert dict(zip(header, row))["verdict"] == "PASS"
-        paths = [out, out + ".baseline"]
-        before = [open(p, "rb").read() for p in paths]
+        first = capsys.readouterr().out
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 2
+        out.write_bytes(lines[0])
+        executed = []
+        execute = executors.CheckExecutor.execute
+
+        def counted(self, seed, params):
+            executed.append(params["scenario"])
+            return execute(self, seed, params)
+
+        monkeypatch.setattr(executors.CheckExecutor, "execute", counted)
         assert run_main(argv) == 0
-        assert [open(p, "rb").read() for p in paths] == before
+        assert executed == ["alg1-silent-read"]
+        assert capsys.readouterr().out == first
+        assert out.read_bytes().splitlines(keepends=True) == lines

@@ -13,9 +13,7 @@ The load-bearing properties:
 - budget exhaustion still surfaces a usable partial report;
 - fanning the frontier subtrees out over forked children changes no
   report field, violation order and budget partial reports included,
-  and leaves no child process behind;
-- parallel frontier exploration matches serial exploration exactly and
-  keeps the engine's byte-identical JSONL checkpoint/resume contract.
+  at any frontier depth, and leaves no child process behind.
 """
 
 import itertools
@@ -29,13 +27,11 @@ from repro.mc import (
     ExplorationBudgetExceeded,
     count_interleavings,
     explore,
-    scenarios,
 )
 from repro.mc import explorer as explorer_module
 from repro.mc import fanout
 from repro.mc.explorer import FRONTIER_DEPTH, _Explorer, _Plan
 from repro.mc.independence import foata_insert
-from repro.mc.parallel import explore_parallel
 from repro.mc.scenarios import (
     E13_SUITE,
     get_scenario,
@@ -405,120 +401,52 @@ class TestBudgets:
 
 
 class TestParallelFrontiers:
-    def test_parallel_matches_serial(self):
-        factory, check = get_scenario("alg1-w1-r1")()
-        serial = explore(factory, check)
-        parallel = explore_parallel(
-            "alg1-w1-r1", workers=2, frontier_depth=4,
-        )
-        assert parallel.executions == serial.executions
-        assert parallel.verdicts == serial.verdicts
+    """Forked frontier subtrees resume on a fresh system and vault, at
+    whatever depth the frontier lies."""
 
     @pytest.mark.parametrize("name", ["alg1-w2", "alg2-w2"])
-    def test_parallel_counts_equal_serial_exactly(self, name):
+    def test_parallel_counts_equal_serial_exactly(self, name, monkeypatch):
         # Subtrees share no state, so fanning out changes no count.
         factory, check = get_scenario(name)()
-        serial = explore(factory, check)
-        parallel = explore_parallel(name, workers=2, frontier_depth=4)
-        assert parallel.executions == serial.executions
-        assert parallel.distinct_states == serial.distinct_states
-        assert parallel.verdicts == serial.verdicts
-
-    def test_two_reader_parallel_counts_equal_serial(self, monkeypatch):
-        # Frontier workers rebuild a scenario by name, so register it
-        # for this test.  workers=1 keeps the subtree tasks in this
-        # process (where the registration is visible) while still
-        # resuming every frontier node on a fresh simulation and vault.
-        monkeypatch.setitem(
-            scenarios._REGISTRY, "alg1-r2-w1", two_reader_scenario
-        )
-        serial = explore(*two_reader_scenario())
-        parallel = explore_parallel(
-            "alg1-r2-w1", workers=1, frontier_depth=4,
-        )
-        assert parallel.executions == serial.executions
-        assert parallel.distinct_states == serial.distinct_states
-        assert parallel.sleep_pruned == serial.sleep_pruned
-        assert parallel.verdicts == serial.verdicts
+        serial = report_fields(serial_report(factory, check))
+        force_width(monkeypatch, 2)
+        monkeypatch.setattr(explorer_module, "FRONTIER_DEPTH", 4)
+        assert report_fields(explore(factory, check)) == serial
 
     def test_frontier_sleep_entries_follow_lazy_cells(self, monkeypatch):
         # Three writers, each on its own lazily materialised cell.  The
         # collecting explorer adopts cells in the order its earlier
-        # branches first stepped them; a worker resuming a frontier
+        # branches first stepped them; a share resuming a frontier
         # node steps them in another order.  A sleep entry must keep
         # naming its own cell there, or independent writes look
         # dependent (extra executions) or dependent ones independent.
         from repro.memory.array import RegisterArray
 
-        def lazy_cells():
-            def factory():
-                sim = Simulation()
-                arr = RegisterArray("arr", default=0)
+        def factory():
+            sim = Simulation()
+            arr = RegisterArray("arr", default=0)
 
-                def writes(index):
-                    def gen():
-                        yield from arr[index].write(1)
-                        yield from arr[index].write(2)
+            def writes(index):
+                def gen():
+                    yield from arr[index].write(1)
+                    yield from arr[index].write(2)
 
-                    return gen
+                return gen
 
-                for index, pid in enumerate("abc"):
-                    sim.spawn(pid)
-                    sim.add_program(pid, [Op("w", writes(index))])
-                return sim, arr
+            for index, pid in enumerate("abc"):
+                sim.spawn(pid)
+                sim.add_program(pid, [Op("w", writes(index))])
+            return sim, arr
 
-            return factory, lambda sim, arr: None
+        def check(sim, arr):
+            return None
 
-        monkeypatch.setitem(scenarios._REGISTRY, "lazy-cells", lazy_cells)
-        serial = explore(*lazy_cells())
+        serial = report_fields(serial_report(factory, check))
+        force_width(monkeypatch, 2)
         for depth in range(2, 7):
-            parallel = explore_parallel("lazy-cells", workers=1,
-                                        frontier_depth=depth)
-            assert (parallel.executions, parallel.distinct_states) == (
-                serial.executions, serial.distinct_states,
-            ), depth
-
-    def test_checkpoint_bytes_identical_across_worker_counts(
-        self, tmp_path
-    ):
-        out1 = tmp_path / "w1.jsonl"
-        out2 = tmp_path / "w2.jsonl"
-        explore_parallel("alg1-silent-read", workers=1,
-                         frontier_depth=3, checkpoint=str(out1))
-        explore_parallel("alg1-silent-read", workers=2,
-                         frontier_depth=3, checkpoint=str(out2))
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_resume_skips_completed_subtrees(self, tmp_path, capsys):
-        # alg1-w1-r1 at depth 4 yields frontier nodes with NON-empty
-        # sleep sets, so this also guards the wire format: sleep
-        # entries must JSON-round-trip to values that compare equal,
-        # or those records silently fail resume validation.
-        out = tmp_path / "mc.jsonl"
-        first = explore_parallel("alg1-w1-r1", workers=1,
-                                 frontier_depth=4, checkpoint=str(out))
-        lines = out.read_text().splitlines()
-
-        # A rerun against the complete checkpoint re-executes nothing.
-        untouched = []
-        explore_parallel(
-            "alg1-w1-r1", workers=1, frontier_depth=4,
-            checkpoint=str(out),
-            progress=lambda done, total, record: untouched.append(done),
-        )
-        assert untouched == []
-
-        # Drop the last record: the rerun must redo exactly one subtree.
-        out.write_text("\n".join(lines[:-1]) + "\n")
-        executed = []
-        second = explore_parallel(
-            "alg1-w1-r1", workers=1, frontier_depth=4,
-            checkpoint=str(out),
-            progress=lambda done, total, record: executed.append(done),
-        )
-        assert second.executions == first.executions
-        assert out.read_text().splitlines() == lines
-        assert len(executed) == 1
+            monkeypatch.setattr(explorer_module, "FRONTIER_DEPTH", depth)
+            assert report_fields(explore(factory, check)) == serial, depth
+        assert_no_child_left()
 
 
 def serial_report(factory, check, reduce=True, max_executions=200_000,
@@ -646,7 +574,7 @@ class TestFanOut:
     ):
         factory = mixed_depth_scenario()
         plan = _Plan.build(factory, every_execution_bad, 200_000, 200,
-                           reduce, FRONTIER_DEPTH)
+                           reduce, FRONTIER_DEPTH, defer_after=0.0)
         kinds = [item[0] for item in plan.items]
         assert plan.report.executions > 0 and "subtree" in kinds
         if not reduce:  # a leaf after a subtree: the order is pinned

@@ -482,6 +482,52 @@ class TestBudgets:
         checker.feed(Response(3, "b", 0, "write", None))
         assert checker.finish().status == LIN_UNDECIDED
 
+    def test_cap_is_judged_after_the_forced_cut(self):
+        """The last response's closure holds five configurations, but
+        nothing is left open, so its cut keeps only the two full ones:
+        a cap of two must not cut a stream that never holds more."""
+        events = [
+            Invocation(0, "a", 0, "write", (1,)),
+            Invocation(1, "b", 0, "write", (2,)),
+            Response(2, "a", 0, "write", None),
+            Response(3, "b", 0, "write", None),
+        ]
+        checker = StreamingLinChecker(register_spec(0), max_configs=2)
+        for event in events:
+            checker.feed(event)
+        verdict = checker.finish()
+        assert (verdict.status, verdict.budget) == (LIN_OK, None)
+        assert verdict.progress.ops_retired == 2
+
+    def test_two_open_ops_across_a_burst_still_hit_the_cap(self):
+        """Two writes stay open across a burst of 20 reads of the
+        initial value.  The burst holds a 21-configuration chain; the
+        first write's response adds it again with the write inserted,
+        and the other write, still open, lets nothing retire: 42
+        resident configurations are over a cap of 30, although the
+        second response would have cut them back to two."""
+        events = [
+            Invocation(0, "v", 0, "write", (1,)),
+            Invocation(1, "w", 0, "write", (2,)),
+        ]
+        for j in range(20):
+            events.append(Invocation(2 + 2 * j, "r", j, "read", ()))
+            events.append(Response(3 + 2 * j, "r", j, "read", 0))
+        events.append(Response(42, "v", 0, "write", None))
+        events.append(Response(43, "w", 0, "write", None))
+        for cap, status in ((30, LIN_UNDECIDED), (42, LIN_OK)):
+            checker = StreamingLinChecker(register_spec(0), max_configs=cap)
+            for event in events[:-2]:
+                checker.feed(event)
+            assert checker.partial().budget is None, cap
+            for event in events[-2:]:
+                checker.feed(event)
+            verdict = checker.finish()
+            assert verdict.status == status, cap
+            assert verdict.budget == (
+                "max_configs" if status == LIN_UNDECIDED else None
+            )
+
     def test_dead_partition_frontier_stalls(self):
         checker = StreamingLinChecker(register_spec(0), max_configs=1)
         checker.feed(Invocation(0, "a", 0, "write", (1,)))
@@ -767,10 +813,11 @@ class TestPinnedProgress:
         assert large < 8 * small, (small, large)
 
 
-def _unaudited_sim_run(object_kind, seed, sink, ops=60):
+def _unaudited_sim_run(object_kind, seed, sink, count_primitive=None,
+                       ops=60):
     """A stress-roster run (1 reader, 1 writer, no auditor) on the
-    simulator, streaming into ``sink`` without retention; returns the
-    hello meta."""
+    simulator, streaming into ``sink`` (and ``count_primitive``) without
+    retention; returns the hello meta."""
     from repro.rt.stress import (
         _stress_pids,
         build_stress_register,
@@ -782,7 +829,8 @@ def _unaudited_sim_run(object_kind, seed, sink, ops=60):
     r, w, a = 1, 1, 0
     reg = build_stress_register(object_kind, r, w, seed)
     sim = Simulation(RandomSchedule(seed))
-    sim.history.stream_to(sink, retain=False)
+    sim.history.stream_to(sink, retain=False,
+                          count_primitive=count_primitive)
     for pid, role, index in _stress_pids(object_kind, r, w, a):
         sim.spawn(pid)
         source = stress_op_source(reg, pid, object_kind, seed, role, index)
@@ -808,7 +856,8 @@ class TestCountedPrimitives:
             for event in events:
                 full.feed(event)
             counted = validator_from_meta(meta)
-            _unaudited_sim_run(object_kind, seed, counted)
+            _unaudited_sim_run(object_kind, seed, counted.feed,
+                               counted.count_primitive)
             assert counted.verdict() == full.verdict(), seed
             assert any(
                 type(event).__name__ == "PrimitiveEvent" for event in events
@@ -834,17 +883,17 @@ class TestCountedPrimitives:
         sizes = set()
         counted = []
 
-        class Probe:
-            def __call__(self, event):
-                sizes.add((len(history._ops), len(history.events)))
-                validator(event)
+        def feed(event):
+            sizes.add((len(history._ops), len(history.events)))
+            validator.feed(event)
 
-            def count_primitive(self, index):
-                sizes.add((len(history._ops), len(history.events)))
-                counted.append(index)
-                validator.count_primitive(index)
+        def count_primitive(index):
+            sizes.add((len(history._ops), len(history.events)))
+            counted.append(index)
+            validator.count_primitive(index)
 
-        history.stream_to(Probe(), retain=False)
+        history.stream_to(feed, retain=False,
+                          count_primitive=count_primitive)
         rt.run()
         assert sizes == {(0, 0)}
         assert len(counted) == rt.steps_taken > 0
