@@ -717,9 +717,9 @@ def _stress(argv) -> int:
     from repro.rt import (
         STRESS_OBJECTS,
         STRESS_RUNTIMES,
-        WatchdogTimeout,
         run_stress,
     )
+    from repro.rt.base import RunAborted
     from repro.rt.stress import supported_fault_families
 
     parser = argparse.ArgumentParser(
@@ -892,12 +892,9 @@ def _stress(argv) -> int:
                 else {"join_watchdog": args.join_watchdog or None}
             ),
         )
-    except ValueError as exc:
-        print(f"stress: {exc}", file=sys.stderr)
-        return 2
-    except WatchdogTimeout as exc:
-        # A hang is inconclusive, not a violation; the message names
-        # the stuck pids.
+    except (ValueError, RunAborted) as exc:
+        # A hang or a lost memory server is inconclusive, not a
+        # violation; the message names the stuck pids or the server.
         print(f"stress: {exc}", file=sys.stderr)
         return 2
     print(report.render())
@@ -1076,7 +1073,7 @@ def _serve_smoke() -> int:
     try:
         meta = stress_meta("register", 2, 1, 1, seed=0)
         sink = JsonlEventSink(path, meta=meta)
-        history = _build(meta, 8, event_log=sink, retain_history=True).run()
+        history = _build(meta, 8, tap=sink).run()
         sink.close()
 
         batch = batch_check(

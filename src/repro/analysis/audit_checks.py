@@ -30,6 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.analysis.fastlin import LIN_FAIL, LIN_OK
 from repro.sim.events import CrashEvent, PrimitiveEvent, Response
 from repro.sim.history import History
 
@@ -103,6 +104,8 @@ class WindowedAuditOracle:
     ``decode`` mirrors ``register._decode_value`` (identity for the
     plain register, version-stripping for the max register); ``lift``
     maps each pair before comparison (e.g. :func:`strip_version`).
+    It reads only ``R``'s primitives (``reads``); :meth:`count` takes
+    the index of any other.
     """
 
     def __init__(
@@ -116,6 +119,7 @@ class WindowedAuditOracle:
         if window < 1:
             raise ValueError("window must be at least 1")
         self._r_name = r_name
+        self.reads = frozenset((r_name,))
         self._decode = decode or (lambda value: value)
         self._lift = lift
         self._window = window
@@ -134,8 +138,6 @@ class WindowedAuditOracle:
         #: Checked audits whose answer named at least one pair; an
         #: exactness verdict over only empty answers rests on no pairs.
         self.audits_nonempty = 0
-        self.windows = 0
-        self.peak_recent = 0
 
     # -- event intake ------------------------------------------------------
 
@@ -156,8 +158,6 @@ class WindowedAuditOracle:
                         self._first_seen[pair] = event.index
                         self._recent_indices.append(event.index)
                         self._recent_pairs.append(pair)
-                        if len(self._recent_pairs) > self.peak_recent:
-                            self.peak_recent = len(self._recent_pairs)
                 elif event.primitive == "read":
                     self._read_marks.setdefault(
                         (event.pid, event.op_id), event.index
@@ -175,6 +175,25 @@ class WindowedAuditOracle:
         if self.events % self._window == 0:
             self._roll()
         return violation
+
+    def count(self, index: int) -> None:
+        """Count a primitive this oracle does not read: the window
+        rolls at the same events as when it is fed and ignored."""
+        self.events += 1
+        if self.events % self._window == 0:
+            self._roll()
+
+    def verdict(self, finished: bool = True) -> Tuple[str, Dict[str, Any]]:
+        """``(status, payload)``: ``fail`` once an audit was inexact,
+        however the stream ended; the payload counts the audits and
+        pairs behind it."""
+        status = LIN_FAIL if self.violations else LIN_OK
+        return status, {
+            "audits_checked": self.audits_checked,
+            "audits_nonempty": self.audits_nonempty,
+            "audit_resident_pairs": self.resident_pairs,
+            "audit_violations": len(self.violations),
+        }
 
     def _check_audit(
         self, pid: str, op_id: int, lin: int, reported: Any
@@ -211,7 +230,6 @@ class WindowedAuditOracle:
     def _roll(self) -> None:
         """Fold timeline entries that no outstanding operation can
         still cut through into the frozen base set."""
-        self.windows += 1
         safe = min(self._read_marks.values(), default=None)
         horizon = len(self._recent_indices)
         if safe is not None:

@@ -25,9 +25,14 @@ exactly one full configuration exists, that response costs one
 **Per-event cost.**  :meth:`StreamingLinChecker.feed` dispatches each
 event once, straight to its partition.  A resident operation is a
 ``__slots__`` record holding only what the closure applies and its
-interval.  Primitive events carry no linearizability content, so a
-streaming :class:`~repro.sim.history.History` need not build them:
-:meth:`StreamingLinChecker.count_primitive` takes just the index.
+interval.  Primitive events carry no linearizability content: the
+checker reads no object, so a streaming
+:class:`~repro.sim.history.History` builds none of them for it and
+hands :meth:`StreamingLinChecker.count` just the index.  Beside an
+audit oracle, which reads ``R`` alone, the history builds only ``R``'s
+primitives: in one thread run of 2 readers, 1 writer and 1 auditor
+(200 ops each), 677 of 2,526 for the register, 419 of 1,675 for the
+max register and 623 of 3,387 for the snapshot.
 
 **Forced cuts and the rolling verified frontier.**  Real-time
 precedence is an interval order, so once every *open* (invoked,
@@ -83,7 +88,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
 )
@@ -134,20 +139,7 @@ class StreamProgress:
     frontier_states: int = 0
 
     def to_payload(self) -> Dict[str, Any]:
-        return {
-            "events": self.events,
-            "ops_started": self.ops_started,
-            "ops_completed": self.ops_completed,
-            "ops_retired": self.ops_retired,
-            "resident_ops": self.resident_ops,
-            "peak_resident_ops": self.peak_resident_ops,
-            "frontier_index": self.frontier_index,
-            "windows": self.windows,
-            "undecided_windows": self.undecided_windows,
-            "explored": self.explored,
-            "partitions": self.partitions,
-            "frontier_states": self.frontier_states,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -582,10 +574,12 @@ class StreamingLinChecker:
     :class:`~repro.sim.events.Response` events (crash and primitive
     events are accepted and ignored — a crashed operation simply stays
     pending) in history-index order via :meth:`feed`, or hand it a
-    primitive's index alone via :meth:`count_primitive`, then call
+    primitive's index alone via :meth:`count`, then call
     :meth:`finish` for the final verdict or :meth:`partial` when the
-    stream was cut.
+    stream was cut.  It reads no object's primitives (``reads``).
     """
+
+    reads: frozenset = frozenset()
 
     def __init__(
         self,
@@ -658,7 +652,7 @@ class StreamingLinChecker:
             self._route[key] = stream
             stream.invoke(key, _Resident(event.pid, name, args, index))
 
-    def count_primitive(self, index: int) -> None:
+    def count(self, index: int) -> None:
         """Count primitive event ``index`` without receiving it: its
         index is all that :meth:`feed` reads of a primitive event."""
         self._events += 1
@@ -712,10 +706,6 @@ class StreamingLinChecker:
             ),
         )
 
-    @property
-    def peak_resident_ops(self) -> int:
-        return self._gauge.peak
-
     def _verdict_of(self, status: str) -> StreamVerdict:
         """``status`` with the progress; an undecided one names the
         budget that killed its first undecided partition."""
@@ -750,6 +740,16 @@ class StreamingLinChecker:
         if any(p.dead for p in self._partitions.values()):
             return self._verdict_of(LIN_UNDECIDED)
         return self._verdict_of(LIN_PARTIAL)
+
+    def verdict(self, finished: bool = True) -> Tuple[str, Dict[str, Any]]:
+        """``(status, payload)``: :meth:`finish`'s verdict, or
+        :meth:`partial`'s for a stream that was cut, with its progress,
+        status and budget as payload fields."""
+        result = self.finish() if finished else self.partial()
+        payload = result.progress.to_payload()
+        payload["status"] = result.status
+        payload["budget"] = result.budget
+        return result.status, payload
 
 
 def check_history_streaming(

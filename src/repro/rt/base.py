@@ -43,7 +43,13 @@ from repro.sim.runner import Simulation
 from repro.sim.scheduler import schedule_from_seed
 
 
-class WatchdogTimeout(RuntimeError):
+class RunAborted(RuntimeError):
+    """A runtime gave up on a run, which is inconclusive, not a
+    violation (e.g. its memory server died); the message names what
+    failed."""
+
+
+class WatchdogTimeout(RunAborted):
     """A runtime's watchdog gave up: no operation completed for
     ``join_watchdog`` seconds.  The message names the processes still
     running."""
@@ -98,8 +104,6 @@ def make_runtime(
     build: Optional[Any] = None,
     build_args: tuple = (),
     faults: Optional[Any] = None,
-    event_log: Optional[str] = None,
-    retain_history: bool = True,
 ) -> Runtime:
     """Construct a runtime backend by name.
 
@@ -113,15 +117,9 @@ def make_runtime(
     process replays).  ``faults`` arms a
     :class:`~repro.faults.FaultPlan` on the thread or process backend;
     the simulator rejects it, since its faults are schedule decisions
-    (``schedule=``).
-
-    ``event_log`` streams every recorded history event to a JSONL file
-    (the :mod:`repro.sim.event_log` wire format) on any backend;
-    ``retain_history=False`` additionally disables history buffering
-    (:meth:`~repro.sim.history.History.stream_to`) so memory stays
-    bounded on unbounded runs — the online verdict paths' configuration.
+    (``schedule=``).  A runtime's history streams through
+    :meth:`~repro.sim.history.History.stream_to`.
     """
-    runtime: Runtime
     if kind == "sim":
         if faults is not None:
             raise ValueError(
@@ -131,12 +129,12 @@ def make_runtime(
         if schedule is None:
             schedule = schedule_from_seed(seed)
         kwargs = {} if max_steps is None else {"max_steps": max_steps}
-        runtime = Simulation(schedule=schedule, **kwargs)
-    elif kind == "thread":
+        return Simulation(schedule=schedule, **kwargs)
+    if kind == "thread":
         from repro.rt.thread_runtime import ThreadRuntime
 
-        runtime = ThreadRuntime(faults=faults)
-    elif kind == "process":
+        return ThreadRuntime(faults=faults)
+    if kind == "process":
         from repro.rt.process_runtime import ProcessRuntime
 
         if build is None:
@@ -144,26 +142,5 @@ def make_runtime(
                 "the process runtime needs a picklable system builder: "
                 "make_runtime('process', build=..., build_args=...)"
             )
-        # The history lives in the memory-server process; the sink
-        # ships there and streams server-side.
-        return ProcessRuntime(
-            build,
-            build_args,
-            faults=faults,
-            event_log=event_log,
-            retain_history=retain_history,
-        )
-    else:
-        raise ValueError(
-            f"unknown runtime kind {kind!r} (sim|thread|process)"
-        )
-    if event_log is not None or not retain_history:
-        sink = None
-        if event_log is not None:
-            from repro.sim.event_log import JsonlEventSink
-
-            sink = JsonlEventSink(event_log)
-        runtime.history.stream_to(sink, retain=retain_history)
-        # The caller closes the sink after a clean run (end marker).
-        runtime.event_sink = sink
-    return runtime
+        return ProcessRuntime(build, build_args, faults=faults)
+    raise ValueError(f"unknown runtime kind {kind!r} (sim|thread|process)")

@@ -87,7 +87,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.faults import FAULT_FAMILIES, ArrivalInterpreter, FaultPlan
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BaseObject
-from repro.rt.base import Runtime, WatchdogTimeout
+from repro.rt.base import RunAborted, Runtime, WatchdogTimeout
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
@@ -615,7 +615,6 @@ def _server_main(
             "latencies": latencies,
             "crashed": crashed,
             "errors": errors,
-            "completed": history.completed_count,
         }))
     except BaseException:  # noqa: BLE001 - forwarded to the parent
         try:
@@ -627,6 +626,26 @@ def _server_main(
 
 
 # -- the runtime --------------------------------------------------------------
+
+
+def _final_payload(conn, server) -> Dict[str, Any]:
+    """The memory server's final payload, read once it was sent or the
+    server exited; :class:`~repro.rt.base.RunAborted` when none came."""
+    try:
+        final = conn.recv() if conn.poll() else None
+    except EOFError:
+        final = None
+    if final is None:
+        server.join(1)
+        raise RunAborted(
+            f"process runtime: memory server (exit code {server.exitcode})"
+            " sent no final payload"
+        )
+    if final[0] != "ok":
+        raise RuntimeError(
+            f"process runtime: memory server failed:\n{final[1]}"
+        )
+    return final[1]
 
 
 class ProcessRuntime(Runtime):
@@ -675,7 +694,6 @@ class ProcessRuntime(Runtime):
         self.event_log = event_log
         self.retain_history = retain_history
         self._history = History()
-        self.completed_count = 0
         self.processes: Dict[str, PidRef] = {}
         self._specs: Dict[str, Dict[str, Any]] = {}
         self.latencies: List[Tuple[str, str, float]] = []
@@ -806,40 +824,38 @@ class ProcessRuntime(Runtime):
                 ) from exc
             started = time.perf_counter()
             watchdog = self.join_watchdog
-            # Multiplex worker exits with the server's control pipe, so
-            # a server-side failure (e.g. an unresolvable object) is
+            # Multiplex worker exits with the server's control pipe and
+            # exit (the workers hold inherited copies of its pipe ends,
+            # so they never see it die), so a server-side failure is
             # surfaced immediately instead of after the full watchdog.
             # A wait that times out re-arms while the server's response
             # count moved: a slow run that keeps completing operations
             # is never cut.
-            final = None
+            payload = None
             pending = {w.sentinel: pid for pid, w in workers.items()}
             seen = progress.value
-            while pending:
+            while pending or payload is None:
                 waitees = list(pending)
-                if final is None:
-                    waitees.append(parent_conn)
+                if payload is None:
+                    waitees += [parent_conn, server.sentinel]
                 ready = wait_any(waitees, timeout=watchdog)
                 if not ready:
                     if progress.value != seen:
                         seen = progress.value
                         continue
                     self.elapsed = time.perf_counter() - started
+                    stuck = sorted(pending.values())
                     raise WatchdogTimeout(
-                        f"process runtime: worker(s) "
-                        f"{sorted(pending.values())} completed no "
-                        f"operation for {watchdog:g}s; terminating"
+                        "process runtime: "
+                        + (f"worker(s) {stuck}" if stuck else "memory server")
+                        + f" completed no operation for {watchdog:g}s; "
+                        "terminating"
                     )
                 for item in ready:
-                    if item is parent_conn:
-                        final = parent_conn.recv()
-                        if final[0] != "ok":
-                            raise RuntimeError(
-                                "process runtime: memory server failed:\n"
-                                f"{final[1]}"
-                            )
-                    else:
-                        pending.pop(item, None)
+                    if item in pending:
+                        pending.pop(item)
+                    elif payload is None:
+                        payload = _final_payload(parent_conn, server)
             self.elapsed = time.perf_counter() - started
             for worker in workers.values():
                 worker.join(5)
@@ -850,19 +866,7 @@ class ProcessRuntime(Runtime):
                 raise RuntimeError(
                     f"process runtime: worker(s) {failed} exited abnormally"
                 )
-            if final is None:
-                if not parent_conn.poll(watchdog or DEFAULT_WATCHDOG):
-                    raise RuntimeError(
-                        "process runtime: memory server produced no final "
-                        "payload within the watchdog"
-                    )
-                final = parent_conn.recv()
-            verdict, payload = final
             server.join(watchdog or DEFAULT_WATCHDOG)
-            if verdict != "ok":
-                raise RuntimeError(
-                    f"process runtime: memory server failed:\n{payload}"
-                )
             if payload["errors"]:
                 pid, first = payload["errors"][0]
                 raise RuntimeError(
@@ -873,9 +877,6 @@ class ProcessRuntime(Runtime):
             self._steps = payload["steps"]
             self.latencies = payload["latencies"]
             self.crashed = tuple(payload["crashed"])
-            self.completed_count = payload.get(
-                "completed", self._history.completed_count
-            )
             return self._history
         finally:
             for proc in everyone:

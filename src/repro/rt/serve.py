@@ -153,10 +153,12 @@ class VerdictServer:
         return True
 
     def snapshot(self) -> Dict[str, Any]:
-        """Rolling progress (frontier, residency) without finishing."""
+        """Rolling progress without finishing: the verdict payload of
+        the stream so far (frontier, residency, the audit counters), as
+        if it were cut here."""
         if self.validator is None:
             return {"events": self.events}
-        payload = self.validator.checker.progress().to_payload()
+        payload = self.validator.verdict(finished=False)[3]
         payload["events_seen"] = self.events
         return payload
 

@@ -28,14 +28,10 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro._seeding import stable_hash
-from repro.analysis.audit_checks import (
-    WindowedAuditOracle,
-    strip_version,
-    windowed_audit_oracle,
-)
+from repro.analysis.audit_checks import strip_version, windowed_audit_oracle
 from repro.analysis.fastlin import (
     DEFAULT_MAX_NODES,
     LIN_FAIL,
@@ -64,6 +60,7 @@ from repro.faults import FaultPlan, chaos_plan, parse_fault_families
 from repro.rt.process_runtime import PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
 from repro.sim.event_log import JsonlEventSink, iter_event_log
+from repro.sim.history import Tap
 
 STRESS_OBJECTS = ("register", "max", "snapshot", "naive")
 STRESS_RUNTIMES = ("thread", "process")
@@ -271,20 +268,19 @@ class StressReport:
     # run is reported, just not vouched for.
     lin_status: Optional[str] = None
     # Online mode: events streamed (not buffered) into the incremental
-    # checker; ``stream`` carries its progress counters (frontier index,
-    # retired ops, peak resident ops, windows, ...).
+    # checker.
     online: bool = False
-    stream: Optional[Dict[str, Any]] = None
     # Chaos mode: "crash,partition,dup@100/10k" when a family spec was
     # given, the plan class name for explicit FaultPlan instances.
     faults: Optional[str] = None
-    # The audit oracle's counters (audits checked, non-empty, pairs
-    # resident) for the report's audit line; on online runs ``stream``
-    # carries them in the JSONL record too.
-    audit_counts: Optional[Dict[str, Any]] = None
-    # The budget that cut an undecided search, for the report's
-    # linearizability line (``stream`` carries it on online runs).
-    lin_budget: Optional[str] = None
+    # The validator's verdict payload: the budget that cut an undecided
+    # search, the audit counters and the checker's progress counters.
+    checks: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def stream(self) -> Optional[Dict[str, Any]]:
+        """The verdict payload an online run records (``None`` else)."""
+        return self.checks if self.online and self.checks else None
 
     @property
     def threads(self) -> int:
@@ -347,8 +343,8 @@ class StressReport:
         if self.validated:
             lines += verdict_lines(
                 self.lin_status, self.audit_ok,
-                audit_note(self.audit_counts) if self.audit_counts else "",
-                self.lin_budget,
+                audit_note(self.checks) if self.checks else "",
+                self.checks.get("budget"),
             )
         else:
             lines.append("  (history not post-validated)")
@@ -498,12 +494,13 @@ def _build(
     runtime: str = "thread",
     faults: Optional[FaultPlan] = None,
     record_latency: bool = True,
-    event_log: Optional[Any] = None,
+    tap: Optional[Any] = None,
     retain_history: bool = True,
     join_watchdog: Optional[float] = DEFAULT_WATCHDOG,
 ) -> Union[ThreadRuntime, ProcessRuntime]:
     """Construct the runtime, shared object and per-worker op sources
-    of the run ``meta`` (a :func:`stress_meta`) describes."""
+    of the run ``meta`` (a :func:`stress_meta`) describes; its history
+    streams to ``tap`` (on the process runtime, an event-log sink)."""
     object_kind, seed = meta["object"], meta["seed"]
     build_args = (
         object_kind, meta["r"], meta["w"], seed,
@@ -516,7 +513,7 @@ def _build(
             build_args,
             faults=faults,
             record_latency=record_latency,
-            event_log=event_log,
+            event_log=tap,
             retain_history=retain_history,
             join_watchdog=join_watchdog,
         )
@@ -534,8 +531,7 @@ def _build(
         join_watchdog=join_watchdog,
         faults=faults,
     )
-    if event_log is not None or not retain_history:
-        trt.history.stream_to(event_log, retain=retain_history)
+    trt.history.stream_to(tap, retain=retain_history)
     for pid, role, index in roster:
         trt.add_op_source(
             pid,
@@ -545,79 +541,56 @@ def _build(
     return trt
 
 
-class StreamValidator:
-    """One streaming pass producing *both* verdicts of a run.
-
-    Holds ``(spec, oracle)``: each event feeds the incremental
+class StreamValidator(Tap):
+    """One streaming pass producing every verdict of a run: a
+    :class:`~repro.sim.history.Tap` over a list of oracles, each with
+    ``reads``, ``feed``, ``count`` and ``verdict``.  The incremental
     :class:`~repro.analysis.streamlin.StreamingLinChecker` (``spec``)
-    and, when an ``oracle`` is given, the
-    :class:`~repro.analysis.audit_checks.WindowedAuditOracle`
-    simultaneously.  It works identically over a buffered history, a
-    live runtime stream (``online=True``) or a replayed event log
+    comes first and reads no object; the given ``oracles`` (``None``
+    ones left out, e.g. the
+    :class:`~repro.analysis.audit_checks.WindowedAuditOracle`, which
+    reads ``R``) follow.  It works identically over a buffered history,
+    a live runtime stream (``online=True``) or a replayed event log
     (``repro serve``).  :func:`validator_from_meta` builds it for a
-    stress run; ``repro serve --spec`` builds it with no oracle.
-
-    Without an oracle nothing reads primitive events, so the validator
-    offers the checker's ``count_primitive``: a history streaming into
-    :attr:`feed` without retention, handed that counter, counts each
-    primitive instead of building it.
+    stress run; ``repro serve --spec`` builds the checker alone.
     """
 
     def __init__(
         self,
         spec: SeqSpec,
-        *,
-        oracle: Optional[WindowedAuditOracle] = None,
+        *oracles: Any,
         max_nodes: int = DEFAULT_MAX_NODES,
         window: int = DEFAULT_WINDOW,
     ) -> None:
-        self.checker = StreamingLinChecker(
-            spec, window=window, max_nodes_per_window=max_nodes
-        )
-        self.oracle = oracle
-        # Bound once: a runtime tap calls ``feed`` for every event.
-        lin_feed = self.checker.feed
-        self.feed: Callable[[Any], None] = lin_feed
-        self.count_primitive: Optional[Callable[[int], None]] = None
-        if oracle is None:
-            self.count_primitive = self.checker.count_primitive
-        else:
-            audit_feed = oracle.feed
-
-            def feed(event: Any) -> None:
-                lin_feed(event)
-                audit_feed(event)
-
-            self.feed = feed
+        super().__init__([
+            StreamingLinChecker(
+                spec, window=window, max_nodes_per_window=max_nodes
+            ),
+            *oracles,
+        ])
 
     def verdict(
         self, *, finished: bool = True
     ) -> Tuple[Optional[bool], Optional[bool], str, Dict[str, Any]]:
-        """(lin_ok, audit_ok, lin_status, stream-progress payload).
+        """(lin_ok, audit_ok, lin_status, payload): every oracle's
+        payload fields, in order.
 
         ``finished=False`` (a truncated stream) reports the PARTIAL
         verdict with the last verified frontier instead of pretending
-        the history ended cleanly.  ``audit_ok`` is ``None`` without an
-        oracle.
+        the history ended cleanly.  ``audit_ok`` folds the oracles
+        after the checker, ``None`` when there are none.  An undecided
+        or partial status leaves ``lin_ok`` ``None``: reported, not
+        vouched for.
         """
-        result = self.checker.finish() if finished else self.checker.partial()
-        if result.status == LIN_OK:
-            lin: Optional[bool] = True
-        elif result.status == LIN_FAIL:
-            lin = False
-        else:  # undecided / partial: reported, not vouched for
-            lin = None
-        audit: Optional[bool] = None
-        payload = result.progress.to_payload()
-        payload["status"] = result.status
-        payload["budget"] = result.budget
-        if self.oracle is not None:
-            audit = not self.oracle.violations
-            payload["audits_checked"] = self.oracle.audits_checked
-            payload["audits_nonempty"] = self.oracle.audits_nonempty
-            payload["audit_resident_pairs"] = self.oracle.resident_pairs
-            payload["audit_violations"] = len(self.oracle.violations)
-        return lin, audit, result.status, payload
+        statuses, payload = [], {}
+        for oracle in self.members:
+            status, fields = oracle.verdict(finished)
+            statuses.append(status)
+            payload.update(fields)
+        lin_status, *others = statuses
+        audit = all(s == LIN_OK for s in others) if others else None
+        lin = {LIN_OK: True, LIN_FAIL: False}.get(lin_status)
+        return lin, audit, lin_status, payload
 
 
 def validator_from_meta(
@@ -660,30 +633,24 @@ def validator_from_meta(
         return {pid: i for pid, kind, i in roster if kind == role}
 
     if object_kind == "snapshot":
-        return StreamValidator(
-            stream_snapshot_spec(reg.components, 0, index_of("updater")),
-            oracle=windowed_audit_oracle(
-                reg.M, lift=strip_version, window=window
-            ) if a else None,
-            max_nodes=max_nodes, window=window,
+        spec = stream_snapshot_spec(reg.components, 0, index_of("updater"))
+        audit = windowed_audit_oracle(
+            reg.M, lift=strip_version, window=window
         )
-    if object_kind == "naive":
+    elif object_kind == "naive":
         # The naive design has no fetch&xor, so the syntactic oracle
         # does not apply: audits are checked *inside* the sequential
         # spec (pair-carrying state), which is fine at the naive
         # baseline's bounded scales.
-        return StreamValidator(
-            auditable_register_spec("v0", index_of("reader")),
-            max_nodes=max_nodes, window=window,
+        spec, audit = auditable_register_spec("v0", index_of("reader")), None
+    else:
+        spec = (
+            stream_max_register_spec(0) if object_kind == "max"
+            else stream_register_spec("v0")
         )
-    spec = (
-        stream_max_register_spec(0) if object_kind == "max"
-        else stream_register_spec("v0")
-    )
+        audit = windowed_audit_oracle(reg, window=window)
     return StreamValidator(
-        spec,
-        oracle=windowed_audit_oracle(reg, window=window) if a else None,
-        max_nodes=max_nodes, window=window,
+        spec, audit if a else None, max_nodes=max_nodes, window=window
     )
 
 
@@ -744,9 +711,11 @@ def run_stress(
     On the thread backend the validator taps the history seam directly
     (under the history lock); on the process backend events stream to an
     ``event_log`` file (a temporary one when not given) from the memory
-    server and are replayed through the same validator afterwards — a
-    missing end marker (server crash) yields a PARTIAL verdict with the
-    last verified frontier.  ``event_log`` alone (without ``online``)
+    server and are replayed through the same validator afterwards.  A
+    memory server that dies mid-run raises
+    :class:`~repro.rt.base.RunAborted` naming it, so no verdict is
+    given; reading a log cut before its end marker as PARTIAL is
+    ``repro serve``'s rule.  ``event_log`` alone (without ``online``)
     just records the JSONL event log, e.g. for ``repro serve``.
     ``stream_window`` sets the quiescence-window size (default
     :data:`~repro.analysis.streamlin.DEFAULT_WINDOW`);
@@ -796,45 +765,27 @@ def run_stress(
         # validator from the log alone.
         file_sink = JsonlEventSink(log_path, meta=meta)
 
-    rt = _build(
-        meta, ops,
-        runtime=runtime, faults=faults, record_latency=record_latency,
-        event_log=file_sink if runtime == "process" else None,
-        retain_history=not online,
-        join_watchdog=join_watchdog,
-    )
     validator = (
         validator_from_meta(meta, max_nodes=lin_max_nodes)
         if validate else None
     )
-
-    if runtime != "process" and (online or file_sink is not None):
-        # Attach the live tap before the run starts.  The history lock
-        # serializes sink calls, so the validator sees events in index
-        # order without its own locking.  Without a tee the validator's
-        # own feed is the sink, and the validator counts the primitives
-        # it does not read.
-        sink, count = file_sink, None
-        if online and validator is not None:
-            if file_sink is not None:
-                def sink(event, _feed=validator.feed, _tee=file_sink):
-                    _feed(event)
-                    _tee(event)
-            else:
-                sink, count = validator.feed, validator.count_primitive
-        rt.history.stream_to(sink, retain=not online, count_primitive=count)
+    # On threads an online validator taps the history live; the history
+    # lock serializes its calls, so it sees events in index order
+    # without its own locking.
+    rt = _build(
+        meta, ops,
+        runtime=runtime, faults=faults, record_latency=record_latency,
+        tap=file_sink if runtime == "process" else Tap(
+            [file_sink, validator if online else None]
+        ),
+        retain_history=not online,
+        join_watchdog=join_watchdog,
+    )
 
     history = rt.run(duration=duration)
     if file_sink is not None and runtime != "process":
         file_sink.close()  # clean run: write the end marker
 
-    if online:
-        completed = (
-            rt.completed_count if runtime == "process"
-            else history.completed_count
-        )
-    else:
-        completed = len(history.complete_operations())
     report = StressReport(
         object=object,
         readers=r,
@@ -844,7 +795,7 @@ def run_stress(
         ops_budget=ops,
         duration=duration,
         runtime=runtime,
-        ops_completed=completed,
+        ops_completed=history.completed_count,
         primitives=rt.steps_taken,
         elapsed=rt.elapsed,
         online=online,
@@ -879,19 +830,10 @@ def run_stress(
                     finished = True
                 elif kind == "event":
                     validator.feed(value)
-        lin, audit, status, stream = validator.verdict(finished=finished)
+        lin, audit, status, checks = validator.verdict(finished=finished)
         report.validated = True
         report.lin_ok, report.audit_ok, report.lin_status = lin, audit, status
-        report.lin_budget = stream["budget"]
-        if audit is not None:
-            report.audit_counts = {
-                key: stream[key] for key in (
-                    "audits_checked", "audits_nonempty",
-                    "audit_resident_pairs",
-                )
-            }
-        if online:
-            report.stream = stream
+        report.checks = checks
     if tmp_path is not None:
         try:
             os.unlink(tmp_path)

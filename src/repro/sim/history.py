@@ -55,26 +55,83 @@ class OperationRecord:
         )
 
 
-def _uncounted(index: int) -> None:
-    """The primitive counter of a history that streams nowhere."""
+class Tap:
+    """Several taps as one.
+
+    A *tap* is what :meth:`History.stream_to` feeds: a plain callable,
+    which takes every event, or an object with ``reads`` (the names of
+    the objects whose primitive events it consumes), ``feed(event)``
+    and ``count(index)`` for a primitive it skips.  A joint tap reads
+    the union of its members' objects.  One routing table, built here,
+    sends a primitive to the members that read its object and counts
+    it into the others; any other event goes to every member.  A lone
+    member is its own router.  ``None`` members are left out; with
+    none, ``feed`` is ``None`` and ``count`` does nothing.
+    """
+
+    def __init__(self, members: Iterable[Any]) -> None:
+        self.members = [m for m in members if m is not None]
+        reads = [getattr(m, "reads", None) for m in self.members]
+        feeds = [getattr(m, "feed", m) for m in self.members]
+        self.reads = None if None in reads else frozenset().union(*reads)
+
+        def route(name: Any) -> Tuple[Any, Any]:
+            """Feed ``name``'s primitives to the members that read it,
+            count them into the others."""
+            return (
+                _fan([f for f, r in zip(feeds, reads)
+                      if r is None or name in r]),
+                _fan([m.count for m, r in zip(self.members, reads)
+                      if r is not None and name not in r]),
+            )
+
+        table = {name: route(name) for r in reads if r for name in r}
+        other = route(None)
+        self.count = other[1]
+        self.feed = feeds[0] if feeds else None
+        if len(feeds) > 1:
+            fan = _fan(feeds)
+
+            def feed(event: Any) -> None:
+                if type(event) is PrimitiveEvent:
+                    fed, skipped = table.get(event.obj_name, other)
+                    fed(event)
+                    skipped(event.index)
+                else:
+                    fan(event)
+
+            self.feed = feed
+
+
+def _fan(calls: List[Any]) -> Any:
+    """``calls`` as one callable: the lone call itself, else one that
+    makes each call in turn (and none, given none)."""
+    if len(calls) == 1:
+        return calls[0]
+
+    def fan(arg: Any) -> None:
+        for call in calls:
+            call(arg)
+
+    return fan
 
 
 class History:
     """Append-only event log with query helpers.
 
-    A *tap* can be attached with :meth:`stream_to`: every recorded
-    event is handed to the sink as it happens (the streaming seam the
-    online verdict paths — ``repro serve``, ``stress --online`` —
+    A :class:`Tap` can be attached with :meth:`stream_to`: every
+    recorded event is handed to it as it happens (the streaming seam
+    the online verdict paths — ``repro serve``, ``stress --online`` —
     consume).  With ``retain=False`` the history stops buffering:
     events are forwarded but not stored and no operation record is
     kept, so memory stays constant regardless of run length.  A
-    streaming tap that reads no primitive events passes a
-    ``count_primitive(index)`` callable beside its sink: each
-    primitive then costs one call with its index instead of a built
-    :class:`PrimitiveEvent`.  Recording calls are serialized by the
-    runtime that owns the history (simulation step loop, thread
-    runtime's history lock, memory-server process), so the sink
-    inherits that mutual exclusion.
+    streaming history then builds a :class:`PrimitiveEvent` only for an
+    object the tap reads, and hands the tap's ``count`` the index of
+    every other primitive; a plain callable reads every object, and no
+    tap reads none.  Recording calls are serialized by the runtime
+    that owns the history (simulation step loop, thread runtime's
+    history lock, memory-server process), so the tap inherits that
+    mutual exclusion.
     """
 
     def __init__(self) -> None:
@@ -83,30 +140,27 @@ class History:
         self._ops: Dict[Tuple[str, int], OperationRecord] = {}
         self._op_order: List[Tuple[str, int]] = []
         self._sink = None
+        self._reads = None
         self._count = None
         self._retain = True
         self.completed_count = 0
 
     # -- streaming ---------------------------------------------------------
 
-    def stream_to(self, sink, retain: bool = True,
-                  count_primitive=None) -> None:
-        """Forward every subsequently recorded event to ``sink``.
+    def stream_to(self, tap, retain: bool = True) -> None:
+        """Forward every subsequently recorded event to ``tap``.
 
         ``retain=False`` additionally disables buffering (see class
         docstring); the query helpers then see nothing recorded after
-        this call.  ``count_primitive(index)`` then takes each
-        primitive instead of the sink; with no sink at all, primitives
-        are only counted.
+        this call, and a primitive on an object the tap does not read
+        is only counted.
         """
-        self._sink = sink
+        if tap is None:
+            tap = Tap(())
+        self._sink = getattr(tap, "feed", tap)
         self._retain = retain
-        if retain:
-            self._count = None
-        elif sink is None:
-            self._count = _uncounted
-        else:
-            self._count = count_primitive
+        self._reads = None if retain else getattr(tap, "reads", None)
+        self._count = None if self._reads is None else tap.count
 
     # -- recording (used by Simulation) ----------------------------------
 
@@ -157,10 +211,10 @@ class History:
         args: Tuple[Any, ...],
         result: Any,
     ) -> Optional[PrimitiveEvent]:
-        """Record one applied primitive; ``None`` when the sink only
-        counts primitives (no event is built)."""
+        """Record one applied primitive; ``None`` when no event is
+        built (a streaming tap that does not read ``obj_name``)."""
         count = self._count
-        if count is not None:
+        if count is not None and obj_name not in self._reads:
             index = self._index
             self._index = index + 1
             count(index)

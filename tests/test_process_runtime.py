@@ -739,3 +739,49 @@ def test_pid_ref_is_a_minimal_handle():
     ref = PidRef("r3")
     assert ref.pid == "r3"
     assert pickle.loads(pickle.dumps(ref)).pid == "r3"
+
+
+class _ServerDiesAt(FaultPlan):
+    """Kill the memory server itself (the plan runs there) at arrival
+    ``arrival``: a crash with no traceback and no final payload."""
+
+    def __init__(self, arrival):
+        self.arrival = arrival
+
+    def decide(self, step, pid, obj_name, primitive):
+        if step == self.arrival:
+            os._exit(3)
+        return None
+
+
+def test_a_dead_memory_server_is_named_within_seconds():
+    """The workers hold inherited copies of the server's pipe ends, so
+    only the server's own exit tells the parent it is gone; the error
+    names the server, not the workers, long before the watchdog."""
+    from repro.rt.base import RunAborted
+
+    start = time.monotonic()
+    with pytest.raises(RunAborted, match=r"memory server \(exit code 3\)"):
+        run_stress(
+            "register", threads=2, ops=200, runtime="process", online=True,
+            faults=_ServerDiesAt(50), join_watchdog=30,
+        )
+    assert time.monotonic() - start < 10
+
+
+def test_stress_cli_exits_2_naming_a_dead_memory_server(
+    monkeypatch, capsys
+):
+    from repro.__main__ import main
+    from repro.rt import stress
+
+    monkeypatch.setattr(
+        stress, "chaos_plan", lambda *args, **kwargs: _ServerDiesAt(50)
+    )
+    code = main([
+        "stress", "--object", "register", "--runtime", "process",
+        "--threads", "2", "--ops", "200", "--online", "--faults", "delay",
+        "--join-watchdog", "30",
+    ])
+    assert code == 2
+    assert "memory server (exit code 3)" in capsys.readouterr().err

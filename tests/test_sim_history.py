@@ -1,7 +1,8 @@
 """Tests for History: queries, projections and pretty rendering."""
 
 from repro.memory.register import AtomicRegister
-from repro.sim.history import History
+from repro.sim.events import Invocation, PrimitiveEvent
+from repro.sim.history import History, Tap
 from repro.sim.process import Op
 from repro.sim.runner import Simulation
 
@@ -117,12 +118,77 @@ class TestStreaming:
         assert history.events == [] and history.completed_count == 1
 
     def test_explicit_counter_stands_in_for_the_sinks(self):
+        """A tap that reads ``R`` gets ``R``'s primitive events; every
+        other primitive is only counted into it."""
         history = History()
         seen, counted = [], []
-        history.stream_to(seen.append, retain=False,
-                          count_primitive=counted.append)
+
+        class ReadsR:
+            reads = frozenset({"R"})
+            feed = seen.append
+            count = counted.append
+
+        history.stream_to(ReadsR, retain=False)
         history.record_invocation("p", 0, "read", ())
+        assert history.record_primitive("p", 0, "S", "read", (), 0) is None
         history.record_primitive("p", 0, "R", "read", (), 0)
         history.record_response("p", 0, "read", 0)
-        assert [event.index for event in seen] == [0, 2]
+        assert [event.index for event in seen] == [0, 2, 3]
         assert counted == [1]
+
+    def test_plain_callables_and_retained_histories_get_every_event(self):
+        seen = []
+        for retain in (True, False):
+            history = History()
+            history.stream_to(seen.append, retain=retain)
+            history.record_invocation("p", 0, "read", ())
+            history.record_primitive("p", 0, "S", "read", (), 0)
+            history.record_response("p", 0, "read", 0)
+        assert [type(event).__name__ for event in seen] == 2 * [
+            "Invocation", "PrimitiveEvent", "Response"
+        ]
+
+    def test_tap_routes_each_primitive_to_its_readers(self):
+        """A joint tap reads the union of its members' objects (all of
+        them beside a plain callable), feeds a primitive to the members
+        that read its object and counts it into the others."""
+        log = []
+
+        class Oracle:
+            def __init__(self, name, reads):
+                self.name, self.reads = name, frozenset(reads)
+
+            def feed(self, event):
+                log.append((self.name, "feed", event.index))
+
+            def count(self, index):
+                log.append((self.name, "count", index))
+
+        a, b = Oracle("a", {"R"}), Oracle("b", ())
+        tap = Tap([a, b])
+        assert tap.reads == {"R"}
+        assert Tap([a, log.append]).reads is None
+        assert Tap([]).reads == frozenset() and Tap([]).feed is None
+        history = History()
+        history.stream_to(tap, retain=False)
+        history.record_invocation("p", 0, "read", ())
+        history.record_primitive("p", 0, "R", "read", (), 0)
+        history.record_primitive("p", 0, "S", "read", (), 0)
+        assert log == [
+            ("a", "feed", 0), ("b", "feed", 0),
+            ("a", "feed", 1), ("b", "count", 1),
+            ("a", "count", 2), ("b", "count", 2),
+        ]
+        # Fed every event, the tap routes it as the history would have.
+        del log[:]
+        for event in (
+            Invocation(0, "p", 0, "read", ()),
+            PrimitiveEvent(1, "p", 0, "R", "read", (), 0),
+            PrimitiveEvent(2, "p", 0, "S", "read", (), 0),
+        ):
+            tap.feed(event)
+        assert log == [
+            ("a", "feed", 0), ("b", "feed", 0),
+            ("a", "feed", 1), ("b", "count", 1),
+            ("a", "count", 2), ("b", "count", 2),
+        ]

@@ -432,7 +432,7 @@ class TestMemoryBound:
             checker.feed(Response(clock, f"p{p}", counts[p], name, result))
             clock += 1
         assert checker.finish().ok
-        return checker.peak_resident_ops
+        return checker.progress().peak_resident_ops
 
     def test_peak_residency_is_bounded_by_overlap_not_length(self):
         window = 256
@@ -600,11 +600,10 @@ def _partitioned_and_whole_verdicts(events, meta):
     from repro.rt.stress import StreamValidator
 
     partitioned = validator_from_meta(meta)
-    assert partitioned.checker.spec.partition_key is not None
-    other = validator_from_meta(meta)
+    assert partitioned.members[0].spec.partition_key is not None
+    checker, *oracles = validator_from_meta(meta).members
     whole = StreamValidator(
-        replace(other.checker.spec, partition_key=None),
-        oracle=other.oracle,
+        replace(checker.spec, partition_key=None), *oracles
     )
     verdicts = []
     for validator in (partitioned, whole):
@@ -750,7 +749,7 @@ def pinned_sim_row(object_kind, seed, budget):
     from repro.rt.stress import validator_from_meta
 
     events, meta = _audited_sim_events(object_kind, seed, ops=60, writers=2)
-    checker = validator_from_meta(meta, **PIN_BUDGETS[budget]).checker
+    checker = validator_from_meta(meta, **PIN_BUDGETS[budget]).members[0]
     for event in events:
         checker.feed(event)
     return _pin_row(checker.finish())
@@ -813,11 +812,10 @@ class TestPinnedProgress:
         assert large < 8 * small, (small, large)
 
 
-def _unaudited_sim_run(object_kind, seed, sink, count_primitive=None,
-                       ops=60):
-    """A stress-roster run (1 reader, 1 writer, no auditor) on the
-    simulator, streaming into ``sink`` (and ``count_primitive``) without
-    retention; returns the hello meta."""
+def _streamed_sim_run(object_kind, seed, tap, auditors=0, ops=60):
+    """A stress-roster run on the simulator (1 reader and 1 writer, or
+    2 readers, 1 writer and ``auditors`` auditors), streaming into
+    ``tap`` without retention; returns the hello meta."""
     from repro.rt.stress import (
         _stress_pids,
         build_stress_register,
@@ -826,11 +824,10 @@ def _unaudited_sim_run(object_kind, seed, sink, count_primitive=None,
     from repro.sim.runner import Simulation
     from repro.sim.scheduler import RandomSchedule
 
-    r, w, a = 1, 1, 0
+    r, w, a = (2, 1, auditors) if auditors else (1, 1, 0)
     reg = build_stress_register(object_kind, r, w, seed)
     sim = Simulation(RandomSchedule(seed))
-    sim.history.stream_to(sink, retain=False,
-                          count_primitive=count_primitive)
+    sim.history.stream_to(tap, retain=False)
     for pid, role, index in _stress_pids(object_kind, r, w, a):
         sim.spawn(pid)
         source = stress_op_source(reg, pid, object_kind, seed, role, index)
@@ -841,34 +838,64 @@ def _unaudited_sim_run(object_kind, seed, sink, count_primitive=None,
 
 
 class TestCountedPrimitives:
-    """A validator with no audit oracle reads no primitive event, so a
-    streaming history only counts primitives into it; the verdict and
-    progress must be those of feeding it every event."""
+    """A streaming history builds a primitive event only for an object
+    its tap reads and counts the rest into it; the verdict and the
+    whole payload must be those of feeding it every event."""
 
-    @pytest.mark.parametrize("object_kind", ["register", "max", "snapshot"])
-    def test_counted_tap_matches_feeding_every_event(self, object_kind):
+    def assert_filtered_tap_matches_feeding_every_event(
+        self, object_kind, auditors
+    ):
         from repro.rt.stress import validator_from_meta
 
         for seed in range(15):
             events = []
-            meta = _unaudited_sim_run(object_kind, seed, events.append)
-            full = validator_from_meta(meta)
-            for event in events:
-                full.feed(event)
-            counted = validator_from_meta(meta)
-            _unaudited_sim_run(object_kind, seed, counted.feed,
-                               counted.count_primitive)
-            assert counted.verdict() == full.verdict(), seed
-            assert any(
-                type(event).__name__ == "PrimitiveEvent" for event in events
+            meta = _streamed_sim_run(
+                object_kind, seed, events.append, auditors
             )
+            # Every oracle fed every event, against the validator's
+            # routing table and the history's filter.
+            full, routed = validator_from_meta(meta), validator_from_meta(meta)
+            for event in events:
+                routed.feed(event)
+                for oracle in full.members:
+                    oracle.feed(event)
+            filtered = validator_from_meta(meta)
+            _streamed_sim_run(object_kind, seed, filtered, auditors)
+            for validator in (routed, filtered):
+                assert validator.verdict() == full.verdict(), seed
+                # Counting rolls the audit windows at the same events.
+                assert [
+                    (o.events, len(o._base), o._compacted_to)
+                    for o in validator.members[1:]
+                ] == [
+                    (o.events, len(o._base), o._compacted_to)
+                    for o in full.members[1:]
+                ], seed
+            unread = [
+                event for event in events
+                if type(event).__name__ == "PrimitiveEvent"
+                and event.obj_name not in filtered.reads
+            ]
+            assert unread, seed
 
-    def test_oracle_bearing_validators_read_every_primitive(self):
-        from repro.rt.stress import validator_from_meta
+    @pytest.mark.parametrize("object_kind", ["register", "max", "snapshot"])
+    def test_counted_tap_matches_feeding_every_event(self, object_kind):
+        self.assert_filtered_tap_matches_feeding_every_event(object_kind, 0)
 
-        meta = {"kind": "stress", "object": "register",
+    @pytest.mark.parametrize("object_kind", ["register", "max", "snapshot"])
+    def test_audited_tap_matches_feeding_every_event(self, object_kind):
+        self.assert_filtered_tap_matches_feeding_every_event(object_kind, 1)
+
+    @pytest.mark.parametrize("object_kind", ["register", "max", "snapshot"])
+    def test_oracle_bearing_validators_read_only_R(self, object_kind):
+        from repro.rt.stress import build_stress_register, validator_from_meta
+
+        meta = {"kind": "stress", "object": object_kind,
                 "r": 1, "w": 1, "a": 1, "seed": 0}
-        assert validator_from_meta(meta).count_primitive is None
+        reg = build_stress_register(object_kind, 1, 1, 0)
+        register = reg.M if object_kind == "snapshot" else reg
+        assert validator_from_meta(meta).reads == {register.R.name}
+        assert validator_from_meta(dict(meta, a=0)).reads == frozenset()
 
     def test_streaming_thread_history_keeps_no_op_record(self):
         """The bounded-memory claim of ``History``: while streaming, no
@@ -883,17 +910,21 @@ class TestCountedPrimitives:
         sizes = set()
         counted = []
 
-        def feed(event):
-            sizes.add((len(history._ops), len(history.events)))
-            validator.feed(event)
+        class Tap:
+            reads = validator.reads
 
-        def count_primitive(index):
-            sizes.add((len(history._ops), len(history.events)))
-            counted.append(index)
-            validator.count_primitive(index)
+            @staticmethod
+            def feed(event):
+                sizes.add((len(history._ops), len(history.events)))
+                validator.feed(event)
 
-        history.stream_to(feed, retain=False,
-                          count_primitive=count_primitive)
+            @staticmethod
+            def count(index):
+                sizes.add((len(history._ops), len(history.events)))
+                counted.append(index)
+                validator.count(index)
+
+        history.stream_to(Tap, retain=False)
         rt.run()
         assert sizes == {(0, 0)}
         assert len(counted) == rt.steps_taken > 0
@@ -919,6 +950,47 @@ class TestCountedPrimitives:
                             online=True)
         assert online.lin_ok and offline.lin_ok
         assert online.ops_completed == offline.ops_completed == 400
+
+    def test_online_thread_tap_with_an_auditor_builds_only_R(
+        self, monkeypatch
+    ):
+        """With an auditor the tap reads ``R`` alone: every primitive
+        event it receives is on ``R``, and the fed and counted
+        primitives add up to every primitive the run applied."""
+        from repro.rt import stress
+
+        fed, counted, taps = [], [], []
+        build = stress.validator_from_meta
+
+        def spied(meta, **kwargs):
+            validator = build(meta, **kwargs)
+            feed, count = validator.feed, validator.count
+
+            def spy_feed(event):
+                if type(event).__name__ == "PrimitiveEvent":
+                    fed.append(event)
+                feed(event)
+
+            def spy_count(index):
+                counted.append(index)
+                count(index)
+
+            validator.feed, validator.count = spy_feed, spy_count
+            taps.append(validator)
+            return validator
+
+        monkeypatch.setattr(stress, "validator_from_meta", spied)
+        report = stress.run_stress(
+            "register", readers=2, writers=1, auditors=1, ops=200, seed=1,
+            record_latency=False, online=True,
+        )
+        assert report.lin_ok and report.audit_ok
+        assert report.checks["audits_nonempty"] > 0
+        (validator,) = taps
+        assert len(validator.reads) == 1
+        assert {event.obj_name for event in fed} == set(validator.reads)
+        assert counted
+        assert len(fed) + len(counted) == report.primitives
 
 
 class TestUndecidedNamesItsBudget:
