@@ -500,7 +500,8 @@ def _build(
 ) -> Union[ThreadRuntime, ProcessRuntime]:
     """Construct the runtime, shared object and per-worker op sources
     of the run ``meta`` (a :func:`stress_meta`) describes; its history
-    streams to ``tap`` (on the process runtime, an event-log sink)."""
+    streams to ``tap``, which on the process runtime must be an
+    event-log sink: a :class:`Tap` cannot cross into the memory server."""
     object_kind, seed = meta["object"], meta["seed"]
     build_args = (
         object_kind, meta["r"], meta["w"], seed,
@@ -508,6 +509,8 @@ def _build(
     )
     roster = _stress_pids(object_kind, meta["r"], meta["w"], meta["a"])
     if runtime == "process":
+        if isinstance(tap, Tap):
+            raise TypeError("a Tap cannot stream from the memory server")
         prt = ProcessRuntime(
             build_stress_register,
             build_args,

@@ -103,9 +103,15 @@ class Tap:
             self.feed = feed
 
 
+def _skip(arg: Any) -> None:
+    """Do nothing (module-level, so a history holding it pickles)."""
+
+
 def _fan(calls: List[Any]) -> Any:
-    """``calls`` as one callable: the lone call itself, else one that
-    makes each call in turn (and none, given none)."""
+    """``calls`` as one callable: :func:`_skip` given none, the lone
+    call itself, else one that makes each call in turn."""
+    if not calls:
+        return _skip
     if len(calls) == 1:
         return calls[0]
 

@@ -692,6 +692,32 @@ def test_process_stress_objects_validate(obj):
     assert report.to_payload()["runtime"] == "process"
 
 
+def test_unvalidated_online_process_stress_runs_to_completion(capsys):
+    """With no validator and no event log the memory server streams to
+    no tap at all, and still ships its history in the final payload."""
+    from repro.__main__ import main
+
+    report = run_stress(
+        "register", threads=2, ops=50, seed=1, runtime="process",
+        online=True, validate=False,
+    )
+    assert report.ops_completed == 2 * 50 and not report.validated
+    assert main([
+        "stress", "--runtime", "process", "--threads", "2", "--ops", "20",
+        "--online", "--no-validate",
+    ]) == 0
+    assert "ops completed" in capsys.readouterr().out
+
+
+def test_a_tap_cannot_stream_from_the_memory_server():
+    from repro.rt.stress import _build, stress_meta
+    from repro.sim.history import Tap
+
+    with pytest.raises(TypeError, match="memory server"):
+        _build(stress_meta("register", 1, 1, 0, 0), 4, runtime="process",
+               tap=Tap([print]))
+
+
 def test_process_stress_crash_fault_keeps_audit_exactness():
     """A crash mid-operation must not break the audit oracle: exactness
     is defined for histories with pending operations, and a parent-side
