@@ -893,8 +893,8 @@ def _stress(argv) -> int:
             ),
         )
     except (ValueError, RunAborted) as exc:
-        # A hang or a lost memory server is inconclusive, not a
-        # violation; the message names the stuck pids or the server.
+        # A hang or a lost worker or memory server is inconclusive, not
+        # a violation; the message names the stuck pids or the process.
         print(f"stress: {exc}", file=sys.stderr)
         return 2
     print(report.render())
@@ -1060,21 +1060,21 @@ def _serve_smoke() -> int:
     oracle on the buffered history — verdicts must agree."""
     import os
     import tempfile
+    from functools import partial
 
     from repro.analysis.audit_checks import check_audit_exactness
     from repro.analysis.fastlin import check_history as batch_check
     from repro.analysis.specs import stream_register_spec
     from repro.rt.serve import VerdictServer, serve_file
-    from repro.rt.stress import _build, build_stress_register, stress_meta
-    from repro.sim.event_log import JsonlEventSink
+    from repro.rt.stress import (
+        StressTap, _build, build_stress_register, stress_meta,
+    )
 
     fd, path = tempfile.mkstemp(prefix="repro-serve-smoke-", suffix=".jsonl")
     os.close(fd)
     try:
         meta = stress_meta("register", 2, 1, 1, seed=0)
-        sink = JsonlEventSink(path, meta=meta)
-        history = _build(meta, 8, tap=sink).run()
-        sink.close()
+        history = _build(meta, 8, tap=partial(StressTap, meta, path)).run()
 
         batch = batch_check(
             history.operations(), stream_register_spec("v0")

@@ -82,7 +82,7 @@ import time
 import traceback
 from multiprocessing.connection import wait as wait_any
 from pickle import HIGHEST_PROTOCOL, dumps, loads
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import FAULT_FAMILIES, ArrivalInterpreter, FaultPlan
 from repro.memory.array import BitMatrix, RegisterArray
@@ -412,25 +412,25 @@ def _server_main(
     build,
     build_args: Tuple[Any, ...],
     faults: Optional[FaultPlan],
-    event_sink=None,
+    tap=None,
     retain_history: bool = True,
     progress=None,
 ) -> None:
     """Own the objects and the history; serve primitives serially.
 
-    ``event_sink`` (e.g. a :class:`~repro.sim.event_log.JsonlEventSink`)
-    receives every history event as it is recorded — the streaming seam
-    for online verification.  With ``retain_history=False`` the history
-    stops buffering (bounded server memory; the final payload ships
-    only counters) — the event stream is then the sole record of the
-    run.  A server that dies mid-run leaves the sink's log without its
-    ``end`` marker, which consumers read as truncation (PARTIAL).
+    ``tap`` is a zero-argument factory called here: what it builds
+    (e.g. an event-log sink and an online validator) receives every
+    history event in application order, which only this process knows.
+    With ``retain_history=False`` the history stops buffering (bounded
+    server memory) — the tap is then the sole record of the run.  A
+    clean end closes and detaches the tap
+    (:meth:`~repro.sim.history.History.close_stream`) and ships what
+    its ``close`` returned as ``verdict``, never the tap itself.
     ``progress`` (a shared ``RawValue``) counts recorded responses: the
     parent's watchdog reads it, so the server itself keeps no clock.
     """
     history = History()
-    if event_sink is not None or not retain_history:
-        history.stream_to(event_sink, retain=retain_history)
+    history.stream_to(tap and tap(), retain=retain_history)
     latencies: List[Tuple[str, str, float]] = []
     errors: List[Tuple[str, str]] = []
     crashed: List[str] = []
@@ -607,10 +607,10 @@ def _server_main(
                     deactivate(conn)
                     continue
                 handle_batch(conn, pid, batch)
-        if event_sink is not None:
-            event_sink.close()
+        verdict = history.close_stream()
         out_conn.send(("ok", {
             "history": history,
+            "verdict": verdict,
             "steps": steps,
             "latencies": latencies,
             "crashed": crashed,
@@ -657,6 +657,13 @@ class ProcessRuntime(Runtime):
     registered as picklable factories via :meth:`add_program_factory`
     (a fixed operation list) or :meth:`add_source_factory` (an
     on-demand operation source for duration-bounded runs).
+
+    ``tap`` is a picklable zero-argument factory the memory server
+    calls to build what its history streams to; a clean run ships back
+    what the tap's ``close`` returned as :attr:`verdict`.
+    ``retain_history=False`` stops the server buffering the history —
+    bounded memory for online runs, at the price of an empty
+    ``history`` afterwards.
     """
 
     kind = "process"
@@ -673,7 +680,7 @@ class ProcessRuntime(Runtime):
         record_latency: bool = True,
         join_watchdog: Optional[float] = DEFAULT_WATCHDOG,
         start_method: Optional[str] = None,
-        event_log: Optional[Any] = None,
+        tap: Optional[Callable[[], Any]] = None,
         retain_history: bool = True,
     ) -> None:
         self._build = build
@@ -682,17 +689,10 @@ class ProcessRuntime(Runtime):
         self.record_latency = record_latency
         self.join_watchdog = join_watchdog
         self._start_method = start_method
-        # ``event_log`` streams every server-side history event to a
-        # JSONL file (a path here becomes a lazily-opened sink pickled
-        # into the server); ``retain_history=False`` additionally stops
-        # the server buffering the history — bounded memory for online
-        # runs, at the price of an empty ``history`` afterwards.
-        if isinstance(event_log, str):
-            from repro.sim.event_log import JsonlEventSink
-
-            event_log = JsonlEventSink(event_log)
-        self.event_log = event_log
+        self.tap = tap
         self.retain_history = retain_history
+        #: What the server's tap returned when a clean run closed it.
+        self.verdict: Any = None
         self._history = History()
         self.processes: Dict[str, PidRef] = {}
         self._specs: Dict[str, Dict[str, Any]] = {}
@@ -767,11 +767,14 @@ class ProcessRuntime(Runtime):
     def run(self, duration: Optional[float] = None) -> History:
         """Spawn the memory server and one worker per process; collect.
 
-        Joins are bounded by progress, not by the clock: once a whole
-        ``join_watchdog``-long wait passes with no operation completed,
-        the workers still running are terminated and reported by pid in
-        a :class:`~repro.rt.base.WatchdogTimeout` instead of hanging
-        the harness.  Pass ``join_watchdog=None`` for unbounded joins.
+        Joins are bounded by progress, not by the clock: once about
+        ``join_watchdog`` seconds pass with no operation completed, the
+        workers still running are terminated and reported by pid in a
+        :class:`~repro.rt.base.WatchdogTimeout` instead of hanging the
+        harness.  Pass ``join_watchdog=None`` for unbounded joins.  A
+        worker or memory server that dies before the server's final
+        payload raises :class:`~repro.rt.base.RunAborted` naming it and
+        its exit code.
         """
         pids = [pid for pid in self.processes if pid in self._specs]
         if not pids:
@@ -800,7 +803,7 @@ class ProcessRuntime(Runtime):
             target=_server_main,
             args=(
                 server_out, server_conns, self._build, self._build_args,
-                self.faults, self.event_log, self.retain_history, progress,
+                self.faults, self.tap, self.retain_history, progress,
             ),
             name="rt-memory-server",
             daemon=True,
@@ -825,24 +828,25 @@ class ProcessRuntime(Runtime):
             started = time.perf_counter()
             watchdog = self.join_watchdog
             # Multiplex worker exits with the server's control pipe and
-            # exit (the workers hold inherited copies of its pipe ends,
-            # so they never see it die), so a server-side failure is
-            # surfaced immediately instead of after the full watchdog.
-            # A wait that times out re-arms while the server's response
-            # count moved: a slow run that keeps completing operations
-            # is never cut.
+            # exit (each side holds inherited copies of the other's pipe
+            # ends, so neither sees the other die), so a failure on
+            # either side is surfaced at once instead of after the full
+            # watchdog.  The wait runs in slices of an eighth of the
+            # watchdog, noting when the server's response count last
+            # moved: a slow run that keeps completing operations is
+            # never cut, and a hang is reported within 1.25 watchdogs.
+            tick = None if watchdog is None else watchdog / 8
             payload = None
             pending = {w.sentinel: pid for pid, w in workers.items()}
-            seen = progress.value
+            seen, moved = progress.value, time.monotonic()
             while pending or payload is None:
                 waitees = list(pending)
                 if payload is None:
                     waitees += [parent_conn, server.sentinel]
-                ready = wait_any(waitees, timeout=watchdog)
-                if not ready:
-                    if progress.value != seen:
-                        seen = progress.value
-                        continue
+                ready = wait_any(waitees, timeout=tick)
+                if progress.value != seen:
+                    seen, moved = progress.value, time.monotonic()
+                elif not ready and time.monotonic() - moved >= watchdog:
                     self.elapsed = time.perf_counter() - started
                     stuck = sorted(pending.values())
                     raise WatchdogTimeout(
@@ -853,7 +857,15 @@ class ProcessRuntime(Runtime):
                     )
                 for item in ready:
                     if item in pending:
-                        pending.pop(item)
+                        pid = pending.pop(item)
+                        workers[pid].join(1)
+                        code = workers[pid].exitcode
+                        if code and payload is None:
+                            raise RunAborted(
+                                f"process runtime: worker {pid!r} (exit "
+                                f"code {code}) died before the memory "
+                                "server's final payload"
+                            )
                     elif payload is None:
                         payload = _final_payload(parent_conn, server)
             self.elapsed = time.perf_counter() - started
@@ -874,6 +886,7 @@ class ProcessRuntime(Runtime):
                     f"({len(payload['errors'])} error(s) total):\n{first}"
                 )
             self._history = payload["history"]
+            self.verdict = payload["verdict"]
             self._steps = payload["steps"]
             self.latencies = payload["latencies"]
             self.crashed = tuple(payload["crashed"])

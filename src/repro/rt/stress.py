@@ -24,11 +24,10 @@ CLI entry point: ``python -m repro stress`` (see ``__main__``).
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro._seeding import stable_hash
 from repro.analysis.audit_checks import strip_version, windowed_audit_oracle
@@ -59,7 +58,7 @@ from repro.crypto.pad import OneTimePadSequence
 from repro.faults import FaultPlan, chaos_plan, parse_fault_families
 from repro.rt.process_runtime import PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
-from repro.sim.event_log import JsonlEventSink, iter_event_log
+from repro.sim.event_log import JsonlEventSink
 from repro.sim.history import Tap
 
 STRESS_OBJECTS = ("register", "max", "snapshot", "naive")
@@ -262,9 +261,8 @@ class StressReport:
     validated: bool = False
     lin_ok: Optional[bool] = None
     audit_ok: Optional[bool] = None
-    # "ok"/"fail"/"undecided"/"partial" when validated; an undecided
-    # verdict (a linearizability search budget exhausted) or a partial one
-    # (process log cut before its end marker) leaves lin_ok None -- the
+    # "ok"/"fail"/"undecided" when validated; an undecided verdict (a
+    # linearizability search budget exhausted) leaves lin_ok None -- the
     # run is reported, just not vouched for.
     lin_status: Optional[str] = None
     # Online mode: events streamed (not buffered) into the incremental
@@ -494,14 +492,19 @@ def _build(
     runtime: str = "thread",
     faults: Optional[FaultPlan] = None,
     record_latency: bool = True,
-    tap: Optional[Any] = None,
+    tap: Optional[Callable[[], Any]] = None,
     retain_history: bool = True,
     join_watchdog: Optional[float] = DEFAULT_WATCHDOG,
 ) -> Union[ThreadRuntime, ProcessRuntime]:
     """Construct the runtime, shared object and per-worker op sources
-    of the run ``meta`` (a :func:`stress_meta`) describes; its history
-    streams to ``tap``, which on the process runtime must be an
-    event-log sink: a :class:`Tap` cannot cross into the memory server."""
+    of the run ``meta`` (a :func:`stress_meta`) describes.
+
+    ``tap`` is a picklable zero-argument factory (e.g. a ``partial``
+    of :class:`StressTap`) called where the history is recorded: here
+    on the thread runtime, inside the memory server on the process
+    runtime.  Either runtime closes the tap at a clean end and keeps
+    what its ``close`` returned as ``verdict``.
+    """
     object_kind, seed = meta["object"], meta["seed"]
     build_args = (
         object_kind, meta["r"], meta["w"], seed,
@@ -509,14 +512,12 @@ def _build(
     )
     roster = _stress_pids(object_kind, meta["r"], meta["w"], meta["a"])
     if runtime == "process":
-        if isinstance(tap, Tap):
-            raise TypeError("a Tap cannot stream from the memory server")
         prt = ProcessRuntime(
             build_stress_register,
             build_args,
             faults=faults,
             record_latency=record_latency,
-            event_log=tap,
+            tap=tap,
             retain_history=retain_history,
             join_watchdog=join_watchdog,
         )
@@ -534,7 +535,7 @@ def _build(
         join_watchdog=join_watchdog,
         faults=faults,
     )
-    trt.history.stream_to(tap, retain=retain_history)
+    trt.history.stream_to(tap and tap(), retain=retain_history)
     for pid, role, index in roster:
         trt.add_op_source(
             pid,
@@ -657,6 +658,35 @@ def validator_from_meta(
     )
 
 
+class StressTap(Tap):
+    """What one stress run's history streams to: the JSONL event log at
+    ``event_log`` (``meta`` is its hello line), and with ``validate``
+    the run's :func:`validator_from_meta`.  :meth:`close` writes the
+    log's end marker and returns the validator's verdict.  A
+    ``partial`` of it is the tap factory :func:`_build` takes."""
+
+    def __init__(
+        self,
+        meta: Dict[str, Any],
+        event_log: Optional[str] = None,
+        validate: bool = False,
+        max_nodes: int = DEFAULT_MAX_NODES,
+    ) -> None:
+        self.sink = (
+            None if event_log is None else JsonlEventSink(event_log, meta)
+        )
+        self.validator = (
+            validator_from_meta(meta, max_nodes=max_nodes)
+            if validate else None
+        )
+        super().__init__([self.sink, self.validator])
+
+    def close(self) -> Any:
+        if self.sink is not None:
+            self.sink.close()
+        return None if self.validator is None else self.validator.verdict()
+
+
 def run_stress(
     object: str = "register",
     *,
@@ -710,16 +740,14 @@ def run_stress(
     recorded, so the history is never buffered and the checker's memory
     stays bounded by the in-flight window (the audit oracle still keeps
     every distinct pair read) — this is how duration-only runs get
-    validated.
-    On the thread backend the validator taps the history seam directly
-    (under the history lock); on the process backend events stream to an
-    ``event_log`` file (a temporary one when not given) from the memory
-    server and are replayed through the same validator afterwards.  A
-    memory server that dies mid-run raises
-    :class:`~repro.rt.base.RunAborted` naming it, so no verdict is
-    given; reading a log cut before its end marker as PARTIAL is
-    ``repro serve``'s rule.  ``event_log`` alone (without ``online``)
-    just records the JSONL event log, e.g. for ``repro serve``.
+    validated.  The validator is part of the run's :class:`StressTap`,
+    built where the history is recorded: in-process on threads (under
+    the history lock), inside the memory server on processes, which
+    ships its verdict back at a clean end.  A worker or memory server
+    that dies mid-run raises :class:`~repro.rt.base.RunAborted` naming
+    it, so no verdict is given; reading a log cut before its end marker
+    as PARTIAL is ``repro serve``'s rule.  ``event_log`` writes the
+    run's JSONL event log, online or buffered, e.g. for ``repro serve``.
     ``stream_window`` sets the quiescence-window size (default
     :data:`~repro.analysis.streamlin.DEFAULT_WINDOW`);
     ``record_latency=False`` drops the O(n) per-op latency samples,
@@ -751,44 +779,18 @@ def run_stress(
     meta = stress_meta(
         object, r, w, a, seed, max_substrate, snapshot_substrate, window
     )
-    log_path = event_log
-    tmp_path: Optional[str] = None
-    if online and runtime == "process" and validate and log_path is None:
-        # The validator cannot cross the process boundary: the memory
-        # server streams to a (temporary) event log that is replayed
-        # through the validator once the run ends.
-        fd, tmp_path = tempfile.mkstemp(
-            prefix="repro-stress-", suffix=".jsonl"
-        )
-        os.close(fd)
-        log_path = tmp_path
-    file_sink: Optional[JsonlEventSink] = None
-    if log_path is not None:
-        # The hello line lets ``repro serve`` rebuild this exact
-        # validator from the log alone.
-        file_sink = JsonlEventSink(log_path, meta=meta)
-
-    validator = (
-        validator_from_meta(meta, max_nodes=lin_max_nodes)
-        if validate else None
-    )
-    # On threads an online validator taps the history live; the history
-    # lock serializes its calls, so it sees events in index order
-    # without its own locking.
+    # An online run validates in its tap, where the history is recorded;
+    # a buffered one after the run.
     rt = _build(
         meta, ops,
         runtime=runtime, faults=faults, record_latency=record_latency,
-        tap=file_sink if runtime == "process" else Tap(
-            [file_sink, validator if online else None]
-        ),
+        tap=partial(StressTap, meta, event_log, validate and online,
+                    lin_max_nodes),
         retain_history=not online,
         join_watchdog=join_watchdog,
     )
 
     history = rt.run(duration=duration)
-    if file_sink is not None and runtime != "process":
-        file_sink.close()  # clean run: write the end marker
-
     report = StressReport(
         object=object,
         readers=r,
@@ -818,28 +820,15 @@ def run_stress(
         report.latency["all"] = percentile_summary(
             [s for _, _, s in rt.latencies]
         )
-    if validator is not None:
-        finished = True
+    if validate:
+        verdict = rt.verdict
         if not online:
+            validator = validator_from_meta(meta, max_nodes=lin_max_nodes)
             for event in history.events:
                 validator.feed(event)
-        elif runtime == "process":
-            # Replay the server-side event log.  The end marker proves
-            # the server finished cleanly; without it the stream is
-            # truncated and the verdict stays PARTIAL.
-            finished = False
-            for kind, value in iter_event_log(log_path):
-                if kind == "end":
-                    finished = True
-                elif kind == "event":
-                    validator.feed(value)
-        lin, audit, status, checks = validator.verdict(finished=finished)
+            verdict = validator.verdict()
         report.validated = True
-        report.lin_ok, report.audit_ok, report.lin_status = lin, audit, status
-        report.checks = checks
-    if tmp_path is not None:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+        report.lin_ok, report.audit_ok, report.lin_status, report.checks = (
+            verdict
+        )
     return report

@@ -172,6 +172,9 @@ class ThreadRuntime(Runtime):
         self._live = 0
         #: Pids crashed by fault injection, in crash order.
         self.crashed: List[str] = []
+        #: What the history's tap returned when a clean run closed it
+        #: (:meth:`~repro.sim.history.History.close_stream`).
+        self.verdict: Any = None
 
     # -- the runtime interface --------------------------------------------
 
@@ -217,7 +220,9 @@ class ThreadRuntime(Runtime):
         :class:`~repro.rt.base.WatchdogTimeout` instead of hanging the
         harness forever.  A slow run that keeps completing operations is
         never cut.  Pass ``join_watchdog=None`` to restore unbounded
-        joins.
+        joins.  A clean end closes the history's tap and keeps what its
+        ``close`` returned as :attr:`verdict`, as the process runtime's
+        memory server does.
         """
         procs = list(self.processes.values())
         if not procs:
@@ -280,6 +285,7 @@ class ThreadRuntime(Runtime):
                 f"thread runtime: process {pid!r} failed "
                 f"({len(self._errors)} error(s) total)"
             ) from first
+        self.verdict = self._history.close_stream()
         return self._history
 
     # -- internals ---------------------------------------------------------

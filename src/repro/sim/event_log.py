@@ -317,13 +317,12 @@ __all_decoders__ = (decode_value,)
 class JsonlEventSink:
     """Writes one tagged-JSON line per history event.
 
-    Construct it with a path and attach via
-    ``history.stream_to(sink)``; the file opens lazily at the first
-    event (so the sink pickles cleanly into the memory-server process
-    of :class:`~repro.rt.process_runtime.ProcessRuntime`) and a
-    ``hello`` header is written first.  Call :meth:`close` after a
-    clean run to append the ``end`` marker — a log without it reads as
-    truncated (PARTIAL), which is exactly right for a crashed run.
+    Construct it with a path, which opens the file and writes the
+    ``hello`` header, and attach it via ``history.stream_to(sink)``.
+    Call :meth:`close` after a clean run to append the ``end`` marker —
+    a log without it reads as truncated (PARTIAL), which is exactly
+    right for a crashed run.  On the process runtime the memory server
+    builds its own sink, so none crosses a process boundary.
     """
 
     def __init__(
@@ -331,46 +330,21 @@ class JsonlEventSink:
     ) -> None:
         self.path = path
         self.meta = dict(meta or {})
-        self._fh: Optional[TextIO] = None
         self.events_written = 0
-
-    def _open(self) -> TextIO:
-        if self._fh is None:
-            self._fh = open(self.path, "w", encoding="utf-8")
-            header = {"k": "hello", "v": PROTOCOL_VERSION}
-            header.update(self.meta)
-            self._fh.write(_compact(header) + "\n")
-        return self._fh
+        self._fh: TextIO = open(path, "w", encoding="utf-8")
+        header = {"k": "hello", "v": PROTOCOL_VERSION}
+        header.update(self.meta)
+        self._fh.write(_compact(header) + "\n")
 
     def __call__(self, event: Any) -> None:
-        fh = self._open()
-        fh.write(_compact(event_to_payload(event)) + "\n")
+        self._fh.write(_compact(event_to_payload(event)) + "\n")
         self.events_written += 1
 
-    def close(self, end: bool = True) -> None:
-        fh = self._open()  # even an empty run gets a well-formed log
-        if end:
-            fh.write(
-                _compact({"k": "end", "events": self.events_written}) + "\n"
-            )
-        fh.close()
-        self._fh = None
-
-    # Lazy-open keeps the sink picklable until first use.
-    def __getstate__(self) -> Dict[str, Any]:
-        if self._fh is not None:
-            raise TypeError("cannot pickle an open JsonlEventSink")
-        return {
-            "path": self.path,
-            "meta": self.meta,
-            "events_written": self.events_written,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.path = state["path"]
-        self.meta = state["meta"]
-        self.events_written = state["events_written"]
-        self._fh = None
+    def close(self) -> None:
+        self._fh.write(
+            _compact({"k": "end", "events": self.events_written}) + "\n"
+        )
+        self._fh.close()
 
 
 # ---------------------------------------------------------------------

@@ -145,6 +145,7 @@ class History:
         self._index = 0
         self._ops: Dict[Tuple[str, int], OperationRecord] = {}
         self._op_order: List[Tuple[str, int]] = []
+        self._tap = None
         self._sink = None
         self._reads = None
         self._count = None
@@ -161,12 +162,23 @@ class History:
         this call, and a primitive on an object the tap does not read
         is only counted.
         """
+        self._tap = tap
         if tap is None:
             tap = Tap(())
         self._sink = getattr(tap, "feed", tap)
         self._retain = retain
         self._reads = None if retain else getattr(tap, "reads", None)
         self._count = None if self._reads is None else tap.count
+
+    def close_stream(self) -> Any:
+        """End the stream after a clean run: detach the tap, call its
+        ``close`` if it has one, and return what that returned (a
+        validator's verdict; ``None`` otherwise).  The history then
+        streams nowhere and pickles, which a tap's closures do not."""
+        tap = self._tap
+        self.stream_to(None, retain=self._retain)
+        close = getattr(tap, "close", None)
+        return None if close is None else close()
 
     # -- recording (used by Simulation) ----------------------------------
 

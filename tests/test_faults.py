@@ -239,6 +239,35 @@ def test_inject_duplicate_and_omit():
     assert [(op.pid, op.op_id) for op in pending] == [("p", 0)]
 
 
+def test_an_omission_after_an_announce_breaks_audit_exactness():
+    """An omitted primitive after a reader's announcing fetch&xor makes
+    it abandon the read; its next read announces again in the same
+    sequence number, which clears its bit of ``R`` as a duplicated
+    announce does.  The audit then misses a pair a completed read
+    returned, and the oracle reports it."""
+    from repro.analysis.audit_checks import check_audit_exactness
+    from repro.core.auditable_register import AuditableRegister
+
+    reg = AuditableRegister(1, initial="v0")
+    sim = Simulation()
+    reader = reg.reader(sim.spawn("r0"), 0)
+    sim.add_program("r0", [reader.read_op(), reader.read_op()])
+    sim.add_program("w0", [reg.writer(sim.spawn("w0")).write_op("v1")])
+    sim.add_program("a0", [reg.auditor(sim.spawn("a0")).audit_op()])
+    sim.run_process("w0")
+    while not [e for e in sim.history.primitive_events(pid="r0")
+               if e.primitive == "fetch_xor"]:
+        sim.step_process("r0")
+    sim.inject(OmitDecision("r0"))
+    sim.run_process("r0")
+    sim.run_process("a0")
+    reads = [op for op in sim.history.complete_operations()
+             if op.pid == "r0"]
+    assert [op.result for op in reads] == ["v1"]
+    violations = check_audit_exactness(sim.history, reg)
+    assert [v.missing for v in violations] == [{(0, "v1")}]
+
+
 def test_omit_of_an_idle_process_is_rejected():
     sim, _ = _sim_with_readers(("p", 1))
     with pytest.raises(ValueError, match="no in-flight operation"):

@@ -19,6 +19,7 @@ import os
 import pickle
 import threading
 import time
+from itertools import count
 
 import pytest
 
@@ -709,13 +710,46 @@ def test_unvalidated_online_process_stress_runs_to_completion(capsys):
     assert "ops completed" in capsys.readouterr().out
 
 
-def test_a_tap_cannot_stream_from_the_memory_server():
-    from repro.rt.stress import _build, stress_meta
-    from repro.sim.history import Tap
+class _CountingTap:
+    """A tap factory's product: counts the events it is fed, and its
+    ``close`` returns the count.  It does not pickle."""
 
-    with pytest.raises(TypeError, match="memory server"):
-        _build(stress_meta("register", 1, 1, 0, 0), 4, runtime="process",
-               tap=Tap([print]))
+    def __init__(self):
+        self.events = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, event):
+        self.events += 1
+
+    def close(self):
+        return self.events
+
+
+def test_a_factory_built_tap_streams_from_the_memory_server():
+    """The server calls the tap factory itself, feeds the tap every
+    event, closes it at the clean end and ships what ``close``
+    returned; the history comes back without the tap."""
+    rt = ProcessRuntime(_build_main, tap=_CountingTap)
+    rt.add_program_factory("p", _read_factory)
+    rt.add_program_factory("q", _read_factory)
+    history = rt.run()
+    assert rt.verdict == len(history.events) == 2 * 6 + rt.steps_taken
+
+
+def test_a_stress_tap_validates_inside_the_memory_server(tmp_path):
+    from functools import partial
+
+    from repro.rt.stress import StressTap, _build, stress_meta
+
+    meta = stress_meta("register", 1, 1, 1, 0)
+    path = str(tmp_path / "events.jsonl")
+    rt = _build(meta, 20, runtime="process", retain_history=False,
+                tap=partial(StressTap, meta, path, True))
+    rt.run()
+    lin, audit, status, checks = rt.verdict
+    assert (lin, audit, status) == (True, True, "ok")
+    assert checks["ops_completed"] == 60 and checks["audits_checked"] == 20
+    assert load_event_log(path)[1]  # the server wrote the end marker
 
 
 def test_process_stress_crash_fault_keeps_audit_exactness():
@@ -793,6 +827,68 @@ def test_a_dead_memory_server_is_named_within_seconds():
             faults=_ServerDiesAt(50), join_watchdog=30,
         )
     assert time.monotonic() - start < 10
+
+
+def _dies_at_factory(main, pid, n):
+    """A read source whose ``n``-th operation kills its worker."""
+    calls = count(1)
+
+    def source():
+        if next(calls) == n:
+            os._exit(3)
+
+        def read_gen():
+            word = yield from main.read()
+            return word.val
+
+        return Op("read", read_gen)
+
+    return source
+
+
+def _hangs_at_factory(main, pid, n):
+    """A read source whose ``n``-th operation hangs its worker."""
+    calls = count(1)
+
+    def source():
+        def read_gen():
+            if next(calls) == n:
+                time.sleep(60)  # the watchdog terminates the worker first
+            word = yield from main.read()
+            return word.val
+
+        return Op("read", read_gen)
+
+    return source
+
+
+def test_a_dead_worker_is_named_within_seconds():
+    """The memory server holds inherited copies of every worker's pipe
+    ends, so it never reads end of file from a dead worker; the
+    worker's own exit names it, long before the watchdog."""
+    from repro.rt.base import RunAborted
+
+    rt = ProcessRuntime(_build_main, join_watchdog=30)
+    rt.add_source_factory("r0", _dies_at_factory, args=(200,), max_ops=400)
+    rt.add_source_factory("r1", _source_factory, max_ops=400)
+    start = time.monotonic()
+    with pytest.raises(RunAborted, match=r"worker 'r0' \(exit code 3\)"):
+        rt.run()
+    assert time.monotonic() - start < 10
+
+
+def test_a_hang_after_progress_is_reported_after_one_watchdog():
+    """Operations completed before the hang do not buy it a second
+    watchdog: the report comes within a quarter watchdog of the
+    window since the last completed operation."""
+    from repro.rt.base import WatchdogTimeout
+
+    watchdog = 2.0
+    rt = ProcessRuntime(_build_main, join_watchdog=watchdog)
+    rt.add_source_factory("r0", _hangs_at_factory, args=(200,), max_ops=400)
+    with pytest.raises(WatchdogTimeout, match=r"\['r0'\]"):
+        rt.run()
+    assert watchdog <= rt.elapsed <= 1.25 * watchdog + 0.2
 
 
 def test_stress_cli_exits_2_naming_a_dead_memory_server(
