@@ -65,6 +65,10 @@ class Runtime(abc.ABC):
 
     #: Backend discriminator ("sim", "thread" or "process").
     kind: str = "abstract"
+    #: What the history's tap returned when a clean run closed it
+    #: (:meth:`~repro.sim.history.History.close_stream`); the thread
+    #: and process runtimes set it.
+    verdict: Any = None
 
     @abc.abstractmethod
     def spawn(self, pid: str) -> Any:

@@ -691,8 +691,6 @@ class ProcessRuntime(Runtime):
         self._start_method = start_method
         self.tap = tap
         self.retain_history = retain_history
-        #: What the server's tap returned when a clean run closed it.
-        self.verdict: Any = None
         self._history = History()
         self.processes: Dict[str, PidRef] = {}
         self._specs: Dict[str, Dict[str, Any]] = {}

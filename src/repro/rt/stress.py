@@ -784,8 +784,8 @@ def run_stress(
     rt = _build(
         meta, ops,
         runtime=runtime, faults=faults, record_latency=record_latency,
-        tap=partial(StressTap, meta, event_log, validate and online,
-                    lin_max_nodes),
+        tap=partial(StressTap, meta, event_log,
+                    validate=validate and online, max_nodes=lin_max_nodes),
         retain_history=not online,
         join_watchdog=join_watchdog,
     )

@@ -172,9 +172,6 @@ class ThreadRuntime(Runtime):
         self._live = 0
         #: Pids crashed by fault injection, in crash order.
         self.crashed: List[str] = []
-        #: What the history's tap returned when a clean run closed it
-        #: (:meth:`~repro.sim.history.History.close_stream`).
-        self.verdict: Any = None
 
     # -- the runtime interface --------------------------------------------
 
