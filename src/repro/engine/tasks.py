@@ -114,21 +114,3 @@ def snapshot_sweep_task(
         "steps": built.sim.steps_taken,
         "ops": len(history.complete_operations()),
     }
-
-
-def fuzz_task(seed: int, **params: Any) -> Dict[str, Any]:
-    """One fuzz-campaign batch: sampled executions of a named target
-    (:mod:`repro.fuzz.targets`), each judged by the target's oracle;
-    the batch's first violating trace is shrunk and shipped in the
-    payload.
-
-    A pure delegation to :func:`repro.fuzz.campaign.run_batch` (the
-    parameter set and defaults live there, once).  Targets and
-    samplers travel by name (the scenario/spec registry trick), and
-    per-run seeds derive from the batch ``seed``, so the payload is a
-    pure function of the task -- the engine's canonical JSONL contract
-    holds for fuzz campaigns too.
-    """
-    from repro.fuzz.campaign import run_batch
-
-    return run_batch(seed, **params)

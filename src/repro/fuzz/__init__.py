@@ -15,7 +15,9 @@ records.
 - :mod:`repro.fuzz.samplers` -- schedule samplers + registry.
 - :mod:`repro.fuzz.targets` -- the target catalogue (every
   model-checking scenario, plus crash-injecting fuzz-only targets).
-- :mod:`repro.fuzz.executor` -- run/replay/lenient execution.
+- :mod:`repro.fuzz.executor` -- sampled runs, plus strict and lenient
+  replay through one :class:`~repro.sim.scheduler.ReplaySchedule`
+  (:class:`ReplayMismatch` is its strict-divergence error).
 - :mod:`repro.fuzz.trace` -- the canonical trace codec.
 - :mod:`repro.fuzz.shrinker` -- counterexample minimization.
 - :mod:`repro.fuzz.campaign` -- engine-backed campaigns

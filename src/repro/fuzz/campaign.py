@@ -223,8 +223,6 @@ def run_campaign(
 
     See the module docstring for the determinism and stopping rules.
     """
-    from repro.engine.tasks import fuzz_task
-
     if schedules <= 0 or batch <= 0:
         raise ValueError("schedules and batch must be positive")
     batches = -(-schedules // batch)  # ceil
@@ -277,7 +275,7 @@ def run_campaign(
         # resuming an already-violating (or finished) campaign is a
         # no-op on the records.
         last: EngineReport = run_tasks(
-            fuzz_task,
+            run_batch,
             tasks,
             workers=workers,
             checkpoint=checkpoint,
@@ -302,7 +300,7 @@ def run_campaign(
             # never dropped) but executes at most CHUNK_TASKS pending
             # tasks.
             last = run_tasks(
-                fuzz_task,
+                run_batch,
                 tasks,
                 workers=workers,
                 checkpoint=checkpoint,

@@ -1,22 +1,23 @@
 """Executing fuzzed schedules: sample, record, replay.
 
-One module owns the three ways a decision sequence meets a live
-:class:`~repro.sim.runner.Simulation`:
+One module owns the ways a decision sequence meets a live
+:class:`~repro.sim.runner.Simulation`, all through the runner's schedule
+seam and one build-run-judge helper:
 
 - :func:`run_one` -- *sampling*: a :class:`~repro.fuzz.samplers.ScheduleSampler`
-  chooses each decision through the runner's schedule seam (crashes
-  included, via :class:`repro.sim.scheduler.CrashDecision`); every
-  decision is recorded, producing a closed :class:`ScheduleTrace`.
-- :func:`replay_trace` -- *strict replay*: the recorded decisions are
-  re-executed against a fresh system; any divergence (a scripted pid
-  not runnable, decisions left over, the run not terminating) raises
-  :class:`ReplayMismatch`.  Used by ``repro fuzz --replay`` and the
-  byte-identity tests.
+  chooses each decision (faults included, as the decision objects of
+  :mod:`repro.sim.scheduler`); every decision is recorded, producing a
+  closed :class:`ScheduleTrace`.
+- :func:`replay_trace` -- *strict replay*: the recorded decisions run as
+  a strict :class:`~repro.sim.scheduler.ReplaySchedule` against a fresh
+  system; any divergence (an entry that does not apply, decisions left
+  over, the run not terminating) raises :class:`ReplayMismatch`.  Used
+  by ``repro fuzz --replay`` and the byte-identity tests.
 - :func:`run_decisions_lenient` -- *tolerant replay* for the shrinker:
-  inapplicable decisions are skipped, and after the candidate sequence
-  is exhausted the run is completed deterministically (lowest pid
-  first), so every candidate yields a complete execution whose
-  *effective* decision sequence is again closed.
+  the same schedule, lenient, skips entries that do not apply and
+  completes the run lowest-pid-first, so every candidate yields a
+  complete execution whose *effective* decision sequence the strict
+  schedule re-executes by construction.
 
 All three judge the finished execution with the target's oracle;
 exceptions raised by operations or by the oracle are themselves
@@ -33,30 +34,27 @@ from repro.fuzz.samplers import ScheduleSampler
 from repro.fuzz.targets import FuzzTarget
 from repro.fuzz.trace import (
     CRASH,
-    DUPLICATE,
     FAULT_KINDS,
     OMIT,
     PARTITION,
-    RECOVER,
     STEP,
     Decision,
     ScheduleTrace,
+    partition_entry,
 )
-from repro.sim.process import ProcessState
 from repro.sim.runner import Simulation
 from repro.sim.scheduler import (
     FAULT_DECISIONS,
     PartitionDecision,
+    ReplayMismatch,
+    ReplaySchedule,
     Schedule,
+    fault_applicable,
     ordered_by_pid,
 )
 
 #: Default per-run schedule-length budget.
 DEFAULT_MAX_STEPS = 2048
-
-
-class ReplayMismatch(RuntimeError):
-    """A trace does not apply to the system its target builds."""
 
 
 def decision_to_fault(decision: Decision):
@@ -68,6 +66,20 @@ def decision_to_fault(decision: Decision):
     if kind == PARTITION:
         return PartitionDecision(decision[1].split(","), steps=decision[2])
     return FAULT_DECISIONS[kind](decision[1])
+
+
+def _script_entry(decision: Decision):
+    """The :class:`ReplaySchedule` entry for a trace decision."""
+    return decision[1] if decision[0] == STEP else decision_to_fault(decision)
+
+
+def _trace_decision(entry) -> Decision:
+    """Inverse of :func:`_script_entry`."""
+    if isinstance(entry, str):
+        return (STEP, entry)
+    if isinstance(entry, PartitionDecision):
+        return partition_entry(entry.pids, entry.steps)
+    return (entry.family, entry.pid)
 
 
 @dataclass
@@ -118,10 +130,10 @@ class _RecordingSchedule(Schedule):
     def _faultable(self, steppable):
         """Per-step fault menu for the sampler: kind -> eligible pids.
 
-        Only faults that are *applicable right now* are offered, so a
-        recorded trace never contains a fault strict replay could not
-        re-apply (a duplicate with nothing to re-deliver, a recovery of
-        a live process).
+        Only faults :func:`~repro.sim.scheduler.fault_applicable` rules
+        applicable right now are offered, so a recorded trace never
+        contains a fault strict replay could not re-apply (a duplicate
+        with nothing to re-deliver, a recovery of a live process).
         """
         target, sim = self.target, self.sim
         if sim is None or not target.faults:
@@ -130,38 +142,23 @@ class _RecordingSchedule(Schedule):
             return None
         menu = {}
         for kind in target.faults:
-            if kind == DUPLICATE:
-                pids = [
-                    pid for pid in sim.duplicable_pids()
-                    if target.fault_eligible(pid)
-                ]
-            elif kind == RECOVER:
-                pids = [
-                    pid for pid in sim.recoverable_pids()
-                    if target.fault_eligible(pid)
-                ]
-            elif kind == OMIT:
-                pids = [
-                    pid for pid in steppable
-                    if target.fault_eligible(pid)
-                    and sim.processes[pid].is_mid_operation()
-                ]
-            elif kind == PARTITION:
+            if kind == PARTITION and len(steppable) < 2:
                 # Severing the whole runnable set is pointless (the
-                # runner heals an all-partitioned system immediately),
-                # so partitions need at least two steppable processes.
-                pids = (
-                    [
-                        pid for pid in steppable
-                        if target.fault_eligible(pid)
-                    ]
-                    if len(steppable) >= 2
-                    else []
-                )
-            else:
+                # runner heals an all-partitioned system immediately).
                 continue
+            # Omissions and partitions aim at pids the schedule could
+            # step now; a duplicate or recovery at any pid.
+            pool = (
+                steppable if kind in (OMIT, PARTITION)
+                else sorted(sim.processes)
+            )
+            pids = tuple(
+                pid for pid in pool
+                if target.fault_eligible(pid)
+                and fault_applicable(sim, kind, pid)
+            )
             if pids:
-                menu[kind] = tuple(pids)
+                menu[kind] = pids
         return menu or None
 
     def choose(self, runnable, step_index):
@@ -195,6 +192,40 @@ class _RecordingSchedule(Schedule):
         return decision_to_fault(decision)
 
 
+def _execute(
+    target: FuzzTarget,
+    make_schedule: Callable,
+    max_steps: Optional[int],
+) -> Tuple[Schedule, Optional[str], bool]:
+    """Build ``target``'s system, run it under
+    ``make_schedule(sim, context)`` for at most ``max_steps`` steps, and
+    judge it.
+
+    Returns ``(schedule, verdict, complete)``.  An exception an
+    operation raises mid-run is the verdict; a run the budget cut short
+    is incomplete and not judged.  A :class:`ReplayMismatch` is no
+    verdict: it propagates.
+    """
+    factory, check = target.build()
+    sim, context = factory()
+    schedule = sim.schedule = make_schedule(sim, context)
+    try:
+        sim.run(max_steps=max_steps)
+    except ReplayMismatch:
+        raise
+    except Exception as exc:  # an operation blew up mid-schedule
+        return schedule, f"{type(exc).__name__}: {exc}", True
+    if sim.runnable():
+        return schedule, None, False
+    return schedule, _judge(check, sim, context), True
+
+
+def _replay(decisions: Sequence[Decision], strict: bool) -> Callable:
+    """A ``make_schedule`` for :func:`_execute` replaying ``decisions``."""
+    script = [_script_entry(decision) for decision in decisions]
+    return lambda sim, context: ReplaySchedule(script, strict, sim=sim)
+
+
 def run_one(
     target: FuzzTarget,
     seed: int,
@@ -202,34 +233,23 @@ def run_one(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> FuzzRunResult:
     """One fuzzed execution of ``target``: sample, record, judge."""
-    factory, check = target.build()
-    sim, context = factory()
-    fingerprint = None
-    if sampler.needs_fingerprints:
-        from repro.mc import configuration_fingerprint
-        from repro.sim.vault import StateVault
 
-        vault = StateVault(sim, roots=[context])
+    def recording(sim, context):
+        fingerprint = None
+        if sampler.needs_fingerprints:
+            from repro.mc import configuration_fingerprint
+            from repro.sim.vault import StateVault
 
-        def fingerprint():
-            vault.adopt_new()
-            return configuration_fingerprint(sim, vault)[0]
+            vault = StateVault(sim, roots=[context])
 
-    sampler.begin_run(seed, sorted(sim.processes), max_steps)
-    schedule = _RecordingSchedule(sampler, target, fingerprint, sim=sim)
-    sim.schedule = schedule
-    verdict_exc: Optional[str] = None
-    try:
-        sim.run(max_steps=max_steps)
-    except Exception as exc:  # an operation blew up mid-schedule
-        verdict_exc = f"{type(exc).__name__}: {exc}"
-    complete = verdict_exc is not None or not sim.runnable()
-    if verdict_exc is not None:
-        verdict: Optional[str] = verdict_exc
-    elif complete:
-        verdict = _judge(check, sim, context)
-    else:
-        verdict = None  # budget exhausted mid-run: nothing judged
+            def fingerprint():
+                vault.adopt_new()
+                return configuration_fingerprint(sim, vault)[0]
+
+        sampler.begin_run(seed, sorted(sim.processes), max_steps)
+        return _RecordingSchedule(sampler, target, fingerprint, sim=sim)
+
+    schedule, verdict, complete = _execute(target, recording, max_steps)
     trace = ScheduleTrace(
         target=target.name,
         seed=seed,
@@ -248,40 +268,6 @@ def run_one(
     )
 
 
-# ----------------------------------------------------------------------
-# Replay
-# ----------------------------------------------------------------------
-
-class _ScriptedSchedule(Schedule):
-    """Strictly replay a decision sequence through the schedule seam."""
-
-    def __init__(self, decisions: Sequence[Decision]) -> None:
-        self.decisions = list(decisions)
-        self.cursor = 0
-
-    def choose(self, runnable, step_index):
-        if self.cursor >= len(self.decisions):
-            raise ReplayMismatch(
-                "trace exhausted but processes are still runnable: "
-                f"{sorted(p.pid for p in runnable)}"
-            )
-        decision = self.decisions[self.cursor]
-        self.cursor += 1
-        if decision[0] != STEP:
-            # Faults apply unconditionally: the runner raises (and the
-            # caller reports a verdict) if the trace lies about
-            # applicability, which a recorded trace never does.
-            return decision_to_fault(decision)
-        pid = decision[1]
-        for process in runnable:
-            if process.pid == pid:
-                return process
-        raise ReplayMismatch(
-            f"trace expects {pid!r} runnable at step {step_index}; "
-            f"runnable: {sorted(p.pid for p in runnable)}"
-        )
-
-
 def replay_trace(target: FuzzTarget, trace: ScheduleTrace) -> FuzzRunResult:
     """Re-execute a recorded trace exactly; judge the result.
 
@@ -290,69 +276,20 @@ def replay_trace(target: FuzzTarget, trace: ScheduleTrace) -> FuzzRunResult:
     input's (``dumps_trace``); callers assert that, this function only
     guarantees the same decisions were applied.
     """
-    factory, check = target.build()
-    sim, context = factory()
-    schedule = _ScriptedSchedule(trace.decisions)
-    sim.schedule = schedule
-    verdict_exc: Optional[str] = None
-    try:
-        sim.run(max_steps=len(trace.decisions))
-    except ReplayMismatch:
-        raise
-    except Exception as exc:
-        verdict_exc = f"{type(exc).__name__}: {exc}"
-    if verdict_exc is None:
-        if schedule.cursor != len(trace.decisions):
-            raise ReplayMismatch(
-                f"run terminated after {schedule.cursor} of "
-                f"{len(trace.decisions)} decisions"
-            )
-        if sim.runnable():
-            raise ReplayMismatch(
-                "decisions exhausted but processes are still runnable: "
-                f"{sorted(p.pid for p in sim.runnable())}"
-            )
-        verdict = _judge(check, sim, context)
-    else:
-        verdict = verdict_exc
+    schedule, verdict, _ = _execute(
+        target, _replay(trace.decisions, strict=True), None
+    )
+    steps = len(schedule.applied)
+    if steps != len(trace.decisions):
+        raise ReplayMismatch(
+            f"run terminated after {steps} of "
+            f"{len(trace.decisions)} decisions"
+        )
     return FuzzRunResult(
         trace=trace.with_decisions(trace.decisions, verdict),
-        steps=schedule.cursor,
+        steps=steps,
         complete=True,
     )
-
-
-# ----------------------------------------------------------------------
-# Tolerant execution (the shrinker's probe)
-# ----------------------------------------------------------------------
-
-def _fault_applicable(sim: Simulation, decision: Decision) -> bool:
-    """Would strict replay be able to consume this fault right now?
-
-    The rules mirror what :class:`_RecordingSchedule` offers samplers,
-    so every decision the lenient pass keeps is one a recorded trace
-    could contain.
-    """
-    kind = decision[0]
-    if kind == CRASH:
-        process = sim.processes.get(decision[1])
-        return (
-            process is not None
-            and process.state is not ProcessState.CRASHED
-        )
-    if kind == RECOVER:
-        return decision[1] in sim.recoverable_pids()
-    if kind == DUPLICATE:
-        return decision[1] in sim.duplicable_pids()
-    if kind == OMIT:
-        process = sim.processes.get(decision[1])
-        return process is not None and process.is_mid_operation()
-    if kind == PARTITION:
-        return any(
-            pid in sim.processes and sim.processes[pid].has_work()
-            for pid in decision[1].split(",")
-        )
-    return False
 
 
 def run_decisions_lenient(
@@ -360,61 +297,19 @@ def run_decisions_lenient(
     decisions: Sequence[Decision],
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Tuple[Optional[str], Tuple[Decision, ...]]:
-    """Apply a candidate decision sequence, skipping inapplicable
-    entries, then complete the run lowest-pid-first.
+    """Apply a candidate decision sequence, skipping entries that do
+    not apply, then complete the run lowest-pid-first (the shrinker's
+    probe).
 
     Returns ``(verdict, effective decisions)``.  The effective sequence
     contains exactly the decisions that executed (applied candidates
-    plus deterministic completion steps), so it is closed: replaying it
-    strictly reproduces this execution.  Faults consume one step each
-    (:meth:`Simulation.inject` mirrors :meth:`Simulation.step`), so
-    partition-heal arithmetic agrees between this pass and strict
-    replay of its effective sequence.
+    plus deterministic completion steps, the one whose step raised
+    included), so it is closed: the lenient and strict
+    :class:`ReplaySchedule` rule entries alike under the same
+    :meth:`Simulation.step`, and replaying it strictly reproduces this
+    execution.
     """
-    factory, check = target.build()
-    sim, context = factory()
-    applied: List[Decision] = []
-    try:
-        for decision in decisions:
-            if len(applied) >= max_steps:
-                break
-            if not sim.runnable():
-                # The run is over; any remaining decision (e.g. a
-                # crash shifted past completion by earlier removals)
-                # could never be consumed by strict replay, so keeping
-                # it would break the closure contract.
-                break
-            kind = decision[0]
-            if kind != STEP:
-                if not _fault_applicable(sim, decision):
-                    continue
-                applied.append(decision)
-                sim.inject(decision_to_fault(decision))
-                continue
-            pid = decision[1]
-            process = sim.processes.get(pid)
-            if process is None or not process.has_work():
-                continue
-            if sim.is_partitioned(pid):
-                # Strict replay could not step a severed pid.  This
-                # check errs conservative (healing is monotone), so a
-                # skipped step only shortens the effective sequence --
-                # never breaks its replayability.
-                continue
-            # Appended before stepping so that a decision whose step
-            # raises is still part of the effective sequence (matching
-            # run_one, which records the decision as it is chosen).
-            applied.append((STEP, pid))
-            sim.step_process(pid)
-        while len(applied) < max_steps:
-            visible = sim.schedulable()
-            if not visible:
-                break
-            pid = min(p.pid for p in visible)
-            applied.append((STEP, pid))
-            sim.step_process(pid)
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}", tuple(applied)
-    if sim.runnable():
-        return None, tuple(applied)  # budget exhausted: not judged
-    return _judge(check, sim, context), tuple(applied)
+    schedule, verdict, _ = _execute(
+        target, _replay(decisions, strict=False), max_steps
+    )
+    return verdict, tuple(_trace_decision(e) for e in schedule.applied)

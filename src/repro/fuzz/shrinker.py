@@ -15,8 +15,11 @@ and returns a locally-minimal trace with the *identical* verdict:
   acceptance test.
 - **closure** -- accepted candidates are replaced by their *effective*
   decision sequence (skipped entries dropped, deterministic completion
-  steps appended), so the result is again a closed trace that strict
-  replay (`repro fuzz --replay`) re-executes byte-identically.
+  steps appended).  Candidates run through the same
+  :class:`~repro.sim.scheduler.ReplaySchedule` and
+  :meth:`~repro.sim.runner.Simulation.step` as strict replay
+  (`repro fuzz --replay`), only lenient, so the result is closed by
+  construction: strict replay re-executes it byte-identically.
 - **local minimality / idempotence** -- candidates are accepted only
   when strictly shorter, and the cascade of reductions is repeated
   until one complete cascade removes nothing.  A trace that survives

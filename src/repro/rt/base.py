@@ -55,6 +55,12 @@ class WatchdogTimeout(RunAborted):
     running."""
 
 
+#: Default seconds without a completed operation before the processes
+#: still running are declared hung (:class:`WatchdogTimeout`), on
+#: every real runtime.
+DEFAULT_WATCHDOG = 60.0
+
+
 class Runtime(abc.ABC):
     """Abstract execution backend for the paper's algorithms.
 

@@ -87,7 +87,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.faults import FAULT_FAMILIES, ArrivalInterpreter, FaultPlan
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BaseObject
-from repro.rt.base import RunAborted, Runtime, WatchdogTimeout
+from repro.rt.base import (
+    DEFAULT_WATCHDOG,
+    RunAborted,
+    Runtime,
+    WatchdogTimeout,
+)
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
@@ -105,12 +110,7 @@ __all__ = [
     "ObjectRegistry",
     "PidRef",
     "ProcessRuntime",
-    "DEFAULT_WATCHDOG",
 ]
-
-#: Default seconds without a completed operation before the workers
-#: still running are declared hung and the run is torn down.
-DEFAULT_WATCHDOG = 60.0
 
 
 # -- the worker <-> server channel ---------------------------------------------

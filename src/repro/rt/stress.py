@@ -56,8 +56,9 @@ from repro.core.auditable_snapshot import AuditableSnapshot
 from repro.crypto.nonce import NonceSource
 from repro.crypto.pad import OneTimePadSequence
 from repro.faults import FaultPlan, chaos_plan, parse_fault_families
+from repro.rt.base import DEFAULT_WATCHDOG
 from repro.rt.process_runtime import PidRef, ProcessRuntime
-from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
+from repro.rt.thread_runtime import ThreadRuntime
 from repro.sim.event_log import JsonlEventSink
 from repro.sim.history import Tap
 

@@ -51,16 +51,11 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import ArrivalInterpreter, FaultPlan
-from repro.rt.base import Runtime, WatchdogTimeout
+from repro.rt.base import DEFAULT_WATCHDOG, Runtime, WatchdogTimeout
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
 from repro.sim.scheduler import CrashDecision
-
-#: Default seconds without a completed operation before the threads
-#: still running are declared hung and surfaced instead of joined
-#: forever.
-DEFAULT_WATCHDOG = 60.0
 
 
 class _CrashFault(BaseException):

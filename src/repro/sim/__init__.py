@@ -31,6 +31,7 @@ from repro.sim.runner import Simulation
 from repro.sim.scheduler import (
     PrioritySchedule,
     RandomSchedule,
+    ReplayMismatch,
     ReplaySchedule,
     RoundRobinSchedule,
     Schedule,
@@ -48,6 +49,7 @@ __all__ = [
     "Process",
     "ProcessState",
     "RandomSchedule",
+    "ReplayMismatch",
     "ReplaySchedule",
     "Response",
     "RoundRobinSchedule",

@@ -219,22 +219,6 @@ class Simulation:
                 current = self._partitioned.get(pid, 0)
                 self._partitioned[pid] = max(current, heal_at)
 
-    def is_partitioned(self, pid: str) -> bool:
-        """Would ``pid`` be hidden from the schedule at the next step?
-
-        Accounts for healing (the partition may expire by then) and the
-        quiescence rule (a partition covering every process with work
-        heals immediately rather than deadlocking the run).
-        """
-        horizon = self._steps_taken + 1
-        self._heal_expired(horizon)
-        if pid not in self._partitioned:
-            return False
-        runnable = self._runnable_view()
-        if runnable and all(p.pid in self._partitioned for p in runnable):
-            return False
-        return True
-
     def duplicable_pids(self) -> List[str]:
         """Pids with an applied primitive a duplicate could re-deliver."""
         return sorted(self._last_applied)
@@ -276,11 +260,6 @@ class Simulation:
             self._partitioned.clear()
             return runnable
         return visible
-
-    def schedulable(self) -> List[Process]:
-        """The processes the schedule could be offered at the next step
-        (the runnable view minus currently partitioned pids)."""
-        return list(self._visible_runnable(self._steps_taken + 1))
 
     def _work_changed(self, process: Process) -> None:
         """Watcher hook: keep the runnable set in sync with one process."""
@@ -375,21 +354,6 @@ class Simulation:
     @property
     def steps_taken(self) -> int:
         return self._steps_taken
-
-    def inject(self, decision) -> None:
-        """Apply a fault decision outside the schedule seam.
-
-        Consumes one step, exactly as if :meth:`step` had chosen the
-        decision — the lenient replayer (:func:`repro.fuzz.executor.
-        run_decisions_lenient`) uses this so shrunken candidate
-        sequences account steps identically to a strict replay.
-        """
-        if self._steps_taken >= self.max_steps:
-            raise StepBudgetExceeded(
-                f"exceeded {self.max_steps} steps injecting {decision!r}"
-            )
-        self._steps_taken += 1
-        self._apply_fault(decision)
 
     def _apply_fault(self, decision) -> None:
         if isinstance(decision, CrashDecision):

@@ -9,8 +9,10 @@ Provided policies:
 - :class:`RoundRobinSchedule` -- fair, deterministic.
 - :class:`RandomSchedule` -- seeded uniform choice; sweeping seeds
   samples the execution space.
-- :class:`ReplaySchedule` -- replays an explicit pid sequence (used to
-  construct the paper's hand-crafted interleavings in tests).
+- :class:`ReplaySchedule` -- replays a script of pids and fault
+  decisions, strictly or leniently: the one replay path, behind the
+  paper's hand-crafted interleavings in tests, ``repro fuzz --replay``
+  and the shrinker's probe.
 - :class:`PrioritySchedule` -- weighted random choice; used for reader
   storms (E1) and writer-starved scenarios.
 - :class:`InterposingSchedule` -- schedules a victim process until it is
@@ -18,10 +20,13 @@ Provided policies:
   run; used to build worst-case write-retry executions (Lemma 2's bound).
 
 Fault injection rides on the same seam: instead of a process to step, a
-schedule's ``choose`` may return :class:`CrashDecision` and the runner
-crashes that process at this step.  This makes crash faults part of the
-schedule space an adversary (in particular the fuzzer, :mod:`repro.fuzz`)
-explores, rather than something experiments must script by hand.
+schedule's ``choose`` may return a fault decision (:data:`FAULT_DECISIONS`)
+and the runner applies it, consuming the step.  This makes faults part
+of the schedule space an adversary (in particular the fuzzer,
+:mod:`repro.fuzz`) explores, rather than something experiments must
+script by hand.  :func:`fault_applicable` is the one rule for when a
+fault can take effect: the fuzzer's recorder offers only such faults,
+and replay applies only such faults.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.sim.process import Process
+from repro.sim.process import Process, ProcessState
 
 
 def _by_pid(process: Process) -> str:
@@ -75,7 +80,7 @@ class CrashDecision:
     def __init__(self, pid: str) -> None:
         self.pid = pid
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"CrashDecision({self.pid!r})"
 
 
@@ -101,7 +106,7 @@ class DelayDecision:
         self.pid = pid
         self.steps = steps
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"DelayDecision({self.pid!r}, steps={self.steps})"
 
 
@@ -137,7 +142,7 @@ class PartitionDecision:
             raise ValueError("a partition must cover at least one step")
         self.steps = steps
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"PartitionDecision({self.pids!r}, steps={self.steps})"
 
 
@@ -163,7 +168,7 @@ class RecoverDecision:
     def __init__(self, pid: str) -> None:
         self.pid = pid
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"RecoverDecision({self.pid!r})"
 
 
@@ -181,7 +186,8 @@ class DuplicateDecision:
     duplicated ``fetch&xor`` flips an announce bit back (XOR is an
     involution), a duplicated compare&swap simply fails the second
     time.  Only applicable to a pid that has an applied primitive to
-    re-deliver; samplers and the lenient replayer skip it otherwise.
+    re-deliver (:func:`fault_applicable`); samplers never offer it and
+    a lenient :class:`ReplaySchedule` skips it otherwise.
     """
 
     family = "dup"
@@ -190,7 +196,7 @@ class DuplicateDecision:
     def __init__(self, pid: str) -> None:
         self.pid = pid
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"DuplicateDecision({self.pid!r})"
 
 
@@ -211,7 +217,7 @@ class OmitDecision:
     def __init__(self, pid: str) -> None:
         self.pid = pid
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"OmitDecision({self.pid!r})"
 
 
@@ -224,11 +230,35 @@ FAULT_DECISIONS = {cls.family: cls for cls in (
 )}
 
 
+def fault_applicable(sim, family: str, pid: str) -> bool:
+    """Can a ``family`` fault aimed at ``pid`` take effect in ``sim``
+    at this step?
+
+    One rule per family: a crash needs a live process, a recovery a
+    crashed one with program left, a duplicate an applied primitive to
+    re-deliver, an omission an in-flight operation, and a partition or
+    delay a process with work.
+    """
+    process = sim.processes.get(pid)
+    if process is None:
+        return False
+    if family == "crash":
+        return process.state is not ProcessState.CRASHED
+    if family == "recover":
+        return pid in sim.recoverable_pids()
+    if family == "dup":
+        return pid in sim.duplicable_pids()
+    if family == "omit":
+        return process.is_mid_operation()
+    return process.has_work()
+
+
 class Schedule:
     """Base class: pick the next process to step.
 
     ``choose`` returns either a :class:`~repro.sim.process.Process` from
-    the runnable list or a :class:`CrashDecision` (fault injection).
+    the runnable list or a fault decision from :data:`FAULT_DECISIONS`
+    (fault injection; the step is consumed by the fault).
     """
 
     def choose(self, runnable: List[Process], step_index: int) -> Process:
@@ -268,35 +298,80 @@ class RandomSchedule(Schedule):
         self._rng = random.Random(self.seed)
 
 
-class ReplaySchedule(Schedule):
-    """Replay an explicit sequence of pids.
+class ReplayMismatch(RuntimeError):
+    """A strict replay script does not apply to the run it replays."""
 
-    When the scripted pid is not runnable (or the script is exhausted),
-    falls back to the first runnable process; strict mode raises instead.
+
+class ReplaySchedule(Schedule):
+    """Replay a script whose entries are pids and fault decisions.
+
+    A pid entry applies when that pid is offered this step; a fault
+    entry applies when :func:`fault_applicable` rules that it can take
+    effect (for a partition: on at least one of its pids).  Run under
+    :meth:`repro.sim.runner.Simulation.run`, so healing, the
+    all-severed rule and step accounting are the runner's own.
+
+    - ``strict=True`` raises :class:`ReplayMismatch` on an entry that
+      does not apply, and when the script runs out while processes are
+      still runnable.
+    - ``strict=False`` skips an entry that does not apply; once the
+      script is exhausted, it steps the lowest offered pid.
+
+    ``applied`` lists the entries that took effect, in order, lenient
+    completion steps included: a strict replay of the same system
+    re-executes it exactly.  Fault entries are ruled against ``sim``,
+    the simulation the schedule replays on, so a script with faults
+    needs it.
     """
 
-    def __init__(self, pids: Sequence[str], strict: bool = False) -> None:
-        self.pids = list(pids)
+    def __init__(
+        self, script: Sequence, strict: bool = False, sim=None
+    ) -> None:
+        self.script = list(script)
         self.strict = strict
+        self.sim = sim
+        if sim is None and not all(isinstance(e, str) for e in self.script):
+            raise ValueError(
+                "a replay script with fault entries needs the simulation "
+                "it replays on"
+            )
+        self.applied: List = []
         self._cursor = 0
 
-    def choose(self, runnable: List[Process], step_index: int) -> Process:
-        by_pid = {p.pid: p for p in runnable}
-        while self._cursor < len(self.pids):
-            pid = self.pids[self._cursor]
+    def _applies(self, entry, offered: Dict[str, Process]) -> bool:
+        if isinstance(entry, str):
+            return entry in offered
+        pids = entry.pids if isinstance(entry, PartitionDecision) else (
+            entry.pid,
+        )
+        return any(
+            fault_applicable(self.sim, entry.family, pid) for pid in pids
+        )
+
+    def choose(self, runnable: List[Process], step_index: int):
+        offered = {p.pid: p for p in runnable}
+        while self._cursor < len(self.script):
+            entry = self.script[self._cursor]
             self._cursor += 1
-            if pid in by_pid:
-                return by_pid[pid]
+            if self._applies(entry, offered):
+                self.applied.append(entry)
+                return offered[entry] if isinstance(entry, str) else entry
             if self.strict:
-                raise RuntimeError(
-                    f"replay schedule expected {pid!r} to be runnable at "
-                    f"step {step_index}; runnable: {sorted(by_pid)}"
+                raise ReplayMismatch(
+                    f"replay expected {entry!r} to apply at step "
+                    f"{step_index}; runnable: {sorted(offered)}"
                 )
         if self.strict:
-            raise RuntimeError("replay schedule exhausted")
-        return min(runnable, key=lambda p: p.pid)
+            raise ReplayMismatch(
+                "replay schedule exhausted but processes are still "
+                f"runnable: {sorted(offered)}"
+            )
+        pid = min(offered)
+        self.applied.append(pid)
+        return offered[pid]
 
     def reset(self) -> None:
+        self.applied = []
         self._cursor = 0
 
 

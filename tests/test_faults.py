@@ -3,9 +3,9 @@
 Fault *plans* at the memory-server seam are covered in
 ``test_process_runtime``; these tests pin the shared vocabulary one
 layer down — the simulator's partition/duplicate/omit/recover
-machinery that the fuzzer's recorder, lenient replayer and shrinker
-all build on — plus the ``chaos_plan`` builder behind
-``repro stress --faults``.
+machinery, driven through ``Simulation.step`` by the one
+``ReplaySchedule`` that the fuzzer's ``--replay`` and shrinker build
+on — plus the ``chaos_plan`` builder behind ``repro stress --faults``.
 
 See DESIGN.md section 11 for the per-family soundness argument.
 """
@@ -30,6 +30,8 @@ from repro.sim.scheduler import (
     OmitDecision,
     PartitionDecision,
     RecoverDecision,
+    ReplayMismatch,
+    ReplaySchedule,
 )
 
 
@@ -45,6 +47,24 @@ def _sim_with_readers(*specs):
     for pid, n_ops in specs:
         sim.add_program(pid, [Op("read", read_gen) for _ in range(n_ops)])
     return sim, main
+
+
+class _Offering(ReplaySchedule):
+    """A replay schedule that also records the pids each step offers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.offered = []
+
+    def choose(self, runnable, step_index):
+        self.offered.append([proc.pid for proc in runnable])
+        return super().choose(runnable, step_index)
+
+
+def _replay(sim, script, strict=False):
+    """Install a replay of ``script`` as ``sim``'s schedule."""
+    sim.schedule = schedule = _Offering(script, strict, sim=sim)
+    return schedule
 
 
 # -- parsing and the chaos builder --------------------------------------------
@@ -98,46 +118,65 @@ def test_chaos_plan_passes_roster_through():
 
 def test_partition_hides_pids_until_healed():
     sim, _ = _sim_with_readers(("p", 3), ("q", 3))
-    sim.partition(["p"], steps=2)
-    assert sim.is_partitioned("p")
-    assert [proc.pid for proc in sim.schedulable()] == ["q"]
-    sim.step_process("q")
-    sim.step_process("q")
-    # The sever window has elapsed: p is visible again.
-    assert not sim.is_partitioned("p")
-    assert "p" in [proc.pid for proc in sim.schedulable()]
+    schedule = _replay(sim, [PartitionDecision(["p"], steps=2), "q", "q"])
     sim.run()
+    # Severed for the two steps after the partition, offered again on
+    # the third.
+    assert schedule.offered[:4] == [["p", "q"], ["q"], ["q"], ["p", "q"]]
     assert not sim.history.pending_operations()
+    sim, _ = _sim_with_readers(("p", 3), ("q", 3))
+    _replay(sim, [PartitionDecision(["p"], steps=2), "p"], strict=True)
+    with pytest.raises(ReplayMismatch, match="expected 'p'"):
+        sim.run()
 
 
 def test_partition_of_everyone_flushes_instead_of_deadlocking():
     """A partition covering every process with work heals immediately
-    (the quiescence rule): severing the whole network must not
-    deadlock."""
+    and in full (the quiescence rule): severing the whole network must
+    not deadlock, and a process that has work again later is not
+    severed by it."""
     sim, _ = _sim_with_readers(("p", 2), ("q", 2))
-    sim.partition(["p", "q"], steps=1000)
-    assert not sim.is_partitioned("p")
-    assert not sim.is_partitioned("q")
+    _replay(sim, [PartitionDecision(["p", "q"], steps=1000)]
+            + ["p", "q"] * 4, strict=True)
     sim.run()
     assert not sim.history.pending_operations()
+    sim, _ = _sim_with_readers(("p", 2), ("q", 2), ("r", 1))
+    schedule = _replay(sim, [
+        CrashDecision("r"), PartitionDecision(["p", "q"], steps=1000),
+        "p", RecoverDecision("r"),
+    ])
+    sim.run()
+    assert schedule.offered[1:5] == [
+        ["p", "q"], ["p", "q"], ["p", "q"], ["p", "q", "r"],
+    ]
 
 
 def test_partition_of_unknown_pid_is_a_noop():
     sim, _ = _sim_with_readers(("p", 1))
     sim.partition(["ghost"], steps=10)
-    assert not sim.is_partitioned("ghost")
+    schedule = _replay(sim, [PartitionDecision(["ghost"], steps=10)])
     sim.run()
+    # The decision does not apply, so lenient replay skips it.
+    assert schedule.applied == ["p", "p"]
+    assert schedule.offered == [["p"], ["p"]]
     assert len(sim.history.complete_operations()) == 1
+    sim, _ = _sim_with_readers(("p", 1))
+    _replay(sim, [PartitionDecision(["ghost"], steps=10)], strict=True)
+    with pytest.raises(ReplayMismatch, match="ghost"):
+        sim.run()
 
 
 def test_overlapping_partitions_extend_never_shorten():
     sim, _ = _sim_with_readers(("p", 3), ("q", 6))
-    sim.partition(["p"], steps=4)
-    sim.partition(["p"], steps=2)  # shorter re-partition must not heal early
-    sim.step_process("q")
-    sim.step_process("q")
-    sim.step_process("q")
-    assert sim.is_partitioned("p")
+    schedule = _replay(sim, [
+        PartitionDecision(["p"], steps=4),
+        PartitionDecision(["p"], steps=2),  # must not heal p early
+        "q", "q", "q",
+    ])
+    sim.run()
+    assert len(schedule.applied) > 5
+    assert schedule.applied[:5] == schedule.script
+    assert schedule.offered[2:6] == [["q"], ["q"], ["q"], ["p", "q"]]
 
 
 # -- simulator: duplicates, omissions, recovery -------------------------------
@@ -201,24 +240,30 @@ def test_fully_finished_crashed_process_is_not_recoverable():
     assert sim.recoverable_pids() == []
 
 
-# -- simulator: the inject seam -----------------------------------------------
+# -- simulator: fault decisions through the schedule seam --------------------
 
 
-def test_inject_consumes_one_step_like_the_schedule_would():
+def test_each_fault_decision_consumes_one_step():
     sim, _ = _sim_with_readers(("p", 2), ("q", 2))
+    schedule = _replay(sim, [
+        CrashDecision("p"), RecoverDecision("p"),
+        PartitionDecision(("q",), steps=3),
+    ])
     before = sim.steps_taken
-    sim.inject(CrashDecision("p"))
+    sim.step()
     assert sim.steps_taken == before + 1
     assert sim.recoverable_pids() == ["p"]
-    sim.inject(RecoverDecision("p"))
-    sim.inject(PartitionDecision(("q",), steps=3))
+    sim.step()
+    sim.step()
     assert sim.steps_taken == before + 3
-    assert sim.is_partitioned("q")
+    assert schedule.applied == schedule.script
+    sim.step()
+    assert schedule.offered[3] == ["p"]  # q is severed
     sim.run()
     assert not sim.history.pending_operations()
 
 
-def test_inject_duplicate_and_omit():
+def test_duplicate_and_omit_decisions():
     sim, main = _sim_with_readers(("q", 2))
 
     def two_reads():
@@ -227,13 +272,25 @@ def test_inject_duplicate_and_omit():
         return (first.val, second.val)
 
     sim.add_program("p", [Op("rr", two_reads), Op("rr", two_reads)])
-    sim.step_process("p")  # begin the op; the first read is now pending
-    sim.step_process("p")  # apply the first read
+    # Nothing to re-deliver and nothing in flight yet: neither applies.
+    _replay(sim, [DuplicateDecision("p")], strict=True)
+    with pytest.raises(ReplayMismatch, match="DuplicateDecision"):
+        sim.step()
+    _replay(sim, [OmitDecision("p")], strict=True)
+    with pytest.raises(ReplayMismatch, match="OmitDecision"):
+        sim.step()
+    schedule = _replay(sim, [
+        OmitDecision("p"), "p", "p",
+        DuplicateDecision("p"), OmitDecision("p"),
+    ])
+    sim.step()  # the omission is skipped: p begins its op instead
+    sim.step()  # apply the first read
     assert "p" in sim.duplicable_pids()
-    sim.inject(DuplicateDecision("p"))
+    sim.step()
     assert len(sim.history.primitive_events(pid="p")) == 2
-    sim.inject(OmitDecision("p"))
+    sim.step()
     assert not sim.processes["p"].is_mid_operation()
+    assert schedule.applied == schedule.script[1:]
     sim.run()
     pending = sim.history.pending_operations()
     assert [(op.pid, op.op_id) for op in pending] == [("p", 0)]
@@ -258,7 +315,8 @@ def test_an_omission_after_an_announce_breaks_audit_exactness():
     while not [e for e in sim.history.primitive_events(pid="r0")
                if e.primitive == "fetch_xor"]:
         sim.step_process("r0")
-    sim.inject(OmitDecision("r0"))
+    sim.schedule = ReplaySchedule([OmitDecision("r0")], strict=True, sim=sim)
+    sim.step()
     sim.run_process("r0")
     sim.run_process("a0")
     reads = [op for op in sim.history.complete_operations()

@@ -17,7 +17,9 @@ The load-bearing properties:
   PARTIAL or usage error.
 """
 
+import dataclasses
 import json
+import random
 
 import pytest
 
@@ -641,3 +643,45 @@ class TestFaultFuzzing:
         verdict, effective = run_decisions_lenient(target, decisions)
         assert all(d[0] == STEP for d in effective)
         assert verdict == clean.trace.verdict
+
+
+class TestLenientClosure:
+    """Every lenient effective sequence is closed: strict replay
+    re-executes it to the same verdict, partitions included."""
+
+    TARGET = dataclasses.replace(
+        get_target("alg1-crash-audit"),
+        name="all-faults",
+        faults=(DUPLICATE, OMIT, PARTITION, RECOVER),
+        max_faults=3,
+    )
+
+    def _assert_closed(self, decisions):
+        verdict, effective = run_decisions_lenient(self.TARGET, decisions)
+        trace = ScheduleTrace(
+            target=self.TARGET.name, seed=0, sampler="shrink",
+            decisions=effective, verdict=verdict,
+        )
+        assert replay_trace(self.TARGET, trace).verdict == verdict
+
+    def test_an_all_severed_partition_heals_in_full(self):
+        # Both partitions sever every runnable pid: the runner heals
+        # them at once and in full, so the later steps of r1 are legal.
+        self._assert_closed([
+            (STEP, "r0"), (PARTITION, "r0,r1,w0", 4),
+            (PARTITION, "r1,w0", 4), (STEP, "r1"), (STEP, "r1"),
+            (STEP, "w0"), (STEP, "w0"), (STEP, "w0"), (STEP, "w0"),
+            (STEP, "r1"), (STEP, "w0"), (STEP, "w0"), (STEP, "w0"),
+        ])
+
+    def test_randomly_thinned_fault_traces_stay_closed(self):
+        rng = random.Random(0)
+        for seed in range(100):
+            decisions = run_one(
+                self.TARGET, seed, sampler_from_name("fault")
+            ).trace.decisions
+            for _ in range(10):
+                self._assert_closed(
+                    [d for d in decisions if rng.random() > 0.25]
+                )
+
